@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race bench bench-json bench-compare chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
+.PHONY: all check build test test-race race bench bench-json bench-compare bench-smoke chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
 
 all: check
 
@@ -12,9 +12,10 @@ all: check
 # exercises the parallel executor with Parallelism > 1), the two
 # serving-layer smokes (a curl-driven endpoint walk of cmd/mpfserver and
 # a reduced concurrent load generation run over the wire), the quick
-# columnar-layout and columnar-fuse identity checks, and the MVCC
-# snapshot-isolation chaos run under the race detector.
-check: build vet test test-race server-smoke loadgen columnar columnar-fuse mvcc
+# columnar-layout and columnar-fuse identity checks, the MVCC
+# snapshot-isolation chaos run under the race detector, and a compile +
+# test pass over the nested bench/ module.
+check: build vet test test-race server-smoke loadgen columnar columnar-fuse mvcc bench-smoke
 
 # Documentation gate: vet, the exported-identifier doc-comment check,
 # and markdown link verification (README/DESIGN/EXPERIMENTS/ARCHITECTURE).
@@ -36,16 +37,14 @@ race: test-race
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Snapshot the vectorized-executor microbenchmarks (tuple vs batch mode:
-# scan, Grace join, group-by) as machine-readable JSON in BENCH_PR4.json,
-# the planning-latency microbenchmarks (CS+ search vs greedy vs a warmed
-# plan-cache probe) as BENCH_PR6.json, and the columnar-vs-row-major
-# layout microbenchmarks (scan, join, sort, fused join+aggregate,
-# group-by) as BENCH_PR9.json.
+# Snapshot the planning-latency microbenchmarks (CS+ search vs greedy vs
+# a warmed plan-cache probe) as machine-readable JSON in BENCH_PR6.json,
+# and the page-layout microbenchmarks (scan, join, sort, fused
+# join+aggregate, group-by over row-major and columnar pages) as
+# BENCH_PR15.json.
 bench-json:
-	$(GO) test -run=NONE -bench=Batch -benchtime=10x -benchmem ./internal/exec/ | $(GO) run ./cmd/benchjson > BENCH_PR4.json
 	$(GO) test -run=NONE -bench=Planning -benchtime=100x -benchmem ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_PR6.json
-	$(GO) test -run=NONE -bench=Columnar -benchtime=50x -benchmem -count=5 ./internal/exec/ | $(GO) run ./cmd/benchjson > BENCH_PR9.json
+	$(GO) test -run=NONE -bench=Columnar -benchtime=50x -benchmem -count=5 ./internal/exec/ | $(GO) run ./cmd/benchjson > BENCH_PR15.json
 
 # Regression gate: rerun the columnar microbenchmarks (best of 5 against
 # scheduler noise, matching how the snapshot is taken) and compare ns/op
@@ -54,6 +53,12 @@ bench-json:
 bench-compare:
 	$(GO) test -run=NONE -bench=Columnar -benchtime=50x -benchmem -count=5 ./internal/exec/ | \
 		$(GO) run ./cmd/benchjson -compare $$(ls BENCH_PR*.json | sort -V | tail -1)
+
+# bench/ is a nested module (the repo benchmark) that `go build ./...`
+# and `go test ./...` at the root never compile; vet and test it so a
+# change to the mpf API it uses fails here, not in the benchmark driver.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Deterministic-seed chaos run: replay the optimizer/executor matrix
 # over fault-injecting disks and check the resilience contract (see

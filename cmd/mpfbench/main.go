@@ -36,7 +36,6 @@ func main() {
 	columnar := flag.Bool("columnar", false, "enable columnar page encoding for experiment sessions")
 	fuse := flag.Bool("fuse", false, "fuse GroupBy-over-Join pairs into a single non-materializing operator for experiment sessions")
 	rcache := flag.Int64("result-cache", 0, "result cache byte budget for cache-aware experiments (0 = experiment default)")
-	batch := flag.Int("batch", 0, "executor batch width in tuples (0 = page-sized batches, 1 = tuple-at-a-time)")
 	readahead := flag.Int("readahead", 0, "buffer-pool read-ahead distance in pages for sequential scans (0 = off)")
 	faults := flag.Int64("faults", 0, "run under seeded transient fault injection with this seed (0 = off)")
 	planner := flag.String("planner", "", "override the planning strategy for experiment sessions (empty = experiment default)")
@@ -69,7 +68,7 @@ func main() {
 	if *workers != 0 {
 		*parallel = *workers
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, PoolFrames: *frames, Parallelism: *parallel, ResultCacheBytes: *rcache, BatchSize: *batch, ReadAhead: *readahead, Columnar: *columnar, Fuse: *fuse, FaultSeed: *faults, Planner: *planner, PlanCacheEntries: *planCache, PlanBudget: *planBudget}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, PoolFrames: *frames, Parallelism: *parallel, ResultCacheBytes: *rcache, ReadAhead: *readahead, Columnar: *columnar, Fuse: *fuse, FaultSeed: *faults, Planner: *planner, PlanCacheEntries: *planCache, PlanBudget: *planBudget}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()

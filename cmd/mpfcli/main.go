@@ -47,7 +47,6 @@ func main() {
 	columnar := flag.Bool("columnar", false, "encode full heap pages columnar (dictionary/RLE segments) and run the encoded-value kernels")
 	fuse := flag.Bool("fuse", false, "fuse GroupBy-over-Join pairs into a single non-materializing operator")
 	rcache := flag.Int64("result-cache", 0, "shared subplan result cache byte budget (0 = disabled)")
-	batch := flag.Int("batch", 0, "executor batch width in tuples (0 = page-sized batches, 1 = tuple-at-a-time)")
 	readahead := flag.Int("readahead", 0, "buffer-pool read-ahead distance in pages for sequential scans (0 = off)")
 	ioRetries := flag.Int("io-retries", 0, "transient-fault IO retry bound (0 = default 3, negative = off)")
 	planner := flag.String("planner", "", "default planner (alias of -strategy; takes precedence when both are set)")
@@ -63,7 +62,7 @@ func main() {
 	if *workers != 0 {
 		*parallel = *workers
 	}
-	if err := run(*load, *scale, *density, *tables, *seed, *srName, *strategy, *script, *command, *frames, *parallel, *rcache, *batch, *readahead, *ioRetries, *planCache, *planBudget, *columnar, *fuse); err != nil {
+	if err := run(*load, *scale, *density, *tables, *seed, *srName, *strategy, *script, *command, *frames, *parallel, *rcache, *readahead, *ioRetries, *planCache, *planBudget, *columnar, *fuse); err != nil {
 		fmt.Fprintf(os.Stderr, "mpfcli: %v [%s]\n", err, mpf.ErrorCode(err))
 		os.Exit(1)
 	}
@@ -72,12 +71,12 @@ func main() {
 // showMetrics controls the exit-time engine metrics report (-metrics).
 var showMetrics bool
 
-func run(load string, scale, density float64, tables int, seed int64, srName, strategy, script, command string, frames, parallel int, rcache int64, batch, readahead, ioRetries, planCache int, planBudget time.Duration, columnar, fuse bool) error {
+func run(load string, scale, density float64, tables int, seed int64, srName, strategy, script, command string, frames, parallel int, rcache int64, readahead, ioRetries, planCache int, planBudget time.Duration, columnar, fuse bool) error {
 	sr, err := semiring.ByName(srName)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Semiring: sr, PoolFrames: frames, Parallelism: parallel, ResultCacheBytes: rcache, BatchSize: batch, ReadAhead: readahead, IORetries: ioRetries, PlanCacheEntries: planCache, PlanBudget: planBudget, Columnar: columnar, FuseJoinGroupBy: fuse}
+	cfg := core.Config{Semiring: sr, PoolFrames: frames, Parallelism: parallel, ResultCacheBytes: rcache, ReadAhead: readahead, IORetries: ioRetries, PlanCacheEntries: planCache, PlanBudget: planBudget, Columnar: columnar, FuseJoinGroupBy: fuse}
 	if strategy != "" {
 		o, err := opt.ByName(strategy)
 		if err != nil {

@@ -47,7 +47,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "intra-query worker bound (0 or 1 = serial)")
 	rcache := flag.Int64("result-cache", 0, "shared subplan result cache byte budget (0 = disabled)")
 	planCache := flag.Int("plan-cache", 0, "plan cache capacity in entries (0 = disabled)")
-	batch := flag.Int("batch", 0, "executor batch width (0 = page-sized, 1 = tuple-at-a-time)")
 	rate := flag.Float64("admit-rate", 0, "admission rate in requests/sec (0 = unlimited)")
 	burst := flag.Int("admit-burst", 16, "admission token-bucket burst")
 	queueDepth := flag.Int("admit-queue", 64, "admission queue depth")
@@ -59,7 +58,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*addr, *portFile, *load, *scale, *density, *tables, *seed, *srName,
-		*frames, *parallel, *rcache, *planCache, *batch,
+		*frames, *parallel, *rcache, *planCache,
 		server.AdmissionConfig{RatePerSec: *rate, Burst: *burst, QueueDepth: *queueDepth, QueueWait: *queueWait},
 		*defTimeout, mpf.Budget{MaxTempTuples: *maxTemp, MaxRows: *maxRows}, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "mpfserver:", err)
@@ -68,7 +67,7 @@ func main() {
 }
 
 func run(addr, portFile, load string, scale, density float64, tables int, seed int64, srName string,
-	frames, parallel int, rcache int64, planCache, batch int,
+	frames, parallel int, rcache int64, planCache int,
 	admission server.AdmissionConfig, defTimeout time.Duration, defBudget mpf.Budget,
 	drainTimeout time.Duration) error {
 	sr, err := mpf.SemiringByName(srName)
@@ -81,7 +80,6 @@ func run(addr, portFile, load string, scale, density float64, tables int, seed i
 		Parallelism:      parallel,
 		ResultCacheBytes: rcache,
 		PlanCacheEntries: planCache,
-		BatchSize:        batch,
 	})
 	if err != nil {
 		return err

@@ -12,33 +12,31 @@ import (
 // the temp-tuple bound fails with ErrBudget, cleanly (no pinned frames),
 // and that the same query under a generous budget succeeds.
 func TestBudgetTempTuples(t *testing.T) {
-	for _, batch := range []int{0, 1} {
-		db, _ := openSupplyChain(t, Config{PoolFrames: 64, BatchSize: batch})
-		spec := &QuerySpec{View: "invest", GroupVars: []string{"wid"}}
+	db, _ := openSupplyChain(t, Config{PoolFrames: 64})
+	spec := &QuerySpec{View: "invest", GroupVars: []string{"wid"}}
 
-		ctx := exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 8})
-		res, err := db.QueryContext(ctx, spec)
-		if err == nil {
-			t.Fatalf("batch=%d: tiny temp-tuple budget should fail", batch)
-		}
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("batch=%d: error %v does not match ErrBudget", batch, err)
-		}
-		var be *exec.BudgetError
-		if !errors.As(err, &be) || be.Resource != "temp-tuples" {
-			t.Fatalf("batch=%d: want *BudgetError over temp-tuples, got %v", batch, err)
-		}
-		if res == nil {
-			t.Fatalf("batch=%d: failed query should still return partial stats", batch)
-		}
-		if n := db.Pool().Pinned(); n != 0 {
-			t.Fatalf("batch=%d: %d frames left pinned after budget failure", batch, n)
-		}
+	ctx := exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 8})
+	res, err := db.QueryContext(ctx, spec)
+	if err == nil {
+		t.Fatal("tiny temp-tuple budget should fail")
+	}
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("error %v does not match ErrBudget", err)
+	}
+	var be *exec.BudgetError
+	if !errors.As(err, &be) || be.Resource != "temp-tuples" {
+		t.Fatalf("want *BudgetError over temp-tuples, got %v", err)
+	}
+	if res == nil {
+		t.Fatal("failed query should still return partial stats")
+	}
+	if n := db.Pool().Pinned(); n != 0 {
+		t.Fatalf("%d frames left pinned after budget failure", n)
+	}
 
-		ctx = exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 1 << 30})
-		if _, err := db.QueryContext(ctx, spec); err != nil {
-			t.Fatalf("batch=%d: generous budget should pass: %v", batch, err)
-		}
+	ctx = exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 1 << 30})
+	if _, err := db.QueryContext(ctx, spec); err != nil {
+		t.Fatalf("generous budget should pass: %v", err)
 	}
 }
 

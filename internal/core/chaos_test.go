@@ -43,9 +43,9 @@ func (f *faultFleet) setAll(plan storage.FaultPlan) {
 	}
 }
 
-// chaosConfig is the full modern execution path under test: parallel
-// workers, vectorized batches by default, read-ahead prefetching, a
-// result cache, and a pool small enough that queries do real IO.
+// chaosConfig is the full concurrent execution path under test: parallel
+// workers, read-ahead prefetching, a result cache, and a pool small
+// enough that queries do real IO.
 func chaosConfig() Config {
 	return Config{
 		PoolFrames:       8,

@@ -55,31 +55,25 @@ type Config struct {
 	// base-table versions. Zero (the default) disables the cache, keeping
 	// every query's physical IO exactly reproducible.
 	ResultCacheBytes int64
-	// BatchSize selects the executor's batch width: 0 (the default) runs
-	// the vectorized operator paths with whole heap pages as batches, 1
-	// restores tuple-at-a-time execution, larger values cap batch width
-	// (see exec.Engine.BatchSize).
-	BatchSize int
 	// ReadAhead, when positive, makes sequential scans ask the buffer
 	// pool to prefetch this many pages ahead. Off by default so physical
 	// IO counts reproduce the paper's cost model exactly (see
 	// exec.Engine.ReadAhead).
 	ReadAhead int
-	// Columnar, when true, re-encodes every heap page that fills — base
-	// tables and intermediates alike — with the per-page columnar layout
-	// (dictionary/run-length column segments where they pay for
-	// themselves) and routes batch execution through the encoded-value
-	// kernels. Results are byte-identical to row-major execution; page
-	// counts, and therefore the paper's IO cost model, are unchanged (the
-	// encoding compresses within pages, never across them). No effect
-	// when BatchSize is 1.
+	// Columnar is a page-layout choice: when true, every heap page that
+	// fills — base tables and intermediates alike — is re-encoded with the
+	// per-page columnar layout (dictionary/run-length column segments
+	// where they pay for themselves). The executor runs the same
+	// encoded-batch kernels either way (row-major pages read as all-plain
+	// column views), so results are byte-identical; page counts, and
+	// therefore the paper's IO cost model, are unchanged (the encoding
+	// compresses within pages, never across them).
 	Columnar bool
 	// FuseJoinGroupBy, when true, pipelines GroupBy-over-Join plan pairs
 	// through a single fused operator that aggregates probe matches as
 	// they are produced, never materializing the join output (see
-	// exec.Engine.FuseJoinGroupBy). With Columnar also set, the fused
-	// operator consumes encoded probe batches directly. Results are
-	// byte-identical to the materializing pipeline.
+	// exec.Engine.FuseJoinGroupBy). Results are byte-identical to the
+	// materializing pipeline.
 	FuseJoinGroupBy bool
 	// IORetries bounds how many times the buffer pool re-attempts an IO
 	// operation that failed with a transient fault (storage.IsTransient),
@@ -173,7 +167,6 @@ func Open(cfg Config) (*Database, error) {
 	}
 	engine := exec.NewEngine(pool, factory, cfg.Semiring)
 	engine.Parallelism = cfg.Parallelism
-	engine.BatchSize = cfg.BatchSize
 	engine.ReadAhead = cfg.ReadAhead
 	engine.Columnar = cfg.Columnar
 	engine.FuseJoinGroupBy = cfg.FuseJoinGroupBy

@@ -1,15 +1,13 @@
 package exec
 
-// Vectorized operator paths. Every hot loop in this file consumes heap
-// pages through storage.BatchIterator — one pin and one decode loop per
-// page — and produces output through page-sized bulk appends, so the
-// per-tuple costs of the legacy paths (an interface call, a buffer-pool
-// round-trip, and a map-key allocation per tuple) are amortized across a
-// page of tuples. Batch boundaries are also the cancellation check
-// points, replacing the legacy paths' 512-tuple pollers: a batch never
-// exceeds one page, so a canceled query still stops within a page's
-// worth of work. The batch paths emit rows in exactly the order the
-// tuple paths do, so results are byte-identical either way.
+// Shared pieces of the batch kernels: the scan helper, allocation-free
+// key encoding and the keyIndex, the page-at-a-time output writer, the
+// hash-join build table and the aggregation state. The kernels
+// themselves (colbatch.go, colsort.go, fusecol.go) consume heap pages as
+// storage.ColBatch views — one pin and one decode loop per page — and
+// produce output through page-sized bulk appends. Batch boundaries are
+// the cancellation check points: a batch never exceeds one page, so a
+// canceled query stops within a page's worth of work.
 
 import (
 	"context"
@@ -18,17 +16,10 @@ import (
 	"mpf/internal/storage"
 )
 
-// batchOn reports whether the vectorized paths are selected; only
-// BatchSize == 1 (the explicit tuple-at-a-time baseline) disables them.
-func (e *Engine) batchOn() bool { return e.BatchSize != 1 }
-
-// scanB returns a batch iterator over h configured with the engine's
-// batch width and read-ahead distance.
+// scanB returns a row-major batch iterator over h configured with the
+// engine's read-ahead distance.
 func (e *Engine) scanB(ctx context.Context, h *storage.Heap) *storage.BatchIterator {
 	it := h.ScanBatchesContext(ctx)
-	if e.BatchSize > 1 {
-		it.SetBatchSize(e.BatchSize)
-	}
 	if e.ReadAhead > 0 {
 		it.SetReadAhead(e.ReadAhead)
 	}
@@ -102,9 +93,8 @@ func (k *keyIndex) put(buf []byte, n, pos int) {
 // header rewrite, and for shared outputs a mutex acquisition per row)
 // with one AppendRows per page of output. Each flush charges the run's
 // TempTuples counter immediately, which is also where the per-query
-// temp-tuple budget is enforced for the vectorized paths: an exploding
-// join output is stopped within one page of output of crossing its
-// bound.
+// temp-tuple budget is enforced: an exploding join output is stopped
+// within one page of output of crossing its bound.
 type batchWriter struct {
 	t      *Table
 	locked bool // flush under t's mutex (shared outputs of parallel producers)
@@ -153,45 +143,7 @@ func (w *batchWriter) flush() error {
 	return w.st.overTemp()
 }
 
-// selectBatch is the vectorized equality-selection scan: filter each
-// decoded page in a tight loop, buffering matches for bulk append.
-func (e *Engine) selectBatch(ctx context.Context, in *Table, cols []int, want []int32, out *Table, st *RunStats) error {
-	it := e.scanB(ctx, in.Heap)
-	defer it.Close()
-	w := newBatchWriter(out, false, st)
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.addBatches(1)
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			match := true
-			for j, c := range cols {
-				if row[c] != want[j] {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			if err := w.append(row, b.Measures[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	return w.flush()
-}
-
-// hashBuild is the build side of a vectorized hash join. Row values live
+// hashBuild is the build side of a hash join. Row values live
 // in per-batch arena chunks and the key index maps encoded join keys to
 // group positions, so the build pass allocates O(pages + distinct keys)
 // instead of O(rows), and probe lookups allocate nothing at all.
@@ -258,62 +210,10 @@ func (e *Engine) buildBatch(ctx context.Context, build *Table, buildCols []int, 
 	return hb, nil
 }
 
-// hashJoinIntoBatch is the vectorized in-memory-build hash join: build
-// via buildBatch, then probe page batches against it, assembling output
-// rows into a page-sized writer. l is the join's left input (the output
-// schema's prefix); build/probe are l and r in build order.
-func (e *Engine) hashJoinIntoBatch(ctx context.Context, l, build, probe *Table, buildCols, probeCols, rExtra []int, buildIsLeft bool, out *Table, st *RunStats) error {
-	hb, err := e.buildBatch(ctx, build, buildCols, st)
-	if err != nil {
-		return err
-	}
-	w := newBatchWriter(out, true, st)
-	rowBuf := make([]int32, len(out.Attrs))
-	keyBuf := keyBufFor(probeCols)
-	nl := len(l.Attrs)
-	it := e.scanB(ctx, probe.Heap)
-	defer it.Close()
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.addBatches(1)
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			n := encodeKey(row, probeCols, keyBuf)
-			for _, br := range hb.lookup(keyBuf, n) {
-				var lv, rv []int32
-				var lm, rm float64
-				if buildIsLeft {
-					lv, lm, rv, rm = br.vals, br.measure, row, b.Measures[i]
-				} else {
-					lv, lm, rv, rm = row, b.Measures[i], br.vals, br.measure
-				}
-				copy(rowBuf, lv)
-				for j, c := range rExtra {
-					rowBuf[nl+j] = rv[c]
-				}
-				if err := w.append(rowBuf, e.Sr.Mul(lm, rm)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	return w.flush()
-}
-
-// batchAgg is a vectorized aggregation state: group keys live row-major
-// in one arena (insertion order — the scan order of first appearance,
-// matching the tuple path's output order) and the key index maps encoded
-// keys to positions, so absorbing a tuple into an existing group
-// allocates nothing.
+// batchAgg is the aggregation state: group keys live row-major in one
+// arena (insertion order — the scan order of first appearance) and the
+// key index maps encoded keys to positions, so absorbing a tuple into an
+// existing group allocates nothing.
 type batchAgg struct {
 	idx   *keyIndex
 	vals  []int32 // row-major group keys, arity = len(cols)
@@ -327,14 +227,16 @@ func newBatchAgg(arity int) *batchAgg {
 }
 
 // absorb folds one row's measure into its group, creating the group on
-// first sight. buf[:n] holds the row's encoded group key; the group's
-// values are projected from row only when the group is new, so the
-// common absorb-into-existing-group case copies nothing.
-func (a *batchAgg) absorb(e *Engine, buf []byte, n int, row []int32, cols []int, m float64) {
+// first sight, and returns the group's position (for memo fast paths
+// that cache positions per dictionary code). buf[:n] holds the row's
+// encoded group key; the group's values are projected from row only
+// when the group is new, so the common absorb-into-existing-group case
+// copies nothing.
+func (a *batchAgg) absorb(e *Engine, buf []byte, n int, row []int32, cols []int, m float64) int {
 	gi, seen := a.idx.get(buf, n)
 	if seen {
 		a.meas[gi] = e.Sr.Add(a.meas[gi], m)
-		return
+		return gi
 	}
 	gi = len(a.meas)
 	for _, c := range cols {
@@ -342,6 +244,7 @@ func (a *batchAgg) absorb(e *Engine, buf []byte, n int, row []int32, cols []int,
 	}
 	a.meas = append(a.meas, m)
 	a.idx.put(buf, n, gi)
+	return gi
 }
 
 // emit appends the groups to out in first-seen order with one bulk
@@ -361,71 +264,4 @@ func (a *batchAgg) emit(ctx context.Context, out *Table, locked bool, st *RunSta
 	}
 	st.addTempTuples(int64(len(a.meas)))
 	return st.overTemp()
-}
-
-// aggregateBatch runs one vectorized hash-aggregation pass over in.
-func (e *Engine) aggregateBatch(ctx context.Context, in *Table, cols []int, st *RunStats) (*batchAgg, error) {
-	agg := newBatchAgg(len(cols))
-	keyBuf := keyBufFor(cols)
-	it := e.scanB(ctx, in.Heap)
-	defer it.Close()
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st.addBatches(1)
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			n := encodeKey(row, cols, keyBuf)
-			agg.absorb(e, keyBuf, n, row, cols, b.Measures[i])
-		}
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return agg, nil
-}
-
-// partitionBatch is the vectorized Grace partition pass: route each
-// decoded page's rows to per-partition page-sized writers, flushing all
-// partitions at the end. Routing order equals scan order, so every
-// partition holds exactly the rows, in exactly the order, the tuple
-// path produces.
-func (e *Engine) partitionBatch(ctx context.Context, t *Table, cols []int, depth int, parts []*Table, st *RunStats) error {
-	writers := make([]*batchWriter, len(parts))
-	for i, p := range parts {
-		writers[i] = newBatchWriter(p, false, st)
-	}
-	it := e.scanB(ctx, t.Heap)
-	defer it.Close()
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.addBatches(1)
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			w := writers[partitionHash(row, cols, depth)]
-			if err := w.append(row, b.Measures[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	for _, w := range writers {
-		if err := w.flush(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,20 +1,21 @@
 package exec
 
-// Encoded-batch operator paths. These mirror the vectorized kernels of
-// batch.go but consume storage.ColBatch views, operating on the page
-// encodings directly: an equality predicate is checked once per RLE run
-// instead of once per row, and dictionary/byte codes feed per-batch
-// memo tables so a group-by or join probe does one keyIndex lookup per
-// distinct code per batch instead of one per row. The canonical hash key
-// is always the 4-bytes-per-column encodeKey through the existing
-// keyIndex — per-page dictionary codes only short-circuit lookups, never
-// key tables — so mixed columnar/row-major/fallback pages aggregate and
-// join consistently. Every kernel emits rows in exactly the scan order
-// of the row-major paths, and RLE aggregation folds measures in row
-// order within a run — collapsing a measure span in O(1) only when the
-// semiring proves the collapsed result bit-identical to the iterated
-// fold (fold.go) — so results stay byte-identical to row-major
-// execution, float accumulation order included.
+// Encoded-batch operator kernels — the executor's only tier. They
+// consume storage.ColBatch views and operate on the page encodings
+// directly: an equality predicate is checked once per RLE run instead of
+// once per row, and dictionary/byte codes feed per-batch memo tables so a
+// group-by or join probe does one keyIndex lookup per distinct code per
+// batch instead of one per row. Row-major pages arrive as all-plain
+// views (storage.ColBatchIterator does the transposition), so they take
+// the same kernels through the plain branches. The canonical hash key is
+// always the 4-bytes-per-column encodeKey through the keyIndex —
+// per-page dictionary codes only short-circuit lookups, never key tables
+// — so mixed columnar/row-major/fallback pages aggregate and join
+// consistently. Every kernel emits rows in scan order, and RLE
+// aggregation folds measures in row order within a run — collapsing a
+// measure span in O(1) only when the semiring proves the collapsed
+// result bit-identical to the iterated fold (fold.go) — so results are
+// byte-identical across page layouts, float accumulation order included.
 
 import (
 	"context"
@@ -24,17 +25,10 @@ import (
 	"mpf/internal/storage"
 )
 
-// colOn reports whether the encoded-batch paths are selected: columnar
-// mode on top of the vectorized paths.
-func (e *Engine) colOn() bool { return e.Columnar && e.batchOn() }
-
 // scanCB returns an encoded-batch iterator over h configured with the
-// engine's batch width and read-ahead distance.
+// engine's read-ahead distance.
 func (e *Engine) scanCB(ctx context.Context, h *storage.Heap) *storage.ColBatchIterator {
 	it := h.ScanColBatchesContext(ctx)
-	if e.BatchSize > 1 {
-		it.SetBatchSize(e.BatchSize)
-	}
 	if e.ReadAhead > 0 {
 		it.SetReadAhead(e.ReadAhead)
 	}
@@ -44,8 +38,7 @@ func (e *Engine) scanCB(ctx context.Context, h *storage.Heap) *storage.ColBatchI
 // flatCols materializes every column of cb as a plain value slice
 // (cached inside each view; a passthrough for plain columns), so gather
 // loops index slices directly instead of switching on the encoding per
-// value. Costs one decode pass per column — what the row-major batch
-// decoder pays unconditionally.
+// value. Costs one decode pass per encoded column.
 func flatCols(cb *storage.ColBatch, buf [][]int32) [][]int32 {
 	buf = buf[:0]
 	for c := range cb.Cols {
@@ -169,27 +162,10 @@ func (e *Engine) selectColBatch(ctx context.Context, in *Table, cols []int, want
 	return w.flush()
 }
 
-// absorbAt is batchAgg.absorb returning the group position, for memo
-// fast paths that cache positions per dictionary code.
-func (a *batchAgg) absorbAt(e *Engine, buf []byte, n int, row []int32, cols []int, m float64) int {
-	gi, seen := a.idx.get(buf, n)
-	if seen {
-		a.meas[gi] = e.Sr.Add(a.meas[gi], m)
-		return gi
-	}
-	gi = len(a.meas)
-	for _, c := range cols {
-		a.vals = append(a.vals, row[c])
-	}
-	a.meas = append(a.meas, m)
-	a.idx.put(buf, n, gi)
-	return gi
-}
-
 // absorbRun folds one RLE run's measures into the group keyed by
 // buf[:n], in row order — one key lookup for the run, with spans of
 // repeated measures collapsed in O(1) when the semiring's RunFolder
-// proves the collapse bit-identical to the row path's iterated fold.
+// proves the collapse bit-identical to the iterated per-row fold.
 func (a *batchAgg) absorbRun(e *Engine, rf semiring.RunFolder, buf []byte, n int, row []int32, cols []int, meas []float64) {
 	gi, seen := a.idx.get(buf, n)
 	i := 0
@@ -213,8 +189,8 @@ func (e *Engine) aggregateColBatch(ctx context.Context, in *Table, cols []int, s
 	agg := newBatchAgg(len(cols))
 	rf := e.runFolder()
 	keyBuf := keyBufFor(cols)
-	rowBuf := make([]int32, len(in.Attrs))
-	fbuf := make([][]int32, 0, len(in.Attrs))
+	rowBuf := make([]int32, len(in.Attrs)) // only the cols positions are ever set
+	kf := make([][]int32, 0, len(cols))    // flattened key columns
 	single := len(cols) == 1
 	var memo [256]int32 // group position + 1 per code, per batch
 	it := e.scanCB(ctx, in.Heap)
@@ -260,15 +236,21 @@ func (e *Engine) aggregateColBatch(ctx context.Context, in *Table, cols []int, s
 					}
 					binary.LittleEndian.PutUint32(keyBuf, uint32(val))
 					rowBuf[c] = val
-					memo[code] = int32(agg.absorbAt(e, keyBuf, 4, rowBuf, cols, cb.Measures[i])) + 1
+					memo[code] = int32(agg.absorb(e, keyBuf, 4, rowBuf, cols, cb.Measures[i])) + 1
 				}
 				continue
 			}
 		}
-		fs := flatCols(cb, fbuf)
-		fbuf = fs
+		// Only the key columns are read downstream (encodeKey, absorb), so
+		// only they are flattened and gathered.
+		kf = kf[:0]
+		for _, c := range cols {
+			kf = append(kf, cb.Cols[c].Flat())
+		}
 		for i := 0; i < cb.Len(); i++ {
-			gatherRow(fs, i, rowBuf)
+			for k, c := range cols {
+				rowBuf[c] = kf[k][i]
+			}
 			n := encodeKey(rowBuf, cols, keyBuf)
 			agg.absorb(e, keyBuf, n, rowBuf, cols, cb.Measures[i])
 		}
@@ -280,7 +262,7 @@ func (e *Engine) aggregateColBatch(ctx context.Context, in *Table, cols []int, s
 }
 
 // hashJoinIntoColBatch is the encoded in-memory-build hash join: build
-// with the vectorized buildBatch (decoding works on any page format),
+// with buildBatch (row-major decoding works on any page format),
 // then probe encoded batches, memoizing the group lookup per dictionary
 // code (or per RLE run) on single-column join keys. Multi-column keys
 // encode straight from the flattened KEY columns — no full-row gather —
@@ -289,7 +271,7 @@ func (e *Engine) aggregateColBatch(ctx context.Context, in *Table, cols []int, s
 // probe columns the output actually carries (the left columns when the
 // probe is the left input, r's extra columns otherwise) are ever read,
 // so wide probe rows with few surviving columns cost what they keep.
-// Rows are emitted in exactly the row path's order.
+// Rows are emitted in probe scan order, build rows in build scan order.
 func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Table, buildCols, probeCols, rExtra []int, buildIsLeft bool, out *Table, st *RunStats) error {
 	hb, err := e.buildBatch(ctx, build, buildCols, st)
 	if err != nil {
@@ -469,8 +451,8 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 // partitionColBatch is the encoded Grace partition pass: bucket numbers
 // come from the encodings (one hash per RLE run, one per distinct
 // byte/dict code per batch on single-column keys) while rows are
-// gathered and routed in scan order, so every partition holds exactly
-// the rows, in exactly the order, the row paths produce.
+// gathered and routed in scan order, so every partition holds its rows
+// in scan order whatever the page layout.
 func (e *Engine) partitionColBatch(ctx context.Context, t *Table, cols []int, depth int, parts []*Table, st *RunStats) error {
 	writers := make([]*batchWriter, len(parts))
 	for i, p := range parts {

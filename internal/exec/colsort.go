@@ -1,41 +1,30 @@
 package exec
 
-// Columnar sort-run generation. The row path (sort.go) gathers every
-// tuple into a row-major run and compares rows through a stride-indexed
-// closure; this path builds the same row-major run arrays for spilling
-// but extracts one CONTIGUOUS key array per sort column straight from
-// the page encodings — byte codes widen directly (the code IS the
-// value), dictionary codes map through the per-page dictionary (the
-// order mapping, built once per page because EncDict is not
-// order-preserving; see storage.OrderPreserving), and RLE runs expand
-// run-wise. RLE runs of the leading sort column are additionally kept as
-// pre-sorted block descriptors: when a single-column sort's run is fully
-// covered by them, sorting degenerates to a stable sort of the O(runs)
-// blocks plus contiguous memmoves instead of an O(n log n) row
-// comparison sort. Stable sorts are uniquely determined by keys and
-// input order, so every path — block sort, key-array sort, row sort —
-// yields the identical permutation, and the spilled runs (and therefore
-// the merged output) stay byte-identical to the row path's.
-//
-// Unknown (non-order-preserving, non-mappable) encodings abort run
-// generation with errColSortFallback and the caller reruns the row
-// path; with format v1 every encoding is sortable, so the fallback
-// guards future encodings.
+// Sort-run generation over encoded batches. Runs are built as row-major
+// arrays for spilling, with one CONTIGUOUS key array per sort column
+// extracted straight from the page encodings — plain columns copy, byte
+// codes widen directly (the code IS the value), dictionary codes map
+// through the per-page dictionary (the order mapping, built once per
+// page because EncDict is not order-preserving; see
+// storage.OrderPreserving), and RLE runs expand run-wise. RLE runs of the
+// leading sort column are additionally kept as pre-sorted block
+// descriptors: when a single-column sort's run is fully covered by them,
+// sorting degenerates to a stable sort of the O(runs) blocks plus
+// contiguous memmoves instead of an O(n log n) row comparison sort.
+// Stable sorts are uniquely determined by keys and input order, so the
+// block sort and the key-array sort yield the identical permutation, and
+// the spilled runs (and therefore the merged output) are byte-identical
+// across page layouts.
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"sort"
 	"sync"
 
 	"mpf/internal/relation"
 	"mpf/internal/storage"
 )
-
-// errColSortFallback reports a sort-column segment whose encoding cannot
-// be compared in encoded form; externalSort falls back to row-path run
-// generation.
-var errColSortFallback = errors.New("exec: segment encoding is not sortable")
 
 // colBlock is one pre-sorted block of a columnar sort run: rows
 // [start, start+n) all carry leading-sort-key value val.
@@ -44,16 +33,21 @@ type colBlock struct {
 	val      int32
 }
 
-// colMemRun is an in-memory sort run built from encoded batches: the row
-// path's row-major vals/measures (for spilling) plus one contiguous key
-// array per sort column and, when every contributing page encoded the
-// leading sort column as RLE, block descriptors covering the whole run.
+// colMemRun is an in-memory sort run built from encoded batches: the
+// row-major vals/measures (for spilling) plus one contiguous key array
+// per sort column and, when every contributing page encoded the leading
+// sort column as RLE, block descriptors covering the whole run.
 type colMemRun struct {
-	memRun
+	arity    int
+	vals     []int32
+	measures []float64
 	keys     [][]int32  // decoded sort keys, one contiguous slice per sort column
 	blocks   []colBlock // leading-column RLE blocks, adjacent equal values merged
 	blocksOK bool       // blocks cover every row (leading column RLE in all batches)
 }
+
+func (r *colMemRun) len() int          { return len(r.measures) }
+func (r *colMemRun) row(i int) []int32 { return r.vals[i*r.arity : (i+1)*r.arity] }
 
 // sorted reports whether the run's keys are already in non-decreasing
 // lexicographic order. A stable sort of sorted input is the identity
@@ -79,7 +73,7 @@ func (r *colMemRun) sorted() bool {
 // returned untouched (identity permutation). A single-column run fully
 // covered by RLE blocks stable-sorts the block descriptors and moves
 // whole blocks; otherwise a stable index sort compares the contiguous
-// key arrays. All orders equal the row path's stable row sort exactly.
+// key arrays. Both orders equal a stable row sort on the keys exactly.
 func (r *colMemRun) sortBy() {
 	if r.sorted() {
 		return
@@ -142,7 +136,8 @@ func (e *Engine) spillColRun(ctx context.Context, run *colMemRun, attrs []relati
 // appendColKeys extracts one batch's decoded sort keys for column view v
 // into dst, encoding-aware: plain copies, byte widens codes (code ==
 // value), dict maps codes through the per-page dictionary, RLE expands
-// runs. Unknown encodings return errColSortFallback.
+// runs. Format v1 has no other encoding; an unknown tag is an internal
+// error.
 func appendColKeys(dst []int32, v *storage.ColView) ([]int32, error) {
 	switch v.Enc {
 	case storage.EncPlain:
@@ -165,19 +160,19 @@ func appendColKeys(dst []int32, v *storage.ColView) ([]int32, error) {
 		}
 		return dst, nil
 	default:
-		return dst, errColSortFallback
+		return dst, fmt.Errorf("exec: internal: sort over unknown segment encoding %d", v.Enc)
 	}
 }
 
 // scanColRuns streams in's tuples from encoded batches into colMemRuns of
 // exactly runSize tuples (the last may be short), invoking spill at each
-// boundary. Batches split at run boundaries exactly like the row path's
-// scanRuns, so run contents — and the sorted output — are identical.
+// boundary. Batches split at run boundaries, so run contents — and the
+// sorted output — do not depend on the page layout.
 func (e *Engine) scanColRuns(ctx context.Context, in *Table, cols []int, runSize int, st *RunStats, spill func(*colMemRun) error) error {
 	arity := len(in.Attrs)
 	newRun := func() *colMemRun {
-		r := &colMemRun{memRun: memRun{arity: arity, vals: make([]int32, 0, runSize*arity),
-			measures: make([]float64, 0, runSize)}, keys: make([][]int32, len(cols)), blocksOK: true}
+		r := &colMemRun{arity: arity, vals: make([]int32, 0, runSize*arity),
+			measures: make([]float64, 0, runSize), keys: make([][]int32, len(cols)), blocksOK: true}
 		for ki := range r.keys {
 			r.keys[ki] = make([]int32, 0, runSize)
 		}
@@ -205,12 +200,13 @@ func (e *Engine) scanColRuns(ctx context.Context, in *Table, cols []int, runSize
 				return err
 			}
 		}
-		lead := &cb.Cols[cols[0]]
-		leadRLE := lead.Enc == storage.EncRLE
+		// cols is empty when sorting for a total aggregate (no group
+		// variables): every order is sorted, and there is no leading column.
+		leadRLE := len(cols) > 0 && cb.Cols[cols[0]].Enc == storage.EncRLE
 		if leadRLE {
 			sblocks = sblocks[:0]
 			i := 0
-			for _, r := range lead.Runs {
+			for _, r := range cb.Cols[cols[0]].Runs {
 				sblocks = append(sblocks, colBlock{start: i, n: r.Len, val: r.Val})
 				i += r.Len
 			}
@@ -285,9 +281,8 @@ func (e *Engine) scanColRuns(ctx context.Context, in *Table, cols []int, runSize
 // comparing the flattened key columns (no per-row gather or allocation)
 // and each group's measures fold span-wise through the semiring's
 // RunFolder — collapsing a span in O(1) only when the collapse is
-// provably bit-identical to the row path's per-row left fold. Emission
-// order and every accumulator's Add sequence equal the row loop's, so
-// the output is byte-identical.
+// provably bit-identical to the per-row left fold, so the output is
+// byte-identical across page layouts.
 func (e *Engine) colSortedAgg(ctx context.Context, sorted *Table, cols []int, out *Table, st *RunStats) error {
 	rf := e.runFolder()
 	kf := make([][]int32, len(cols))
@@ -359,17 +354,16 @@ func (e *Engine) colSortedAgg(ctx context.Context, sorted *Table, cols []int, ou
 
 // colRuns generates sorted runs over encoded batches, serially or — when
 // the run has a morsel scheduler and the input spans several runs — with
-// sort+spill morsels submitted under the "Sort" kind (the row path keeps
-// its "SortRun" kind, so EXPLAIN ANALYZE attributes the columnar sort
-// separately). ok = false reports a non-sortable encoding: any partial
-// runs are dropped and the caller reruns the row path.
-func (e *Engine) colRuns(ctx context.Context, in *Table, cols []int, runSize int, parallel bool, st *RunStats) (runs []*Table, ok bool, err error) {
+// sort+spill morsels submitted under the "Sort" kind. On error any
+// partial runs are dropped.
+func (e *Engine) colRuns(ctx context.Context, in *Table, cols []int, runSize int, parallel bool, st *RunStats) ([]*Table, error) {
 	var mu sync.Mutex
+	var runs []*Table
 	var g *morselGroup
 	if parallel {
 		g = st.sched.newGroup("Sort")
 	}
-	scanErr := e.scanColRuns(ctx, in, cols, runSize, st, func(run *colMemRun) error {
+	err := e.scanColRuns(ctx, in, cols, runSize, st, func(run *colMemRun) error {
 		if g == nil {
 			rt, err := e.spillColRun(ctx, run, in.Attrs, st)
 			if err != nil {
@@ -394,20 +388,13 @@ func (e *Engine) colRuns(ctx context.Context, in *Table, cols []int, runSize int
 		})
 	})
 	if g != nil {
-		if werr := g.wait(); scanErr == nil {
-			scanErr = werr
+		if werr := g.wait(); err == nil {
+			err = werr
 		}
 	}
-	if scanErr != nil {
-		for _, r := range runs {
-			if r != nil {
-				r.Drop()
-			}
-		}
-		if errors.Is(scanErr, errColSortFallback) {
-			return nil, false, nil
-		}
-		return nil, false, scanErr
+	if err != nil {
+		dropAll(runs)
+		return nil, err
 	}
-	return runs, true, nil
+	return runs, nil
 }

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpf/internal/catalog"
@@ -32,28 +34,70 @@ func dumpTable(t *testing.T, tb *Table) ([]int32, []float64) {
 	return vals, meas
 }
 
-// sortBothPaths externally sorts tb by cols with the columnar kernels on
-// and off and returns both storage-order dumps. The table stays loaded
-// through the columnar encoder in both runs; only the sort path changes.
-func sortBothPaths(t *testing.T, h *harness, tb *Table, cols []int, runTuples int) (rv, cv []int32, rm, cm []float64) {
+// sortBothLayouts externally sorts r by cols twice — loaded row-major
+// with row-major temps (every batch all-plain: copied keys, index sort)
+// and loaded through the columnar encoder with columnar temps (RLE
+// blocks, byte widening, dictionary order-mapping) — and returns both
+// storage-order dumps.
+func sortBothLayouts(t *testing.T, r *relation.Relation, cols []int, runTuples int) (rv, cv []int32, rm, cm []float64) {
 	t.Helper()
-	ctx := context.Background()
-	h.engine.SortRunTuples = runTuples
-	h.engine.Columnar = false
-	rowOut, err := h.engine.externalSort(ctx, tb, cols, &RunStats{})
-	if err != nil {
-		t.Fatal(err)
+	sorted := func(columnar bool) ([]int32, []float64) {
+		h, tb := loadFuzzTable(t, r, columnar)
+		h.engine.SortRunTuples = runTuples
+		out, err := h.engine.externalSort(context.Background(), tb, cols, &RunStats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Drop()
+		return dumpTable(t, out)
 	}
-	defer rowOut.Drop()
-	h.engine.Columnar = true
-	colOut, err := h.engine.externalSort(ctx, tb, cols, &RunStats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer colOut.Drop()
-	rv, rm = dumpTable(t, rowOut)
-	cv, cm = dumpTable(t, colOut)
+	rv, rm = sorted(false)
+	cv, cm = sorted(true)
 	return rv, cv, rm, cm
+}
+
+// sortReference checks a storage-order dump against r independently of
+// the engine: it must be ordered on cols and hold exactly r's rows; when
+// the sort fits one run it must equal a stable sort of r exactly (ties
+// between runs are broken by the merge, which promises no order).
+func sortReference(t *testing.T, r *relation.Relation, cols []int, runTuples int, vals []int32, meas []float64) {
+	t.Helper()
+	type rec struct {
+		row []int32
+		m   float64
+	}
+	arity := r.Arity()
+	if len(meas) != r.Len() || len(vals) != r.Len()*arity {
+		t.Fatalf("sorted output holds %d rows, input %d", len(meas), r.Len())
+	}
+	got, want := make([]rec, r.Len()), make([]rec, r.Len())
+	for i := range got {
+		got[i] = rec{vals[i*arity : (i+1)*arity], meas[i]}
+		want[i] = rec{r.Row(i), r.Measure(i)}
+	}
+	for i := 1; i < len(got); i++ {
+		if compareCols(got[i-1].row, cols, got[i].row, cols) > 0 {
+			t.Fatalf("cols %v: rows %d and %d out of order: %v > %v", cols, i-1, i, got[i-1].row, got[i].row)
+		}
+	}
+	if r.Len() <= runTuples {
+		slices.SortStableFunc(want, func(a, b rec) int { return compareCols(a.row, cols, b.row, cols) })
+	} else {
+		// Several runs: compare as multisets under a total order.
+		total := func(a, b rec) int {
+			if c := slices.Compare(a.row, b.row); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.m, b.m)
+		}
+		slices.SortFunc(got, total)
+		slices.SortFunc(want, total)
+	}
+	for i := range want {
+		if !slices.Equal(got[i].row, want[i].row) || got[i].m != want[i].m {
+			t.Fatalf("cols %v: sorted row %d is %v/%v, want %v/%v", cols, i, got[i].row, got[i].m, want[i].row, want[i].m)
+		}
+	}
 }
 
 // fuzzSortRelation builds a deterministic relation from the fuzz inputs:
@@ -92,12 +136,13 @@ func fuzzSortRelation(seed int64, rows, arity int) *relation.Relation {
 	return r
 }
 
-// loadFuzzTable loads r through the columnar encoder into a fresh
-// harness.
-func loadFuzzTable(t *testing.T, r *relation.Relation) (*harness, *Table) {
+// loadFuzzTable loads r into a fresh harness in the given page layout,
+// which the engine's temps follow.
+func loadFuzzTable(t *testing.T, r *relation.Relation, columnar bool) (*harness, *Table) {
 	t.Helper()
 	h := newHarness(t, 4096)
-	tb, err := LoadRelationColumnar(h.pool, h.engine.Factory, r, true)
+	h.engine.Columnar = columnar
+	tb, err := LoadRelationColumnar(h.pool, h.engine.Factory, r, columnar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +156,8 @@ func loadFuzzTable(t *testing.T, r *relation.Relation) (*harness, *Table) {
 func checkSortEquivalence(t *testing.T, seed int64, rows, arity, runTuples int, cols []int) {
 	t.Helper()
 	r := fuzzSortRelation(seed, rows, arity)
-	h, tb := loadFuzzTable(t, r)
-	rv, cv, rm, cm := sortBothPaths(t, h, tb, cols, runTuples)
+	rv, cv, rm, cm := sortBothLayouts(t, r, cols, runTuples)
+	sortReference(t, r, cols, runTuples, rv, rm)
 	if len(rv) != len(cv) || len(rm) != len(cm) {
 		t.Fatalf("seed %d cols %v: size mismatch: row %d/%d columnar %d/%d",
 			seed, cols, len(rv), len(rm), len(cv), len(cm))
@@ -131,8 +176,8 @@ func checkSortEquivalence(t *testing.T, seed int64, rows, arity, runTuples int, 
 	}
 }
 
-// TestColumnarSortMatchesRowPath pins the tentpole sort invariant on
-// fixed shapes: single-column sorts over every encoding (including the
+// TestColumnarSortMatchesRowPath pins the sort's layout invariance and
+// its agreement with the reference on fixed shapes: single-column sorts over every encoding (including the
 // RLE block fast path and the dictionary order-mapping), multi-column
 // sorts, and run sizes that force multi-run merges.
 func TestColumnarSortMatchesRowPath(t *testing.T) {
@@ -155,8 +200,9 @@ func TestColumnarSortMatchesRowPath(t *testing.T) {
 }
 
 // FuzzColumnarSortEquivalence drives random schemas, encodings, sort
-// columns, and run sizes through both sort paths and requires the
-// spilled-and-merged outputs to match byte for byte, measures included.
+// columns, and run sizes through the sort over both page layouts and
+// requires the spilled-and-merged outputs to match byte for byte,
+// measures included, and to agree with the engine-independent reference.
 func FuzzColumnarSortEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(600), uint8(1), uint8(0), uint16(128))
 	f.Add(int64(2), uint16(1300), uint8(3), uint8(2), uint16(97))
@@ -207,10 +253,9 @@ func TestColumnarSortInPlans(t *testing.T) {
 	}
 }
 
-// TestColumnarSortMorselAttribution asserts the new "Sort" morsel kind
+// TestColumnarSortMorselAttribution asserts the "Sort" morsel kind
 // reports truthful counts under parallel run generation: one morsel per
-// spilled run, busy time measured inside the task, and the row path's
-// "SortRun" kind absent from a columnar run.
+// spilled run, busy time measured inside the task.
 func TestColumnarSortMorselAttribution(t *testing.T) {
 	a, b := smallDomainRels(93)
 	h := columnarHarness(t, 4096, a, b)
@@ -221,9 +266,6 @@ func TestColumnarSortMorselAttribution(t *testing.T) {
 	kinds := make(map[string]MorselStat, len(st.Morsels))
 	for _, m := range st.Morsels {
 		kinds[m.Kind] = m
-	}
-	if _, ok := kinds["SortRun"]; ok {
-		t.Fatalf("columnar sort attributed row-path SortRun morsels: %v", st.Morsels)
 	}
 	m, ok := kinds["Sort"]
 	if !ok {
@@ -244,8 +286,7 @@ func TestColumnarSortMorselAttribution(t *testing.T) {
 	// "Sort" morsel per spilled run — ceil(n/runSize) — no matter which
 	// worker (or the submitting goroutine itself) steals each task.
 	r := fuzzSortRelation(97, 1500, 3)
-	dh, tb := loadFuzzTable(t, r)
-	dh.engine.Columnar = true
+	dh, tb := loadFuzzTable(t, r, true)
 	dh.engine.SortRunTuples = 128
 	dst := &RunStats{sched: newMorselSched(4)}
 	defer dst.sched.close()

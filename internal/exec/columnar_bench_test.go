@@ -28,9 +28,36 @@ func benchColRel(name string, rows int) *relation.Relation {
 	return r
 }
 
+// runPlanBench measures one plan execution per iteration on a warm pool,
+// reporting physical pages read per op alongside the standard metrics.
+func runPlanBench(b *testing.B, h *harness, p planNodeFunc) {
+	b.Helper()
+	b.ReportAllocs()
+	var reads, writes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := h.pool.Stats()
+		rel, _, err := h.engine.Run(p(), MapResolver(h.tables))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = rel
+		d := h.pool.Stats().Sub(before)
+		reads += d.Reads
+		writes += d.Writes
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(reads)/float64(b.N), "pages-read/op")
+	b.ReportMetric(float64(writes)/float64(b.N), "pages-written/op")
+}
+
+// planNodeFunc builds a fresh plan node per iteration (plans are cheap;
+// rebuilding avoids any cross-iteration plan-node state).
+type planNodeFunc = func() *plan.Node
+
 // columnarModes is the row-major-vs-columnar sweep every columnar
-// benchmark runs; both sides use batch execution so the delta isolates
-// the encoding, not vectorization.
+// benchmark runs; both sides run the same kernels, so the delta isolates
+// the page encoding.
 var columnarModes = []struct {
 	name     string
 	columnar bool
@@ -39,8 +66,8 @@ var columnarModes = []struct {
 	{"columnar", true},
 }
 
-// colHarness loads rels with the requested page layout and switches the
-// engine's encoded kernels to match.
+// colHarness loads rels with the requested page layout and sets the
+// engine's temp layout to match.
 func colHarness(b *testing.B, frames int, columnar bool, rels ...*relation.Relation) *harness {
 	b.Helper()
 	if !columnar {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -48,26 +47,18 @@ type Engine struct {
 	// because the extra partition pass would dominate. Zero selects a
 	// default of 1<<13.
 	ParallelGroupByMinTuples int
-	// BatchSize selects the executor's batch width in tuples. 0 (the
-	// default) runs the vectorized paths with whole heap pages as batches
-	// — the natural unit of one pin and one decode loop. 1 restores the
-	// legacy tuple-at-a-time paths (the baseline the batch-exec
-	// experiment compares against). Values > 1 cap batches at that many
-	// tuples without ever spanning pages. Batch boundaries are the
-	// executor's cancellation check points.
-	BatchSize int
 	// ReadAhead makes sequential scans declare themselves to the buffer
 	// pool, which prefetches up to this many pages ahead of the scan
 	// position. 0 (the default) disables read-ahead so physical IO counts
 	// reproduce the paper's cost model exactly; see Pool.Prefetch for the
 	// accounting when enabled.
 	ReadAhead int
-	// Columnar writes intermediate heaps in the columnar page format
-	// (storage.SetColumnar) and routes scan/select/Grace-join/group-by
-	// through the encoded-batch kernels, which operate on dictionary codes
-	// and RLE runs directly. Results are byte-identical to row-major
-	// execution; page counts (and so IO) are unchanged. Requires the
-	// vectorized paths (no effect when BatchSize == 1).
+	// Columnar is a page-layout choice for intermediate heaps: when set,
+	// every temp page is re-encoded in the columnar format as it fills
+	// (storage.SetColumnar). It does not select kernels — every operator
+	// runs the encoded-batch kernels, which see row-major pages as
+	// all-plain column views — so results are byte-identical and page
+	// counts (and so IO) unchanged either way.
 	Columnar bool
 }
 
@@ -133,9 +124,8 @@ type RunStats struct {
 	// CacheMisses counts cacheable nodes of this run that probed the
 	// result cache and found nothing.
 	CacheMisses int64 `json:"cache_misses,omitempty"`
-	// Batches counts the tuple batches the vectorized operator paths
-	// consumed; zero when the run used the legacy tuple-at-a-time paths
-	// (Engine.BatchSize = 1).
+	// Batches counts the page-sized tuple batches the operators consumed.
+	// A batch boundary is the executor's cancellation check point.
 	Batches int64 `json:"batches,omitempty"`
 	// Planner is the report name of the planner that produced this run's
 	// plan (the budget-race winner for budgeted planning). Filled by core,
@@ -518,7 +508,10 @@ type rootOutCtxKey struct{}
 // row-major when ctx carries the root-output marker.
 func (e *Engine) newOutTemp(ctx context.Context, name string, attrs []relation.Attr) (*Table, error) {
 	t, err := e.newTemp(ctx, name, attrs)
-	if err == nil && ctx.Value(rootOutCtxKey{}) != nil {
+	if err != nil {
+		return nil, err
+	}
+	if ctx.Value(rootOutCtxKey{}) != nil {
 		t.Heap.SetColumnar(false)
 	}
 	return t, nil
@@ -556,14 +549,6 @@ func (p *poller) check() error {
 	return nil
 }
 
-// hashKey encodes the values of cols into a map key.
-func hashKey(vals []int32, cols []int, buf []byte) string {
-	for i, c := range cols {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(vals[c]))
-	}
-	return string(buf[:4*len(cols)])
-}
-
 // selectOp filters the input by the equality predicate, using a hash
 // index when one covers a predicate variable and falling back to a scan.
 func (e *Engine) selectOp(ctx context.Context, in *Table, pred relation.Predicate, st *RunStats) (*Table, error) {
@@ -590,49 +575,7 @@ func (e *Engine) selectOp(ctx context.Context, in *Table, pred relation.Predicat
 	if err != nil {
 		return nil, err
 	}
-	if e.colOn() {
-		if err := e.selectColBatch(ctx, in, cols, want, out, st); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		return out, nil
-	}
-	if e.batchOn() {
-		if err := e.selectBatch(ctx, in, cols, want, out, st); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		return out, nil
-	}
-	it := in.Heap.ScanContext(ctx)
-	defer it.Close()
-	poll := poller{ctx: ctx, st: st}
-	for {
-		vals, m, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := poll.check(); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		match := true
-		for i, c := range cols {
-			if vals[c] != want[i] {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		if err := out.Heap.Append(vals, m); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		st.TempTuples++
-	}
-	if err := it.Err(); err != nil {
+	if err := e.selectColBatch(ctx, in, cols, want, out, st); err != nil {
 		out.Drop()
 		return nil, err
 	}
@@ -711,75 +654,7 @@ func (e *Engine) hashJoinInto(ctx context.Context, l, r *Table, lCols, rCols, rE
 		buildCols, probeCols = rCols, lCols
 		buildIsLeft = false
 	}
-	if e.colOn() {
-		return e.hashJoinIntoColBatch(ctx, l, build, probe, buildCols, probeCols, rExtra, buildIsLeft, out, st)
-	}
-	if e.batchOn() {
-		return e.hashJoinIntoBatch(ctx, l, build, probe, buildCols, probeCols, rExtra, buildIsLeft, out, st)
-	}
-
-	poll := poller{ctx: ctx, st: st}
-	ht := make(map[string][]buildRow, build.Heap.NumTuples())
-	bit := build.Heap.ScanContext(ctx)
-	keyBuf := make([]byte, 4*len(buildCols))
-	for {
-		vals, m, ok := bit.Next()
-		if !ok {
-			break
-		}
-		if err := poll.check(); err != nil {
-			bit.Close()
-			return err
-		}
-		k := hashKey(vals, buildCols, keyBuf)
-		ht[k] = append(ht[k], buildRow{vals: append([]int32(nil), vals...), measure: m})
-	}
-	if err := bit.Close(); err != nil {
-		return err
-	}
-
-	var tmp int64
-	defer func() { st.addTempTuples(tmp) }()
-	rowBuf := make([]int32, len(out.Attrs))
-	emit := func(lv []int32, lm float64, rv []int32, rm float64) error {
-		copy(rowBuf, lv)
-		for i, c := range rExtra {
-			rowBuf[len(l.Attrs)+i] = rv[c]
-		}
-		tmp++
-		return out.LockedAppend(rowBuf, e.Sr.Mul(lm, rm))
-	}
-
-	pit := probe.Heap.ScanContext(ctx)
-	defer pit.Close()
-	for {
-		vals, m, ok := pit.Next()
-		if !ok {
-			break
-		}
-		if err := poll.check(); err != nil {
-			return err
-		}
-		k := hashKey(vals, probeCols, keyBuf)
-		for _, b := range ht[k] {
-			var err error
-			if buildIsLeft {
-				err = emit(b.vals, b.measure, vals, m)
-			} else {
-				err = emit(vals, m, b.vals, b.measure)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return pit.Err()
-}
-
-// hashGroupBy implements marginalization with in-memory hash aggregation.
-type aggEntry struct {
-	vals    []int32
-	measure float64
+	return e.hashJoinIntoColBatch(ctx, l, build, probe, buildCols, probeCols, rExtra, buildIsLeft, out, st)
 }
 
 // groupSchema resolves the group variables to column indexes and the
@@ -798,43 +673,7 @@ func groupSchema(in *Table, groupVars []string) (cols []int, outAttrs []relation
 	return cols, outAttrs, nil
 }
 
-// aggregate runs one in-memory hash-aggregation pass over in, returning
-// the groups keyed by encoded group values together with their first-seen
-// order (scan order, for determinism).
-func (e *Engine) aggregate(ctx context.Context, in *Table, cols []int) (order []string, groups map[string]*aggEntry, err error) {
-	groups = make(map[string]*aggEntry)
-	order = make([]string, 0, 1024)
-	it := in.Heap.ScanContext(ctx)
-	keyBuf := make([]byte, 4*len(cols))
-	poll := poller{ctx: ctx}
-	for {
-		vals, m, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := poll.check(); err != nil {
-			it.Close()
-			return nil, nil, err
-		}
-		k := hashKey(vals, cols, keyBuf)
-		g, seen := groups[k]
-		if !seen {
-			gv := make([]int32, len(cols))
-			for i, c := range cols {
-				gv[i] = vals[c]
-			}
-			groups[k] = &aggEntry{vals: gv, measure: m}
-			order = append(order, k)
-			continue
-		}
-		g.measure = e.Sr.Add(g.measure, m)
-	}
-	if err := it.Close(); err != nil {
-		return nil, nil, err
-	}
-	return order, groups, nil
-}
-
+// hashGroupBy implements marginalization with in-memory hash aggregation.
 func (e *Engine) hashGroupBy(ctx context.Context, in *Table, groupVars []string, st *RunStats) (*Table, error) {
 	cols, outAttrs, err := groupSchema(in, groupVars)
 	if err != nil {
@@ -843,27 +682,7 @@ func (e *Engine) hashGroupBy(ctx context.Context, in *Table, groupVars []string,
 	if e.workers() > 1 && len(cols) > 0 && in.Heap.NumTuples() >= e.parallelGroupByMin() {
 		return e.parallelHashGroupBy(ctx, in, cols, outAttrs, st)
 	}
-	if e.batchOn() {
-		var agg *batchAgg
-		if e.colOn() {
-			agg, err = e.aggregateColBatch(ctx, in, cols, st)
-		} else {
-			agg, err = e.aggregateBatch(ctx, in, cols, st)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out, err := e.newOutTemp(ctx, "γ("+in.Name+")", outAttrs)
-		if err != nil {
-			return nil, err
-		}
-		if err := agg.emit(ctx, out, false, st); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		return out, nil
-	}
-	order, groups, err := e.aggregate(ctx, in, cols)
+	agg, err := e.aggregateColBatch(ctx, in, cols, st)
 	if err != nil {
 		return nil, err
 	}
@@ -871,13 +690,9 @@ func (e *Engine) hashGroupBy(ctx context.Context, in *Table, groupVars []string,
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range order {
-		g := groups[k]
-		if err := out.Heap.Append(g.vals, g.measure); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		st.TempTuples++
+	if err := agg.emit(ctx, out, false, st); err != nil {
+		out.Drop()
+		return nil, err
 	}
 	return out, nil
 }

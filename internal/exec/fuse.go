@@ -51,153 +51,7 @@ func (e *Engine) fusedJoinGroupBy(ctx context.Context, l, r *Table, groupVars []
 		buildCols, probeCols = rCols, lCols
 		buildIsLeft = false
 	}
-	if e.colOn() {
-		return e.fusedColBatch(ctx, l, r, build, probe, buildCols, probeCols, rExtra, groupCols, aggAttrs, buildIsLeft, len(outAttrs), st)
-	}
-	if e.batchOn() {
-		return e.fusedBatch(ctx, l, r, build, probe, buildCols, probeCols, rExtra, groupCols, aggAttrs, buildIsLeft, len(outAttrs), st)
-	}
-	poll := poller{ctx: ctx, st: st}
-	ht := make(map[string][]buildRow, build.Heap.NumTuples())
-	bit := build.Heap.ScanContext(ctx)
-	keyBuf := make([]byte, 4*max(len(buildCols), len(groupCols)))
-	for {
-		vals, m, ok := bit.Next()
-		if !ok {
-			break
-		}
-		if err := poll.check(); err != nil {
-			bit.Close()
-			return nil, err
-		}
-		k := hashKey(vals, buildCols, keyBuf)
-		ht[k] = append(ht[k], buildRow{vals: append([]int32(nil), vals...), measure: m})
-	}
-	if err := bit.Close(); err != nil {
-		return nil, err
-	}
-
-	groups := make(map[string]*aggEntry)
-	order := make([]string, 0, 1024)
-	rowBuf := make([]int32, len(outAttrs))
-	absorb := func(lv []int32, lm float64, rv []int32, rm float64) {
-		copy(rowBuf, lv)
-		for i, c := range rExtra {
-			rowBuf[len(l.Attrs)+i] = rv[c]
-		}
-		m := e.Sr.Mul(lm, rm)
-		k := hashKey(rowBuf, groupCols, keyBuf)
-		if g, seen := groups[k]; seen {
-			g.measure = e.Sr.Add(g.measure, m)
-			return
-		}
-		gv := make([]int32, len(groupCols))
-		for i, c := range groupCols {
-			gv[i] = rowBuf[c]
-		}
-		groups[k] = &aggEntry{vals: gv, measure: m}
-		order = append(order, k)
-	}
-
-	pit := probe.Heap.ScanContext(ctx)
-	defer pit.Close()
-	for {
-		vals, m, ok := pit.Next()
-		if !ok {
-			break
-		}
-		if err := poll.check(); err != nil {
-			return nil, err
-		}
-		k := hashKey(vals, probeCols, keyBuf)
-		for _, b := range ht[k] {
-			if buildIsLeft {
-				absorb(b.vals, b.measure, vals, m)
-			} else {
-				absorb(vals, m, b.vals, b.measure)
-			}
-		}
-	}
-	if err := pit.Err(); err != nil {
-		return nil, err
-	}
-
-	out, err := e.newOutTemp(ctx, "γ⋈("+l.Name+","+r.Name+")", aggAttrs)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range order {
-		g := groups[k]
-		if err := out.Heap.Append(g.vals, g.measure); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		st.TempTuples++
-	}
-	return out, nil
-}
-
-// fusedBatch is the vectorized fused join+aggregate: build via
-// buildBatch, probe page batches, and fold each virtual join row's
-// measure straight into the aggregation state — the join output is
-// never materialized, exactly like the tuple path, but both scans decode
-// whole pages and the group table is probed without allocating.
-func (e *Engine) fusedBatch(ctx context.Context, l, r, build, probe *Table, buildCols, probeCols, rExtra, groupCols []int, aggAttrs []relation.Attr, buildIsLeft bool, outArity int, st *RunStats) (*Table, error) {
-	hb, err := e.buildBatch(ctx, build, buildCols, st)
-	if err != nil {
-		return nil, err
-	}
-	agg := newBatchAgg(len(groupCols))
-	rowBuf := make([]int32, outArity)
-	// Probe and group keys get separate buffers: keyIndex reads require
-	// the bytes past each encoded key to stay zero, which a shared buffer
-	// holding two key shapes would violate.
-	probeBuf := keyBufFor(probeCols)
-	groupBuf := keyBufFor(groupCols)
-	nl := len(l.Attrs)
-	it := e.scanB(ctx, probe.Heap)
-	defer it.Close()
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st.addBatches(1)
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			n := encodeKey(row, probeCols, probeBuf)
-			for _, br := range hb.lookup(probeBuf, n) {
-				var lv, rv []int32
-				var lm, rm float64
-				if buildIsLeft {
-					lv, lm, rv, rm = br.vals, br.measure, row, b.Measures[i]
-				} else {
-					lv, lm, rv, rm = row, b.Measures[i], br.vals, br.measure
-				}
-				copy(rowBuf, lv)
-				for j, c := range rExtra {
-					rowBuf[nl+j] = rv[c]
-				}
-				gn := encodeKey(rowBuf, groupCols, groupBuf)
-				agg.absorb(e, groupBuf, gn, rowBuf, groupCols, e.Sr.Mul(lm, rm))
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	out, err := e.newOutTemp(ctx, "γ⋈("+l.Name+","+r.Name+")", aggAttrs)
-	if err != nil {
-		return nil, err
-	}
-	if err := agg.emit(ctx, out, false, st); err != nil {
-		out.Drop()
-		return nil, err
-	}
-	return out, nil
+	return e.fusedColBatch(ctx, l, r, build, probe, buildCols, probeCols, rExtra, groupCols, aggAttrs, buildIsLeft, len(outAttrs), st)
 }
 
 // errGroupVar builds the standard missing-group-variable error.

@@ -1,26 +1,25 @@
 package exec
 
-// Fused columnar join+aggregate. fusedBatch (fuse.go) already skips the
-// join's materialization but still gathers every probe row; this kernel
-// consumes ENCODED probe batches and never materializes probe rows at
-// all — the only probe columns ever decoded are the ones feeding the
-// join key or the group key. Per batch it probes the build table once
-// per RLE key run (or once per distinct byte/dict code, memoized), and
-// folds aggregates run-at-a-time: within a key run, a maximal sub-span
-// over which every probe-side group column is constant contributes to
-// each matching build row's group with ONE key encode + ONE slot lookup,
-// and its measure vector folds through absorbMulSpan (collapsing
-// repeated measures in O(1) when the semiring's RunFolder proves it
-// exact — fold.go).
+// Fused join+aggregate over encoded batches. The kernel consumes ENCODED
+// probe batches and never materializes probe rows or the join output —
+// the only probe columns ever decoded are the ones feeding the join key
+// or the group key. Per batch it probes the build table once per RLE key
+// run (or once per distinct byte/dict code, memoized), and folds
+// aggregates run-at-a-time: within a key run, a maximal sub-span over
+// which every probe-side group column is constant contributes to each
+// matching build row's group with ONE key encode + ONE slot lookup, and
+// its measure vector folds through absorbMulSpan (collapsing repeated
+// measures in O(1) when the semiring's RunFolder proves it exact —
+// fold.go).
 //
-// Byte-identity with the row paths: spans fold each build row's
+// Byte-identity across page layouts: spans fold each build row's
 // contributions in probe-row order, and span folding is used only when
 // every matching build row lands in a DISTINCT aggregation group (or
 // there is just one match) — otherwise two build rows would interleave
-// into one accumulator in the row path and per-row absorption is used
-// instead. Group creation therefore happens in exactly the row path's
-// first-touch order and every accumulator sees exactly the row path's
-// Add sequence, so results are byte-identical, float order included.
+// into one accumulator under per-row absorption, which is then used
+// instead. Group creation therefore happens in probe-row first-touch
+// order and every accumulator sees the per-row Add sequence, so results
+// are byte-identical whatever the encoding, float order included.
 
 import (
 	"context"
@@ -35,8 +34,8 @@ import (
 // absorbMulSpan folds a probe measure span into the group keyed by
 // buf[:n]: each row contributes Mul(build measure, row measure) (in the
 // join's left/right argument order) and spans of bit-identical measures
-// collapse through the RunFolder when exact. The Add sequence equals the
-// row path's per-row absorbs for this (group, span) pair exactly.
+// collapse through the RunFolder when exact. The Add sequence equals
+// per-row absorbs for this (group, span) pair exactly.
 func (a *batchAgg) absorbMulSpan(e *Engine, rf semiring.RunFolder, buf []byte, n int, row []int32, cols []int, bm float64, buildIsLeft bool, meas []float64) {
 	mul := func(m float64) float64 {
 		if buildIsLeft {
@@ -78,7 +77,9 @@ func (a *batchAgg) absorbMulSpan(e *Engine, rf semiring.RunFolder, buf []byte, n
 }
 
 // fusedColBatch is the encoded-batch fused join+aggregate (see the file
-// comment). Parameters mirror fusedBatch's.
+// comment). l and r are the join's inputs in output-schema order;
+// build/probe are the same two tables in build order, groupCols index
+// the virtual join output, and outArity is its width.
 func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, buildCols, probeCols, rExtra, groupCols []int, aggAttrs []relation.Attr, buildIsLeft bool, outArity int, st *RunStats) (*Table, error) {
 	hb, err := e.buildBatch(ctx, build, buildCols, st)
 	if err != nil {
@@ -115,13 +116,13 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 	// slot per code for single-match keys.
 	pgOnlyKey := single
 	for _, c := range pgCols {
-		if c != probeCols[0] {
+		if pgOnlyKey && c != probeCols[0] { // probeCols is empty on a key-less join
 			pgOnlyKey = false
 		}
 	}
 
 	// safe caches, per build key group, whether span folding preserves
-	// the row path's accumulation order: it does when every matching
+	// the per-row accumulation order: it does when every matching
 	// build row lands in a distinct aggregation group (always true for
 	// single-row matches). 0 = unknown, 1 = span-safe, 2 = per-row.
 	safe := make([]int8, len(hb.groups))
@@ -282,7 +283,7 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 							rowBuf[bgJoin[k]] = br.vals[c]
 						}
 						gn := encodeKey(rowBuf, groupCols, groupBuf)
-						slotMemo[code] = int32(agg.absorbAt(e, groupBuf, gn, rowBuf, groupCols, mul(br.measure, cb.Measures[i]))) + 1
+						slotMemo[code] = int32(agg.absorb(e, groupBuf, gn, rowBuf, groupCols, mul(br.measure, cb.Measures[i]))) + 1
 						continue
 					}
 					absorbOne(rows, i, groupFlats(), cb.Measures[i])

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -48,11 +47,12 @@ func fusedGroupPlan(t *testing.T, h *harness, first, second string, groupVars []
 	return rel
 }
 
-// TestFusedColumnarMatchesRowFused is the fused-columnar contract: over
-// encoded pages the fused join+aggregate must be BIT-identical (tol 0)
-// to the row-batch fused path, for every split of the group variables
-// across the probe and build sides, in both join orders, with and
-// without span-safe folding.
+// TestFusedColumnarMatchesRowFused is the fused kernel's layout
+// contract: over encoded pages the fused join+aggregate must be
+// BIT-identical (tol 0) to the same plan over row-major pages (the
+// kernel's plain branch, which absorbs row by row), for every split of
+// the group variables across the probe and build sides, in both join
+// orders, with and without span-safe folding.
 func TestFusedColumnarMatchesRowFused(t *testing.T) {
 	groupSets := [][]string{{"X"}, {"W"}, {"V"}, {"W", "V"}, {"X", "W", "V"}, {"X", "W"}, {"Y"}, {"X", "Y", "V"}, nil}
 	for seed := int64(41); seed <= 44; seed++ {
@@ -68,7 +68,7 @@ func TestFusedColumnarMatchesRowFused(t *testing.T) {
 				got := fusedGroupPlan(t, ch, order[0], order[1], groupVars)
 
 				if !relation.Equal(want, got, 0, 0) {
-					t.Fatalf("seed %d join %v group %v: fused columnar differs from row fused",
+					t.Fatalf("seed %d join %v group %v: fused columnar differs from row-major fused",
 						seed, order, groupVars)
 				}
 				if es := ch.pool.EncodingStats(); es.PagesEncoded == 0 {
@@ -102,7 +102,7 @@ func TestFusedColumnarMatchesUnfused(t *testing.T) {
 // TestFusedColumnarSemirings runs the fused columnar kernel under every
 // semiring, including ones with no RunFolder (logSumExp) and ones whose
 // folds collapse idempotently (min/max): all must stay bit-identical to
-// the row fused path.
+// the row-major run.
 func TestFusedColumnarSemirings(t *testing.T) {
 	a, b := fuseRels(61)
 	for _, sr := range semiring.All() {
@@ -120,7 +120,7 @@ func TestFusedColumnarSemirings(t *testing.T) {
 			}
 			want, got := run(false), run(true)
 			if !relation.Equal(want, got, sr.Zero(), 0) {
-				t.Fatalf("%s: fused columnar differs from row fused", sr.Name())
+				t.Fatalf("%s: fused columnar differs from row-major fused", sr.Name())
 			}
 		})
 	}
@@ -191,7 +191,7 @@ func TestFusedColumnarFunctionalBuild(t *testing.T) {
 // is one bit-identical measure span and the sum-product RunFolder's
 // exactness proof holds (integral terms well under 2^53). MaxProduct
 // folds the same spans idempotently. Both must stay bit-identical to
-// the row fused path, which folds row by row.
+// the row-major run, which folds row by row.
 func TestFusedColumnarRunFolding(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	a, _ := relation.Random(rng, "a",
@@ -245,29 +245,5 @@ func TestFusedColumnarMultiColKey(t *testing.T) {
 		if !relation.Equal(want, got, 0, 0) {
 			t.Fatalf("group %v: fused columnar multi-column join differs", groupVars)
 		}
-	}
-}
-
-// TestFusedColumnarNarrowBatches re-runs the equivalence with batch
-// windows far narrower than a page, so RLE runs are clipped at batch
-// boundaries and the per-batch memo tables reset mid-run.
-func TestFusedColumnarNarrowBatches(t *testing.T) {
-	a, b := fuseRels(81)
-	for _, bs := range []int{3, 7, 64} {
-		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
-			rh := newHarness(t, 4096, a, b)
-			rh.engine.FuseJoinGroupBy = true
-			rh.engine.BatchSize = bs
-			want := fusedGroupPlan(t, rh, "a", "b", []string{"X", "V"})
-
-			ch := columnarHarness(t, 4096, a, b)
-			ch.engine.FuseJoinGroupBy = true
-			ch.engine.BatchSize = bs
-			got := fusedGroupPlan(t, ch, "a", "b", []string{"X", "V"})
-
-			if !relation.Equal(want, got, 0, 0) {
-				t.Fatalf("batch=%d: fused columnar differs from row fused", bs)
-			}
-		})
 	}
 }

@@ -151,42 +151,7 @@ func (e *Engine) partition(ctx context.Context, t *Table, cols []int, depth int,
 		}
 		parts[i] = p
 	}
-	if e.colOn() {
-		if err := e.partitionColBatch(ctx, t, cols, depth, parts, st); err != nil {
-			dropAll(parts)
-			return nil, err
-		}
-		return parts, nil
-	}
-	if e.batchOn() {
-		if err := e.partitionBatch(ctx, t, cols, depth, parts, st); err != nil {
-			dropAll(parts)
-			return nil, err
-		}
-		return parts, nil
-	}
-	var tmp int64
-	defer func() { st.addTempTuples(tmp) }()
-	it := t.Heap.ScanContext(ctx)
-	defer it.Close()
-	poll := poller{ctx: ctx, st: st}
-	for {
-		vals, m, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := poll.check(); err != nil {
-			dropAll(parts)
-			return nil, err
-		}
-		p := parts[partitionHash(vals, cols, depth)]
-		if err := p.Heap.Append(vals, m); err != nil {
-			dropAll(parts)
-			return nil, err
-		}
-		tmp++
-	}
-	if err := it.Err(); err != nil {
+	if err := e.partitionColBatch(ctx, t, cols, depth, parts, st); err != nil {
 		dropAll(parts)
 		return nil, err
 	}

@@ -124,24 +124,17 @@ func (e *Engine) indexedSelect(ctx context.Context, in *Table, pred relation.Pre
 	if err != nil {
 		return nil, err
 	}
-	// Matches are buffered and appended a page at a time when the batch
-	// paths are on, so the output side costs one pool round-trip per page
-	// of matches instead of one per match.
-	var w *batchWriter
-	if e.batchOn() {
-		w = newBatchWriter(out, false, st)
-	}
+	// Matches are buffered and appended a page at a time, so the output
+	// side costs one pool round-trip per page of matches instead of one
+	// per match.
+	w := newBatchWriter(out, false, st)
 	emit := func(vals []int32, m float64) error {
 		for i, c := range residCols {
 			if vals[c] != residWant[i] {
 				return nil
 			}
 		}
-		if w != nil {
-			return w.append(vals, m)
-		}
-		st.TempTuples++
-		return out.Heap.Append(vals, m)
+		return w.append(vals, m)
 	}
 	// Locations are page-ordered; fetch each page once and read all of
 	// its matching slots under a single pin.
@@ -158,11 +151,9 @@ func (e *Engine) indexedSelect(ctx context.Context, in *Table, pred relation.Pre
 		}
 		i = j
 	}
-	if w != nil {
-		if err := w.flush(); err != nil {
-			out.Drop()
-			return nil, err
-		}
+	if err := w.flush(); err != nil {
+		out.Drop()
+		return nil, err
 	}
 	return out, nil
 }

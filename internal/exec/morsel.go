@@ -5,9 +5,9 @@ package exec
 // operators hand it morsels — page-to-partition-sized closures — instead
 // of spawning their own pools. The Grace join's partition passes and
 // pair joins, the partitioned hash group-by, and external-sort run
-// generation all feed the same queue, so `Parallelism × BatchSize ×
-// ReadAhead` compose as one pipeline: a worker finishing a join morsel
-// can immediately pick up a sort-run morsel of the same query.
+// generation all feed the same queue, so `Parallelism × ReadAhead`
+// compose as one pipeline: a worker finishing a join morsel can
+// immediately pick up a sort-run morsel of the same query.
 //
 // Two submission shapes cover every operator:
 //

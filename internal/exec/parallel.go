@@ -70,34 +70,11 @@ func (e *Engine) parallelHashGroupBy(ctx context.Context, in *Table, cols []int,
 		if p.Heap.NumTuples() == 0 {
 			return nil
 		}
-		if e.colOn() {
-			agg, err := e.aggregateColBatch(ctx, p, cols, st)
-			if err != nil {
-				return err
-			}
-			return agg.emit(ctx, out, true, st)
-		}
-		if e.batchOn() {
-			agg, err := e.aggregateBatch(ctx, p, cols, st)
-			if err != nil {
-				return err
-			}
-			return agg.emit(ctx, out, true, st)
-		}
-		order, groups, err := e.aggregate(ctx, p, cols)
+		agg, err := e.aggregateColBatch(ctx, p, cols, st)
 		if err != nil {
 			return err
 		}
-		var tmp int64
-		defer func() { st.addTempTuples(tmp) }()
-		for _, k := range order {
-			g := groups[k]
-			if err := out.LockedAppend(g.vals, g.measure); err != nil {
-				return err
-			}
-			tmp++
-		}
-		return nil
+		return agg.emit(ctx, out, true, st)
 	})
 	if err != nil {
 		out.Drop()

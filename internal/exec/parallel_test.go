@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpf/internal/relation"
@@ -23,16 +24,14 @@ func bigJoinInputs(seed int64) (*relation.Relation, *relation.Relation) {
 }
 
 // graceRun executes a ⋈* b through the Grace path with the given
-// parallelism and batch width on a fresh pool large enough to avoid
-// eviction, so the IO counters depend only on the operator's page
-// accesses.
-func graceRun(t *testing.T, seed int64, parallelism, batchSize int) (*relation.Relation, RunStats) {
+// parallelism on a fresh pool large enough to avoid eviction, so the IO
+// counters depend only on the operator's page accesses.
+func graceRun(t *testing.T, seed int64, parallelism int) (*relation.Relation, RunStats) {
 	t.Helper()
 	a, b := bigJoinInputs(seed)
 	h := newHarness(t, 4096, a, b)
 	h.engine.HashJoinMaxBuild = 32
 	h.engine.Parallelism = parallelism
-	h.engine.BatchSize = batchSize
 	pb := h.builder()
 	sa, _ := pb.Scan("a")
 	sb, _ := pb.Scan("b")
@@ -40,43 +39,31 @@ func graceRun(t *testing.T, seed int64, parallelism, batchSize int) (*relation.R
 	return rel, st
 }
 
-// TestParallelGraceJoinMatchesSerial checks the tentpole invariant: a
-// parallel Grace join returns the same relation bit-for-bit and performs
-// exactly the same physical IO as its serial execution. In tuple mode
-// every Stats counter must match, hits included (each row pins the
-// output page once, in any order). In batch mode reads and writes must
-// still match, but hit counts may differ slightly: partition pairs flush
+// TestParallelGraceJoinMatchesSerial checks the parallel-execution
+// invariant: a parallel Grace join returns the same relation bit-for-bit
+// and performs exactly the same physical reads and writes as its serial
+// execution. Hit counts may differ slightly: partition pairs flush
 // page-sized output batches, so how their partial last batches align
 // against page boundaries — and hence the pin count — depends on pair
 // completion order.
 func TestParallelGraceJoinMatchesSerial(t *testing.T) {
-	for _, mode := range []struct {
-		name      string
-		batchSize int
-	}{{"tuple", 1}, {"batch", 0}} {
-		t.Run(mode.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				serialRel, serialSt := graceRun(t, seed, 0, mode.batchSize)
-				parRel, parSt := graceRun(t, seed, 4, mode.batchSize)
-				if !relation.Equal(serialRel, parRel, 0, 0) {
-					t.Fatalf("seed %d: parallel grace join relation differs from serial", seed)
-				}
-				if mode.batchSize == 1 && parSt.IO != serialSt.IO {
-					t.Fatalf("seed %d: IO diverged: serial %+v parallel %+v", seed, serialSt.IO, parSt.IO)
-				}
-				if parSt.IO.Reads != serialSt.IO.Reads || parSt.IO.Writes != serialSt.IO.Writes {
-					t.Fatalf("seed %d: physical IO diverged: serial %+v parallel %+v", seed, serialSt.IO, parSt.IO)
-				}
-				if parSt.TempTuples != serialSt.TempTuples {
-					t.Fatalf("seed %d: TempTuples diverged: serial %d parallel %d",
-						seed, serialSt.TempTuples, parSt.TempTuples)
-				}
-				if serialSt.HotKeyFallbacks != 0 || parSt.HotKeyFallbacks != 0 {
-					t.Fatalf("seed %d: unexpected hot-key fallbacks (serial %d, parallel %d)",
-						seed, serialSt.HotKeyFallbacks, parSt.HotKeyFallbacks)
-				}
-			}
-		})
+	for seed := int64(1); seed <= 3; seed++ {
+		serialRel, serialSt := graceRun(t, seed, 0)
+		parRel, parSt := graceRun(t, seed, 4)
+		if !relation.Equal(serialRel, parRel, 0, 0) {
+			t.Fatalf("seed %d: parallel grace join relation differs from serial", seed)
+		}
+		if parSt.IO.Reads != serialSt.IO.Reads || parSt.IO.Writes != serialSt.IO.Writes {
+			t.Fatalf("seed %d: physical IO diverged: serial %+v parallel %+v", seed, serialSt.IO, parSt.IO)
+		}
+		if parSt.TempTuples != serialSt.TempTuples {
+			t.Fatalf("seed %d: TempTuples diverged: serial %d parallel %d",
+				seed, serialSt.TempTuples, parSt.TempTuples)
+		}
+		if serialSt.HotKeyFallbacks != 0 || parSt.HotKeyFallbacks != 0 {
+			t.Fatalf("seed %d: unexpected hot-key fallbacks (serial %d, parallel %d)",
+				seed, serialSt.HotKeyFallbacks, parSt.HotKeyFallbacks)
+		}
 	}
 }
 
@@ -149,7 +136,7 @@ func TestParallelSortRunsMatchSerial(t *testing.T) {
 		t.Fatalf("length mismatch: %d vs %d", serial.Len(), parallel.Len())
 	}
 	for i := 0; i < serial.Len(); i++ {
-		if !equalRows(serial.Row(i), parallel.Row(i)) || serial.Measure(i) != parallel.Measure(i) {
+		if !slices.Equal(serial.Row(i), parallel.Row(i)) || serial.Measure(i) != parallel.Measure(i) {
 			t.Fatalf("row %d differs: %v/%v vs %v/%v",
 				i, serial.Row(i), serial.Measure(i), parallel.Row(i), parallel.Measure(i))
 		}

@@ -3,8 +3,6 @@ package exec
 import (
 	"container/heap"
 	"context"
-	"sort"
-	"sync"
 
 	"mpf/internal/relation"
 )
@@ -26,207 +24,6 @@ func compareCols(a []int32, aCols []int, b []int32, bCols []int) int {
 	return 0
 }
 
-// memRun is an in-memory sorted run.
-type memRun struct {
-	arity    int
-	vals     []int32
-	measures []float64
-}
-
-func (r *memRun) len() int          { return len(r.measures) }
-func (r *memRun) row(i int) []int32 { return r.vals[i*r.arity : (i+1)*r.arity] }
-func (r *memRun) sortBy(cols []int) {
-	idx := make([]int, r.len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		return compareCols(r.row(idx[x]), cols, r.row(idx[y]), cols) < 0
-	})
-	nv := make([]int32, len(r.vals))
-	nm := make([]float64, len(r.measures))
-	for to, from := range idx {
-		copy(nv[to*r.arity:(to+1)*r.arity], r.row(from))
-		nm[to] = r.measures[from]
-	}
-	r.vals, r.measures = nv, nm
-}
-
-// spillRun sorts one in-memory run on cols and writes it to a fresh temp
-// heap. Safe to call from several goroutines at once (distinct runs).
-func (e *Engine) spillRun(ctx context.Context, run *memRun, cols []int, attrs []relation.Attr, st *RunStats) (*Table, error) {
-	run.sortBy(cols)
-	rt, err := e.newTemp(ctx, "sortrun", attrs)
-	if err != nil {
-		return nil, err
-	}
-	if e.batchOn() {
-		// The sorted run is already row-major value and measure arrays —
-		// exactly AppendRows' input — so the whole spill is one bulk append.
-		if err := ctx.Err(); err != nil {
-			rt.Drop()
-			return nil, err
-		}
-		if err := rt.Heap.AppendRows(run.vals, run.measures); err != nil {
-			rt.Drop()
-			return nil, err
-		}
-		st.addTempTuples(int64(run.len()))
-		return rt, nil
-	}
-	var tmp int64
-	defer func() { st.addTempTuples(tmp) }()
-	poll := poller{ctx: ctx, st: st}
-	for i := 0; i < run.len(); i++ {
-		if err := poll.check(); err != nil {
-			rt.Drop()
-			return nil, err
-		}
-		if err := rt.Heap.Append(run.row(i), run.measures[i]); err != nil {
-			rt.Drop()
-			return nil, err
-		}
-		tmp++
-	}
-	return rt, nil
-}
-
-// scanRuns streams in's tuples into memRuns of exactly runSize tuples
-// (the last run may be short), invoking spill at each boundary. The
-// batch path copies whole decoded pages into the run arrays, splitting
-// batches at run boundaries so run contents — and therefore the sorted
-// output — are identical to the tuple path's.
-func (e *Engine) scanRuns(ctx context.Context, in *Table, runSize int, st *RunStats, spill func(*memRun) error) error {
-	arity := len(in.Attrs)
-	cur := &memRun{arity: arity}
-	if e.batchOn() {
-		it := e.scanB(ctx, in.Heap)
-		defer it.Close()
-		for {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			st.addBatches(1)
-			for off, n := 0, b.Len(); off < n; {
-				take := runSize - cur.len()
-				if take > n-off {
-					take = n - off
-				}
-				cur.vals = append(cur.vals, b.Vals[off*arity:(off+take)*arity]...)
-				cur.measures = append(cur.measures, b.Measures[off:off+take]...)
-				off += take
-				if cur.len() >= runSize {
-					if err := spill(cur); err != nil {
-						return err
-					}
-					cur = &memRun{arity: arity}
-				}
-			}
-		}
-		if err := it.Err(); err != nil {
-			return err
-		}
-	} else {
-		it := in.Heap.ScanContext(ctx)
-		poll := poller{ctx: ctx, st: st}
-		for {
-			vals, m, ok := it.Next()
-			if !ok {
-				break
-			}
-			if err := poll.check(); err != nil {
-				it.Close()
-				return err
-			}
-			cur.vals = append(cur.vals, vals...)
-			cur.measures = append(cur.measures, m)
-			if cur.len() >= runSize {
-				if err := spill(cur); err != nil {
-					it.Close()
-					return err
-				}
-				cur = &memRun{arity: arity}
-			}
-		}
-		if err := it.Close(); err != nil {
-			return err
-		}
-	}
-	if cur.len() > 0 {
-		return spill(cur)
-	}
-	return nil
-}
-
-// serialRuns generates sorted runs of at most runSize tuples, one at a
-// time on the calling goroutine.
-func (e *Engine) serialRuns(ctx context.Context, in *Table, cols []int, runSize int, st *RunStats) ([]*Table, error) {
-	var runs []*Table
-	err := e.scanRuns(ctx, in, runSize, st, func(run *memRun) error {
-		rt, err := e.spillRun(ctx, run, cols, in.Attrs, st)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, rt)
-		return nil
-	})
-	if err != nil {
-		for _, r := range runs {
-			r.Drop()
-		}
-		return nil, err
-	}
-	return runs, nil
-}
-
-// parallelRuns generates sorted runs with the scan on the calling
-// goroutine and sort+spill work submitted as morsels to the run's
-// scheduler as chunks are discovered; the group's submission backpressure
-// bounds how many unspilled in-memory runs can exist at once. The runs
-// slice is indexed by chunk order, so the downstream k-way merge breaks
-// ties between runs exactly as it would for serial generation and the
-// sorted output is identical.
-func (e *Engine) parallelRuns(ctx context.Context, in *Table, cols []int, runSize int, st *RunStats) ([]*Table, error) {
-	var (
-		mu   sync.Mutex
-		runs []*Table
-	)
-	g := st.sched.newGroup("SortRun")
-	scanErr := e.scanRuns(ctx, in, runSize, st, func(run *memRun) error {
-		mu.Lock()
-		idx := len(runs)
-		runs = append(runs, nil)
-		mu.Unlock()
-		return g.submit(func() error {
-			rt, err := e.spillRun(ctx, run, cols, in.Attrs, st)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			runs[idx] = rt
-			mu.Unlock()
-			return nil
-		})
-	})
-	err := g.wait()
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
-		for _, r := range runs {
-			if r != nil {
-				r.Drop()
-			}
-		}
-		return nil, err
-	}
-	return runs, nil
-}
-
 // externalSort sorts the input table by cols, producing a temporary table.
 // Runs of at most SortRunTuples tuples are sorted in memory and spilled to
 // temp heaps (concurrently when Engine.Parallelism > 1), then merged with
@@ -237,26 +34,8 @@ func (e *Engine) externalSort(ctx context.Context, in *Table, cols []int, st *Ru
 		runSize = defaultSortRunTuples
 	}
 
-	var runs []*Table
-	var err error
 	parallel := st != nil && st.sched != nil && in.Heap.NumTuples() > int64(runSize)
-	colDone := false
-	if e.colOn() {
-		// Encoded run generation (colsort.go); ok = false reports a
-		// non-order-preserving, non-mappable encoding and falls through
-		// to the row path below.
-		runs, colDone, err = e.colRuns(ctx, in, cols, runSize, parallel, st)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !colDone {
-		if parallel {
-			runs, err = e.parallelRuns(ctx, in, cols, runSize, st)
-		} else {
-			runs, err = e.serialRuns(ctx, in, cols, runSize, st)
-		}
-	}
+	runs, err := e.colRuns(ctx, in, cols, runSize, parallel, st)
 	if err != nil {
 		return nil, err
 	}
@@ -433,63 +212,11 @@ func (e *Engine) sortGroupBy(ctx context.Context, in *Table, groupVars []string,
 	if err != nil {
 		return nil, err
 	}
-	if e.colOn() {
-		if err := e.colSortedAgg(ctx, sorted, cols, out, st); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		return out, nil
-	}
-	it := newRowIter(ctx, sorted)
-	defer it.Close()
-
-	var curKey []int32
-	var acc float64
-	have := false
-	emit := func() error {
-		if !have {
-			return nil
-		}
-		st.TempTuples++
-		return out.Heap.Append(curKey, acc)
-	}
-	for {
-		vals, m, ok, err := it.Next()
-		if err != nil {
-			out.Drop()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		keyVals := make([]int32, len(cols))
-		for i, c := range cols {
-			keyVals[i] = vals[c]
-		}
-		if have && equalRows(curKey, keyVals) {
-			acc = e.Sr.Add(acc, m)
-			continue
-		}
-		if err := emit(); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		curKey, acc, have = keyVals, m, true
-	}
-	if err := emit(); err != nil {
+	if err := e.colSortedAgg(ctx, sorted, cols, out, st); err != nil {
 		out.Drop()
 		return nil, err
 	}
 	return out, nil
-}
-
-func equalRows(a, b []int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sortMergeJoin implements the product join by sorting both inputs on the

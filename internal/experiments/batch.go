@@ -16,14 +16,12 @@ import (
 )
 
 // batchRun executes GroupBy_pid(location ⋈* demand) — scan, Grace
-// partitioning, hash join, and hash group-by, all batch-eligible
-// operators — on a fresh pool/engine with the given batch width and
-// read-ahead distance, returning the result and actuals. Each call
-// starts cold so modes compete on equal footing.
-func batchRun(l, r *relation.Relation, factory storage.DiskFactory, frames, batchSize, readAhead int) (*relation.Relation, exec.RunStats, error) {
+// partitioning, hash join, and hash group-by — on a fresh pool/engine
+// with the given read-ahead distance, returning the result and actuals.
+// Each call starts cold so modes compete on equal footing.
+func batchRun(l, r *relation.Relation, factory storage.DiskFactory, frames, readAhead int) (*relation.Relation, exec.RunStats, error) {
 	pool := storage.NewPool(frames)
 	eng := exec.NewEngine(pool, factory, semiring.SumProduct)
-	eng.BatchSize = batchSize
 	eng.ReadAhead = readAhead
 	// Force the Grace partitioned path (inputs are far above 4096 tuples)
 	// so the comparison covers partitioning IO, not just in-memory probe.
@@ -59,35 +57,10 @@ func batchRun(l, r *relation.Relation, factory storage.DiskFactory, frames, batc
 	return eng.Run(gb, exec.MapResolver(tables))
 }
 
-// batchRunBest repeats batchRun reps times and returns the fastest run's
-// actuals (minimum wall time is the standard noise suppressor for
-// CPU-bound comparisons on a shared machine). Every repetition's result
-// and IO counters must agree — the modes are deterministic — so the
-// returned relation and counters are representative of all reps.
-func batchRunBest(l, r *relation.Relation, factory storage.DiskFactory, frames, batchSize, readAhead, reps int) (*relation.Relation, exec.RunStats, error) {
-	rel, best, err := batchRun(l, r, factory, frames, batchSize, readAhead)
-	if err != nil {
-		return nil, exec.RunStats{}, err
-	}
-	for i := 1; i < reps; i++ {
-		rel2, st, err := batchRun(l, r, factory, frames, batchSize, readAhead)
-		if err != nil {
-			return nil, exec.RunStats{}, err
-		}
-		if !sameRows(rel, rel2) {
-			return nil, exec.RunStats{}, fmt.Errorf("batch-exec: nondeterministic result across repetitions")
-		}
-		if st.Wall < best.Wall {
-			best = st
-		}
-	}
-	return rel, best, nil
-}
-
 // sameRows reports whether a and b hold identical tuples in identical
-// order with bitwise-equal measures — the vectorized paths must preserve
-// the tuple-at-a-time emit order exactly, so anything short of byte
-// identity is a bug, not float noise.
+// order with bitwise-equal measures — page layout, read-ahead and
+// parallelism must never change emit order or float accumulation order,
+// so anything short of byte identity is a bug, not float noise.
 func sameRows(a, b *relation.Relation) bool {
 	if a.Len() != b.Len() || a.Arity() != b.Arity() {
 		return false
@@ -106,22 +79,17 @@ func sameRows(a, b *relation.Relation) bool {
 	return true
 }
 
-// BatchExec measures vectorized batch execution against the
-// tuple-at-a-time baseline on GroupBy(location ⋈* demand) — the same
-// two equally large inputs as parallel-exec, with a marginalizing
-// group-by on top so scans, Grace partitioning, join probe, and hash
-// aggregation all run through the batch paths. Two regimes:
+// BatchExec measures buffer-pool read-ahead under batch execution on
+// GroupBy(location ⋈* demand) — the same two equally large inputs as
+// parallel-exec, with a marginalizing group-by on top so scans, Grace
+// partitioning, join probe, and hash aggregation all run. The regime is
+// io-bound (1ms reads, a pool much smaller than the data): scans stall
+// on the disk, and read-ahead overlaps the stalls with computation.
+// Prefetched pages are reported separately.
 //
-//   - warm (memory disk, large pool): CPU-bound, where batching pays by
-//     eliminating per-tuple pin/decode/append overhead; results must be
-//     byte-identical and physical reads/writes unchanged.
-//   - io-bound (1ms reads, small pool): scans stall on the disk; batch
-//     mode plus read-ahead overlaps the stalls. Read-ahead must not
-//     change results; prefetched pages are reported separately.
-//
-// The run errors (rather than reporting a row) if any mode changes the
-// result or, in the warm regime, the physical read/write counts —
-// those are correctness bugs, not performance observations.
+// The run errors (rather than reporting a row) if read-ahead changes
+// the result or the result differs from the in-memory reference — those
+// are correctness bugs, not performance observations.
 func BatchExec(cfg Config) (*Table, error) {
 	ds, err := gen.SupplyChain(gen.SupplyChainConfig{Scale: cfg.scale(), CtdealsDensity: 0.5, Seed: cfg.Seed})
 	if err != nil {
@@ -135,64 +103,41 @@ func BatchExec(cfg Config) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "batch-exec",
-		Title:  "vectorized batch execution on GroupBy(location⋈*demand)",
+		Title:  "batch execution with read-ahead on GroupBy(location⋈*demand)",
 		Header: []string{"regime", "mode", "exec ms", "speedup", "page reads", "page writes", "prefetched"},
-		Notes:  "expected: batch ≥1.5× over tuple when warm with identical results and physical IO; read-ahead cuts scan stalls on the 1ms disk without changing results",
+		Notes:  "expected: read-ahead cuts scan stalls on the 1ms disk without changing results",
 	}
 
-	// Warm regime: everything fits, the disk is free — the comparison is
-	// pure executor overhead. Three reps per mode, best wall kept, so a
-	// background-load hiccup on either side doesn't skew the ratio.
-	reps := 3
-	if cfg.Quick {
-		reps = 1
-	}
-	warmFactory := storage.MemDiskFactory()
-	tupleRel, tupleSt, err := batchRunBest(loc, demand, warmFactory, 4096, 1, 0, reps)
-	if err != nil {
-		return nil, err
-	}
-	batchRel, batchSt, err := batchRunBest(loc, demand, warmFactory, 4096, 0, 0, reps)
-	if err != nil {
-		return nil, err
-	}
-	if !sameRows(tupleRel, batchRel) {
-		return nil, fmt.Errorf("batch-exec: batch mode changed the result")
-	}
-	if tupleSt.IO.Reads != batchSt.IO.Reads || tupleSt.IO.Writes != batchSt.IO.Writes {
-		return nil, fmt.Errorf("batch-exec: batch mode changed physical IO: %dr/%dw vs %dr/%dw",
-			tupleSt.IO.Reads, tupleSt.IO.Writes, batchSt.IO.Reads, batchSt.IO.Writes)
-	}
-	t.Rows = append(t.Rows,
-		[]string{"warm", "tuple", ms(tupleSt.Wall), "1.00",
-			itoa(tupleSt.IO.Reads), itoa(tupleSt.IO.Writes), itoa(tupleSt.IO.Prefetches)},
-		[]string{"warm", "batch", ms(batchSt.Wall),
-			f2(float64(tupleSt.Wall) / float64(batchSt.Wall)),
-			itoa(batchSt.IO.Reads), itoa(batchSt.IO.Writes), itoa(batchSt.IO.Prefetches)})
-
-	// IO-bound regime: a pool much smaller than the dataset over a
-	// 1ms-read disk; read-ahead overlaps sequential scan stalls with
-	// computation. Quick runs shrink the pool along with the data so the
-	// regime stays io-bound (a 64-frame pool would hold the whole quick
-	// dataset and no page would ever miss).
+	// A pool much smaller than the dataset over a 1ms-read disk. Quick
+	// runs shrink the pool along with the data so the regime stays
+	// io-bound (a 64-frame pool would hold the whole quick dataset and no
+	// page would ever miss).
 	ioFrames := 64
 	if cfg.Quick {
 		ioFrames = 16
 	}
 	slowFactory := storage.LatencyMemDiskFactory(time.Millisecond, 0)
-	plainRel, plainSt, err := batchRun(loc, demand, slowFactory, ioFrames, 0, 0)
+	plainRel, plainSt, err := batchRun(loc, demand, slowFactory, ioFrames, 0)
 	if err != nil {
 		return nil, err
 	}
-	raRel, raSt, err := batchRun(loc, demand, slowFactory, ioFrames, 0, 8)
+	raRel, raSt, err := batchRun(loc, demand, slowFactory, ioFrames, 8)
 	if err != nil {
 		return nil, err
 	}
 	if !sameRows(plainRel, raRel) {
 		return nil, fmt.Errorf("batch-exec: read-ahead changed the result")
 	}
-	if !sameRows(tupleRel, plainRel) {
-		return nil, fmt.Errorf("batch-exec: io-bound regime changed the result")
+	joined, err := relation.ProductJoin(semiring.SumProduct, loc, demand)
+	if err != nil {
+		return nil, err
+	}
+	want, err := relation.Marginalize(semiring.SumProduct, joined, []string{"pid"})
+	if err != nil {
+		return nil, err
+	}
+	if !relation.Equal(want, plainRel, 0, 1e-9) {
+		return nil, fmt.Errorf("batch-exec: result differs from the in-memory reference")
 	}
 	t.Rows = append(t.Rows,
 		[]string{"io-bound (1ms reads)", "batch", ms(plainSt.Wall), "1.00",

@@ -14,8 +14,8 @@ import (
 )
 
 // chaosMode is one engine configuration the chaos matrix replays: the
-// serial tuple-at-a-time baseline and the full modern path (parallel
-// workers, vectorized batches, read-ahead, result cache). tol is the
+// serial default and the full concurrent path (parallel workers,
+// read-ahead, result cache). tol is the
 // answer-comparison tolerance against the fault-free reference: serial
 // execution is bit-deterministic, so any deviation at all is a failure;
 // parallel partition pairs append join output in completion order, so
@@ -31,7 +31,7 @@ type chaosMode struct {
 // exercises the fault paths if queries perform real page reads.
 func chaosModes() []chaosMode {
 	return []chaosMode{
-		{"serial", core.Config{PoolFrames: 32, BatchSize: 1}, 0},
+		{"serial", core.Config{PoolFrames: 32}, 0},
 		{"par+batch+cache", core.Config{PoolFrames: 32, Parallelism: 4, ReadAhead: 8, ResultCacheBytes: 4 << 20}, 1e-6},
 	}
 }
@@ -73,8 +73,8 @@ func sameResult(a, b *relation.Relation, tol float64) bool {
 	return a != nil && b != nil && a.Len() == b.Len() && relation.Equal(a, b, math.Inf(1), tol)
 }
 
-// Chaos replays a query matrix (CS+ and VE plans, serial tuple-at-a-time
-// and parallel/batched/cached sessions) under seeded fault injection.
+// Chaos replays a query matrix (CS+ and VE plans, serial and
+// parallel/read-ahead/cached sessions) under seeded fault injection.
 // The fault-free pass records reference answers; the transient regime
 // must reproduce every one of them byte-identically (the pool's retry
 // machinery absorbs every injected fault); the permanent+corrupt regime

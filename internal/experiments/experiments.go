@@ -46,17 +46,13 @@ type Config struct {
 	// default budget. Experiments that measure raw plan IO always run with
 	// the cache disabled regardless.
 	ResultCacheBytes int64
-	// BatchSize selects the executor batch width for experiment sessions
-	// (0 = page-sized batches, 1 = tuple-at-a-time). Experiments that
-	// compare the two modes (batch-exec) override it per run.
-	BatchSize int
 	// ReadAhead is the buffer-pool sequential-scan prefetch distance in
 	// pages applied to experiment sessions (0 = off). batch-exec overrides
 	// it per run.
 	ReadAhead int
-	// Columnar enables the per-page columnar encoding and encoded-value
-	// kernels for experiment sessions. The columnar experiment compares
-	// the two layouts itself regardless of this setting.
+	// Columnar enables the per-page columnar encoding for experiment
+	// sessions. The columnar experiment compares the two layouts itself
+	// regardless of this setting.
 	Columnar bool
 	// Fuse pipelines GroupBy-over-Join pairs through the fused
 	// non-materializing operator for experiment sessions. The
@@ -218,12 +214,11 @@ type session struct {
 
 // sessionConfig translates the experiment config into an engine config:
 // buffer-pool size plus the execution knobs every session shares
-// (parallelism, batch width, read-ahead distance, fault injection).
+// (parallelism, read-ahead distance, page layout, fault injection).
 func sessionConfig(cfg Config, frames int) core.Config {
 	ccfg := core.Config{
 		PoolFrames:       frames,
 		Parallelism:      cfg.Parallelism,
-		BatchSize:        cfg.BatchSize,
 		ReadAhead:        cfg.ReadAhead,
 		Columnar:         cfg.Columnar,
 		FuseJoinGroupBy:  cfg.Fuse,

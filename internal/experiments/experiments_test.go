@@ -162,29 +162,24 @@ func TestAblationBufferPoolShape(t *testing.T) {
 }
 
 // TestBatchExecShape verifies the structure of the batch-execution
-// experiment: 2 regimes × 2 modes, read-ahead pages prefetched only in
-// the read-ahead row, and identical physical reads/writes across the
-// warm pair. (BatchExec itself errors if any mode changes the query
-// result, so result equality needs no re-check here.)
+// experiment: one io-bound regime × {read-ahead off, on}, pages
+// prefetched only in the read-ahead row. (BatchExec itself errors if
+// read-ahead changes the query result or the result differs from the
+// in-memory reference, so result equality needs no re-check here.)
 func TestBatchExecShape(t *testing.T) {
 	tbl, err := BatchExec(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("want 4 rows (2 regimes × 2 modes), got %d", len(tbl.Rows))
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("want 2 rows (read-ahead off/on), got %d", len(tbl.Rows))
 	}
 	// Columns: regime, mode, exec ms, speedup, reads, writes, prefetched.
-	for r := 0; r < 3; r++ {
-		if p := cell(t, tbl, r, 6); p != 0 {
-			t.Fatalf("row %d prefetched %v pages with read-ahead off", r, p)
-		}
+	if p := cell(t, tbl, 0, 6); p != 0 {
+		t.Fatalf("prefetched %v pages with read-ahead off", p)
 	}
-	if p := cell(t, tbl, 3, 6); p == 0 {
+	if p := cell(t, tbl, 1, 6); p == 0 {
 		t.Fatal("read-ahead row prefetched nothing")
-	}
-	if cell(t, tbl, 0, 4) != cell(t, tbl, 1, 4) || cell(t, tbl, 0, 5) != cell(t, tbl, 1, 5) {
-		t.Fatal("warm tuple and batch rows disagree on physical IO")
 	}
 }
 

@@ -218,7 +218,7 @@ func LoadGen(cfg Config) (*Table, error) {
 			shadowLedger.MustAppend([]int32{int32(w), int32(j)}, float64(w*rowsPerWriter+j))
 		}
 	}
-	shadow, err := mpf.Open(mpf.Config{PoolFrames: cfg.frames(), Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize})
+	shadow, err := mpf.Open(mpf.Config{PoolFrames: cfg.frames(), Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +410,7 @@ func loadgenDB(cfg Config) (*mpf.Database, *gen.Dataset, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := mpf.Open(mpf.Config{PoolFrames: cfg.frames(), Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize})
+	db, err := mpf.Open(mpf.Config{PoolFrames: cfg.frames(), Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -42,8 +42,7 @@ type QuerySample struct {
 	Operators int64
 	// HotKeyFallbacks counts Grace-join hot-key fallbacks.
 	HotKeyFallbacks int64
-	// Batches counts tuple batches consumed by the vectorized operator
-	// paths (zero for tuple-at-a-time runs).
+	// Batches counts the page-sized tuple batches the operators consumed.
 	Batches int64
 	// Wall is the query's execution wall time.
 	Wall time.Duration
@@ -199,7 +198,7 @@ type Snapshot struct {
 	Operators int64 `json:"operators"`
 	// HotKeyFallbacks counts Grace-join hot-key fallbacks.
 	HotKeyFallbacks int64 `json:"hot_key_fallbacks"`
-	// Batches counts tuple batches consumed by vectorized operators.
+	// Batches counts page-sized tuple batches consumed by operators.
 	Batches int64 `json:"batches"`
 	// ExecWall sums query execution wall time.
 	ExecWall time.Duration `json:"exec_wall_ns"`

@@ -95,8 +95,7 @@ func TestAppendRowsMatchesAppend(t *testing.T) {
 }
 
 // TestBatchScanMatchesTupleScan: the batch iterator must yield exactly
-// the tuple iterator's stream, for whole-page batches and for every
-// batch-size cap, including sizes that straddle page boundaries.
+// the tuple iterator's stream, one whole page per batch.
 func TestBatchScanMatchesTupleScan(t *testing.T) {
 	pool := NewPool(16)
 	h, err := NewHeap(pool, NewMemDisk(), 2)
@@ -105,39 +104,33 @@ func TestBatchScanMatchesTupleScan(t *testing.T) {
 	}
 	const n = 3001
 	vals, meas := fillHeap(t, h, n, 2)
-	for _, size := range []int{0, 1, 7, 100, TuplesPerPage(2), TuplesPerPage(2) + 1, 1 << 20} {
-		it := h.ScanBatches()
-		it.SetBatchSize(size)
-		i := 0
-		for {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			if size > 0 && b.Len() > size {
-				t.Fatalf("size %d: batch of %d rows", size, b.Len())
-			}
-			if b.Len() > TuplesPerPage(2) {
-				t.Fatalf("batch of %d rows spans pages", b.Len())
-			}
-			for j := 0; j < b.Len(); j++ {
-				row := b.Row(j)
-				if row[0] != vals[i*2] || row[1] != vals[i*2+1] ||
-					math.Float64bits(b.Measures[j]) != math.Float64bits(meas[i]) {
-					t.Fatalf("size %d: tuple %d mismatch", size, i)
-				}
-				i++
-			}
+	it := h.ScanBatches()
+	i := 0
+	for {
+		b, ok := it.Next()
+		if !ok {
+			break
 		}
-		if err := it.Err(); err != nil {
-			t.Fatal(err)
+		if want := min(TuplesPerPage(2), n-i); b.Len() != want {
+			t.Fatalf("batch of %d rows at tuple %d, want the page's %d", b.Len(), i, want)
 		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
+		for j := 0; j < b.Len(); j++ {
+			row := b.Row(j)
+			if row[0] != vals[i*2] || row[1] != vals[i*2+1] ||
+				math.Float64bits(b.Measures[j]) != math.Float64bits(meas[i]) {
+				t.Fatalf("tuple %d mismatch", i)
+			}
+			i++
 		}
-		if i != n {
-			t.Fatalf("size %d: scanned %d tuples, want %d", size, i, n)
-		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if i != n {
+		t.Fatalf("scanned %d tuples, want %d", i, n)
 	}
 }
 

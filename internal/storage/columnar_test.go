@@ -179,61 +179,28 @@ func TestColumnarFallback(t *testing.T) {
 	}
 }
 
-// TestColumnarRLEAcrossBatches splits an RLE page into small batch
-// windows so runs span batch boundaries, on both batch read paths.
-func TestColumnarRLEAcrossBatches(t *testing.T) {
+// TestColumnarRLERunsCoverBatch checks the encoded view of an RLE page:
+// the runs it exposes sum to exactly the batch's row count and decode to
+// the appended values.
+func TestColumnarRLERunsCoverBatch(t *testing.T) {
 	_, h := newColumnarHeap(t, 8, 1)
 	per := TuplesPerPage(1)
 	vals, meas := fillHeapGen(t, h, per, func(i int) ([]int32, float64) {
 		return []int32{int32(i / 100)}, float64(i)
 	})
-	for _, size := range []int{1, 3, 64, 100, per - 1} {
-		i := 0
-		bit := h.ScanBatches()
-		bit.SetBatchSize(size)
-		for {
-			b, ok := bit.Next()
-			if !ok {
-				break
-			}
-			for r := 0; r < b.Len(); r++ {
-				if b.Row(r)[0] != vals[i][0] || b.Measures[r] != meas[i] {
-					t.Fatalf("size %d row %d: got %v %v want %v %v", size, i, b.Row(r), b.Measures[r], vals[i], meas[i])
-				}
-				i++
-			}
-		}
-		if err := bit.Close(); err != nil || i != per {
-			t.Fatalf("size %d: %d rows err %v", size, i, err)
-		}
-		i = 0
-		cit := h.ScanColBatches()
-		cit.SetBatchSize(size)
-		var row [1]int32
-		for {
-			cb, ok := cit.Next()
-			if !ok {
-				break
-			}
-			// Runs must be clipped to the window: their lengths sum to Len.
-			sum := 0
-			for _, r := range cb.Cols[0].Runs {
-				sum += r.Len
-			}
-			if cb.Cols[0].Enc == EncRLE && sum != cb.Len() {
-				t.Fatalf("size %d: clipped runs sum %d != batch len %d", size, sum, cb.Len())
-			}
-			for r := 0; r < cb.Len(); r++ {
-				cb.Row(r, row[:])
-				if row[0] != vals[i][0] || cb.Measures[r] != meas[i] {
-					t.Fatalf("size %d row %d: got %v %v want %v %v", size, i, row, cb.Measures[r], vals[i], meas[i])
-				}
-				i++
-			}
-		}
-		if err := cit.Close(); err != nil || i != per {
-			t.Fatalf("size %d: %d col rows err %v", size, i, err)
-		}
+	checkScan(t, h, vals, meas)
+	cit := h.ScanColBatches()
+	defer cit.Close()
+	cb, ok := cit.Next()
+	if !ok || cb.Cols[0].Enc != EncRLE {
+		t.Fatalf("want one RLE batch, got ok=%v err=%v", ok, cit.Err())
+	}
+	sum := 0
+	for _, r := range cb.Cols[0].Runs {
+		sum += r.Len
+	}
+	if sum != cb.Len() || cb.Len() != per {
+		t.Fatalf("runs sum %d, batch len %d, page holds %d", sum, cb.Len(), per)
 	}
 }
 

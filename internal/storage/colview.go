@@ -135,19 +135,14 @@ func (cb *ColBatch) Row(i int, dst []int32) {
 }
 
 // ColBatchIterator streams a heap's tuples in storage order as encoded
-// column batches: each Next pins one page, slices the requested row
-// window out of every column segment (copying, so no pin outlives the
-// call), and unpins. Row-major pages yield all-plain views; batch
-// boundaries clip RLE runs, so a run spanning two batches appears as a
-// shorter run in each.
+// column batches, one page per batch: each Next pins one page, copies
+// every column segment out (so no pin outlives the call), and unpins.
+// Row-major pages yield all-plain views.
 type ColBatchIterator struct {
 	h         *Heap
 	ctx       stdcontext.Context
 	pageNo    int64
 	npages    int64
-	inPage    int
-	count     int
-	size      int
 	cb        ColBatch
 	started   bool
 	done      bool
@@ -166,33 +161,25 @@ func (h *Heap) ScanColBatchesContext(ctx stdcontext.Context) *ColBatchIterator {
 	return &ColBatchIterator{h: h, ctx: ctx, npages: h.disk.NumPages()}
 }
 
-// SetBatchSize caps the rows per batch; values <= 0 (the default) emit
-// whole pages. As with BatchIterator, a batch never spans pages.
-func (it *ColBatchIterator) SetBatchSize(n int) { it.size = n }
-
 // SetReadAhead declares the scan sequential: before pinning each page the
 // iterator asks the pool to prefetch up to k following pages.
 func (it *ColBatchIterator) SetReadAhead(k int) { it.readAhead = k }
 
-// Next fills and returns the next encoded batch, or ok=false at the end.
-// The batch and its views are reused between calls: callers must consume
-// a batch before requesting the next one.
+// Next fills and returns the next page's encoded batch, or ok=false at
+// the end. The batch and its views are reused between calls: callers
+// must consume a batch before requesting the next one.
 func (it *ColBatchIterator) Next() (cb *ColBatch, ok bool) {
 	if it.done || it.err != nil {
 		return nil, false
 	}
 	for {
-		if it.inPage >= it.count {
-			if it.started {
-				it.pageNo++
-			}
-			it.started = true
-			if it.pageNo >= it.npages {
-				it.done = true
-				return nil, false
-			}
-			it.inPage = 0
-			it.count = -1
+		if it.started {
+			it.pageNo++
+		}
+		it.started = true
+		if it.pageNo >= it.npages {
+			it.done = true
+			return nil, false
 		}
 		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
 		buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
@@ -201,17 +188,10 @@ func (it *ColBatchIterator) Next() (cb *ColBatch, ok bool) {
 			it.done = true
 			return nil, false
 		}
-		if it.count < 0 {
-			it.count = int(binary.LittleEndian.Uint16(buf[0:]))
-		}
-		n := it.count - it.inPage
-		if it.size > 0 && n > it.size {
-			n = it.size
-		}
+		n := int(binary.LittleEndian.Uint16(buf[0:]))
 		var fillErr error
 		if n > 0 {
-			fillErr = it.fill(buf, it.inPage, n)
-			it.inPage += n
+			fillErr = it.fill(buf, n)
 		}
 		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil && fillErr == nil {
 			fillErr = err
@@ -227,8 +207,8 @@ func (it *ColBatchIterator) Next() (cb *ColBatch, ok bool) {
 	}
 }
 
-// fill slices rows [from, from+n) of the pinned page into it.cb.
-func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
+// fill copies the pinned page's n rows into it.cb.
+func (it *ColBatchIterator) fill(buf []byte, n int) error {
 	arity := it.h.arity
 	it.cb.Arity = arity
 	if cap(it.cb.Cols) < arity {
@@ -251,13 +231,13 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 				v.Plain = make([]int32, 0, it.h.perPage)
 			}
 			v.Plain = v.Plain[:n]
-			off := pageHeaderSize + from*ts + 4*c
+			off := pageHeaderSize + 4*c
 			for r := 0; r < n; r++ {
 				v.Plain[r] = int32(binary.LittleEndian.Uint32(buf[off:]))
 				off += ts
 			}
 		}
-		off := pageHeaderSize + from*ts + 4*arity
+		off := pageHeaderSize + 4*arity
 		for r := 0; r < n; r++ {
 			it.cb.Measures[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += ts
@@ -268,7 +248,7 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 		return errCorruptColumnar("page arity mismatch")
 	}
 	for c := 0; c < arity; c++ {
-		if err := it.fillCol(&it.cb.Cols[c], buf, colSegOff(buf, c), from, n); err != nil {
+		if err := it.fillCol(&it.cb.Cols[c], buf, colSegOff(buf, c), n); err != nil {
 			return err
 		}
 	}
@@ -276,7 +256,7 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 	if moff <= 0 || moff >= PageDataSize || buf[moff] != EncPlain {
 		return errCorruptColumnar("measure segment")
 	}
-	p := moff + 1 + 8*from
+	p := moff + 1
 	for r := 0; r < n; r++ {
 		it.cb.Measures[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 		p += 8
@@ -284,9 +264,9 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 	return nil
 }
 
-// fillCol copies the [from, from+n) window of one column segment out of
-// the pinned page into the view, clipping RLE runs to the window.
-func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, from, n int) error {
+// fillCol copies one column segment's n rows out of the pinned page into
+// the view.
+func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, n int) error {
 	if off <= 0 || off >= PageDataSize {
 		return errCorruptColumnar("segment offset out of range")
 	}
@@ -299,17 +279,17 @@ func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, from, n int) er
 		}
 		v.Plain = v.Plain[:n]
 		for r := 0; r < n; r++ {
-			v.Plain[r] = int32(binary.LittleEndian.Uint32(buf[p+4*(from+r):]))
+			v.Plain[r] = int32(binary.LittleEndian.Uint32(buf[p+4*r:]))
 		}
 	case EncByte:
-		v.Codes = append(v.Codes[:0], buf[p+from:p+from+n]...)
+		v.Codes = append(v.Codes[:0], buf[p:p+n]...)
 	case EncDict:
 		nd := int(buf[p])
 		p++
 		for d := 0; d < nd; d++ {
 			v.Dict = append(v.Dict, int32(binary.LittleEndian.Uint32(buf[p+4*d:])))
 		}
-		codes := buf[p+4*nd+from : p+4*nd+from+n]
+		codes := buf[p+4*nd : p+4*nd+n]
 		for _, c := range codes {
 			if int(c) >= nd {
 				return errCorruptColumnar("dictionary code out of range")
@@ -319,23 +299,18 @@ func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, from, n int) er
 	case EncRLE:
 		nruns := int(binary.LittleEndian.Uint16(buf[p:]))
 		p += 2
-		row, emitted := 0, 0
+		emitted := 0
 		for i := 0; i < nruns && emitted < n; i++ {
 			l := int(binary.LittleEndian.Uint16(buf[p:]))
 			val := int32(binary.LittleEndian.Uint32(buf[p+2:]))
 			p += 6
-			lo, hi := row, row+l
-			if lo < from {
-				lo = from
+			if l > n-emitted { // a corrupt run must not overrun the page's row count
+				l = n - emitted
 			}
-			if hi > from+n {
-				hi = from + n
+			if l > 0 {
+				v.Runs = append(v.Runs, ColRun{Len: l, Val: val})
+				emitted += l
 			}
-			if hi > lo {
-				v.Runs = append(v.Runs, ColRun{Len: hi - lo, Val: val})
-				emitted += hi - lo
-			}
-			row += l
 		}
 		if emitted < n {
 			return errCorruptColumnar("RLE runs cover fewer rows than requested")

@@ -158,11 +158,12 @@ func OpenHeap(pool *Pool, d Disk, arity int) (*Heap, error) {
 }
 
 // NewTempHeap creates a heap on a disk from the factory. The disk is
-// closed (removing any backing temp file) when the heap is Dropped.
+// closed (removing any backing temp file) when the heap is Dropped. A
+// factory failure is reported as an "alloc" *IOError (matching ErrIO).
 func NewTempHeap(pool *Pool, factory DiskFactory, arity int) (*Heap, error) {
 	d, err := factory()
 	if err != nil {
-		return nil, err
+		return nil, &IOError{Op: "alloc", Err: err}
 	}
 	h, err := NewHeap(pool, d, arity)
 	if err != nil {
@@ -486,18 +487,15 @@ func (b *Batch) Append(vals []int32, measure float64) {
 	b.Measures = append(b.Measures, measure)
 }
 
-// BatchIterator streams a heap's tuples in storage order, one page-sized
-// batch at a time: each Next pins one page, decodes every requested
-// tuple in a single loop, and unpins — no per-tuple pool round-trips and
-// no per-tuple allocation.
+// BatchIterator streams a heap's tuples in storage order, one page per
+// batch: each Next pins one page, decodes every tuple in a single loop,
+// and unpins — no per-tuple pool round-trips and no per-tuple
+// allocation.
 type BatchIterator struct {
 	h         *Heap
 	ctx       context.Context
 	pageNo    int64
 	npages    int64
-	inPage    int // next slot to decode on the current page
-	count     int // tuples on the current page (0 until first decode)
-	size      int // max rows per batch; <=0 means whole pages
 	batch     Batch
 	started   bool
 	done      bool
@@ -517,37 +515,26 @@ func (h *Heap) ScanBatchesContext(ctx context.Context) *BatchIterator {
 	return &BatchIterator{h: h, ctx: ctx, npages: h.disk.NumPages()}
 }
 
-// SetBatchSize caps the rows per batch. Values <= 0 (the default) emit
-// whole pages — the natural decode unit; smaller values split a page
-// across several batches but never merge pages into one batch, so every
-// batch still costs exactly one pin.
-func (it *BatchIterator) SetBatchSize(n int) { it.size = n }
-
 // SetReadAhead declares the scan sequential: before pinning each page the
 // iterator asks the pool to prefetch up to k following pages (see
 // Pool.Prefetch). Zero (the default) disables read-ahead.
 func (it *BatchIterator) SetReadAhead(k int) { it.readAhead = k }
 
-// Next decodes and returns the next batch, or ok=false at the end. The
-// returned batch and its arrays are reused between calls: callers must
-// consume (or copy) a batch before requesting the next one.
+// Next decodes and returns the next page's tuples, or ok=false at the
+// end. The returned batch and its arrays are reused between calls:
+// callers must consume (or copy) a batch before requesting the next one.
 func (it *BatchIterator) Next() (b *Batch, ok bool) {
 	if it.done || it.err != nil {
 		return nil, false
 	}
 	for {
-		if it.inPage >= it.count {
-			// Current page exhausted (or first call): advance to the next page.
-			if it.started {
-				it.pageNo++
-			}
-			it.started = true
-			if it.pageNo >= it.npages {
-				it.done = true
-				return nil, false
-			}
-			it.inPage = 0
-			it.count = -1 // sentinel: count read under the pin below
+		if it.started {
+			it.pageNo++
+		}
+		it.started = true
+		if it.pageNo >= it.npages {
+			it.done = true
+			return nil, false
 		}
 		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
 		buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
@@ -556,13 +543,7 @@ func (it *BatchIterator) Next() (b *Batch, ok bool) {
 			it.done = true
 			return nil, false
 		}
-		if it.count < 0 {
-			it.count = int(binary.LittleEndian.Uint16(buf[0:]))
-		}
-		n := it.count - it.inPage
-		if it.size > 0 && n > it.size {
-			n = it.size
-		}
+		n := int(binary.LittleEndian.Uint16(buf[0:]))
 		if n > 0 {
 			if err := it.decode(buf, n); err != nil {
 				it.h.pool.Unpin(it.h.handle, it.pageNo, false)
@@ -583,10 +564,9 @@ func (it *BatchIterator) Next() (b *Batch, ok bool) {
 	}
 }
 
-// decode fills it.batch with n tuples starting at it.inPage from the
-// pinned page buffer, reusing the batch's backing arrays. It dispatches
-// on the page's format byte, so row-major and columnar pages interleave
-// transparently within one scan.
+// decode fills it.batch with the pinned page's n tuples, reusing the
+// batch's backing arrays. It dispatches on the page's format byte, so
+// row-major and columnar pages interleave transparently within one scan.
 func (it *BatchIterator) decode(buf []byte, n int) error {
 	arity := it.h.arity
 	it.batch.Reset(arity)
@@ -599,11 +579,11 @@ func (it *BatchIterator) decode(buf []byte, n int) error {
 	vals := it.batch.Vals[:n*arity]
 	meas := it.batch.Measures[:n]
 	if pageFormat(buf) == formatColumnar {
-		if err := decodeColumnarRows(buf, arity, it.inPage, n, vals, meas); err != nil {
+		if err := decodeColumnarRows(buf, arity, 0, n, vals, meas); err != nil {
 			return err
 		}
 	} else {
-		off := pageHeaderSize + it.inPage*it.h.tupleSize
+		off := pageHeaderSize
 		vi := 0
 		for j := 0; j < n; j++ {
 			for c := 0; c < arity; c++ {
@@ -616,7 +596,6 @@ func (it *BatchIterator) decode(buf []byte, n int) error {
 	}
 	it.batch.Vals = vals
 	it.batch.Measures = meas
-	it.inPage += n
 	return nil
 }
 
