@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race bench bench-json bench-compare bench-smoke chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
+.PHONY: all check build test test-race race bench bench-json bench-compare bench-smoke perf chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
 
 all: check
 
@@ -53,6 +53,18 @@ bench-json:
 bench-compare:
 	$(GO) test -run=NONE -bench=Columnar -benchtime=50x -benchmem -count=5 ./internal/exec/ | \
 		$(GO) run ./cmd/benchjson -compare $$(ls BENCH_PR*.json | sort -V | tail -1)
+
+# The paired benchmark protocol (ROADMAP, "measured performance"): run
+# workload W of bench/ on BASE and on this tree for seeds 1..N, order
+# alternated, and print per-metric medians, quartiles, pairs won and a
+# verdict against BENCHMARK.json's bounds (scripts/perf_pair.sh). About
+# 50 s per pair; BASE=HEAD measures uncommitted work against the commit
+# it sits on.
+W ?= ds_adhoc
+N ?= 10
+BASE ?= HEAD^
+perf:
+	bash scripts/perf_pair.sh $(W) $(N) $(BASE)
 
 # bench/ is a nested module (the repo benchmark) that `go build ./...`
 # and `go test ./...` at the root never compile; vet and test it so a

@@ -15,7 +15,7 @@
 // Usage:
 //
 //	go test -run=NONE -bench=Batch -benchmem ./internal/exec/ | benchjson
-//	go test -run=NONE -bench=Columnar -benchtime=10x ./internal/exec/ | benchjson -compare BENCH_PR8.json
+//	go test -run=NONE -bench=Columnar -benchtime=10x ./internal/exec/ | benchjson -compare BENCH_PR15.json
 package main
 
 import (

@@ -60,14 +60,16 @@ type Config struct {
 	// IO counts reproduce the paper's cost model exactly (see
 	// exec.Engine.ReadAhead).
 	ReadAhead int
-	// Columnar is a page-layout choice: when true, every heap page that
-	// fills — base tables and intermediates alike — is re-encoded with the
+	// Columnar is a page-layout choice for the heaps that are read many
+	// times: when true, every page that fills of a base table or of an
+	// operator output the result cache keeps is re-encoded with the
 	// per-page columnar layout (dictionary/run-length column segments
-	// where they pay for themselves). The executor runs the same
-	// encoded-batch kernels either way (row-major pages read as all-plain
-	// column views), so results are byte-identical; page counts, and
-	// therefore the paper's IO cost model, are unchanged (the encoding
-	// compresses within pages, never across them).
+	// where they pay for themselves). Read-once intermediates stay
+	// row-major. The executor runs the same encoded-batch kernels either
+	// way (row-major pages read as all-plain column views), so results
+	// are byte-identical; page counts, and therefore the paper's IO cost
+	// model, are unchanged (the encoding compresses within pages, never
+	// across them).
 	Columnar bool
 	// FuseJoinGroupBy, when true, pipelines GroupBy-over-Join plan pairs
 	// through a single fused operator that aggregates probe matches as

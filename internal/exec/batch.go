@@ -1,8 +1,8 @@
 package exec
 
-// Shared pieces of the batch kernels: the scan helper, allocation-free
-// key encoding and the keyIndex, the page-at-a-time output writer, the
-// hash-join build table and the aggregation state. The kernels
+// Shared pieces of the batch kernels: the scan helper, the
+// page-at-a-time output writer, the hash-join build table and the
+// aggregation state (both over the keyIndex of keyindex.go). The kernels
 // themselves (colbatch.go, colsort.go, fusecol.go) consume heap pages as
 // storage.ColBatch views — one pin and one decode loop per page — and
 // produce output through page-sized bulk appends. Batch boundaries are
@@ -11,7 +11,6 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 
 	"mpf/internal/storage"
 )
@@ -26,66 +25,12 @@ func (e *Engine) scanB(ctx context.Context, h *storage.Heap) *storage.BatchItera
 	return it
 }
 
-// encodeKey writes the projection of vals onto cols into buf and returns
-// the encoded length. Callers index maps with string(buf[:n]) inline —
-// the compiler recognizes that form and performs the lookup without
-// allocating the string, which is what keeps batch probe and aggregate
-// loops allocation-free per tuple.
-func encodeKey(vals []int32, cols []int, buf []byte) int {
+// projectKey writes the projection of vals onto cols into key, the
+// form every keyIndex lookup takes.
+func projectKey(vals []int32, cols []int, key []int32) {
 	for i, c := range cols {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(vals[c]))
+		key[i] = vals[c]
 	}
-	return 4 * len(cols)
-}
-
-// keyBufFor returns a zeroed key buffer for a cols-wide key, at least 8
-// bytes so narrow keyIndexes can read a full uint64 from it. Buffers
-// must not be shared between differently-shaped keys: a keyIndex relies
-// on the bytes past the encoded key staying zero.
-func keyBufFor(cols []int) []byte {
-	n := 4 * len(cols)
-	if n < 8 {
-		n = 8
-	}
-	return make([]byte, n)
-}
-
-// keyIndex maps encoded keys to dense positions. Keys of at most 8
-// bytes — one- and two-column join and group keys, the overwhelmingly
-// common case — use an integer-keyed map, which hashes without touching
-// memory beyond the key and never allocates on insert; wider keys fall
-// back to a string-keyed map that allocates once per distinct key.
-type keyIndex struct {
-	i64 map[uint64]int // nil when keys are wide
-	str map[string]int
-}
-
-// newKeyIndex returns an index for keys of width keyBytes.
-func newKeyIndex(keyBytes, sizeHint int) *keyIndex {
-	if keyBytes <= 8 {
-		return &keyIndex{i64: make(map[uint64]int, sizeHint)}
-	}
-	return &keyIndex{str: make(map[string]int, sizeHint)}
-}
-
-// get looks up the key encoded in buf[:n]. Narrow reads decode a full
-// uint64 from buf, which is why key buffers are ≥8 bytes and zero past n.
-func (k *keyIndex) get(buf []byte, n int) (int, bool) {
-	if k.i64 != nil {
-		v, ok := k.i64[binary.LittleEndian.Uint64(buf)]
-		return v, ok
-	}
-	v, ok := k.str[string(buf[:n])] // no-alloc map read
-	return v, ok
-}
-
-// put records the key encoded in buf[:n] at position pos.
-func (k *keyIndex) put(buf []byte, n, pos int) {
-	if k.i64 != nil {
-		k.i64[binary.LittleEndian.Uint64(buf)] = pos
-		return
-	}
-	k.str[string(buf[:n])] = pos // allocates the key string once
 }
 
 // batchWriter accumulates output rows and flushes them to a table one
@@ -143,40 +88,59 @@ func (w *batchWriter) flush() error {
 	return w.st.overTemp()
 }
 
-// hashBuild is the build side of a hash join. Row values live
-// in per-batch arena chunks and the key index maps encoded join keys to
-// group positions, so the build pass allocates O(pages + distinct keys)
-// instead of O(rows), and probe lookups allocate nothing at all.
+// hashBuild is the build side of a hash join: the build rows in flat
+// row-major arrays, grouped by join key, and the key index mapping a
+// join key to its group. No per-row or per-group object exists — the
+// build pass makes a handful of allocations whatever the row count, the
+// arrays hold no pointers for the collector to trace, and a probe is one
+// index lookup plus (for repeated keys) one offset read. Once built it
+// is read-only, so concurrent probe leaves share it.
 type hashBuild struct {
-	idx    *keyIndex
-	groups [][]buildRow
+	idx   *keyIndex
+	arity int
+	// off[gi]..off[gi+1] are the rows of key group gi, in build scan
+	// order. nil when every key is unique: row r is then group r.
+	off  []int32
+	vals []int32 // arity values per row
+	meas []float64
 }
 
-// lookup returns the build rows matching the key encoded in buf[:n].
-func (h *hashBuild) lookup(buf []byte, n int) []buildRow {
-	gi, ok := h.idx.get(buf, n)
-	if !ok {
-		return nil
-	}
-	return h.groups[gi]
+// rowSpan is a run of consecutive build rows [lo, hi).
+type rowSpan struct{ lo, hi int32 }
+
+func (s rowSpan) len() int { return int(s.hi - s.lo) }
+
+// row returns build row r's values.
+func (h *hashBuild) row(r int32) []int32 {
+	return h.vals[int(r)*h.arity : (int(r)+1)*h.arity]
 }
 
-// lookupIdx is lookup returning the dense key-group index as well, for
-// callers that cache per-group facts (the fused columnar kernel's
-// span-safety memo). gi is -1 on a miss.
-func (h *hashBuild) lookupIdx(buf []byte, n int) ([]buildRow, int) {
-	gi, ok := h.idx.get(buf, n)
+// lookup returns the build rows matching key and their dense key-group
+// index (for callers that cache per-group facts — the fused kernel's
+// span-safety memo); the span is empty and gi is -1 on a miss.
+func (h *hashBuild) lookup(key []int32) (rows rowSpan, gi int) {
+	gi, ok := h.idx.get(key)
 	if !ok {
-		return nil, -1
+		return rowSpan{}, -1
 	}
-	return h.groups[gi], gi
+	if h.off == nil {
+		return rowSpan{int32(gi), int32(gi) + 1}, gi
+	}
+	return rowSpan{h.off[gi], h.off[gi+1]}, gi
 }
 
 // buildBatch scans build's heap into a hashBuild keyed on buildCols.
 func (e *Engine) buildBatch(ctx context.Context, build *Table, buildCols []int, st *RunStats) (*hashBuild, error) {
-	hb := &hashBuild{idx: newKeyIndex(4*len(buildCols), int(build.Heap.NumTuples()))}
+	n := int(build.Heap.NumTuples())
 	arity := len(build.Attrs)
-	keyBuf := keyBufFor(buildCols)
+	hb := &hashBuild{
+		idx:   newKeyIndex(len(buildCols), n),
+		arity: arity,
+		vals:  make([]int32, 0, n*arity),
+		meas:  make([]float64, 0, n),
+	}
+	gid := make([]int32, 0, n) // key group of each row, in scan order
+	key := make([]int32, len(buildCols))
 	it := e.scanB(ctx, build.Heap)
 	defer it.Close()
 	for {
@@ -188,78 +152,110 @@ func (e *Engine) buildBatch(ctx context.Context, build *Table, buildCols []int, 
 			return nil, err
 		}
 		st.addBatches(1)
-		// One arena chunk per batch: rows are sliced out of a single copy
-		// of the batch's value array, which stays live as long as any of
-		// its rows is referenced from a group.
-		chunk := append([]int32(nil), b.Vals...)
+		hb.vals = append(hb.vals, b.Vals...)
+		hb.meas = append(hb.meas, b.Measures...)
 		for i := 0; i < b.Len(); i++ {
-			row := chunk[i*arity : (i+1)*arity : (i+1)*arity]
-			n := encodeKey(row, buildCols, keyBuf)
-			gi, seen := hb.idx.get(keyBuf, n)
-			if !seen {
-				gi = len(hb.groups)
-				hb.groups = append(hb.groups, nil)
-				hb.idx.put(keyBuf, n, gi)
-			}
-			hb.groups[gi] = append(hb.groups[gi], buildRow{vals: row, measure: b.Measures[i]})
+			projectKey(b.Vals[i*arity:(i+1)*arity], buildCols, key)
+			gi, _ := hb.idx.put(key)
+			gid = append(gid, int32(gi))
 		}
 	}
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
+	if hb.idx.len() < len(gid) {
+		hb.groupRows(gid)
+	}
 	return hb, nil
+}
+
+// groupRows reorders the rows so each key group is contiguous (a stable
+// counting sort on gid, so a group keeps build scan order) and records
+// the group offsets.
+func (h *hashBuild) groupRows(gid []int32) {
+	g := h.idx.len()
+	h.off = make([]int32, g+1)
+	for _, x := range gid {
+		h.off[x+1]++
+	}
+	for i := 0; i < g; i++ {
+		h.off[i+1] += h.off[i]
+	}
+	next := append([]int32(nil), h.off[:g]...)
+	vals := make([]int32, len(h.vals))
+	meas := make([]float64, len(h.meas))
+	for r, x := range gid {
+		d := int(next[x])
+		next[x]++
+		copy(vals[d*h.arity:(d+1)*h.arity], h.vals[r*h.arity:(r+1)*h.arity])
+		meas[d] = h.meas[r]
+	}
+	h.vals, h.meas = vals, meas
 }
 
 // batchAgg is the aggregation state: group keys live row-major in one
 // arena (insertion order — the scan order of first appearance) and the
-// key index maps encoded keys to positions, so absorbing a tuple into an
+// key index maps them to positions, so absorbing a tuple into an
 // existing group allocates nothing.
 type batchAgg struct {
 	idx   *keyIndex
-	vals  []int32 // row-major group keys, arity = len(cols)
+	vals  []int32 // row-major group keys, arity values each
 	meas  []float64
 	arity int
 }
 
 // newBatchAgg returns an empty aggregation over keys of the given arity.
 func newBatchAgg(arity int) *batchAgg {
-	return &batchAgg{idx: newKeyIndex(4*arity, 0), arity: arity}
+	return &batchAgg{idx: newKeyIndex(arity, 0), arity: arity}
 }
 
-// absorb folds one row's measure into its group, creating the group on
-// first sight, and returns the group's position (for memo fast paths
-// that cache positions per dictionary code). buf[:n] holds the row's
-// encoded group key; the group's values are projected from row only
-// when the group is new, so the common absorb-into-existing-group case
-// copies nothing.
-func (a *batchAgg) absorb(e *Engine, buf []byte, n int, row []int32, cols []int, m float64) int {
-	gi, seen := a.idx.get(buf, n)
-	if seen {
+// absorb folds one measure into the group with the given key (the row's
+// group-column values), creating the group on first sight, and returns
+// the group's position (for memo fast paths that cache positions per
+// dictionary code).
+func (a *batchAgg) absorb(e *Engine, key []int32, m float64) int {
+	gi, added := a.group(key)
+	if added {
+		a.meas[gi] = m
+	} else {
 		a.meas[gi] = e.Sr.Add(a.meas[gi], m)
-		return gi
 	}
-	gi = len(a.meas)
-	for _, c := range cols {
-		a.vals = append(a.vals, row[c])
-	}
-	a.meas = append(a.meas, m)
-	a.idx.put(buf, n, gi)
 	return gi
 }
 
+// group returns the position of key's group, appending the group — its
+// measure still to be set by the caller — when key is new.
+func (a *batchAgg) group(key []int32) (gi int, added bool) {
+	gi, added = a.idx.put(key)
+	if added {
+		a.vals = append(a.vals, key...)
+		a.meas = append(a.meas, 0)
+	}
+	return gi, added
+}
+
+// merge absorbs every group of b, in b's first-seen order: b's groups
+// new to a are appended after a's own, and a shared group's measure
+// becomes Add(a's, b's).
+func (a *batchAgg) merge(e *Engine, b *batchAgg) {
+	for g, m := range b.meas {
+		a.absorb(e, b.vals[g*a.arity:(g+1)*a.arity], m)
+	}
+}
+
+// reset empties a for reuse, keeping its allocations.
+func (a *batchAgg) reset() {
+	a.idx.reset()
+	a.vals, a.meas = a.vals[:0], a.meas[:0]
+}
+
 // emit appends the groups to out in first-seen order with one bulk
-// append; locked selects the shared-output path for parallel callers.
-func (a *batchAgg) emit(ctx context.Context, out *Table, locked bool, st *RunStats) error {
+// append.
+func (a *batchAgg) emit(ctx context.Context, out *Table, st *RunStats) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var err error
-	if locked {
-		err = out.LockedAppendRows(a.vals, a.meas)
-	} else {
-		err = out.Heap.AppendRows(a.vals, a.meas)
-	}
-	if err != nil {
+	if err := out.Heap.AppendRows(a.vals, a.meas); err != nil {
 		return err
 	}
 	st.addTempTuples(int64(len(a.meas)))

@@ -13,13 +13,17 @@ import (
 // nothing new.
 type Budget struct {
 	// MaxTempTuples caps the tuples materialized into intermediate
-	// tables (RunStats.TempTuples) — the engine's proxy for a query's
-	// memory and scratch-disk footprint, since every operator output is
-	// a paged materialization. The executor checks the cap inside
+	// tables (RunStats.TempTuples) plus the groups a running hash
+	// aggregation or fused join+aggregate holds in memory, summed over
+	// its in-flight leaves — the engine's proxy for a query's memory and
+	// scratch-disk footprint, since every operator output is a paged
+	// materialization and aggregation state is the one thing that grows
+	// before it is materialized. The executor checks the cap inside
 	// operator loops (the same cadence as cancellation polling, plus
-	// every page-sized batch flush), so a join whose output explodes is
-	// stopped within one poll interval of crossing the line, not after
-	// it finishes. Zero means unbounded.
+	// every page-sized batch flush and every batch boundary of an
+	// aggregation), so a join whose output — or whose group count —
+	// explodes is stopped within one poll interval of crossing the line,
+	// not after it finishes. Zero means unbounded.
 	MaxTempTuples int64
 	// MaxRows caps the result cardinality (RunStats.RowsOut), checked
 	// when the root operator's output is read back. Zero means
@@ -73,11 +77,15 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudget }
 // overTemp checks the temp-tuple bound against the run's shared counter.
 // The atomic load pairs with addTempTuples from parallel workers; serial
 // increments are same-goroutine and need no ordering.
-func (st *RunStats) overTemp() error {
+func (st *RunStats) overTemp() error { return st.overTempWith(0) }
+
+// overTempWith is overTemp counting live more tuples than have been
+// materialized: the groups an aggregation still holds in memory.
+func (st *RunStats) overTempWith(live int64) error {
 	if st.budget.MaxTempTuples <= 0 {
 		return nil
 	}
-	if used := atomic.LoadInt64(&st.TempTuples); used > st.budget.MaxTempTuples {
+	if used := atomic.LoadInt64(&st.TempTuples) + live; used > st.budget.MaxTempTuples {
 		return &BudgetError{Resource: "temp-tuples", Limit: st.budget.MaxTempTuples, Used: used}
 	}
 	return nil

@@ -8,9 +8,9 @@ package exec
 // batch instead of one per row. Row-major pages arrive as all-plain
 // views (storage.ColBatchIterator does the transposition), so they take
 // the same kernels through the plain branches. The canonical hash key is
-// always the 4-bytes-per-column encodeKey through the keyIndex —
-// per-page dictionary codes only short-circuit lookups, never key tables
-// — so mixed columnar/row-major/fallback pages aggregate and join
+// always the decoded column values through the keyIndex — per-page
+// dictionary codes only short-circuit lookups, never key tables — so
+// mixed columnar/row-major/fallback pages aggregate and join
 // consistently. Every kernel emits rows in scan order, and RLE
 // aggregation folds measures in row order within a run — collapsing a
 // measure span in O(1) only when the semiring proves the collapsed
@@ -19,7 +19,6 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 
 	"mpf/internal/semiring"
 	"mpf/internal/storage"
@@ -162,61 +161,48 @@ func (e *Engine) selectColBatch(ctx context.Context, in *Table, cols []int, want
 	return w.flush()
 }
 
-// absorbRun folds one RLE run's measures into the group keyed by
-// buf[:n], in row order — one key lookup for the run, with spans of
+// absorbRun folds one RLE run's measures into the group with the given
+// key, in row order — one key lookup for the run, with spans of
 // repeated measures collapsed in O(1) when the semiring's RunFolder
 // proves the collapse bit-identical to the iterated per-row fold.
-func (a *batchAgg) absorbRun(e *Engine, rf semiring.RunFolder, buf []byte, n int, row []int32, cols []int, meas []float64) {
-	gi, seen := a.idx.get(buf, n)
-	i := 0
-	if !seen {
-		gi = len(a.meas)
-		for _, c := range cols {
-			a.vals = append(a.vals, row[c])
-		}
-		a.meas = append(a.meas, meas[0])
-		a.idx.put(buf, n, gi)
-		i = 1
+func (a *batchAgg) absorbRun(e *Engine, rf semiring.RunFolder, key []int32, meas []float64) {
+	gi, added := a.group(key)
+	if added {
+		a.meas[gi], meas = meas[0], meas[1:]
 	}
-	a.meas[gi] = foldMeasures(e.Sr, rf, a.meas[gi], meas[i:])
+	a.meas[gi] = foldMeasures(e.Sr, rf, a.meas[gi], meas)
 }
 
-// aggregateColBatch runs one encoded hash-aggregation pass over in. A
-// single-column group key hits the encoding fast paths (one lookup per
-// RLE run, one lookup per distinct byte/dict code per batch); wider keys
-// gather rows and use the canonical path.
-func (e *Engine) aggregateColBatch(ctx context.Context, in *Table, cols []int, st *RunStats) (*batchAgg, error) {
-	agg := newBatchAgg(len(cols))
+// aggregateColBatch is one leaf of the encoded hash aggregation: it
+// folds the batches of it, grouped on cols, into agg. A single-column
+// group key hits the encoding fast paths (one lookup per RLE run, one
+// lookup per distinct byte/dict code per batch); wider keys gather the
+// key columns and use the canonical path.
+func (e *Engine) aggregateColBatch(ctx context.Context, it *storage.ColBatchIterator, cols []int, agg *batchAgg, lb *leafBudget, st *RunStats) error {
 	rf := e.runFolder()
-	keyBuf := keyBufFor(cols)
-	rowBuf := make([]int32, len(in.Attrs)) // only the cols positions are ever set
-	kf := make([][]int32, 0, len(cols))    // flattened key columns
+	key := make([]int32, len(cols))
+	kf := make([][]int32, 0, len(cols)) // flattened key columns
 	single := len(cols) == 1
 	var memo [256]int32 // group position + 1 per code, per batch
-	it := e.scanCB(ctx, in.Heap)
-	defer it.Close()
 	for {
 		cb, ok := it.Next()
 		if !ok {
-			break
+			return nil
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		st.addBatches(1)
 		if single {
-			c := cols[0]
-			v := &cb.Cols[c]
+			v := &cb.Cols[cols[0]]
 			switch v.Enc {
 			case storage.EncRLE:
 				i := 0
 				for _, r := range v.Runs {
-					binary.LittleEndian.PutUint32(keyBuf, uint32(r.Val))
-					rowBuf[c] = r.Val
-					agg.absorbRun(e, rf, keyBuf, 4, rowBuf, cols, cb.Measures[i:i+r.Len])
+					key[0] = r.Val
+					agg.absorbRun(e, rf, key, cb.Measures[i:i+r.Len])
 					i += r.Len
 				}
-				continue
 			case storage.EncByte, storage.EncDict:
 				ncodes := len(v.Dict)
 				if v.Enc == storage.EncByte {
@@ -230,35 +216,35 @@ func (e *Engine) aggregateColBatch(ctx context.Context, in *Table, cols []int, s
 						agg.meas[gi-1] = e.Sr.Add(agg.meas[gi-1], cb.Measures[i])
 						continue
 					}
-					val := int32(code)
+					key[0] = int32(code)
 					if v.Enc == storage.EncDict {
-						val = v.Dict[code]
+						key[0] = v.Dict[code]
 					}
-					binary.LittleEndian.PutUint32(keyBuf, uint32(val))
-					rowBuf[c] = val
-					memo[code] = int32(agg.absorb(e, keyBuf, 4, rowBuf, cols, cb.Measures[i])) + 1
+					memo[code] = int32(agg.absorb(e, key, cb.Measures[i])) + 1
 				}
-				continue
+			default:
+				for i, val := range v.Plain {
+					key[0] = val
+					agg.absorb(e, key, cb.Measures[i])
+				}
+			}
+		} else {
+			// Only the key columns are read, so only they are flattened.
+			kf = kf[:0]
+			for _, c := range cols {
+				kf = append(kf, cb.Cols[c].Flat())
+			}
+			for i := 0; i < cb.Len(); i++ {
+				for k := range kf {
+					key[k] = kf[k][i]
+				}
+				agg.absorb(e, key, cb.Measures[i])
 			}
 		}
-		// Only the key columns are read downstream (encodeKey, absorb), so
-		// only they are flattened and gathered.
-		kf = kf[:0]
-		for _, c := range cols {
-			kf = append(kf, cb.Cols[c].Flat())
-		}
-		for i := 0; i < cb.Len(); i++ {
-			for k, c := range cols {
-				rowBuf[c] = kf[k][i]
-			}
-			n := encodeKey(rowBuf, cols, keyBuf)
-			agg.absorb(e, keyBuf, n, rowBuf, cols, cb.Measures[i])
+		if err := lb.check(agg); err != nil {
+			return err
 		}
 	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return agg, nil
 }
 
 // hashJoinIntoColBatch is the encoded in-memory-build hash join: build
@@ -280,10 +266,10 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 	w := newBatchWriter(out, true, st)
 	rowBuf := make([]int32, len(out.Attrs))
 	fbuf := make([][]int32, 0, len(probe.Attrs))
-	keyBuf := keyBufFor(probeCols)
+	key := make([]int32, len(probeCols))
 	nl := len(l.Attrs)
 	single := len(probeCols) == 1
-	var memo [256][]buildRow // matches per code, per batch
+	var memo [256]rowSpan // matches per code, per batch
 	var memoSet [256]bool
 	var kf [][]int32  // flattened key columns (multi-column path)
 	var spanIdx []int // per-key-column run cursor (all-RLE path)
@@ -300,7 +286,7 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 		}
 		st.addBatches(1)
 		var fs [][]int32 // flattened on first match: all-miss batches skip decode
-		emitAt := func(rows []buildRow, i int, pm float64) error {
+		emitAt := func(rows rowSpan, i int, pm float64) error {
 			if fs == nil {
 				fs = flatCols(cb, fbuf)
 				fbuf = fs
@@ -309,9 +295,9 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 				for j, c := range rExtra {
 					rowBuf[nl+j] = fs[c][i]
 				}
-				for _, br := range rows {
-					copy(rowBuf[:nl], br.vals)
-					if err := w.append(rowBuf, e.Sr.Mul(br.measure, pm)); err != nil {
+				for r := rows.lo; r < rows.hi; r++ {
+					copy(rowBuf[:nl], hb.row(r))
+					if err := w.append(rowBuf, e.Sr.Mul(hb.meas[r], pm)); err != nil {
 						return err
 					}
 				}
@@ -320,19 +306,21 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 			for c := 0; c < nl; c++ {
 				rowBuf[c] = fs[c][i]
 			}
-			for _, br := range rows {
+			for r := rows.lo; r < rows.hi; r++ {
+				bv := hb.row(r)
 				for j, c := range rExtra {
-					rowBuf[nl+j] = br.vals[c]
+					rowBuf[nl+j] = bv[c]
 				}
-				if err := w.append(rowBuf, e.Sr.Mul(pm, br.measure)); err != nil {
+				if err := w.append(rowBuf, e.Sr.Mul(pm, hb.meas[r])); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		lookup1 := func(val int32) []buildRow {
-			binary.LittleEndian.PutUint32(keyBuf, uint32(val))
-			return hb.lookup(keyBuf, 4)
+		lookup1 := func(val int32) rowSpan {
+			key[0] = val
+			rows, _ := hb.lookup(key)
+			return rows
 		}
 		if single {
 			v := &cb.Cols[probeCols[0]]
@@ -341,7 +329,7 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 				i := 0
 				for _, r := range v.Runs {
 					rows := lookup1(r.Val)
-					if len(rows) == 0 {
+					if rows.len() == 0 {
 						i += r.Len
 						continue
 					}
@@ -371,7 +359,7 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 						memoSet[code] = true
 					}
 					rows := memo[code]
-					if len(rows) == 0 {
+					if rows.len() == 0 {
 						continue
 					}
 					if err := emitAt(rows, i, cb.Measures[i]); err != nil {
@@ -402,12 +390,12 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 			for i := 0; i < n; {
 				span := n - i
 				for k, c := range probeCols {
-					binary.LittleEndian.PutUint32(keyBuf[4*k:], uint32(cb.Cols[c].Runs[spanIdx[k]].Val))
+					key[k] = cb.Cols[c].Runs[spanIdx[k]].Val
 					if spanRem[k] < span {
 						span = spanRem[k]
 					}
 				}
-				if rows := hb.lookup(keyBuf, 4*len(probeCols)); len(rows) != 0 {
+				if rows, _ := hb.lookup(key); rows.len() != 0 {
 					for j := i; j < i+span; j++ {
 						if err := emitAt(rows, j, cb.Measures[j]); err != nil {
 							return err
@@ -431,10 +419,10 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 		}
 		for i := 0; i < n; i++ {
 			for k := range kf {
-				binary.LittleEndian.PutUint32(keyBuf[4*k:], uint32(kf[k][i]))
+				key[k] = kf[k][i]
 			}
-			rows := hb.lookup(keyBuf, 4*len(probeCols))
-			if len(rows) == 0 {
+			rows, _ := hb.lookup(key)
+			if rows.len() == 0 {
 				continue
 			}
 			if err := emitAt(rows, i, cb.Measures[i]); err != nil {

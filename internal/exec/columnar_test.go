@@ -86,12 +86,10 @@ func TestColumnarPipelineMatchesRowMajor(t *testing.T) {
 
 				rm := newHarness(t, 4096, a, b)
 				rm.engine.Parallelism = parallelism
-				rm.engine.ParallelGroupByMinTuples = 1
 				wantRel, _ := rm.run(t, pipelinePlan(t, rm.builder()))
 
 				ch := columnarHarness(t, 4096, a, b)
 				ch.engine.Parallelism = parallelism
-				ch.engine.ParallelGroupByMinTuples = 1
 				gotRel, _ := ch.run(t, pipelinePlan(t, ch.builder()))
 
 				if !relation.Equal(wantRel, gotRel, 0, 0) {
@@ -173,7 +171,6 @@ func TestMorselStatsAttribution(t *testing.T) {
 	a, b := smallDomainRels(71)
 	h := newHarness(t, 4096, a, b)
 	h.engine.Parallelism = 4
-	h.engine.ParallelGroupByMinTuples = 1
 	h.engine.HashJoinMaxBuild = 16 // force Grace so ProductJoin morsels exist
 	_, st := h.run(t, pipelinePlan(t, h.builder()))
 	kinds := make(map[string]MorselStat, len(st.Morsels))

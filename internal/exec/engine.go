@@ -36,29 +36,29 @@ type Engine struct {
 	// so operator IO matches the paper's materializing cost model.
 	FuseJoinGroupBy bool
 	// Parallelism bounds the worker goroutines used inside a single query:
-	// Grace-join partition pairs, partitioned hash group-by, and external
-	// sort run generation all fan out across this many workers. 0 or 1
-	// preserves today's strictly serial execution. Parallel execution of a
-	// plan produces the same result relation, and (absent buffer-pool
+	// Grace-join partition pairs, the leaves of hash group-by and of the
+	// fused join+aggregate probe, and external sort run generation all fan
+	// out across this many workers. 0 or 1 runs the same morsels serially
+	// on the calling goroutine. Aggregation folds in leaf order whatever
+	// the worker count (foldLeaves), so parallel execution of a plan
+	// produces the bit-identical result relation, and (absent buffer-pool
 	// eviction) the same physical IO counts, as serial execution.
 	Parallelism int
-	// ParallelGroupByMinTuples is the minimum input size (in tuples) for
-	// the partitioned parallel group-by; smaller inputs aggregate serially
-	// because the extra partition pass would dominate. Zero selects a
-	// default of 1<<13.
-	ParallelGroupByMinTuples int
 	// ReadAhead makes sequential scans declare themselves to the buffer
 	// pool, which prefetches up to this many pages ahead of the scan
 	// position. 0 (the default) disables read-ahead so physical IO counts
 	// reproduce the paper's cost model exactly; see Pool.Prefetch for the
 	// accounting when enabled.
 	ReadAhead int
-	// Columnar is a page-layout choice for intermediate heaps: when set,
-	// every temp page is re-encoded in the columnar format as it fills
-	// (storage.SetColumnar). It does not select kernels — every operator
-	// runs the encoded-batch kernels, which see row-major pages as
-	// all-plain column views — so results are byte-identical and page
-	// counts (and so IO) unchanged either way.
+	// Columnar is a page-layout choice for the operator outputs the
+	// result cache keeps: when set, their pages are re-encoded in the
+	// columnar format as they fill (storage.SetColumnar), because later
+	// queries re-read them. Every other temp — join outputs, Grace
+	// partitions, sort runs, the plan root's result — is read once and
+	// stays row-major whatever this says. It does not select kernels —
+	// every operator runs the encoded-batch kernels, which see row-major
+	// pages as all-plain column views — so results are byte-identical and
+	// page counts (and so IO) unchanged either way.
 	Columnar bool
 }
 
@@ -293,7 +293,7 @@ func (e *Engine) exec(ctx context.Context, p *plan.Node, env *runEnv, depth int)
 		env.cache.Miss()
 		env.st.CacheMisses++
 	}
-	out, childWall, childIO, err := e.execOp(ctx, p, env, depth)
+	out, childWall, childIO, err := e.execOp(ctx, p, env, depth, cacheable)
 	if err == nil && out != nil {
 		// Operator-boundary budget backstop: loops enforce the temp-tuple
 		// bound at poll/flush cadence; this catches paths that only tally
@@ -401,20 +401,17 @@ func opKind(p *plan.Node) string {
 
 // execOp dispatches one operator. The returned duration and stats sum
 // the inclusive wall time and IO of the operator's direct children,
-// letting exec compute exclusive self figures. At the plan root, the
-// operator body runs under a root-output marker (see newOutTemp):
-// children still execute unmarked, so only the final output heap skips
-// columnar re-encoding.
-func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth int) (*Table, time.Duration, storage.Stats, error) {
+// letting exec compute exclusive self figures. cacheable says exec will
+// register the node's output with the result cache: the operator body
+// then runs under a cached-output marker (see newOutTemp), while
+// children still execute unmarked, so only that output heap is
+// columnar-encoded.
+func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth int, cacheable bool) (*Table, time.Duration, storage.Stats, error) {
 	st := env.st
 	st.Operators++
 	bctx := ctx
-	if depth == 0 {
-		// Cache-registered outputs are re-read by later queries — possibly
-		// through the encoded kernels — so they keep encoding.
-		if _, cacheable := env.cacheKey(p); !cacheable {
-			bctx = context.WithValue(ctx, rootOutCtxKey{}, true)
-		}
+	if cacheable {
+		bctx = context.WithValue(ctx, cachedOutCtxKey{}, true)
 	}
 	switch p.Op {
 	case plan.OpScan:
@@ -491,29 +488,25 @@ func (e *Engine) newTemp(ctx context.Context, name string, attrs []relation.Attr
 		return nil, err
 	}
 	h.SetContext(ctx)
-	h.SetColumnar(e.Columnar)
 	return &Table{Name: name, Attrs: attrs, Heap: h, temp: true}, nil
 }
 
-// rootOutCtxKey marks an operator-body context whose output temp is the
-// plan root's result: it is read back exactly once (row-at-a-time) and
-// dropped, so columnar re-encoding it is pure overhead. execOp sets the
-// marker only around the depth-0 operator body of non-cacheable plans —
-// cache-registered outputs are re-scanned by later queries and keep
-// encoding, as do intra-operator scratch temps (Grace partitions, sort
-// runs), which are created through newTemp and never see the marker.
-type rootOutCtxKey struct{}
+// cachedOutCtxKey marks an operator-body context whose output temp the
+// result cache will adopt: later queries re-scan it, so encoding it pays.
+// Every other temp — an output consumed by exactly one parent, the plan
+// root's result, intra-operator scratch (Grace partitions, sort runs,
+// created through newTemp) — is written once, read once and dropped, and
+// re-encoding it is pure overhead.
+type cachedOutCtxKey struct{}
 
-// newOutTemp creates an operator's output temp, leaving the heap
-// row-major when ctx carries the root-output marker.
+// newOutTemp creates an operator's output temp, row-major unless
+// Engine.Columnar is set and ctx carries the cached-output marker.
 func (e *Engine) newOutTemp(ctx context.Context, name string, attrs []relation.Attr) (*Table, error) {
 	t, err := e.newTemp(ctx, name, attrs)
 	if err != nil {
 		return nil, err
 	}
-	if ctx.Value(rootOutCtxKey{}) != nil {
-		t.Heap.SetColumnar(false)
-	}
+	t.Heap.SetColumnar(e.Columnar && ctx.Value(cachedOutCtxKey{}) != nil)
 	return t, nil
 }
 
@@ -604,12 +597,6 @@ func joinSchema(l, r *Table) (lCols, rCols, rExtra []int, outAttrs []relation.At
 	return lCols, rCols, rExtra, outAttrs, nil
 }
 
-// buildRow is one hash-table entry of a hash join's build side.
-type buildRow struct {
-	vals    []int32
-	measure float64
-}
-
 // hashJoin implements the product join by building an in-memory hash
 // table on the smaller input and probing with the larger; when even the
 // smaller input exceeds the build cap, the Grace partitioned strategy is
@@ -673,24 +660,30 @@ func groupSchema(in *Table, groupVars []string) (cols []int, outAttrs []relation
 	return cols, outAttrs, nil
 }
 
-// hashGroupBy implements marginalization with in-memory hash aggregation.
+// hashGroupBy implements marginalization with in-memory hash
+// aggregation, leaf by leaf (foldLeaves).
 func (e *Engine) hashGroupBy(ctx context.Context, in *Table, groupVars []string, st *RunStats) (*Table, error) {
 	cols, outAttrs, err := groupSchema(in, groupVars)
 	if err != nil {
 		return nil, err
 	}
-	if e.workers() > 1 && len(cols) > 0 && in.Heap.NumTuples() >= e.parallelGroupByMin() {
-		return e.parallelHashGroupBy(ctx, in, cols, outAttrs, st)
-	}
-	agg, err := e.aggregateColBatch(ctx, in, cols, st)
+	agg, err := e.foldLeaves(ctx, "GroupBy", in.Heap, len(cols), st,
+		func(it *storage.ColBatchIterator, agg *batchAgg, lb *leafBudget) error {
+			return e.aggregateColBatch(ctx, it, cols, agg, lb, st)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.newOutTemp(ctx, "γ("+in.Name+")", outAttrs)
+	return e.emitAgg(ctx, agg, "γ("+in.Name+")", outAttrs, st)
+}
+
+// emitAgg materializes an aggregation's groups as an operator output.
+func (e *Engine) emitAgg(ctx context.Context, agg *batchAgg, name string, attrs []relation.Attr, st *RunStats) (*Table, error) {
+	out, err := e.newOutTemp(ctx, name, attrs)
 	if err != nil {
 		return nil, err
 	}
-	if err := agg.emit(ctx, out, false, st); err != nil {
+	if err := agg.emit(ctx, out, st); err != nil {
 		out.Drop()
 		return nil, err
 	}

@@ -51,7 +51,7 @@ func (e *Engine) fusedJoinGroupBy(ctx context.Context, l, r *Table, groupVars []
 		buildCols, probeCols = rCols, lCols
 		buildIsLeft = false
 	}
-	return e.fusedColBatch(ctx, l, r, build, probe, buildCols, probeCols, rExtra, groupCols, aggAttrs, buildIsLeft, len(outAttrs), st)
+	return e.fusedColBatch(ctx, l, r, build, probe, buildCols, probeCols, rExtra, groupCols, aggAttrs, buildIsLeft, st)
 }
 
 // errGroupVar builds the standard missing-group-variable error.

@@ -6,6 +6,7 @@ import (
 
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
+	"mpf/internal/storage"
 )
 
 // fuseRels builds the join inputs for the fused-columnar tests: a wide
@@ -80,21 +81,66 @@ func TestFusedColumnarMatchesRowFused(t *testing.T) {
 }
 
 // TestFusedColumnarMatchesUnfused cross-checks against the fully
-// materializing pipeline (join temp + hash aggregate), which computes
-// the same folds in the same tuple order.
+// materializing pipeline (join temp + hash aggregate). The two fold the
+// same products but cut them into leaves differently — the fused kernel
+// by pages of the probe, the pipeline by pages of the join output — so
+// the contract has three tiers: while the join output fits one leaf
+// both fold in plain scan order and are bit-equal; beyond that they stay
+// bit-equal wherever Add is exact (min, max, or, and float sums of
+// integers inside 2^53), and agree to 1e-12 relative otherwise.
 func TestFusedColumnarMatchesUnfused(t *testing.T) {
 	a, b := fuseRels(51)
-	for _, groupVars := range [][]string{{"X"}, {"W"}, {"X", "V"}, nil} {
-		ph := newHarness(t, 4096, a, b)
-		ph.engine.FuseJoinGroupBy = false
-		plain := fusedGroupPlan(t, ph, "a", "b", groupVars)
+	// One leaf: the first 400 rows of a join to fewer than leafPages pages.
+	small := relation.MustNew("a", a.Attrs())
+	for i := 0; i < 400; i++ {
+		small.MustAppend(a.Row(i), a.Measure(i))
+	}
+	// Integral measures: every product and partial sum is an exact integer.
+	integral := func(r *relation.Relation) *relation.Relation {
+		out := relation.MustNew(r.Name(), r.Attrs())
+		for i := 0; i < r.Len(); i++ {
+			out.MustAppend(r.Row(i), float64(1+i%9))
+		}
+		return out
+	}
+	exact := []semiring.Semiring{semiring.MinProduct, semiring.MaxProduct, semiring.MinSum, semiring.MaxSum, semiring.BoolOrAnd}
+	cases := []struct {
+		name      string
+		a, b      *relation.Relation
+		srs       []semiring.Semiring
+		tol       float64
+		multiLeaf bool
+	}{
+		{"one leaf", small, b, []semiring.Semiring{semiring.SumProduct, semiring.LogSumExp}, 0, false},
+		{"exact adds", a, b, exact, 0, true},
+		{"integer sums", integral(a), integral(b), []semiring.Semiring{semiring.SumProduct}, 0, true},
+		{"float sums", a, b, []semiring.Semiring{semiring.SumProduct, semiring.LogSumExp}, 1e-12, true},
+	}
+	for _, tc := range cases {
+		for _, sr := range tc.srs {
+			for _, groupVars := range [][]string{{"X"}, {"W"}, {"X", "V"}, nil} {
+				ph := newHarness(t, 4096, tc.a, tc.b)
+				ph.engine.Sr = sr
+				pb := ph.builder()
+				sa, _ := pb.Scan("a")
+				sb, _ := pb.Scan("b")
+				joined, _ := ph.run(t, pb.Join(sa, sb))
+				pages := storage.PagesFor(joined.Arity(), int64(joined.Len()))
+				if (pages > leafPages) != tc.multiLeaf {
+					t.Fatalf("%s: join output of %d pages, multi-leaf = %v expected", tc.name, pages, tc.multiLeaf)
+				}
+				plain := fusedGroupPlan(t, ph, "a", "b", groupVars)
 
-		ch := columnarHarness(t, 4096, a, b)
-		ch.engine.FuseJoinGroupBy = true
-		fused := fusedGroupPlan(t, ch, "a", "b", groupVars)
+				ch := columnarHarness(t, 4096, tc.a, tc.b)
+				ch.engine.Sr = sr
+				ch.engine.FuseJoinGroupBy = true
+				fused := fusedGroupPlan(t, ch, "a", "b", groupVars)
 
-		if !relation.Equal(plain, fused, 0, 0) {
-			t.Fatalf("group %v: fused columnar differs from unfused pipeline", groupVars)
+				if !relation.Equal(plain, fused, sr.Zero(), tc.tol) {
+					t.Fatalf("%s, %s, group %v: fused columnar differs from unfused pipeline beyond %g",
+						tc.name, sr.Name(), groupVars, tc.tol)
+				}
+			}
 		}
 	}
 }

@@ -14,22 +14,21 @@ import (
 )
 
 // pageLayout is one physical arrangement of the pages the kernels read:
-// how base tables are loaded and which layout the engine writes its
-// temps in. Every layout runs the same kernels.
+// how base tables are loaded. Every layout runs the same kernels, and
+// read-once temps are row-major under all of them.
 type pageLayout struct {
 	name string
 	// pageColumnar reports whether base-table page pageNo is written with
 	// the columnar switch on (only pages that fill are ever encoded).
 	pageColumnar func(pageNo int) bool
-	// temps is Engine.Columnar: the layout of intermediate heaps.
+	// temps is Engine.Columnar: the layout of cache-registered outputs.
 	temps bool
 }
 
 // kernelLayouts are the layouts the kernel test sweeps. Under "columnar"
 // table a (an exact page multiple) is encoded throughout and table b is
 // encoded full pages followed by its row-major partial page; "mixed"
-// alternates row-major and encoded pages inside one heap and writes
-// row-major temps, so encoded inputs feed plain intermediates.
+// alternates row-major and encoded pages inside one heap.
 var kernelLayouts = []pageLayout{
 	{"rowmajor", func(int) bool { return false }, false},
 	{"columnar", func(int) bool { return true }, true},
@@ -95,7 +94,9 @@ func kernelRels(t testing.TB) (a, b, c *relation.Relation) {
 // over every page layout, serially and with four workers, agrees with
 // the in-memory relation reference; all six runs of one operator are
 // bit-identical to each other with equal intermediate-tuple counts; and
-// serial and parallel runs of one layout do the same physical IO.
+// serial and parallel runs of one layout do the same physical IO. These
+// inputs fit one aggregation leaf; the multi-leaf subtest sweeps the
+// leaf-order fold of hash aggregation and the fused probe.
 func TestKernelsAcrossLayouts(t *testing.T) {
 	a, b, c := kernelRels(t)
 	sr := semiring.SumProduct
@@ -187,13 +188,12 @@ func TestKernelsAcrossLayouts(t *testing.T) {
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
 			var first *relation.Relation
-			firstTemp := map[int]int64{} // by worker count: the partitioned group-by adds a partition pass
+			firstTemp := int64(-1)
 			for _, l := range kernelLayouts {
 				var serialIO storage.Stats
 				for _, workers := range []int{0, 4} {
 					h := layoutHarness(t, l, a, b, c)
 					h.engine.Parallelism = workers
-					h.engine.ParallelGroupByMinTuples = 1
 					if op.setup != nil {
 						op.setup(h.engine)
 					}
@@ -207,11 +207,11 @@ func TestKernelsAcrossLayouts(t *testing.T) {
 					if !relation.Equal(first, got, 0, 0) {
 						t.Fatalf("%s workers=%d: result not bit-identical to %s serial", l.name, workers, kernelLayouts[0].name)
 					}
-					if _, seen := firstTemp[workers]; !seen {
-						firstTemp[workers] = st.TempTuples
+					if firstTemp < 0 {
+						firstTemp = st.TempTuples
 					}
-					if st.TempTuples != firstTemp[workers] {
-						t.Fatalf("%s workers=%d: TempTuples %d, want %d", l.name, workers, st.TempTuples, firstTemp[workers])
+					if st.TempTuples != firstTemp {
+						t.Fatalf("%s workers=%d: TempTuples %d, want %d", l.name, workers, st.TempTuples, firstTemp)
 					}
 					if st.Batches == 0 {
 						t.Fatalf("%s workers=%d: no batches counted", l.name, workers)
@@ -225,11 +225,155 @@ func TestKernelsAcrossLayouts(t *testing.T) {
 						t.Fatalf("%s workers=%d: %d frames left pinned", l.name, workers, n)
 					}
 					if es := h.pool.EncodingStats(); l.name != "rowmajor" && es.PagesEncoded == 0 {
-						t.Fatalf("%s: no pages encoded — encoded branches not exercised", l.name)
+						t.Fatalf("%s: no base-table pages encoded — encoded branches not exercised", l.name)
 					}
 				}
 			}
 		})
+	}
+	t.Run("multi-leaf", testLeafFoldAcrossLayouts)
+}
+
+// leafRels builds the multi-leaf inputs: a probe p(K,G,H,D) of more than
+// two leaves (D has domain 1), its first half in key order — so K
+// run-length encodes — and its second half shuffled — so it does not —
+// plus the build sides: q(K,W) with several rows per key, q1(K,V) with
+// exactly one, a three-row c(U) sharing no variable with p, the empty
+// e(K,E) and e2(K,F), and the one-row o1(K,A) and o2(K,B).
+func leafRels(t testing.TB) map[string]*relation.Relation {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	attr := func(name string, domain int) relation.Attr { return relation.Attr{Name: name, Domain: domain} }
+	measure := relation.UniformMeasure(0.1, 5)
+	sorted, _ := relation.Random(rng, "p", []relation.Attr{attr("K", 40), attr("G", 30), attr("H", 25), attr("D", 1)}, 0.8, measure)
+	if pages := sorted.Len() / storage.TuplesPerPage(4); pages < 2*leafPages {
+		t.Fatalf("probe relation has %d full pages, need more than %d for three leaves", pages, 2*leafPages)
+	}
+	order := rng.Perm(sorted.Len() / 2)
+	p := relation.MustNew("p", sorted.Attrs())
+	for i := 0; i < sorted.Len(); i++ {
+		src := i
+		if half := sorted.Len() - len(order); i >= half {
+			src = half + order[i-half]
+		}
+		p.MustAppend(sorted.Row(src), sorted.Measure(src))
+	}
+	q, _ := relation.Random(rng, "q", []relation.Attr{attr("K", 40), attr("W", 6)}, 0.5, measure)
+	q1, _ := relation.Random(rng, "q1", []relation.Attr{attr("K", 40)}, 0.9, measure)
+	q1v := relation.MustNew("q1", []relation.Attr{attr("K", 40), attr("V", 7)})
+	for i := 0; i < q1.Len(); i++ {
+		q1v.MustAppend([]int32{q1.Row(i)[0], int32(rng.Intn(7))}, q1.Measure(i))
+	}
+	c, _ := relation.Complete("c", []relation.Attr{attr("U", 3)}, func([]int32) float64 { return measure(rng) })
+	o1 := relation.MustNew("o1", []relation.Attr{attr("K", 40), attr("A", 4)})
+	o1.MustAppend([]int32{7, 2}, 1.5)
+	o2 := relation.MustNew("o2", []relation.Attr{attr("K", 40), attr("B", 4)})
+	o2.MustAppend([]int32{7, 3}, 0.25)
+	rels := map[string]*relation.Relation{
+		"p": p, "q": q, "q1": q1v, "c": c, "o1": o1, "o2": o2,
+		"e":  relation.MustNew("e", []relation.Attr{attr("K", 40), attr("E", 4)}),
+		"e2": relation.MustNew("e2", []relation.Attr{attr("K", 40), attr("F", 4)}),
+	}
+	return rels
+}
+
+// testLeafFoldAcrossLayouts is the fold-order contract of foldLeaves: an
+// aggregation whose input spans several leaves folds in leaf order at
+// every worker count, so for each operator shape and each semiring all
+// fifteen runs — three page layouts × Parallelism 0, 2, 3, 4, 8 — are
+// bit-identical to each other, agree with the in-memory relation
+// reference to 1e-12 relative (the reference folds in row order, the
+// engine in leaf order), report equal TempTuples and leave no frame
+// pinned.
+func testLeafFoldAcrossLayouts(t *testing.T) {
+	rels := leafRels(t)
+	all := make([]*relation.Relation, 0, len(rels))
+	for _, name := range []string{"p", "q", "q1", "c", "e", "e2", "o1", "o2"} {
+		all = append(all, rels[name])
+	}
+	cases := []struct {
+		name        string
+		left, right string // right == "" for a plain group-by of left
+		group       []string
+	}{
+		{"fused probe-side key", "p", "q", []string{"G"}},
+		{"fused build-side key", "p", "q", []string{"W"}},
+		{"fused keys on both sides", "p", "q", []string{"H", "W"}},
+		{"fused join key, build on the left", "q", "p", []string{"K"}},
+		{"fused key-less", "p", "c", []string{"G", "U"}},
+		{"fused total aggregate", "p", "q", nil},
+		{"fused every row its own group", "p", "q1", []string{"K", "G", "H"}},
+		{"fused all rows one group (domain 1)", "p", "q", []string{"D"}},
+		{"fused empty build", "p", "e", []string{"G"}},
+		{"fused empty probe", "e", "e2", []string{"E"}},
+		{"fused one-row tables", "o1", "o2", []string{"A"}},
+		{"group-by 1 column", "p", "", []string{"K"}},
+		{"group-by 2 columns", "p", "", []string{"G", "H"}},
+		{"group-by 3 columns", "p", "", []string{"K", "G", "D"}},
+		{"group-by total", "p", "", nil},
+		{"group-by empty input", "e", "", []string{"E"}},
+	}
+	harnesses := make([]*harness, len(kernelLayouts))
+	for i, l := range kernelLayouts {
+		harnesses[i] = layoutHarness(t, l, all...)
+		harnesses[i].engine.FuseJoinGroupBy = true
+	}
+	for _, tc := range cases {
+		for _, sr := range semiring.All() {
+			t.Run(tc.name+"/"+sr.Name(), func(t *testing.T) {
+				in := rels[tc.left]
+				if tc.right != "" {
+					var err error
+					if in, err = relation.ProductJoin(sr, rels[tc.left], rels[tc.right]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := relation.Marginalize(sr, in, tc.group)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var first *relation.Relation
+				var firstTemp int64
+				for i, l := range kernelLayouts {
+					h := harnesses[i]
+					h.engine.Sr = sr
+					for _, workers := range []int{0, 2, 3, 4, 8} {
+						h.engine.Parallelism = workers
+						pb := h.builder()
+						node, err := pb.Scan(tc.left)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if tc.right != "" {
+							r, err := pb.Scan(tc.right)
+							if err != nil {
+								t.Fatal(err)
+							}
+							node = pb.Join(node, r)
+						}
+						if node, err = pb.GroupBy(node, tc.group); err != nil {
+							t.Fatal(err)
+						}
+						got, st := h.run(t, node)
+						if !relation.Equal(want, got, sr.Zero(), 1e-12) {
+							t.Fatalf("%s workers=%d: result differs from the relation reference", l.name, workers)
+						}
+						if first == nil {
+							first, firstTemp = got, st.TempTuples
+						}
+						if !relation.Equal(first, got, sr.Zero(), 0) {
+							t.Fatalf("%s workers=%d: result not bit-identical to %s serial", l.name, workers, kernelLayouts[0].name)
+						}
+						if st.TempTuples != firstTemp {
+							t.Fatalf("%s workers=%d: TempTuples %d, want %d", l.name, workers, st.TempTuples, firstTemp)
+						}
+						if n := h.pool.Pinned(); n != 0 {
+							t.Fatalf("%s workers=%d: %d frames left pinned", l.name, workers, n)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,0 +1,273 @@
+package exec
+
+// keyIndex maps join and group keys — short vectors of int32 column
+// values — to dense positions 0, 1, 2, … in first-put order. It backs
+// the hash-join build table and the aggregation state, so hash join,
+// hash group-by and the fused join+aggregate all probe it once per
+// lookup.
+//
+// One open-addressing table serves every key width: power-of-two
+// capacity, Fibonacci (multiplicative) hashing, linear probing, the
+// 64-bit table keys in one slice and the positions in a parallel
+// []int32 whose zero value marks an empty slot — so no key value is
+// reserved as a sentinel. Keys of at most two columns are packed
+// straight into the 64-bit table key; wider keys store a 64-bit hash of
+// their values there and are confirmed against a by-position copy of
+// the full key, so no lookup or insert allocates per key.
+//
+// Single-column keys start in a dense direct-address mode: positions
+// live in an array indexed by value − lo. The index keeps that mode
+// while the observed value range stays within denseSlack × the entry
+// count (or denseFloor, for small indexes) — supply-chain ids and
+// Bayesian-network domains are dense — and rehashes into the table the
+// moment a key falls outside it. The switch is one-way.
+type keyIndex struct {
+	ncols int
+	n     int // entries so far; the position the next new key gets
+	hint  int // expected entries, sizing the first table allocation
+
+	// Table mode.
+	keys  []uint64 // packed key (ncols ≤ 2) or hash of the key (wider)
+	pos   []int32  // position + 1 per slot; 0 marks an empty slot
+	shift uint     // 64 − log2(len(keys))
+	wide  []int32  // ncols > 2: full keys row-major by position
+
+	// Dense mode (ncols == 1 until the first out-of-range key).
+	isDense    bool
+	dense      []int32 // position + 1 by value − lo; 0 marks absent
+	lo         int64   // value of dense[0]
+	kmin, kmax int64   // observed value range (valid when n > 0)
+}
+
+const (
+	// denseSlack and denseFloor bound the dense mode: the observed value
+	// range may span at most denseSlack slots per entry, or denseFloor
+	// slots (256 KiB of positions) whatever the entry count.
+	denseSlack = 4
+	denseFloor = 1 << 16
+	// maxKeyIndexHint caps the table preallocated from a size hint, so a
+	// huge (or hostile) hint costs at most a few MiB up front; the table
+	// still grows on demand.
+	maxKeyIndexHint = 1 << 18
+	// fibMul is 2^64 / φ, the Fibonacci hashing multiplier.
+	fibMul = 0x9E3779B97F4A7C15
+)
+
+// newKeyIndex returns an empty index over ncols-column keys expecting
+// about sizeHint entries (0 when unknown).
+func newKeyIndex(ncols, sizeHint int) *keyIndex {
+	if sizeHint > maxKeyIndexHint {
+		sizeHint = maxKeyIndexHint
+	}
+	return &keyIndex{ncols: ncols, hint: sizeHint, isDense: ncols == 1}
+}
+
+// len returns the number of distinct keys put so far.
+func (k *keyIndex) len() int { return k.n }
+
+// reset empties the index, keeping its allocations and its mode.
+func (k *keyIndex) reset() {
+	k.n = 0
+	k.wide = k.wide[:0]
+	clear(k.dense)
+	clear(k.pos)
+}
+
+// packKey packs a key of at most two columns into the table key.
+func packKey(key []int32) uint64 {
+	switch len(key) {
+	case 0:
+		return 0
+	case 1:
+		return uint64(uint32(key[0]))
+	default:
+		return uint64(uint32(key[0])) | uint64(uint32(key[1]))<<32
+	}
+}
+
+// hashKey mixes a wide key's values into the 64-bit table key.
+func hashKey(key []int32) uint64 {
+	h := uint64(len(key))
+	for _, v := range key {
+		h = (h ^ uint64(uint32(v))) * fibMul
+		h ^= h >> 29
+	}
+	return h
+}
+
+// tableKey returns the 64-bit table key for key.
+func (k *keyIndex) tableKey(key []int32) uint64 {
+	if k.ncols <= 2 {
+		return packKey(key)
+	}
+	return hashKey(key)
+}
+
+// get returns key's position, or ok=false when it was never put. key
+// must have ncols values.
+func (k *keyIndex) get(key []int32) (pos int, ok bool) {
+	if k.isDense {
+		if i := uint64(int64(key[0]) - k.lo); i < uint64(len(k.dense)) {
+			p := k.dense[i]
+			return int(p) - 1, p != 0
+		}
+		return -1, false
+	}
+	if len(k.keys) == 0 {
+		return -1, false
+	}
+	tk := k.tableKey(key)
+	mask := uint64(len(k.keys) - 1)
+	for i := (tk * fibMul) >> k.shift; ; i = (i + 1) & mask {
+		p := k.pos[i]
+		if p == 0 {
+			return -1, false
+		}
+		if k.keys[i] == tk && k.sameWide(int(p)-1, key) {
+			return int(p) - 1, true
+		}
+	}
+}
+
+// put returns key's position, assigning the next one (the count of
+// distinct keys before the call) when key is new.
+func (k *keyIndex) put(key []int32) (pos int, added bool) {
+	if k.isDense {
+		if pos, added, ok := k.putDense(key[0]); ok {
+			return pos, added
+		}
+		// The key broke the dense range: k is a table now.
+	}
+	if (k.n+1)*4 > len(k.keys)*3 {
+		k.grow()
+	}
+	tk := k.tableKey(key)
+	mask := uint64(len(k.keys) - 1)
+	for i := (tk * fibMul) >> k.shift; ; i = (i + 1) & mask {
+		p := k.pos[i]
+		if p == 0 {
+			k.keys[i], k.pos[i] = tk, int32(k.n+1)
+			if k.ncols > 2 {
+				k.wide = append(k.wide, key...)
+			}
+			k.n++
+			return k.n - 1, true
+		}
+		if k.keys[i] == tk && k.sameWide(int(p)-1, key) {
+			return int(p) - 1, false
+		}
+	}
+}
+
+// sameWide confirms a table-key match of a wide key against the stored
+// full key; packed keys are their own confirmation.
+func (k *keyIndex) sameWide(pos int, key []int32) bool {
+	if k.ncols <= 2 {
+		return true
+	}
+	for j, v := range k.wide[pos*k.ncols : (pos+1)*k.ncols] {
+		if key[j] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// insertSlot places an entry known to be absent (rehashing).
+func (k *keyIndex) insertSlot(tk uint64, p int32) {
+	mask := uint64(len(k.keys) - 1)
+	i := (tk * fibMul) >> k.shift
+	for k.pos[i] != 0 {
+		i = (i + 1) & mask
+	}
+	k.keys[i], k.pos[i] = tk, p
+}
+
+// grow doubles the table (or allocates the first one, sized for the
+// hint) and rehashes. The table is kept at most ¾ full — linear probing
+// then averages 2.5 slots per hit — rather than ½: a 12-byte slot per
+// group adds up when a leaf aggregate and the result both hold hundreds
+// of thousands of groups.
+func (k *keyIndex) grow() {
+	oldKeys, oldPos := k.keys, k.pos
+	size := 2 * len(oldKeys)
+	if size == 0 {
+		size = k.firstTableSize()
+	}
+	k.allocTable(size)
+	for i, p := range oldPos {
+		if p != 0 {
+			k.insertSlot(oldKeys[i], p)
+		}
+	}
+}
+
+// firstTableSize is the smallest power-of-two capacity that holds the
+// hinted (and current) entry count at most ¾ full.
+func (k *keyIndex) firstTableSize() int {
+	size := 16
+	for 3*size < 4*max(k.hint, k.n+1) {
+		size *= 2
+	}
+	return size
+}
+
+func (k *keyIndex) allocTable(size int) {
+	k.keys = make([]uint64, size)
+	k.pos = make([]int32, size)
+	k.shift = 64
+	for s := size; s > 1; s >>= 1 {
+		k.shift--
+	}
+}
+
+// putDense is put in dense mode. ok=false means v fell outside the range
+// the dense mode may cover: the index has been rehashed into table mode
+// and the caller must insert v there.
+func (k *keyIndex) putDense(v int32) (pos int, added, ok bool) {
+	x := int64(v)
+	if i := uint64(x - k.lo); i < uint64(len(k.dense)) {
+		if p := k.dense[i]; p != 0 {
+			return int(p) - 1, false, true
+		}
+		k.dense[i] = int32(k.n + 1)
+	} else {
+		lo, hi := x, x
+		if k.n > 0 {
+			lo, hi = min(k.kmin, x), max(k.kmax, x)
+		}
+		span := hi - lo + 1
+		if span > denseFloor && span > denseSlack*int64(k.n+1) {
+			k.undense()
+			return 0, false, false
+		}
+		// Re-window around the observed range with half a span of
+		// headroom on either side, so in-order and random arrivals both
+		// re-window O(log range) times.
+		window := make([]int32, max(2*span, 16))
+		newLo := lo - (int64(len(window))-span)/2
+		if k.n > 0 {
+			copy(window[k.kmin-newLo:], k.dense[k.kmin-k.lo:k.kmax-k.lo+1])
+		}
+		k.dense, k.lo = window, newLo
+		k.dense[x-newLo] = int32(k.n + 1)
+	}
+	if k.n == 0 {
+		k.kmin, k.kmax = x, x
+	} else {
+		k.kmin, k.kmax = min(k.kmin, x), max(k.kmax, x)
+	}
+	k.n++
+	return k.n - 1, true, true
+}
+
+// undense rehashes a dense index into table mode, keeping positions.
+func (k *keyIndex) undense() {
+	k.allocTable(k.firstTableSize())
+	for i, p := range k.dense {
+		if p != 0 {
+			k.insertSlot(uint64(uint32(int32(k.lo+int64(i)))), p)
+		}
+	}
+	k.isDense, k.dense = false, nil
+}

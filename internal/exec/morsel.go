@@ -2,17 +2,18 @@ package exec
 
 // Morsel-driven parallelism. One scheduler per query run owns a fixed
 // worker pool (Engine.Parallelism goroutines, counting the caller);
-// operators hand it morsels — page-to-partition-sized closures — instead
+// operators hand it morsels — leaf-to-partition-sized closures — instead
 // of spawning their own pools. The Grace join's partition passes and
-// pair joins, the partitioned hash group-by, and external-sort run
-// generation all feed the same queue, so `Parallelism × ReadAhead`
-// compose as one pipeline: a worker finishing a join morsel can
-// immediately pick up a sort-run morsel of the same query.
+// pair joins, the leaves of hash group-by and of the fused
+// join+aggregate probe (foldLeaves), and external-sort run generation
+// all feed the same queue, so `Parallelism × ReadAhead` compose as one
+// pipeline: a worker finishing a join morsel can immediately pick up a
+// sort-run morsel of the same query.
 //
 // Two submission shapes cover every operator:
 //
-//   - parallelFor: a fixed index range (partition pairs, group-by
-//     partitions), submitted at once and waited on.
+//   - parallelFor: a fixed index range (partition pairs, aggregation
+//     leaves), submitted at once and waited on.
 //   - group: an open stream (sort runs discovered while scanning), with
 //     submit backpressure bounding queued-but-unstarted morsels so a
 //     producer cannot buffer its whole input in memory.
@@ -27,6 +28,7 @@ package exec
 // totals surface as RunStats.Morsels / EXPLAIN ANALYZE's morsel lines.
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -168,12 +170,13 @@ func (m *morselSched) waitLocked(s *morselSet) error {
 	}
 }
 
+// removeLocked forgets a finished set. slices.Delete zeroes the vacated
+// tail slot: a stale pointer there would keep the set's task closures —
+// and whatever operator state they captured — alive until the slot is
+// reused.
 func (m *morselSched) removeLocked(s *morselSet) {
-	for i, x := range m.sets {
-		if x == s {
-			m.sets = append(m.sets[:i], m.sets[i+1:]...)
-			return
-		}
+	if i := slices.Index(m.sets, s); i >= 0 {
+		m.sets = slices.Delete(m.sets, i, i+1)
 	}
 }
 

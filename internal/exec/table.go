@@ -58,14 +58,6 @@ func (t *Table) LockedAppendBatch(b *storage.Batch) error {
 	return t.Heap.AppendBatch(b)
 }
 
-// LockedAppendRows appends row-major arrays under the table's mutex; see
-// LockedAppendBatch.
-func (t *Table) LockedAppendRows(vals []int32, measures []float64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.Heap.AppendRows(vals, measures)
-}
-
 // Vars returns the table's variable set.
 func (t *Table) Vars() relation.VarSet {
 	s := make(relation.VarSet, len(t.Attrs))

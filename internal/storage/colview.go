@@ -165,6 +165,15 @@ func (h *Heap) ScanColBatchesContext(ctx stdcontext.Context) *ColBatchIterator {
 // iterator asks the pool to prefetch up to k following pages.
 func (it *ColBatchIterator) SetReadAhead(k int) { it.readAhead = k }
 
+// SetPageRange restricts the scan to pages [lo, hi) of the heap, clipped
+// to the pages it has; call it before the first Next. Iterators over
+// disjoint ranges of one heap may run concurrently — each pins only its
+// own pages — which is how the executor cuts a probe into leaves.
+func (it *ColBatchIterator) SetPageRange(lo, hi int64) {
+	it.pageNo = max(lo, 0)
+	it.npages = min(hi, it.npages)
+}
+
 // Next fills and returns the next page's encoded batch, or ok=false at
 // the end. The batch and its views are reused between calls: callers
 // must consume a batch before requesting the next one.
