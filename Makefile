@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race bench bench-json bench-compare bench-smoke perf chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
+.PHONY: all check build test test-race race bench bench-smoke perf chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
 
 all: check
 
@@ -36,23 +36,6 @@ race: test-race
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Snapshot the planning-latency microbenchmarks (CS+ search vs greedy vs
-# a warmed plan-cache probe) as machine-readable JSON in BENCH_PR6.json,
-# and the page-layout microbenchmarks (scan, join, sort, fused
-# join+aggregate, group-by over row-major and columnar pages) as
-# BENCH_PR15.json.
-bench-json:
-	$(GO) test -run=NONE -bench=Planning -benchtime=100x -benchmem ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_PR6.json
-	$(GO) test -run=NONE -bench=Columnar -benchtime=50x -benchmem -count=5 ./internal/exec/ | $(GO) run ./cmd/benchjson > BENCH_PR15.json
-
-# Regression gate: rerun the columnar microbenchmarks (best of 5 against
-# scheduler noise, matching how the snapshot is taken) and compare ns/op
-# against the most recent BENCH_PR*.json snapshot, failing on any
-# benchmark present in both runs that slowed by more than 10%.
-bench-compare:
-	$(GO) test -run=NONE -bench=Columnar -benchtime=50x -benchmem -count=5 ./internal/exec/ | \
-		$(GO) run ./cmd/benchjson -compare $$(ls BENCH_PR*.json | sort -V | tail -1)
 
 # The paired benchmark protocol (ROADMAP, "measured performance"): run
 # workload W of bench/ on BASE and on this tree for seeds 1..N, order

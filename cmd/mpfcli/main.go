@@ -239,13 +239,15 @@ func meta(db *core.Database, cmd string) (quit bool) {
 	case "\\quit", "\\q":
 		return true
 	case "\\tables":
-		for _, t := range db.Catalog().Tables() {
-			st, _ := db.Catalog().Table(t)
+		cat := db.Catalog()
+		for _, t := range cat.Tables() {
+			st, _ := cat.Table(t)
 			fmt.Printf("%s (%d rows)\n", t, st.Card)
 		}
 	case "\\views":
-		for _, v := range db.Catalog().Views() {
-			def, _ := db.Catalog().View(v)
+		cat := db.Catalog()
+		for _, v := range cat.Views() {
+			def, _ := cat.View(v)
 			fmt.Printf("%s = %s\n", v, strings.Join(def.Tables, " ⋈* "))
 		}
 	case "\\strategies":

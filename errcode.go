@@ -14,6 +14,7 @@ var errorCodes = []struct {
 	{ErrUnknownView, "unknown_view"},
 	{ErrDuplicateTable, "duplicate_table"},
 	{ErrNotFunctional, "not_functional"},
+	{ErrSchemaMismatch, "schema_mismatch"},
 	{ErrUnknownExecMode, "unknown_exec_mode"},
 	{ErrBudget, "budget_exceeded"},
 	{ErrCanceled, "canceled"},

@@ -66,6 +66,7 @@ func TestErrorCodeTotal(t *testing.T) {
 		"ErrUnknownView":     ErrUnknownView,
 		"ErrDuplicateTable":  ErrDuplicateTable,
 		"ErrNotFunctional":   ErrNotFunctional,
+		"ErrSchemaMismatch":  ErrSchemaMismatch,
 		"ErrUnknownExecMode": ErrUnknownExecMode,
 		"ErrCanceled":        ErrCanceled,
 		"ErrIO":              ErrIO,

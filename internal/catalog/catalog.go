@@ -171,6 +171,66 @@ func AnalyzeRelation(r *relation.Relation) *TableStats {
 	return st
 }
 
+// RowEdit carries a table's statistics across the insert or delete of
+// one row while the writer streams the stored rows past it, instead of
+// re-analysing the table: Card moves by one, and a column's Distinct
+// moves only when the row's value occurs in no other row, so the state
+// is one flag per column. Key is carried unchanged.
+type RowEdit struct {
+	st     *TableStats
+	vals   []int32
+	key    []int // positions of the declared key columns; empty when none
+	occurs []bool
+}
+
+// NewRowEdit prepares the edit of row vals (one value per attribute of
+// st, in schema order).
+func NewRowEdit(st *TableStats, vals []int32) *RowEdit {
+	e := &RowEdit{st: st, vals: vals, occurs: make([]bool, len(vals))}
+	for _, k := range st.Key {
+		for i, a := range st.Attrs {
+			if a.Name == k {
+				e.key = append(e.key, i)
+			}
+		}
+	}
+	return e
+}
+
+// Observe compares one stored row with the edited row. same reports that
+// it is the edited row itself (every column agrees), keyed that it agrees
+// on the declared key (false when none is declared). Any other row
+// counts as an occurrence of each value it shares with the edited row.
+func (e *RowEdit) Observe(row []int32) (same, keyed bool) {
+	same, keyed = true, len(e.key) > 0
+	for i, v := range row {
+		same = same && v == e.vals[i]
+	}
+	for _, i := range e.key {
+		keyed = keyed && row[i] == e.vals[i]
+	}
+	for i, v := range row {
+		if !same && v == e.vals[i] {
+			e.occurs[i] = true
+		}
+	}
+	return same, keyed
+}
+
+// Stats returns the table's statistics after the edit: delta is +1 when
+// the row was inserted and -1 when it was deleted. Exact once every
+// other stored row has been observed.
+func (e *RowEdit) Stats(delta int64) *TableStats {
+	st := e.st.Clone()
+	st.Card += delta
+	for i, a := range st.Attrs {
+		if !e.occurs[i] {
+			st.Distinct[a.Name] += delta
+		}
+	}
+	return st
+}
+
 // Table returns the stats for a table.
 func (c *Catalog) Table(name string) (*TableStats, error) {
 	c.mu.RLock()

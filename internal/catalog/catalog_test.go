@@ -134,3 +134,54 @@ func TestDomainSize(t *testing.T) {
 		t.Fatal("unknown variable should report !ok")
 	}
 }
+
+// TestRowEditCarriesStatsExactly checks the streaming edit against a
+// fresh analysis: deleting or inserting a row moves Card by one and a
+// column's Distinct only when no other row shares the value, with the
+// declared key carried along and reported by Observe.
+func TestRowEditCarriesStatsExactly(t *testing.T) {
+	attrs := []relation.Attr{{Name: "a", Domain: 4}, {Name: "b", Domain: 4}}
+	rows := [][]int32{{0, 0}, {0, 1}, {1, 1}, {2, 3}}
+	build := func(rows [][]int32) *relation.Relation {
+		r := relation.MustNew("t", attrs)
+		for _, row := range rows {
+			r.MustAppend(row, 1)
+		}
+		return r
+	}
+	base := AnalyzeRelation(build(rows))
+	base.Key = []string{"a", "b"}
+	for i, row := range rows { // delete each stored row in turn
+		e := NewRowEdit(base, row)
+		for _, other := range rows {
+			if same, keyed := e.Observe(other); same != (&other[0] == &row[0]) || keyed != same {
+				t.Fatalf("Observe(%v) while editing %v: same=%v keyed=%v", other, row, same, keyed)
+			}
+		}
+		rest := append(append([][]int32{}, rows[:i]...), rows[i+1:]...)
+		want := AnalyzeRelation(build(rest))
+		got := e.Stats(-1)
+		if got.Card != want.Card || got.Distinct["a"] != want.Distinct["a"] || got.Distinct["b"] != want.Distinct["b"] {
+			t.Fatalf("delete %v: got %+v, want %+v", row, got, want)
+		}
+		if len(got.Key) != 2 {
+			t.Fatalf("delete %v dropped the key: %v", row, got.Key)
+		}
+	}
+	// Insert (3,1): a new value of a, a stored value of b.
+	e := NewRowEdit(base, []int32{3, 1})
+	for _, other := range rows {
+		if same, keyed := e.Observe(other); same || keyed {
+			t.Fatalf("Observe(%v) against a new row: same=%v keyed=%v", other, same, keyed)
+		}
+	}
+	got := e.Stats(+1)
+	if got.Card != 5 || got.Distinct["a"] != 4 || got.Distinct["b"] != 3 {
+		t.Fatalf("insert: got %+v", got)
+	}
+	// A row that agrees with a stored one on a strict-subset key only.
+	base.Key = []string{"a"}
+	if same, keyed := NewRowEdit(base, []int32{2, 0}).Observe([]int32{2, 3}); same || !keyed {
+		t.Fatalf("key collision not reported: same=%v keyed=%v", same, keyed)
+	}
+}

@@ -221,12 +221,12 @@ func (db *Database) Close() error {
 // Semiring returns the database's measure semiring.
 func (db *Database) Semiring() semiring.Semiring { return db.cfg.Semiring }
 
-// Catalog exposes the statistics catalog of the current version.
-// Reading it is always safe. Mutating it directly (AddTable to refresh
-// or override statistics) edits the current version in place and is a
-// setup-time affordance only: concurrent snapshot holders of the same
-// version observe the change, so do it before serving traffic.
-func (db *Database) Catalog() *catalog.Catalog { return db.currentVersion().cat }
+// Catalog returns a copy of the current version's statistics catalog:
+// table schemas, cardinalities, distinct counts, declared keys and view
+// definitions. Editing the copy changes nothing in the database — a
+// published version is immutable; statistics change only through
+// commits (DeclareKey for keys).
+func (db *Database) Catalog() *catalog.Catalog { return db.currentVersion().cat.Clone() }
 
 // Pool exposes the buffer pool (for IO statistics).
 func (db *Database) Pool() *storage.Pool { return db.pool }
@@ -268,7 +268,8 @@ func (db *Database) Metrics() metrics.Snapshot {
 func (db *Database) ResultCache() *exec.ResultCache { return db.rcache }
 
 // CreateTable validates the relation as an FR, loads it into paged
-// storage, and publishes a new catalog version containing it.
+// storage, and publishes a new catalog version containing it. The heap
+// is the database's only copy of the rows; r stays the caller's.
 func (db *Database) CreateTable(r *relation.Relation) error {
 	if r.Name() == "" {
 		return fmt.Errorf("core: relation needs a name")
@@ -277,14 +278,15 @@ func (db *Database) CreateTable(r *relation.Relation) error {
 		return fmt.Errorf("core: %w: %w", ErrNotFunctional, err)
 	}
 	c := db.beginCommit()
-	if _, dup := c.next.rels[r.Name()]; dup {
+	if _, dup := c.next.tables[r.Name()]; dup {
 		return c.abort(fmt.Errorf("core: %w: %q", ErrDuplicateTable, r.Name()))
 	}
-	t, err := c.loadTable(r, nil)
+	t, err := c.loadTable(r)
 	if err != nil {
 		return c.abort(err)
 	}
-	if err := c.put(r.Clone(), t); err != nil {
+	c.install(t)
+	if err := c.restat(catalog.AnalyzeRelation(r)); err != nil {
 		return c.abort(err)
 	}
 	return c.publish()
@@ -293,36 +295,30 @@ func (db *Database) CreateTable(r *relation.Relation) error {
 // CreateIndex builds a hash index on a base table's attribute; equality
 // selections on that attribute then fetch only matching pages instead of
 // scanning (§5.4's alternative access methods). Under MVCC the table's
-// storage generation is rebuilt copy-on-write with the index attached;
-// contents and per-table version are unchanged, so cached plans and
-// results stay valid and in-flight readers keep their generation.
+// next generation is the parent's rows unchanged (commit.rewrite) with
+// the index attached; contents, statistics and per-table version stand,
+// so cached plans and results stay valid and in-flight readers keep
+// their generation.
 func (db *Database) CreateIndex(table, attr string) error {
 	c := db.beginCommit()
-	rel, ok := c.next.rels[table]
+	tv, ok := c.next.tables[table]
 	if !ok {
 		return c.abort(fmt.Errorf("core: %w %q", ErrUnknownTable, table))
 	}
-	attrs := indexAttrs(c.next.tables[table].tab)
-	have := false
-	for _, a := range attrs {
-		if a == attr {
-			have = true
-			break
-		}
-	}
-	if !have {
+	attrs := indexAttrs(tv.tab)
+	if _, have := tv.tab.Indexes[attr]; !have {
 		attrs = append(attrs, attr)
 	}
-	t, err := c.loadTable(rel, attrs)
+	t, err := c.rewrite(tv.tab, nil, nil, attrs)
 	if err != nil {
 		return c.abort(err)
 	}
-	c.replaceStorage(table, t)
+	c.install(t)
 	return c.publish()
 }
 
 // indexAttrs lists the attributes a table generation has hash indexes
-// on, so a copy-on-write rebuild can reconstruct them.
+// on, so the next generation can rebuild them.
 func indexAttrs(t *exec.Table) []string {
 	attrs := make([]string, 0, len(t.Indexes))
 	for attr := range t.Indexes {
@@ -345,16 +341,23 @@ func (db *Database) CreateView(name string, tables []string) error {
 	return c.publish()
 }
 
-// Relation returns the in-memory master copy of a base table as of the
-// current catalog version. The returned relation is immutable (writes
-// publish fresh copies), so it stays consistent however long the
-// caller holds it.
+// Relation reads a base table, as of the current catalog version, out
+// of its heap into a fresh in-memory relation in storage order. The
+// database keeps no such copy itself: the result is the caller's, and
+// costs a scan of the table per call.
 func (db *Database) Relation(name string) (*relation.Relation, error) {
-	r, ok := db.currentVersion().rels[name]
+	snap := db.AcquireSnapshot()
+	defer snap.Release()
+	return snap.relation(name)
+}
+
+// relation reads one base table of the pinned version into memory.
+func (s *Snapshot) relation(name string) (*relation.Relation, error) {
+	t, ok := s.v.table(name)
 	if !ok {
 		return nil, fmt.Errorf("core: %w %q", ErrUnknownTable, name)
 	}
-	return r, nil
+	return exec.ReadRelation(t)
 }
 
 // ExecMode selects how plans are executed.
@@ -364,7 +367,10 @@ type ExecMode int
 const (
 	// EngineExec runs plans on the paged engine with IO accounting.
 	EngineExec ExecMode = iota
-	// MemoryExec interprets plans over in-memory relations.
+	// MemoryExec interprets plans over in-memory relations — the
+	// reference the engine is checked against, not a fast path: each
+	// table the plan scans is read out of the snapshot's heap for the
+	// duration of the query.
 	MemoryExec
 )
 
@@ -495,7 +501,7 @@ func (db *Database) validateHypothetical(q *QuerySpec, viewTables []string, snap
 		if !inView[name] {
 			return fmt.Errorf("core: hypothetical table %q not in view %q", name, q.View)
 		}
-		orig, ok := snap.v.rels[name]
+		orig, ok := snap.v.table(name)
 		if !ok {
 			return fmt.Errorf("core: %w %q", ErrUnknownTable, name)
 		}
@@ -506,7 +512,7 @@ func (db *Database) validateHypothetical(q *QuerySpec, viewTables []string, snap
 			return fmt.Errorf("core: hypothetical %s has variables %v, want %v",
 				name, h.Vars().Sorted(), orig.Vars().Sorted())
 		}
-		for _, a := range orig.Attrs() {
+		for _, a := range orig.Attrs {
 			ha, _ := h.Attr(a.Name)
 			if ha.Domain != a.Domain {
 				return fmt.Errorf("core: hypothetical %s: variable %s domain %d, want %d",
@@ -806,11 +812,7 @@ func (db *Database) execute(ctx context.Context, q *QuerySpec, info planInfo, sn
 			if h, ok := q.Hypothetical[name]; ok {
 				return h, nil
 			}
-			r, ok := snap.v.rels[name]
-			if !ok {
-				return nil, fmt.Errorf("core: %w %q", ErrUnknownTable, name)
-			}
-			return r, nil
+			return snap.relation(name)
 		}, db.cfg.Semiring)
 		if err != nil {
 			return out, err
@@ -889,12 +891,11 @@ func (db *Database) MaterializeContext(ctx context.Context, name string, q *Quer
 	if err != nil {
 		return nil, err
 	}
-	rel := res.Relation.Clone()
-	rel.SetName(name)
-	if err := db.CreateTable(rel); err != nil {
+	res.Relation.SetName(name)
+	if err := db.CreateTable(res.Relation); err != nil {
 		return nil, err
 	}
-	return rel, nil
+	return res.Relation, nil
 }
 
 // BuildCache runs the VE-cache workload optimization (Algorithm 3) for a
@@ -911,11 +912,9 @@ func (db *Database) BuildCache(view string, order []string) (*infer.Cache, error
 	}
 	rels := make([]*relation.Relation, len(v.Tables))
 	for i, t := range v.Tables {
-		r, ok := snap.v.rels[t]
-		if !ok {
-			return nil, fmt.Errorf("core: %w %q", ErrUnknownTable, t)
+		if rels[i], err = snap.relation(t); err != nil {
+			return nil, err
 		}
-		rels[i] = r
 	}
 	cache, err := infer.BuildVECache(db.cfg.Semiring, rels, order)
 	if err != nil {

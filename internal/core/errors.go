@@ -24,8 +24,15 @@ var (
 	ErrDuplicateTable = errors.New("table already exists")
 	// ErrNotFunctional reports a relation whose variable attributes do not
 	// functionally determine the measure (CheckFD failed), so it cannot be
-	// a base table or hypothetical replacement.
+	// a base table or hypothetical replacement; an Insert of an assignment
+	// (or declared-key value) the table already holds; and a DeclareKey
+	// whose columns do not determine the row in the stored data.
 	ErrNotFunctional = errors.New("not a functional relation")
+	// ErrSchemaMismatch reports a write that does not fit the table's
+	// schema: a row of the wrong arity, a value outside its attribute's
+	// domain, or a key column that is not an attribute. It is raised
+	// before any storage work.
+	ErrSchemaMismatch = errors.New("schema mismatch")
 	// ErrUnknownExecMode reports a QuerySpec.Exec value that names no
 	// execution mode; Query validates it before planning.
 	ErrUnknownExecMode = errors.New("unknown exec mode")

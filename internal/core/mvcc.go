@@ -4,9 +4,12 @@ package core
 // writers.
 //
 // Every query runs against an immutable catalog version pinned at
-// admission (a Snapshot). Writers never mutate the version readers
-// hold: a commit clones the current version's maps, builds fresh heap
-// storage for the written table off to the side (copy-on-write), and
+// admission (a Snapshot). A version maps each table name to one
+// heap-backed generation and its statistics; the heap is the only place
+// the table's rows live. Writers never mutate the version readers hold:
+// a commit clones the current version's maps, builds a fresh heap for
+// the written table off to the side — loaded from a caller's relation
+// (loadTable) or streamed from the parent generation (rewrite) — and
 // publishes the new version by swapping one pointer under a short
 // critical section. Commits are serialized by Database.commitMu;
 // readers never take it, so a long analytical query cannot stall
@@ -38,6 +41,7 @@ import (
 	"mpf/internal/exec"
 	"mpf/internal/metrics"
 	"mpf/internal/relation"
+	"mpf/internal/storage"
 )
 
 // tableVersion is one immutable loaded generation of a base table: the
@@ -57,8 +61,10 @@ type tableVersion struct {
 type catVersion struct {
 	// seq is the catalog version sequence number, bumped once per
 	// published commit. Result.Snapshot reports it.
-	seq      int64
-	rels     map[string]*relation.Relation
+	seq int64
+	// tables holds each base table's generation: schema, heap and hash
+	// indexes. cat holds the matching statistics and the view
+	// definitions. Neither is edited after publish.
 	tables   map[string]*tableVersion
 	cat      *catalog.Catalog
 	versions map[string]int64
@@ -126,7 +132,6 @@ type mvccState struct {
 // initMVCC installs the empty initial catalog version.
 func (db *Database) initMVCC() {
 	db.mv.cur = &catVersion{
-		rels:     make(map[string]*relation.Relation),
 		tables:   make(map[string]*tableVersion),
 		cat:      catalog.New(),
 		versions: make(map[string]int64),
@@ -267,8 +272,8 @@ type commit struct {
 
 // beginCommit takes the writer lock and clones the current version
 // into a private next version. The clone copies the maps and the
-// catalog, not the relations or heaps: unwritten tables share their
-// generation with the base version (reference counted).
+// catalog, not the heaps: unwritten tables share their generation with
+// the base version (reference counted).
 func (db *Database) beginCommit() *commit {
 	start := time.Now()
 	db.commitMu.Lock()
@@ -276,14 +281,10 @@ func (db *Database) beginCommit() *commit {
 	base := db.currentVersion()
 	next := &catVersion{
 		seq:      base.seq + 1,
-		rels:     make(map[string]*relation.Relation, len(base.rels)+1),
 		tables:   make(map[string]*tableVersion, len(base.tables)+1),
 		cat:      base.cat.Clone(),
 		versions: make(map[string]int64, len(base.versions)+1),
 		verSeq:   base.verSeq,
-	}
-	for k, v := range base.rels {
-		next.rels[k] = v
 	}
 	for k, v := range base.tables {
 		next.tables[k] = v
@@ -294,18 +295,77 @@ func (db *Database) beginCommit() *commit {
 	return &commit{db: db, next: next, stall: stall}
 }
 
-// loadTable materializes a relation into a fresh heap for this commit:
-// load (columnar-encoded when configured), rebuild the requested hash
-// indexes, then flush the generation's dirty pages so the commit is
-// durable before it becomes visible. Any failure drops the partial
-// heap and returns the typed storage error.
-func (c *commit) loadTable(r *relation.Relation, indexAttrs []string) (*exec.Table, error) {
-	db := c.db
-	t, err := exec.LoadRelationColumnar(db.pool, db.factory, r, db.cfg.Columnar)
+// loadTable builds a generation from a caller's relation (CreateTable,
+// and through it Materialize and Load): load — columnar-encoded when
+// configured — then finish.
+func (c *commit) loadTable(r *relation.Relation) (*exec.Table, error) {
+	t, err := exec.LoadRelationColumnar(c.db.pool, c.db.factory, r, c.db.cfg.Columnar)
 	if err != nil {
 		return nil, err
 	}
-	for _, attr := range indexAttrs {
+	return c.finish(t, nil)
+}
+
+// rewrite builds a table's next generation from its parent in one pass
+// (Insert, Delete, CreateIndex): the parent's pages are streamed through
+// the pool into a fresh heap. visit, when non-nil, sees each parent
+// batch before it is copied and may name one row of it to leave out (-1
+// for none) or stop the pass with an error; tail, when non-nil, holds
+// rows to append after the last parent row. The parent is the current
+// generation and the writer lock is held, so it cannot be reclaimed
+// under the scan.
+func (c *commit) rewrite(parent *exec.Table, visit func(*storage.Batch) (int, error), tail *storage.Batch, indexes []string) (*exec.Table, error) {
+	h, err := storage.NewTempHeap(c.db.pool, c.db.factory, len(parent.Attrs))
+	if err != nil {
+		return nil, err
+	}
+	h.SetColumnar(c.db.cfg.Columnar)
+	if err := copyRows(h, parent.Heap, visit, tail); err != nil {
+		h.Drop()
+		return nil, err
+	}
+	return c.finish(&exec.Table{Name: parent.Name, Attrs: parent.Attrs, Heap: h}, indexes)
+}
+
+// copyRows appends src's rows to dst in storage order, one page per
+// step, with the edit rewrite describes.
+func copyRows(dst, src *storage.Heap, visit func(*storage.Batch) (int, error), tail *storage.Batch) error {
+	arity := src.Arity()
+	it := src.ScanBatches()
+	defer it.Close()
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		skip := -1
+		if visit != nil {
+			var err error
+			if skip, err = visit(b); err != nil {
+				return err
+			}
+		}
+		if skip < 0 {
+			if err := dst.AppendBatch(b); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := dst.AppendRows(b.Vals[:skip*arity], b.Measures[:skip]); err != nil {
+			return err
+		}
+		if err := dst.AppendRows(b.Vals[(skip+1)*arity:], b.Measures[skip+1:]); err != nil {
+			return err
+		}
+	}
+	if err := it.Err(); err != nil || tail == nil {
+		return err
+	}
+	return dst.AppendBatch(tail)
+}
+
+// finish completes a freshly written generation: build the requested
+// hash indexes, then flush its dirty pages so the commit is durable
+// before it becomes visible. Any failure drops the heap and returns the
+// typed storage error.
+func (c *commit) finish(t *exec.Table, indexes []string) (*exec.Table, error) {
+	for _, attr := range indexes {
 		idx, err := exec.BuildIndex(t, attr)
 		if err != nil {
 			t.Heap.Drop()
@@ -313,53 +373,48 @@ func (c *commit) loadTable(r *relation.Relation, indexAttrs []string) (*exec.Tab
 		}
 		t.AddIndex(idx)
 	}
-	if err := db.pool.FlushDisk(t.Heap.Handle()); err != nil {
+	if err := c.db.pool.FlushDisk(t.Heap.Handle()); err != nil {
 		t.Heap.Drop()
 		return nil, err
 	}
 	return t, nil
 }
 
-// put installs a new generation of a table into the next version:
-// relation, storage, a bumped per-table version (invalidating plan and
-// result-cache fingerprints), and refreshed statistics.
-func (c *commit) put(r *relation.Relation, t *exec.Table) error {
-	name := r.Name()
+// install makes t the next version's generation of its table. On its
+// own (CreateIndex) the contents are unchanged, so the per-table version
+// and statistics stand and cached plans and results stay valid.
+func (c *commit) install(t *exec.Table) {
 	tv := &tableVersion{tab: t}
 	c.newTables = append(c.newTables, tv)
-	c.next.rels[name] = r
-	c.next.tables[name] = tv
+	c.next.tables[t.Name] = tv
+}
+
+// restat records changed contents or statistics of a table in the next
+// version: the per-table version is bumped, which retires plan and
+// result-cache fingerprints over it, and st replaces its statistics.
+func (c *commit) restat(st *catalog.TableStats) error {
 	c.next.verSeq++
-	c.next.versions[name] = c.next.verSeq
-	return c.next.cat.AddTable(catalog.AnalyzeRelation(r))
+	c.next.versions[st.Name] = c.next.verSeq
+	return c.next.cat.AddTable(st)
 }
 
-// replaceStorage installs a new generation of a table without bumping
-// its version: same relation contents, different physical storage
-// (CreateIndex). Cached plans and results stay valid.
-func (c *commit) replaceStorage(name string, t *exec.Table) {
-	tv := &tableVersion{tab: t}
-	c.newTables = append(c.newTables, tv)
-	c.next.tables[name] = tv
-}
-
-// abort abandons the commit: storage created by it is dropped, nothing
-// was published, and the old version keeps serving. Returns err for
-// call-site chaining.
-func (c *commit) abort(err error) error {
+// cancel abandons the commit without counting a failure — a rejected
+// write or a no-op (Delete of an absent row). Storage the commit
+// installed is dropped, nothing was published, and the old version
+// keeps serving.
+func (c *commit) cancel() {
 	c.db.dropGenerations(c.newTables)
+	c.db.commitMu.Unlock()
+}
+
+// abort is cancel for a commit that failed, counted in
+// MVCCStats.CommitFailures. Returns err for call-site chaining.
+func (c *commit) abort(err error) error {
 	c.db.mv.mu.Lock()
 	c.db.mv.commitFails++
 	c.db.mv.mu.Unlock()
-	c.db.commitMu.Unlock()
+	c.cancel()
 	return err
-}
-
-// cancel abandons a commit that turned out to be a no-op (e.g. Delete
-// of an absent row) without counting a failure. Only valid before any
-// loadTable call.
-func (c *commit) cancel() {
-	c.db.commitMu.Unlock()
 }
 
 // publish atomically swaps the visible catalog-version pointer to the

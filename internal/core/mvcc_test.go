@@ -179,59 +179,100 @@ func (f *armableFactory) factory() storage.DiskFactory {
 	}
 }
 
-// TestCommitFaultLeavesOldVersionServed injects a permanent write fault
-// into the disk a commit builds its new generation on. The writer gets
-// a typed ErrIO, nothing becomes visible (no partial state, sequence
-// and version count unchanged), readers keep getting the old answer,
-// and after healing the same write succeeds.
+// TestCommitFaultLeavesOldVersionServed injects a permanent fault into
+// each side of a commit's one pass: a write fault on the disk the new
+// generation is built on, and a read fault on the parent generation
+// part-way through streaming it (the table spans more pages than the
+// pool has frames, so the pass really reads). Either way the writer
+// gets a typed ErrIO, the partial heap is dropped, nothing becomes
+// visible (sequence and version count unchanged), readers keep getting
+// the old answer, and after healing the same write succeeds.
 func TestCommitFaultLeavesOldVersionServed(t *testing.T) {
-	af := &armableFactory{inner: storage.MemDiskFactory()}
-	db := mvccTestDB(t, Config{DiskFactory: af.factory()})
-	q := &QuerySpec{View: "rs", GroupVars: []string{"b"}}
-	before, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqBefore := db.Metrics().MVCC.Seq
+	for _, class := range []struct {
+		name        string
+		arm, disarm func(*armableFactory, *faultFleet)
+	}{
+		{"write fault on the new generation",
+			func(af *armableFactory, _ *faultFleet) { af.armed.Store(true) },
+			func(af *armableFactory, _ *faultFleet) { af.armed.Store(false) }},
+		{"read fault on the parent generation", // every existing disk fails from its 3rd read on
+			func(_ *armableFactory, fleet *faultFleet) { fleet.setAll(storage.FaultPlan{FailReadOp: 3}) },
+			func(_ *armableFactory, fleet *faultFleet) { fleet.setAll(storage.FaultPlan{}) }},
+	} {
+		t.Run(class.name, func(t *testing.T) {
+			fleet := &faultFleet{}
+			af := &armableFactory{inner: fleet.factory(storage.MemDiskFactory(), storage.FaultPlan{})}
+			db, err := Open(Config{DiskFactory: af.factory(), PoolFrames: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			// Six pages; a = 59 is left unpopulated, free to insert.
+			wide := relation.MustNew("wide", []relation.Attr{
+				{Name: "a", Domain: 60}, {Name: "b", Domain: 50},
+			})
+			for a := int32(0); a < 59; a++ {
+				for b := int32(0); b < 50; b++ {
+					wide.MustAppend([]int32{a, b}, float64(a%3)+1)
+				}
+			}
+			if err := db.CreateTable(wide); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CreateView("w", []string{"wide"}); err != nil {
+				t.Fatal(err)
+			}
+			q := &QuerySpec{View: "w", GroupVars: []string{"a"}}
+			before, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqBefore := db.Metrics().MVCC.Seq
+			disksBefore := db.Pool().Registered()
 
-	af.armed.Store(true)
-	err = db.Insert("s", []int32{0, 4}, 100)
-	af.armed.Store(false)
-	if !errors.Is(err, ErrIO) {
-		t.Fatalf("insert under permanent write fault: err = %v, want ErrIO", err)
-	}
+			class.arm(af, fleet)
+			err = db.Insert("wide", []int32{59, 0}, 100)
+			class.disarm(af, fleet)
+			if !errors.Is(err, ErrIO) {
+				t.Fatalf("insert under a permanent fault: err = %v, want ErrIO", err)
+			}
 
-	st := db.Metrics().MVCC
-	if st.Seq != seqBefore {
-		t.Fatalf("catalog sequence moved from %d to %d on a failed commit", seqBefore, st.Seq)
-	}
-	if st.CommitFailures != 1 {
-		t.Fatalf("commit failures = %d, want 1", st.CommitFailures)
-	}
-	if st.VersionsLive != 1 {
-		t.Fatalf("versions live after failed commit = %d, want 1", st.VersionsLive)
-	}
-	after, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.Equal(after.Relation, before.Relation, 0, 0) {
-		t.Fatal("failed commit leaked partial state into query answers")
-	}
-	if n := db.Pool().Pinned(); n != 0 {
-		t.Fatalf("%d frames pinned after aborted commit, want 0", n)
-	}
+			st := db.Metrics().MVCC
+			if st.Seq != seqBefore {
+				t.Fatalf("catalog sequence moved from %d to %d on a failed commit", seqBefore, st.Seq)
+			}
+			if st.CommitFailures != 1 {
+				t.Fatalf("commit failures = %d, want 1", st.CommitFailures)
+			}
+			if st.VersionsLive != 1 {
+				t.Fatalf("versions live after failed commit = %d, want 1", st.VersionsLive)
+			}
+			if n := db.Pool().Registered(); n != disksBefore {
+				t.Fatalf("%d disks registered after aborted commit, want %d (partial heap not dropped)", n, disksBefore)
+			}
+			after, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.Equal(after.Relation, before.Relation, 0, 0) {
+				t.Fatal("failed commit leaked partial state into query answers")
+			}
+			if n := db.Pool().Pinned(); n != 0 {
+				t.Fatalf("%d frames pinned after aborted commit, want 0", n)
+			}
 
-	// Healed, the identical write goes through and becomes visible.
-	if err := db.Insert("s", []int32{0, 4}, 100); err != nil {
-		t.Fatal(err)
-	}
-	healed, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relation.Equal(healed.Relation, before.Relation, 0, 0) {
-		t.Fatal("post-heal insert is not visible")
+			// Healed, the identical write goes through and becomes visible.
+			if err := db.Insert("wide", []int32{59, 0}, 100); err != nil {
+				t.Fatal(err)
+			}
+			healed, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if relation.Equal(healed.Relation, before.Relation, 0, 0) {
+				t.Fatal("post-heal insert is not visible")
+			}
+		})
 	}
 }
 

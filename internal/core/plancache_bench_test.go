@@ -34,7 +34,7 @@ func benchDB(b *testing.B, cfg Config) *Database {
 // BenchmarkPlanning measures planning latency alone (Explain: optimize,
 // never execute) for the cost-based CS+ search, the statistics-free
 // greedy planner, and a warmed plan-cache probe — the three points the
-// plan-cache experiment compares (see BENCH_PR6.json).
+// plan-cache experiment compares.
 func BenchmarkPlanning(b *testing.B) {
 	spec := func(o opt.Optimizer) *QuerySpec {
 		return &QuerySpec{View: "invest", GroupVars: []string{"wid"}, Optimizer: o}

@@ -6,7 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"mpf/internal/catalog"
+	"mpf/internal/exec"
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
 	"mpf/internal/storage"
@@ -72,8 +72,8 @@ func openSnapshotDisk(cfg Config, path string) (storage.Disk, error) {
 // page format plus a JSON manifest of schemas, keys, and views — into
 // dir (created if necessary). The snapshot is taken against one pinned
 // catalog version: a commit racing Save cannot mix table versions into
-// the saved image. Workload caches are not persisted; rebuild them after
-// Load.
+// the saved image, and each pinned heap is streamed to its file page by
+// page. Workload caches are not persisted; rebuild them after Load.
 func (db *Database) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: save: %w", err)
@@ -83,7 +83,7 @@ func (db *Database) Save(dir string) error {
 	man := snapshotManifest{Version: 1, Semiring: db.cfg.Semiring.Name()}
 	pool := snapshotPool(db.cfg)
 	for _, name := range snap.v.cat.Tables() {
-		rel, ok := snap.v.rels[name]
+		t, ok := snap.v.table(name)
 		if !ok {
 			return fmt.Errorf("core: save: %w %q", ErrUnknownTable, name)
 		}
@@ -92,34 +92,7 @@ func (db *Database) Save(dir string) error {
 			return err
 		}
 		file := name + ".heap"
-		path := filepath.Join(dir, file)
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("core: save: %w", err)
-		}
-		disk, err := openSnapshotDisk(db.cfg, path)
-		if err != nil {
-			return err
-		}
-		heap, err := storage.NewHeap(pool, disk, rel.Arity())
-		if err != nil {
-			disk.Close()
-			return err
-		}
-		for i := 0; i < rel.Len(); i++ {
-			if err := heap.Append(rel.Row(i), rel.Measure(i)); err != nil {
-				disk.Close()
-				return err
-			}
-		}
-		if err := pool.FlushAll(); err != nil {
-			disk.Close()
-			return err
-		}
-		if err := heap.Drop(); err != nil {
-			disk.Close()
-			return err
-		}
-		if err := disk.Close(); err != nil {
+		if err := saveHeap(db.cfg, pool, filepath.Join(dir, file), t.Heap); err != nil {
 			return err
 		}
 		mt := manifestTable{Name: name, Card: st.Card, Key: st.Key, File: file}
@@ -140,6 +113,33 @@ func (db *Database) Save(dir string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
+}
+
+// saveHeap streams one pinned heap, page by page, into a fresh heap file
+// at path and flushes it.
+func saveHeap(cfg Config, pool *storage.Pool, path string, src *storage.Heap) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("core: save: %w", err)
+	}
+	disk, err := openSnapshotDisk(cfg, path)
+	if err != nil {
+		return err
+	}
+	defer disk.Close() // error paths; the success path checks Close below
+	heap, err := storage.NewHeap(pool, disk, src.Arity())
+	if err != nil {
+		return err
+	}
+	if err := copyRows(heap, src, nil, nil); err != nil {
+		return err
+	}
+	if err := pool.FlushAll(); err != nil {
+		return err
+	}
+	if err := heap.Drop(); err != nil {
+		return err
+	}
+	return disk.Close()
 }
 
 // Load opens a snapshot previously written by Save, returning a fresh
@@ -188,9 +188,7 @@ func Load(dir string, cfg Config) (*Database, error) {
 			return nil, err
 		}
 		if len(mt.Key) > 0 {
-			st := catalog.AnalyzeRelation(rel)
-			st.Key = mt.Key
-			if err := db.Catalog().AddTable(st); err != nil {
+			if err := db.DeclareKey(mt.Name, mt.Key); err != nil {
 				db.Close()
 				return nil, err
 			}
@@ -217,23 +215,5 @@ func readHeapFile(cfg Config, pool *storage.Pool, path, name string, attrs []rel
 		return nil, err
 	}
 	defer heap.Drop()
-	rel, err := relation.New(name, attrs)
-	if err != nil {
-		return nil, err
-	}
-	it := heap.Scan()
-	defer it.Close()
-	for {
-		vals, m, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := rel.Append(vals, m); err != nil {
-			return nil, err
-		}
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return rel, nil
+	return exec.ReadRelation(&exec.Table{Name: name, Attrs: attrs, Heap: heap})
 }

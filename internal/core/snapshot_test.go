@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mpf/internal/catalog"
 	"mpf/internal/gen"
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
@@ -28,9 +27,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Declare a key on one table so Key persistence is exercised.
-	st := catalog.AnalyzeRelation(ds.RelationMap()["warehouses"])
-	st.Key = []string{"wid"}
-	if err := db.Catalog().AddTable(st); err != nil {
+	if err := db.DeclareKey("warehouses", []string{"wid"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CreateView("invest", ds.ViewTables); err != nil {

@@ -1,110 +1,162 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
+	"mpf/internal/catalog"
+	"mpf/internal/exec"
 	"mpf/internal/relation"
+	"mpf/internal/storage"
 )
 
-// Insert appends one tuple to a base table: the functional dependency is
-// enforced (no second measure for an existing variable assignment) and a
-// fresh copy-on-write generation of the table — relation, heap, and hash
-// indexes — is published as a new catalog version. Readers pinned to the
-// old version keep their generation; workload caches over views
-// containing the table are invalidated (they no longer satisfy the
-// Definition 5 invariant and must be rebuilt with BuildCache).
+// target resolves the table a one-row write addresses in the next
+// version and validates the row against its schema — arity always,
+// domains when inDomain is set — before any storage work.
+func (c *commit) target(table string, vals []int32, inDomain bool) (*exec.Table, *catalog.RowEdit, error) {
+	tv, ok := c.next.tables[table]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: %w %q", ErrUnknownTable, table)
+	}
+	t := tv.tab
+	if len(vals) != len(t.Attrs) {
+		return nil, nil, fmt.Errorf("core: %w: %d values for arity-%d table %s", ErrSchemaMismatch, len(vals), len(t.Attrs), table)
+	}
+	for i, a := range t.Attrs {
+		if inDomain && (vals[i] < 0 || int(vals[i]) >= a.Domain) {
+			return nil, nil, fmt.Errorf("core: %w: value %d outside domain [0,%d) of %s.%s", ErrSchemaMismatch, vals[i], a.Domain, table, a.Name)
+		}
+	}
+	st, err := c.next.cat.Table(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, catalog.NewRowEdit(st, vals), nil
+}
+
+// Insert appends one tuple to a base table. The row is validated
+// against the schema first; then the table's next generation is built
+// from its parent in one pass (commit.rewrite) that also enforces the
+// functional dependency — no second measure for an existing variable
+// assignment, no second row for an existing value of a declared key —
+// and carries the statistics and key forward. The generation, with its
+// hash indexes rebuilt, is published as a new catalog version. Readers
+// pinned to the old version keep their generation; workload caches over
+// views containing the table are invalidated (they no longer satisfy
+// the Definition 5 invariant and must be rebuilt with BuildCache).
 func (db *Database) Insert(table string, vals []int32, measure float64) error {
 	c := db.beginCommit()
-	rel, ok := c.next.rels[table]
-	if !ok {
-		c.cancel()
-		return fmt.Errorf("core: %w %q", ErrUnknownTable, table)
-	}
-	arity := rel.Arity()
-	if len(vals) != arity {
-		c.cancel()
-		return fmt.Errorf("core: insert of %d values into arity-%d table %s", len(vals), arity, table)
-	}
-	// FD check: the assignment must be new.
-	for i := 0; i < rel.Len(); i++ {
-		row := rel.Row(i)
-		same := true
-		for j := 0; j < arity; j++ {
-			if row[j] != vals[j] {
-				same = false
-				break
-			}
-		}
-		if same {
-			c.cancel()
-			return fmt.Errorf("core: insert into %s violates the FD: assignment %v already present", table, vals)
-		}
-	}
-	fresh := rel.Clone()
-	if err := fresh.Append(vals, measure); err != nil {
+	parent, edit, err := c.target(table, vals, true)
+	if err != nil {
 		c.cancel()
 		return err
 	}
-	t, err := c.loadTable(fresh, indexAttrs(c.next.tables[table].tab))
+	t, err := c.rewrite(parent, func(b *storage.Batch) (int, error) {
+		for i := 0; i < b.Len(); i++ {
+			same, keyed := edit.Observe(b.Row(i))
+			if same {
+				return 0, fmt.Errorf("core: insert into %s: %w: assignment %v already present", table, ErrNotFunctional, vals)
+			}
+			if keyed {
+				return 0, fmt.Errorf("core: insert into %s: %w: %v repeats the declared key of row %v", table, ErrNotFunctional, vals, b.Row(i))
+			}
+		}
+		return -1, nil
+	}, &storage.Batch{Arity: len(vals), Vals: vals, Measures: []float64{measure}}, indexAttrs(parent))
+	if errors.Is(err, ErrNotFunctional) {
+		c.cancel()
+		return err
+	}
 	if err != nil {
 		return c.abort(err)
 	}
-	if err := c.put(fresh, t); err != nil {
+	c.install(t)
+	if err := c.restat(edit.Stats(+1)); err != nil {
 		return c.abort(err)
 	}
 	return c.publish(table)
 }
 
 // Delete removes the tuple with the given variable assignment, returning
-// whether it existed. A fresh generation without the row is built and
-// published copy-on-write; indexes are reconstructed, statistics
-// refreshed, and dependent caches invalidated.
+// whether it existed. The next generation is the parent's rows minus
+// that one, built by the same pass as Insert; indexes are rebuilt,
+// statistics and key carried forward, and dependent caches invalidated.
+// Deleting an absent row publishes nothing.
 func (db *Database) Delete(table string, vals []int32) (bool, error) {
 	c := db.beginCommit()
-	rel, ok := c.next.rels[table]
-	if !ok {
-		c.cancel()
-		return false, fmt.Errorf("core: %w %q", ErrUnknownTable, table)
-	}
-	arity := rel.Arity()
-	if len(vals) != arity {
-		c.cancel()
-		return false, fmt.Errorf("core: delete of %d values from arity-%d table %s", len(vals), arity, table)
-	}
-	// Rebuild without the matching row.
-	fresh, err := relation.New(rel.Name(), rel.Attrs())
+	parent, edit, err := c.target(table, vals, false)
 	if err != nil {
 		c.cancel()
 		return false, err
 	}
 	removed := false
-	for i := 0; i < rel.Len(); i++ {
-		row := rel.Row(i)
-		same := true
-		for j := 0; j < arity; j++ {
-			if row[j] != vals[j] {
-				same = false
-				break
+	t, err := c.rewrite(parent, func(b *storage.Batch) (int, error) {
+		skip := -1
+		for i := 0; i < b.Len(); i++ {
+			if same, _ := edit.Observe(b.Row(i)); same && !removed {
+				removed, skip = true, i
 			}
 		}
-		if same && !removed {
-			removed = true
-			continue
-		}
-		fresh.MustAppend(append([]int32(nil), row...), rel.Measure(i))
-	}
-	if !removed {
-		c.cancel()
-		return false, nil
-	}
-	t, err := c.loadTable(fresh, indexAttrs(c.next.tables[table].tab))
+		return skip, nil
+	}, nil, indexAttrs(parent))
 	if err != nil {
 		return false, c.abort(err)
 	}
-	if err := c.put(fresh, t); err != nil {
+	c.install(t)
+	if !removed { // nothing to publish; cancel drops the installed copy
+		c.cancel()
+		return false, nil
+	}
+	if err := c.restat(edit.Stats(-1)); err != nil {
 		return false, c.abort(err)
 	}
 	return true, c.publish(table)
+}
+
+// DeclareKey records that cols functionally determine the whole row of
+// the table (and hence the measure) — the primary key Proposition 1
+// uses to project a non-key variable away instead of aggregating it.
+// Every column must be an attribute of the table and the stored rows
+// must be distinct on cols. The declaration is a commit: the table's
+// version is bumped so cached plans are re-planned against the key, and
+// it survives later Inserts (which must respect it), Deletes,
+// CreateIndex and Save/Load.
+func (db *Database) DeclareKey(table string, cols []string) error {
+	c := db.beginCommit()
+	tv, ok := c.next.tables[table]
+	if !ok {
+		c.cancel()
+		return fmt.Errorf("core: %w %q", ErrUnknownTable, table)
+	}
+	for _, col := range cols {
+		if tv.tab.ColIndex(col) < 0 {
+			c.cancel()
+			return fmt.Errorf("core: %w: key column %s is not an attribute of %s", ErrSchemaMismatch, col, table)
+		}
+	}
+	// Proposition 1's condition on the data: marginalizing onto a key
+	// merges no two rows.
+	r, err := exec.ReadRelation(tv.tab)
+	if err != nil {
+		return c.abort(err)
+	}
+	onKey, err := relation.Marginalize(db.cfg.Semiring, r, cols)
+	if err != nil {
+		return c.abort(err)
+	}
+	if onKey.Len() != r.Len() {
+		c.cancel()
+		return fmt.Errorf("core: %w: columns %v do not determine the rows of %s", ErrNotFunctional, cols, table)
+	}
+	st, err := c.next.cat.Table(table)
+	if err != nil {
+		return c.abort(err)
+	}
+	st.Key = cols
+	if err := c.restat(st); err != nil {
+		return c.abort(err)
+	}
+	return c.publish(table)
 }
 
 // DropTable removes a base table from the catalog. Tables referenced by
@@ -129,7 +181,6 @@ func (db *Database) DropTable(table string) error {
 			}
 		}
 	}
-	delete(c.next.rels, table)
 	delete(c.next.tables, table)
 	delete(c.next.versions, table)
 	c.next.cat.DropTable(table)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mpf/internal/catalog"
 	"mpf/internal/core"
 	"mpf/internal/gen"
 	"mpf/internal/infer"
@@ -297,9 +296,7 @@ func AblationFDSkip(cfg Config) (*Table, error) {
 		if err := db.CreateTable(r); err != nil {
 			return nil, err
 		}
-		st := catalog.AnalyzeRelation(r)
-		st.Key = keys[r.Name()]
-		if err := db.Catalog().AddTable(st); err != nil { // refresh with key info
+		if err := db.DeclareKey(r.Name(), keys[r.Name()]); err != nil {
 			return nil, err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,9 @@ func TestWireEndpoints(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 	spec := &mpf.QuerySpec{View: "v", GroupVars: []string{"a"}}
+	if err := db.DeclareKey("ab", []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Session lifecycle.
 	status, body := post(t, c, ts.URL+"/v1/sessions", SessionRequest{TimeoutMS: 60_000})
@@ -153,16 +157,21 @@ func TestWireEndpoints(t *testing.T) {
 		t.Fatalf("materialize: %d %s", status, body)
 	}
 	var resp *http.Response
-	resp, err = c.Get(ts.URL + "/v1/catalog")
-	if err != nil {
-		t.Fatal(err)
+	catalog := func() CatalogResponse {
+		t.Helper()
+		resp, err = c.Get(ts.URL + "/v1/catalog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var cat CatalogResponse
+		if err := json.Unmarshal(body, &cat); err != nil {
+			t.Fatal(err)
+		}
+		return cat
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var cat CatalogResponse
-	if err := json.Unmarshal(body, &cat); err != nil {
-		t.Fatal(err)
-	}
+	cat := catalog()
 	found := false
 	for _, tab := range cat.Tables {
 		if tab.Name == "va" {
@@ -198,6 +207,13 @@ func TestWireEndpoints(t *testing.T) {
 	status, _ = post(t, c, ts.URL+"/v1/insert", InsertRequest{Table: "ab", Vals: []int32{0, 0}, Measure: 1})
 	if status != http.StatusOK {
 		t.Fatal("re-insert after delete must succeed")
+	}
+
+	// A declared key is still reported after the table was rewritten.
+	for _, tab := range catalog().Tables {
+		if tab.Name == "ab" && !reflect.DeepEqual(tab.Key, []string{"a", "b"}) {
+			t.Fatalf("catalog reports key %v for ab after writes, want [a b]", tab.Key)
+		}
 	}
 
 	// Metrics report the server section enabled with admitted requests.
@@ -258,6 +274,11 @@ func TestWireErrors(t *testing.T) {
 		{"unknown session", "/v1/query", QueryRequest{Session: "s999", Query: &mpf.QuerySpec{View: "v"}}, 404, CodeUnknownSession},
 		{"missing query", "/v1/query", QueryRequest{}, 400, CodeBadRequest},
 		{"unknown table insert", "/v1/insert", InsertRequest{Table: "nope", Vals: []int32{0}}, 404, "unknown_table"},
+		{"insert repeats an assignment", "/v1/insert", InsertRequest{Table: "ab", Vals: []int32{1, 2}, Measure: 9}, 400, "not_functional"},
+		{"insert of wrong arity", "/v1/insert", InsertRequest{Table: "ab", Vals: []int32{1}}, 400, "schema_mismatch"},
+		{"insert out of domain", "/v1/insert", InsertRequest{Table: "ab", Vals: []int32{1, 24}}, 400, "schema_mismatch"},
+		{"unknown table delete", "/v1/delete", DeleteRequest{Table: "nope", Vals: []int32{0}}, 404, "unknown_table"},
+		{"delete of wrong arity", "/v1/delete", DeleteRequest{Table: "ab", Vals: []int32{1, 2, 3}}, 400, "schema_mismatch"},
 		{"budget exceeded", "/v1/query", QueryRequest{Query: &mpf.QuerySpec{View: "v", GroupVars: []string{"a"}}, MaxTempTuples: 4}, 422, "budget_exceeded"},
 		{"timeout", "/v1/query", QueryRequest{Query: &mpf.QuerySpec{View: "v", GroupVars: []string{"a"}}, TimeoutMS: -1}, 400, CodeBadRequest},
 	}

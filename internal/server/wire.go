@@ -181,7 +181,7 @@ func statusOf(code string) int {
 		return http.StatusNotFound
 	case "duplicate_table":
 		return http.StatusConflict
-	case "not_functional", "unknown_exec_mode", CodeBadRequest:
+	case "not_functional", "schema_mismatch", "unknown_exec_mode", CodeBadRequest:
 		return http.StatusBadRequest
 	case "canceled":
 		return http.StatusRequestTimeout

@@ -129,8 +129,14 @@ var (
 	// ErrDuplicateTable reports CreateTable of an existing name.
 	ErrDuplicateTable = core.ErrDuplicateTable
 	// ErrNotFunctional reports a relation that is not a functional
-	// relation (its variables do not determine the measure).
+	// relation (its variables do not determine the measure), or a write
+	// that would make a table one: an Insert of an assignment or
+	// declared-key value already present, a DeclareKey the data violates.
 	ErrNotFunctional = core.ErrNotFunctional
+	// ErrSchemaMismatch reports a write that does not fit the table's
+	// schema: wrong arity, a value outside its attribute's domain, or a
+	// key column that is not an attribute.
+	ErrSchemaMismatch = core.ErrSchemaMismatch
 	// ErrUnknownExecMode reports an invalid QuerySpec.Exec value.
 	ErrUnknownExecMode = core.ErrUnknownExecMode
 	// ErrCanceled reports a query ended by its context; the error also
