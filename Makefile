@@ -4,18 +4,17 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race bench bench-smoke perf chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
+.PHONY: all check build test test-race race bench bench-smoke perf fuzz experiments examples fmt vet clean docs-check loadgen server-smoke
 
 all: check
 
-# Full gate: compile, vet, plain tests, the race-enabled suite (which
-# exercises the parallel executor with Parallelism > 1), the two
+# Full gate: compile, vet, plain tests (the differential harness's
+# fixed-seed corpus among them, see DESIGN.md), the race-enabled suite
+# (which also runs the harness's concurrent readers and writer), the two
 # serving-layer smokes (a curl-driven endpoint walk of cmd/mpfserver and
-# a reduced concurrent load generation run over the wire), the quick
-# columnar-layout and columnar-fuse identity checks, the MVCC
-# snapshot-isolation chaos run under the race detector, and a compile +
-# test pass over the nested bench/ module.
-check: build vet test test-race server-smoke loadgen columnar columnar-fuse mvcc bench-smoke
+# a reduced concurrent load generation run over the wire), and a
+# compile + test pass over the nested bench/ module.
+check: build vet test test-race server-smoke loadgen bench-smoke
 
 # Documentation gate: vet, the exported-identifier doc-comment check,
 # and markdown link verification (README/DESIGN/EXPERIMENTS/ARCHITECTURE).
@@ -55,35 +54,6 @@ perf:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Deterministic-seed chaos run: replay the optimizer/executor matrix
-# over fault-injecting disks and check the resilience contract (see
-# EXPERIMENTS.md, `chaos`). The fixed seed makes failures reproducible.
-chaos:
-	$(GO) run ./cmd/mpfbench -exp chaos -quick -seed 1
-
-# Quick columnar-layout check: the columnar experiment errors unless the
-# encoded kernels return byte-identical results with identical physical
-# IO (see EXPERIMENTS.md, `columnar`); the speedup column is informative.
-columnar:
-	$(GO) run ./cmd/mpfbench -exp columnar -quick -seed 1
-
-# Quick end-to-end columnar check: the columnar-fuse experiment errors
-# unless the columnar sort and fused join+aggregate paths return
-# byte-identical results with identical physical IO versus row-major
-# (see EXPERIMENTS.md, `columnar-fuse`); the speedup column is
-# informative.
-columnar-fuse:
-	$(GO) run ./cmd/mpfbench -exp columnar-fuse -quick -seed 1
-
-# Snapshot-isolation chaos run under the race detector: analytical
-# readers concurrent with a sustained ingest stream on fault-injecting
-# disks, every answer checked byte-identical against a serial replay at
-# its pinned catalog version, plus a permanent write fault armed against
-# a mid-run commit (see EXPERIMENTS.md, `mvcc`). Drop -quick for the
-# full 64-commit acceptance run.
-mvcc:
-	$(GO) run -race ./cmd/mpfbench -exp mvcc -quick -seed 1
-
 # Concurrent serving smoke: mixed read/write sessions over HTTP against
 # internal/server with tight admission control. Fails on any answer that
 # differs from serial replay or any untyped rejection (see EXPERIMENTS.md,
@@ -95,6 +65,18 @@ loadgen:
 # the wire endpoints with curl, then assert a clean SIGTERM drain.
 server-smoke:
 	sh scripts/server_smoke.sh
+
+# Coverage-guided fuzzing: every Fuzz* target of the module for 30 s
+# each. Not part of check — `make test` already runs every target's
+# seed corpus; a failing input is written under the package's
+# testdata/fuzz/ and replays from there in `make test`.
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for t in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$t"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 30s $$pkg || exit 1; \
+		done; \
+	done
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

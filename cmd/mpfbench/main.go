@@ -7,7 +7,7 @@
 //	mpfbench -exp all                 # every experiment, paper order
 //	mpfbench -exp fig7 -scale 0.05    # one experiment at a chosen scale
 //	mpfbench -list                    # list experiment ids
-//	mpfbench -exp batch-exec -cpuprofile cpu.out -memprofile mem.out
+//	mpfbench -exp parallel-exec -cpuprofile cpu.out -memprofile mem.out
 //
 // Absolute numbers depend on hardware; the shapes (who wins, by what
 // factor, where crossovers fall) are the reproduction target recorded in
@@ -32,12 +32,9 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
 	frames := flag.Int("frames", 0, "buffer pool frames (0 = default 256)")
 	parallel := flag.Int("parallel", 0, "intra-query worker bound (0 or 1 = serial)")
-	workers := flag.Int("workers", 0, "morsel-scheduler worker bound (alias of -parallel; takes precedence when both are set)")
 	columnar := flag.Bool("columnar", false, "enable columnar page encoding for experiment sessions")
 	fuse := flag.Bool("fuse", false, "fuse GroupBy-over-Join pairs into a single non-materializing operator for experiment sessions")
 	rcache := flag.Int64("result-cache", 0, "result cache byte budget for cache-aware experiments (0 = experiment default)")
-	readahead := flag.Int("readahead", 0, "buffer-pool read-ahead distance in pages for sequential scans (0 = off)")
-	faults := flag.Int64("faults", 0, "run under seeded transient fault injection with this seed (0 = off)")
 	planner := flag.String("planner", "", "override the planning strategy for experiment sessions (empty = experiment default)")
 	planCache := flag.Int("plan-cache", 0, "plan cache capacity in entries for experiment sessions (0 = experiment default)")
 	planBudget := flag.Duration("plan-budget", 0, "planning-time budget before greedy fallback (0 = unlimited)")
@@ -65,10 +62,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *workers != 0 {
-		*parallel = *workers
-	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, PoolFrames: *frames, Parallelism: *parallel, ResultCacheBytes: *rcache, ReadAhead: *readahead, Columnar: *columnar, Fuse: *fuse, FaultSeed: *faults, Planner: *planner, PlanCacheEntries: *planCache, PlanBudget: *planBudget}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, PoolFrames: *frames, Parallelism: *parallel, ResultCacheBytes: *rcache, Columnar: *columnar, Fuse: *fuse, Planner: *planner, PlanCacheEntries: *planCache, PlanBudget: *planBudget}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()

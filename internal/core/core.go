@@ -487,19 +487,39 @@ func (db *Database) optQuery(q *QuerySpec, snap *Snapshot) (*opt.Query, error) {
 	return &opt.Query{Tables: v.Tables, GroupVars: q.GroupVars, Pred: q.Where}, nil
 }
 
-// validateHypothetical checks the replacement tables of a hypothetical
-// query: each must name a view base table and preserve its variable
-// schema (alternate measures and alternate domain values are fine; the
-// variables themselves must match so the view's join structure is
-// unchanged). Originals resolve against the query's snapshot.
-func (db *Database) validateHypothetical(q *QuerySpec, viewTables []string, snap *Snapshot) error {
+// validateQuery checks a query against its view before any planning:
+// every group and predicate variable must be a variable of the view, and
+// every hypothetical replacement must name a view base table and
+// preserve its variable schema (alternate measures and alternate domain
+// values are fine; the variables themselves must match so the view's
+// join structure is unchanged). Originals resolve against the query's
+// snapshot. A mismatch is the caller's error, ErrSchemaMismatch.
+func (db *Database) validateQuery(q *QuerySpec, viewTables []string, snap *Snapshot) error {
 	inView := make(map[string]bool, len(viewTables))
 	for _, t := range viewTables {
 		inView[t] = true
 	}
+	inViewVars := func(v string) bool {
+		for _, t := range viewTables {
+			if tab, ok := snap.v.table(t); ok && tab.ColIndex(v) >= 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, v := range q.GroupVars {
+		if !inViewVars(v) {
+			return fmt.Errorf("core: %w: query variable %s not in view %q", ErrSchemaMismatch, v, q.View)
+		}
+	}
+	for v := range q.Where {
+		if !inViewVars(v) {
+			return fmt.Errorf("core: %w: predicate variable %s not in view %q", ErrSchemaMismatch, v, q.View)
+		}
+	}
 	for name, h := range q.Hypothetical {
 		if !inView[name] {
-			return fmt.Errorf("core: hypothetical table %q not in view %q", name, q.View)
+			return fmt.Errorf("core: %w: hypothetical table %q not in view %q", ErrSchemaMismatch, name, q.View)
 		}
 		orig, ok := snap.v.table(name)
 		if !ok {
@@ -509,14 +529,14 @@ func (db *Database) validateHypothetical(q *QuerySpec, viewTables []string, snap
 			return fmt.Errorf("core: hypothetical %s: %w: %w", name, ErrNotFunctional, err)
 		}
 		if !h.Vars().Equal(orig.Vars()) {
-			return fmt.Errorf("core: hypothetical %s has variables %v, want %v",
-				name, h.Vars().Sorted(), orig.Vars().Sorted())
+			return fmt.Errorf("core: %w: hypothetical %s has variables %v, want %v",
+				ErrSchemaMismatch, name, h.Vars().Sorted(), orig.Vars().Sorted())
 		}
 		for _, a := range orig.Attrs {
 			ha, _ := h.Attr(a.Name)
 			if ha.Domain != a.Domain {
-				return fmt.Errorf("core: hypothetical %s: variable %s domain %d, want %d",
-					name, a.Name, ha.Domain, a.Domain)
+				return fmt.Errorf("core: %w: hypothetical %s: variable %s domain %d, want %d",
+					ErrSchemaMismatch, name, a.Name, ha.Domain, a.Domain)
 			}
 		}
 	}
@@ -622,7 +642,7 @@ func (db *Database) plan(ctx context.Context, q *QuerySpec, snap *Snapshot) (pla
 	if err != nil {
 		return planInfo{}, err
 	}
-	if err := db.validateHypothetical(q, oq.Tables, snap); err != nil {
+	if err := db.validateQuery(q, oq.Tables, snap); err != nil {
 		return planInfo{}, err
 	}
 	o := q.Optimizer

@@ -28,10 +28,11 @@ var (
 	// (or declared-key value) the table already holds; and a DeclareKey
 	// whose columns do not determine the row in the stored data.
 	ErrNotFunctional = errors.New("not a functional relation")
-	// ErrSchemaMismatch reports a write that does not fit the table's
+	// ErrSchemaMismatch reports a write or query that does not fit the
 	// schema: a row of the wrong arity, a value outside its attribute's
-	// domain, or a key column that is not an attribute. It is raised
-	// before any storage work.
+	// domain, a key column that is not an attribute, a query variable
+	// outside its view, or a hypothetical table that is not a view table
+	// of the same variables. It is raised before any storage work.
 	ErrSchemaMismatch = errors.New("schema mismatch")
 	// ErrUnknownExecMode reports a QuerySpec.Exec value that names no
 	// execution mode; Query validates it before planning.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,28 +156,6 @@ func TestCanceledQueryReleasesSnapshotPin(t *testing.T) {
 	}
 }
 
-// armableFactory wraps a disk factory so a test can arm a permanent
-// write fault for the next disks it hands out — targeting exactly the
-// heap a commit builds, without touching existing storage.
-type armableFactory struct {
-	inner storage.DiskFactory
-	armed atomic.Bool
-}
-
-func (f *armableFactory) factory() storage.DiskFactory {
-	return func() (storage.Disk, error) {
-		d, err := f.inner()
-		if err != nil {
-			return nil, err
-		}
-		var plan storage.FaultPlan
-		if f.armed.Load() {
-			plan = storage.FaultPlan{FailWriteOp: 1}
-		}
-		return storage.NewFaultDisk(d, plan), nil
-	}
-}
-
 // TestCommitFaultLeavesOldVersionServed injects a permanent fault into
 // each side of a commit's one pass: a write fault on the disk the new
 // generation is built on, and a read fault on the parent generation
@@ -190,19 +167,18 @@ func (f *armableFactory) factory() storage.DiskFactory {
 func TestCommitFaultLeavesOldVersionServed(t *testing.T) {
 	for _, class := range []struct {
 		name        string
-		arm, disarm func(*armableFactory, *faultFleet)
+		arm, disarm func(*faultFleet)
 	}{
-		{"write fault on the new generation",
-			func(af *armableFactory, _ *faultFleet) { af.armed.Store(true) },
-			func(af *armableFactory, _ *faultFleet) { af.armed.Store(false) }},
-		{"read fault on the parent generation", // every existing disk fails from its 3rd read on
-			func(_ *armableFactory, fleet *faultFleet) { fleet.setAll(storage.FaultPlan{FailReadOp: 3}) },
-			func(_ *armableFactory, fleet *faultFleet) { fleet.setAll(storage.FaultPlan{}) }},
+		{"write fault on the new generation", // the heap the commit creates fails its first write
+			func(fleet *faultFleet) { fleet.setNew(storage.FaultPlan{FailWriteOp: 1}) },
+			func(fleet *faultFleet) { fleet.setNew(storage.FaultPlan{}) }},
+		{"read fault on the parent generation", // every disk fails from its 3rd read on
+			func(fleet *faultFleet) { fleet.setAll(storage.FaultPlan{FailReadOp: 3}) },
+			func(fleet *faultFleet) { fleet.setAll(storage.FaultPlan{}) }},
 	} {
 		t.Run(class.name, func(t *testing.T) {
-			fleet := &faultFleet{}
-			af := &armableFactory{inner: fleet.factory(storage.MemDiskFactory(), storage.FaultPlan{})}
-			db, err := Open(Config{DiskFactory: af.factory(), PoolFrames: 4})
+			fleet := newFaultFleet(storage.MemDiskFactory(), storage.FaultPlan{})
+			db, err := Open(Config{DiskFactory: fleet.factory(), PoolFrames: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,9 +206,9 @@ func TestCommitFaultLeavesOldVersionServed(t *testing.T) {
 			seqBefore := db.Metrics().MVCC.Seq
 			disksBefore := db.Pool().Registered()
 
-			class.arm(af, fleet)
+			class.arm(fleet)
 			err = db.Insert("wide", []int32{59, 0}, 100)
-			class.disarm(af, fleet)
+			class.disarm(fleet)
 			if !errors.Is(err, ErrIO) {
 				t.Fatalf("insert under a permanent fault: err = %v, want ErrIO", err)
 			}

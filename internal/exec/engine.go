@@ -47,8 +47,8 @@ type Engine struct {
 	// ReadAhead makes sequential scans declare themselves to the buffer
 	// pool, which prefetches up to this many pages ahead of the scan
 	// position. 0 (the default) disables read-ahead so physical IO counts
-	// reproduce the paper's cost model exactly; see Pool.Prefetch for the
-	// accounting when enabled.
+	// reproduce the paper's cost model exactly; prefetched reads count
+	// in storage.Stats.Prefetches as well as Reads.
 	ReadAhead int
 	// Columnar is a page-layout choice for the operator outputs the
 	// result cache keeps: when set, their pages are re-encoded in the

@@ -46,12 +46,10 @@ func (e *Engine) externalSort(ctx context.Context, in *Table, cols []int, st *Ru
 	}
 
 	// Multi-pass merge with fan-in bounded by the buffer pool: each open
-	// cursor pins one page, so the pass width must leave frames for the
-	// output and for slack.
-	fanIn := e.Pool.Size() - 4
-	if fanIn < 2 {
-		fanIn = 2
-	}
+	// cursor pins one page for the whole pass, and the pool is shared, so
+	// a merge takes at most a quarter of it — concurrent queries sorting
+	// at once must not find every frame pinned.
+	fanIn := max(2, e.Pool.Size()/4)
 	for len(runs) > 1 {
 		var next []*Table
 		var mergeErr error

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"strings"
 	"time"
 
@@ -23,7 +22,6 @@ import (
 	"mpf/internal/opt"
 	"mpf/internal/plan"
 	"mpf/internal/relation"
-	"mpf/internal/storage"
 )
 
 // Config parameterizes an experiment run.
@@ -46,24 +44,12 @@ type Config struct {
 	// default budget. Experiments that measure raw plan IO always run with
 	// the cache disabled regardless.
 	ResultCacheBytes int64
-	// ReadAhead is the buffer-pool sequential-scan prefetch distance in
-	// pages applied to experiment sessions (0 = off). batch-exec overrides
-	// it per run.
-	ReadAhead int
 	// Columnar enables the per-page columnar encoding for experiment
-	// sessions. The columnar experiment compares the two layouts itself
-	// regardless of this setting.
+	// sessions.
 	Columnar bool
 	// Fuse pipelines GroupBy-over-Join pairs through the fused
-	// non-materializing operator for experiment sessions. The
-	// columnar-fuse experiment compares fused paths itself regardless of
-	// this setting.
+	// non-materializing operator for experiment sessions.
 	Fuse bool
-	// FaultSeed, when non-zero, backs every experiment session with a
-	// seeded storage.FaultDisk injecting transient read/write faults at 2%
-	// per op (mpfbench -faults). Results must be byte-identical to a
-	// fault-free run — the retry path absorbs every injected fault.
-	FaultSeed int64
 	// Planner, when non-empty, overrides the default planning strategy of
 	// every experiment session (opt.ByName report name, e.g. "greedy").
 	// Experiments that sweep optimizers still pass their own per query.
@@ -163,13 +149,8 @@ func Registry() []struct {
 		{"ablation-fusion", AblationFusion},
 		{"parallel-exec", ParallelExec},
 		{"result-cache", ResultCacheExp},
-		{"batch-exec", BatchExec},
-		{"chaos", Chaos},
 		{"plan-cache", PlanCacheExp},
 		{"loadgen", LoadGen},
-		{"columnar", ColumnarExec},
-		{"columnar-fuse", ColumnarFuse},
-		{"mvcc", MVCC},
 	}
 }
 
@@ -205,21 +186,15 @@ type bench struct {
 type session struct {
 	db *core.Database
 	ds *gen.Dataset
-	// faults marks a session backed by fault-injecting disks (mpfbench
-	// -faults); close reports the pool's retry counters on stderr so a
-	// run shows its injected faults were absorbed, without perturbing
-	// the table output on stdout.
-	faults bool
 }
 
 // sessionConfig translates the experiment config into an engine config:
 // buffer-pool size plus the execution knobs every session shares
-// (parallelism, read-ahead distance, page layout, fault injection).
+// (parallelism, page layout, fusion, planning).
 func sessionConfig(cfg Config, frames int) core.Config {
 	ccfg := core.Config{
 		PoolFrames:       frames,
 		Parallelism:      cfg.Parallelism,
-		ReadAhead:        cfg.ReadAhead,
 		Columnar:         cfg.Columnar,
 		FuseJoinGroupBy:  cfg.Fuse,
 		PlanCacheEntries: cfg.PlanCacheEntries,
@@ -230,18 +205,11 @@ func sessionConfig(cfg Config, frames int) core.Config {
 			ccfg.Optimizer = o
 		}
 	}
-	if cfg.FaultSeed != 0 {
-		ccfg.DiskFactory = storage.FaultDiskFactory(storage.MemDiskFactory(), storage.FaultPlan{
-			Seed:     cfg.FaultSeed,
-			ReadErr:  0.02,
-			WriteErr: 0.02,
-		})
-	}
 	return ccfg
 }
 
 // openSession loads a dataset into a database opened with ccfg.
-func openSession(ds *gen.Dataset, cfg Config, ccfg core.Config) (*session, error) {
+func openSession(ds *gen.Dataset, ccfg core.Config) (*session, error) {
 	db, err := core.Open(ccfg)
 	if err != nil {
 		return nil, err
@@ -256,23 +224,16 @@ func openSession(ds *gen.Dataset, cfg Config, ccfg core.Config) (*session, error
 		db.Close()
 		return nil, err
 	}
-	return &session{db: db, ds: ds, faults: cfg.FaultSeed != 0}, nil
+	return &session{db: db, ds: ds}, nil
 }
 
 // openDataset loads a dataset into a fresh engine-backed database with
 // the given buffer-pool size and the config's execution knobs.
 func openDataset(ds *gen.Dataset, cfg Config, frames int) (*session, error) {
-	return openSession(ds, cfg, sessionConfig(cfg, frames))
+	return openSession(ds, sessionConfig(cfg, frames))
 }
 
-func (s *session) close() {
-	if s.faults {
-		st := s.db.Pool().Stats()
-		fmt.Fprintf(os.Stderr, "faults: %d retries, %d transient, %d permanent, %d checksum failures\n",
-			st.Retries, st.TransientFaults, st.PermanentFaults, st.ChecksumFailures)
-	}
-	s.db.Close()
-}
+func (s *session) close() { s.db.Close() }
 
 // run executes one query on the engine with the given optimizer.
 func (s *session) run(o opt.Optimizer, groupVars []string, where relation.Predicate) (bench, error) {

@@ -161,28 +161,6 @@ func TestAblationBufferPoolShape(t *testing.T) {
 	}
 }
 
-// TestBatchExecShape verifies the structure of the batch-execution
-// experiment: one io-bound regime × {read-ahead off, on}, pages
-// prefetched only in the read-ahead row. (BatchExec itself errors if
-// read-ahead changes the query result or the result differs from the
-// in-memory reference, so result equality needs no re-check here.)
-func TestBatchExecShape(t *testing.T) {
-	tbl, err := BatchExec(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("want 2 rows (read-ahead off/on), got %d", len(tbl.Rows))
-	}
-	// Columns: regime, mode, exec ms, speedup, reads, writes, prefetched.
-	if p := cell(t, tbl, 0, 6); p != 0 {
-		t.Fatalf("prefetched %v pages with read-ahead off", p)
-	}
-	if p := cell(t, tbl, 1, 6); p == 0 {
-		t.Fatal("read-ahead row prefetched nothing")
-	}
-}
-
 // TestResultCacheExpShape verifies the acceptance shape of the cache
 // experiment: the second cache-enabled pass hits the cache and does at
 // most half the physical IO of the first, while cache-off passes never

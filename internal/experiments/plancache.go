@@ -52,7 +52,7 @@ func PlanCacheExp(cfg Config) (*Table, error) {
 	for _, entries := range []int{0, 64} {
 		ccfg := sessionConfig(cfg, cfg.frames())
 		ccfg.PlanCacheEntries = entries
-		sess, err := openSession(sc, cfg, ccfg)
+		sess, err := openSession(sc, ccfg)
 		if err != nil {
 			return nil, err
 		}

@@ -83,5 +83,5 @@ func ResultCacheExp(cfg Config) (*Table, error) {
 func openCachedDataset(ds *gen.Dataset, cfg Config, frames int, cacheBytes int64) (*session, error) {
 	ccfg := sessionConfig(cfg, frames)
 	ccfg.ResultCacheBytes = cacheBytes
-	return openSession(ds, cfg, ccfg)
+	return openSession(ds, ccfg)
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -218,14 +220,28 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) (context.Context,
 	return ctx, done, true
 }
 
+// maxBodyBytes caps a request body. A query, a row or a session's
+// defaults take a few hundred bytes; the allowance is for hypothetical
+// relations carried inside a query spec. A longer body is refused as
+// bad_request instead of being read into memory.
+const maxBodyBytes = 8 << 20
+
 // decode reads the JSON request body into v, writing the bad_request
 // envelope on failure.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeCode(w, CodeBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		// A body is one JSON value: anything after it but whitespace — or
+		// whitespace past the cap — is refused as well.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("data after the request value")
+		}
 	}
-	return true
+	writeCode(w, CodeBadRequest, fmt.Sprintf("decoding request: %v", err))
+	return false
 }
 
 // session resolves a request's session id ("" = the anonymous session

@@ -571,3 +571,62 @@ func TestAdmitterVirtualClock(t *testing.T) {
 		}
 	}
 }
+
+// FuzzWireRequest sends arbitrary bodies — malformed, oversized, of the
+// wrong type — to every POST endpoint. The server must not panic, must
+// not answer a client's mistake with a 500, must always answer with
+// parseable JSON (the error envelope on failure), and must leave no
+// buffer-pool frame pinned.
+func FuzzWireRequest(f *testing.F) {
+	db := newTestDB(f, mpf.Config{})
+	srv := New(db, Config{})
+	endpoints := []string{"/v1/sessions", "/v1/query", "/v1/explain", "/v1/materialize", "/v1/insert", "/v1/delete"}
+	for i, body := range []string{
+		`{"timeout_ms":50,"max_rows":3}`,
+		`{"query":{"view":"v","group_vars":["a"],"where":{"b":1}}}`,
+		`{"query":{"view":"v","group_vars":["zz"]},"max_temp_tuples":1}`,
+		`{"name":"m","query":{"view":"v","group_vars":["c"]}}`,
+		`{"table":"ab","vals":[1,2],"measure":3}`,
+		`{"table":"ab","vals":[99]}`,
+		`{"query":"v"}`, `[1,2]`, `{"session":"s404"}`, `{`, ``, `null`,
+	} {
+		f.Add(uint8(i), []byte(body), false)
+	}
+	f.Add(uint8(1), []byte(`{"query":{"view":"v"}}`), true)
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte, oversize bool) {
+		var r io.Reader = bytes.NewReader(body)
+		if oversize { // the body with a cap's worth of spaces in the middle
+			half := len(body) / 2
+			r = io.MultiReader(bytes.NewReader(body[:half]),
+				io.LimitReader(spaces{}, maxBodyBytes), bytes.NewReader(body[half:]))
+		}
+		url := endpoints[int(endpoint)%len(endpoints)]
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, r))
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("%s %q: 500 for client input: %s", url, body, rec.Body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s %q: response is not JSON: %q", url, body, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			envelope(t, rec.Body.Bytes())
+		}
+		if oversize && rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: oversized body answered %d, want 400", url, rec.Code)
+		}
+		if n := db.Pool().Pinned(); n != 0 {
+			t.Fatalf("%s %q: %d frames left pinned", url, body, n)
+		}
+	})
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}

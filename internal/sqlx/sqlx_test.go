@@ -302,3 +302,46 @@ func TestSessionMinProduct(t *testing.T) {
 		t.Fatal("sum on min-product database should error")
 	}
 }
+
+// FuzzSQL feeds arbitrary text to the parser and, as one statement, to a
+// session over a small database. Nothing may panic, and whatever the
+// statement did leaves no buffer-pool frame pinned.
+func FuzzSQL(f *testing.F) {
+	fixture := []string{
+		"create table r (a domain 2, b domain 2)",
+		"insert into r values (0, 0, 2)",
+		"insert into r values (1, 0, 5)",
+		"create table q (b domain 2, c domain 2)",
+		"insert into q values (0, 1, 7)",
+		"create mpfview v as select * from r, q",
+	}
+	for _, s := range append(fixture,
+		"select a, sum(f) from v group by a",
+		"select c, min(f) from v where a = 1 group by c having f < 3 using ve(width)+ext",
+		"explain analyze select b, sum(f) from v group by b",
+		"create index on r (a)", "drop mpfview v", "drop table q",
+		"create table t (x domain 3); insert into t values (1, 2.5)",
+		"select", "select a, sum(f) from", "'", "-- only a comment", ";;", "insert into r values (9, 9, 1e400)",
+	) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		Parse(input)
+		ParseScript(input)
+		db, err := core.Open(core.Config{PoolFrames: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		s := NewSession(db)
+		for _, line := range fixture {
+			if _, err := s.Exec(line); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+		}
+		s.Exec(input)
+		if n := db.Pool().Pinned(); n != 0 {
+			t.Fatalf("%q left %d frames pinned", input, n)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -185,7 +186,6 @@ func TestScanReadAhead(t *testing.T) {
 		if i != n {
 			t.Fatalf("ra %d: scanned %d tuples, want %d", ra, i, n)
 		}
-		pool.DrainPrefetches()
 		return pool.Stats().Sub(before)
 	}
 
@@ -238,9 +238,72 @@ func TestScanReadAheadCanceled(t *testing.T) {
 	if it.Err() == nil {
 		t.Fatal("canceled scan reported no error")
 	}
-	pool.DrainPrefetches()
 	if p := pool.Stats().Prefetches; p != 0 {
 		t.Fatalf("canceled scan still prefetched %d pages", p)
+	}
+}
+
+// TestReadAheadSettlesBeforeScanEnds is the regression test for read-ahead
+// outliving the scan that issued it: a prefetch pins its frame for the
+// whole disk read, so a scan that fails on a permanent read fault while
+// slow prefetches of the pages ahead are still loading must wait for
+// them — nothing may be pinned the moment the scan reports its error.
+func TestReadAheadSettlesBeforeScanEnds(t *testing.T) {
+	src := NewMemDisk()
+	w, err := NewHeap(NewPool(64), src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillHeap(t, w, 40*TuplesPerPage(2), 7)
+	if err := w.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	failures := 0
+	for rep := 0; rep < 24; rep++ {
+		pool := NewPool(16)
+		d := NewFaultDisk(NewLatencyDisk(src, time.Millisecond, 0), FaultPlan{})
+		h, err := OpenHeap(pool, d, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Faults fail a read at once; the prefetches of the pages after it
+		// are still sleeping on the latency disk.
+		d.SetPlan(FaultPlan{Seed: int64(rep), PermReadErr: 0.15})
+		var it interface{ Close() error }
+		var scanErr error
+		switch rep % 3 {
+		case 0:
+			bi := h.ScanBatches()
+			bi.SetReadAhead(4)
+			for _, ok := bi.Next(); ok; _, ok = bi.Next() {
+			}
+			it, scanErr = bi, bi.Err()
+		case 1:
+			ci := h.ScanColBatches()
+			ci.SetReadAhead(4)
+			for _, ok := ci.Next(); ok; _, ok = ci.Next() {
+			}
+			it, scanErr = ci, ci.Err()
+		default:
+			ti := h.Scan()
+			ti.SetReadAhead(4)
+			for _, _, ok := ti.Next(); ok; _, _, ok = ti.Next() {
+			}
+			it, scanErr = ti, ti.Err()
+		}
+		if scanErr != nil {
+			failures++
+			if n := pool.Pinned(); n != 0 {
+				t.Fatalf("rep %d: %d frames pinned when the scan reported %v", rep, n, scanErr)
+			}
+		}
+		it.Close()
+		if n := pool.Pinned(); n != 0 {
+			t.Fatalf("rep %d: %d frames pinned after Close", rep, n)
+		}
+	}
+	if failures == 0 {
+		t.Fatal("no scan hit a fault; the test exercised nothing")
 	}
 }
 
@@ -303,13 +366,12 @@ func TestPrefetchConcurrentScan(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	var loads sync.WaitGroup
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
 		for p := int64(0); p < h.NumPages(); p++ {
-			pool.Prefetch(ctx, h.handle, p)
+			pool.prefetch(context.Background(), h.handle, p, &loads)
 		}
 	}()
 	it := h.ScanBatches()
@@ -334,6 +396,7 @@ func TestPrefetchConcurrentScan(t *testing.T) {
 		t.Fatalf("scanned %d tuples, want %d", i, n)
 	}
 	<-done
+	loads.Wait()
 }
 
 // FuzzHeapPageRoundTrip drives arbitrary tuple streams through append

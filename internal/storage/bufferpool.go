@@ -100,10 +100,8 @@ type Pool struct {
 	stats   Stats
 	disks   map[int64]Disk
 	diskSeq int64
-	// prefetchSem bounds concurrent read-ahead goroutines; prefetchWG
-	// tracks them so unregister never races an in-flight prefetch pin.
+	// prefetchSem bounds concurrent read-ahead goroutines.
 	prefetchSem chan struct{}
-	prefetchWG  sync.WaitGroup
 	// retries/backoffBase/backoffCap configure transient-fault retry
 	// (SetRetry); set before the pool is shared, never concurrently with
 	// page traffic.
@@ -162,10 +160,6 @@ func (p *Pool) Unregister(h int64) error { return p.unregister(h, false) }
 func (p *Pool) Discard(h int64) error { return p.unregister(h, true) }
 
 func (p *Pool) unregister(h int64, discard bool) error {
-	// Drain in-flight read-ahead first: a prefetch holds a pin on its frame
-	// while loading, which would make a racing unregister report a phantom
-	// pin leak. Prefetches are single page reads, so this wait is short.
-	p.prefetchWG.Wait()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	d, ok := p.disks[h]
@@ -514,7 +508,7 @@ func (p *Pool) PinContext(ctx context.Context, h, no int64) ([]byte, error) {
 	return f.buf, nil
 }
 
-// Prefetch asynchronously loads the page into the pool without pinning
+// prefetch asynchronously loads the page into the pool without pinning
 // it for the caller: sequential scans hint the pages they are about to
 // request so the reads overlap the scan's own work instead of stalling
 // it. Best-effort and bounded — if the page is already resident (or
@@ -522,8 +516,12 @@ func (p *Pool) PinContext(ctx context.Context, h, no int64) ([]byte, error) {
 // already in flight the request is dropped rather than queued. A
 // prefetched read counts in Stats.Reads AND Stats.Prefetches; the scan's
 // later pin of the page counts a hit, exactly as if another query had
-// faulted the page in first. A canceled ctx suppresses the read.
-func (p *Pool) Prefetch(ctx context.Context, h, no int64) {
+// faulted the page in first. A canceled ctx suppresses the read. The
+// load is counted in owner, which the issuing scan waits on before it
+// ends (readAhead): a load pins its frame until its read settles, and no
+// such pin may outlive the scan — nor the heap, which is dropped only
+// after its scans end.
+func (p *Pool) prefetch(ctx context.Context, h, no int64, owner *sync.WaitGroup) {
 	if ctx.Err() != nil {
 		return
 	}
@@ -532,22 +530,18 @@ func (p *Pool) Prefetch(ctx context.Context, h, no int64) {
 	default:
 		return // all prefetchers busy: drop, don't queue
 	}
-	p.prefetchWG.Add(1)
+	owner.Add(1)
 	go func() {
-		defer p.prefetchWG.Done()
+		defer owner.Done()
 		defer func() { <-p.prefetchSem }()
-		p.prefetch(ctx, h, no)
+		p.load(ctx, h, no)
 	}()
 }
 
-// DrainPrefetches blocks until every in-flight Prefetch has completed,
-// making Stats deterministic for callers that just issued read-ahead.
-func (p *Pool) DrainPrefetches() { p.prefetchWG.Wait() }
-
-// prefetch performs one read-ahead load: reserve a frame (pinned +
-// loading, like a Pin miss), read outside the lock, then release the
-// pin so the page sits evictable-but-resident for the scan to hit.
-func (p *Pool) prefetch(ctx context.Context, h, no int64) {
+// load performs one read-ahead load: reserve a frame (pinned + loading,
+// like a Pin miss), read outside the lock, then release the pin so the
+// page sits evictable-but-resident for the scan to hit.
+func (p *Pool) load(ctx context.Context, h, no int64) {
 	p.mu.Lock()
 	if _, ok := p.table[pageKey{h, no}]; ok {
 		p.mu.Unlock()

@@ -139,16 +139,15 @@ func (cb *ColBatch) Row(i int, dst []int32) {
 // every column segment out (so no pin outlives the call), and unpins.
 // Row-major pages yield all-plain views.
 type ColBatchIterator struct {
-	h         *Heap
-	ctx       stdcontext.Context
-	pageNo    int64
-	npages    int64
-	cb        ColBatch
-	started   bool
-	done      bool
-	err       error
-	readAhead int
-	raMark    int64
+	h       *Heap
+	ctx     stdcontext.Context
+	pageNo  int64
+	npages  int64
+	cb      ColBatch
+	started bool
+	done    bool
+	err     error
+	ra      readAhead
 }
 
 // ScanColBatches returns an encoded-batch iterator over the heap. The
@@ -163,7 +162,14 @@ func (h *Heap) ScanColBatchesContext(ctx stdcontext.Context) *ColBatchIterator {
 
 // SetReadAhead declares the scan sequential: before pinning each page the
 // iterator asks the pool to prefetch up to k following pages.
-func (it *ColBatchIterator) SetReadAhead(k int) { it.readAhead = k }
+func (it *ColBatchIterator) SetReadAhead(k int) { it.ra.k = k }
+
+// fail ends the scan with err once its read-ahead loads have settled.
+func (it *ColBatchIterator) fail(err error) {
+	it.ra.inflight.Wait()
+	it.err = err
+	it.done = true
+}
 
 // SetPageRange restricts the scan to pages [lo, hi) of the heap, clipped
 // to the pages it has; call it before the first Next. Iterators over
@@ -190,11 +196,10 @@ func (it *ColBatchIterator) Next() (cb *ColBatch, ok bool) {
 			it.done = true
 			return nil, false
 		}
-		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
+		it.h.prefetchAhead(it.ctx, it.pageNo, &it.ra, it.npages)
 		buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
 		if err != nil {
-			it.err = err
-			it.done = true
+			it.fail(err)
 			return nil, false
 		}
 		n := int(binary.LittleEndian.Uint16(buf[0:]))
@@ -206,8 +211,7 @@ func (it *ColBatchIterator) Next() (cb *ColBatch, ok bool) {
 			fillErr = err
 		}
 		if fillErr != nil {
-			it.err = fillErr
-			it.done = true
+			it.fail(fillErr)
 			return nil, false
 		}
 		if n > 0 {
@@ -333,9 +337,11 @@ func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, n int) error {
 // Err returns the first error encountered during iteration.
 func (it *ColBatchIterator) Err() error { return it.err }
 
-// Close ends the iteration. Encoded-batch iterators hold no pin between
-// Next calls, so Close only marks the iterator done and reports Err.
+// Close ends the iteration once the scan's read-ahead loads have
+// settled, and reports Err. Encoded-batch iterators hold no pin of their
+// own between Next calls.
 func (it *ColBatchIterator) Close() error {
+	it.ra.inflight.Wait()
 	it.done = true
 	return it.err
 }

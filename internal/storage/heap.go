@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Heap page layout:
@@ -298,44 +299,45 @@ func (h *Heap) AppendBatch(b *Batch) error {
 	return h.AppendRows(b.Vals, b.Measures)
 }
 
-// prefetchAhead issues read-ahead for up to k pages past cur, tracking a
-// watermark in *mark so each page is requested at most once per scan.
-func (h *Heap) prefetchAhead(ctx context.Context, cur int64, k int, mark *int64, npages int64) {
-	if k <= 0 {
+// readAhead is one sequential scan's prefetch state: the distance k
+// (0 = off), the watermark of pages already requested, and the loads
+// still in flight. A scan waits for its in-flight loads when it ends —
+// at Close or on its first error — so no frame a read-ahead load pins
+// outlives the scan, and a query that returns leaves nothing pinned.
+type readAhead struct {
+	k        int
+	mark     int64
+	inflight sync.WaitGroup
+}
+
+// prefetchAhead issues read-ahead for up to ra.k pages past cur, each
+// page at most once per scan.
+func (h *Heap) prefetchAhead(ctx context.Context, cur int64, ra *readAhead, npages int64) {
+	if ra.k <= 0 {
 		return
 	}
-	hi := cur + int64(k)
-	if hi > npages-1 {
-		hi = npages - 1
+	hi := min(cur+int64(ra.k), npages-1)
+	for p := max(cur+1, ra.mark); p <= hi; p++ {
+		h.pool.prefetch(ctx, h.handle, p, &ra.inflight)
 	}
-	lo := cur + 1
-	if lo < *mark {
-		lo = *mark
-	}
-	for p := lo; p <= hi; p++ {
-		h.pool.Prefetch(ctx, h.handle, p)
-	}
-	if hi+1 > *mark {
-		*mark = hi + 1
-	}
+	ra.mark = max(ra.mark, hi+1)
 }
 
 // Iterator streams a heap's tuples in storage order.
 type Iterator struct {
-	h         *Heap
-	ctx       context.Context
-	pageNo    int64
-	buf       []byte
-	inPage    int
-	count     int
-	valBuf    []int32
-	done      bool
-	err       error
-	pinned    bool
-	npages    int64
-	started   bool
-	readAhead int
-	raMark    int64
+	h       *Heap
+	ctx     context.Context
+	pageNo  int64
+	buf     []byte
+	inPage  int
+	count   int
+	valBuf  []int32
+	done    bool
+	err     error
+	pinned  bool
+	npages  int64
+	started bool
+	ra      readAhead
 	// Columnar pages are decoded whole on pin into these scratch arrays
 	// (isCol marks the current page's format); rows are then served from
 	// them with the same per-row interface as row-major pages.
@@ -358,8 +360,15 @@ func (h *Heap) ScanContext(ctx context.Context) *Iterator {
 
 // SetReadAhead declares the scan sequential: before pinning each page the
 // iterator asks the pool to prefetch up to k following pages (see
-// Pool.Prefetch). Zero (the default) disables read-ahead.
-func (it *Iterator) SetReadAhead(k int) { it.readAhead = k }
+// Pool.prefetch). Zero (the default) disables read-ahead.
+func (it *Iterator) SetReadAhead(k int) { it.ra.k = k }
+
+// fail ends the scan with err once its read-ahead loads have settled.
+func (it *Iterator) fail(err error) {
+	it.ra.inflight.Wait()
+	it.err = err
+	it.done = true
+}
 
 // Next returns the next tuple, or ok=false at the end. The returned slice
 // is reused between calls; callers must copy values they retain.
@@ -377,11 +386,10 @@ func (it *Iterator) Next() (vals []int32, measure float64, ok bool) {
 				it.done = true
 				return nil, 0, false
 			}
-			it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
+			it.h.prefetchAhead(it.ctx, it.pageNo, &it.ra, it.npages)
 			buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
 			if err != nil {
-				it.err = err
-				it.done = true
+				it.fail(err)
 				return nil, 0, false
 			}
 			it.buf = buf
@@ -397,8 +405,7 @@ func (it *Iterator) Next() (vals []int32, measure float64, ok bool) {
 				it.colVals = it.colVals[:it.count*it.h.arity]
 				it.colMeas = it.colMeas[:it.count]
 				if err := decodeColumnarRows(buf, it.h.arity, 0, it.count, it.colVals, it.colMeas); err != nil {
-					it.err = err
-					it.done = true
+					it.fail(err)
 					return nil, 0, false
 				}
 			}
@@ -419,8 +426,7 @@ func (it *Iterator) Next() (vals []int32, measure float64, ok bool) {
 			return it.valBuf, m, true
 		}
 		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil {
-			it.err = err
-			it.done = true
+			it.fail(err)
 			return nil, 0, false
 		}
 		it.pinned = false
@@ -437,8 +443,10 @@ func (it *Iterator) Location() (pageNo int64, slot int) {
 // Err returns the first error encountered during iteration.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases any pinned page.
+// Close releases any pinned page, after the scan's read-ahead loads have
+// settled.
 func (it *Iterator) Close() error {
+	it.ra.inflight.Wait()
 	if it.pinned {
 		it.pinned = false
 		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil && it.err == nil {
@@ -492,16 +500,15 @@ func (b *Batch) Append(vals []int32, measure float64) {
 // and unpins — no per-tuple pool round-trips and no per-tuple
 // allocation.
 type BatchIterator struct {
-	h         *Heap
-	ctx       context.Context
-	pageNo    int64
-	npages    int64
-	batch     Batch
-	started   bool
-	done      bool
-	err       error
-	readAhead int
-	raMark    int64
+	h       *Heap
+	ctx     context.Context
+	pageNo  int64
+	npages  int64
+	batch   Batch
+	started bool
+	done    bool
+	err     error
+	ra      readAhead
 }
 
 // ScanBatches returns a batch iterator over the heap. The iterator must
@@ -517,8 +524,15 @@ func (h *Heap) ScanBatchesContext(ctx context.Context) *BatchIterator {
 
 // SetReadAhead declares the scan sequential: before pinning each page the
 // iterator asks the pool to prefetch up to k following pages (see
-// Pool.Prefetch). Zero (the default) disables read-ahead.
-func (it *BatchIterator) SetReadAhead(k int) { it.readAhead = k }
+// Pool.prefetch). Zero (the default) disables read-ahead.
+func (it *BatchIterator) SetReadAhead(k int) { it.ra.k = k }
+
+// fail ends the scan with err once its read-ahead loads have settled.
+func (it *BatchIterator) fail(err error) {
+	it.ra.inflight.Wait()
+	it.err = err
+	it.done = true
+}
 
 // Next decodes and returns the next page's tuples, or ok=false at the
 // end. The returned batch and its arrays are reused between calls:
@@ -536,25 +550,22 @@ func (it *BatchIterator) Next() (b *Batch, ok bool) {
 			it.done = true
 			return nil, false
 		}
-		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
+		it.h.prefetchAhead(it.ctx, it.pageNo, &it.ra, it.npages)
 		buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
 		if err != nil {
-			it.err = err
-			it.done = true
+			it.fail(err)
 			return nil, false
 		}
 		n := int(binary.LittleEndian.Uint16(buf[0:]))
 		if n > 0 {
 			if err := it.decode(buf, n); err != nil {
 				it.h.pool.Unpin(it.h.handle, it.pageNo, false)
-				it.err = err
-				it.done = true
+				it.fail(err)
 				return nil, false
 			}
 		}
 		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil {
-			it.err = err
-			it.done = true
+			it.fail(err)
 			return nil, false
 		}
 		if n > 0 {
@@ -602,9 +613,11 @@ func (it *BatchIterator) decode(buf []byte, n int) error {
 // Err returns the first error encountered during iteration.
 func (it *BatchIterator) Err() error { return it.err }
 
-// Close ends the iteration. Batch iterators hold no pin between Next
-// calls, so Close only marks the iterator done and reports Err.
+// Close ends the iteration once the scan's read-ahead loads have
+// settled, and reports Err. Batch iterators hold no pin of their own
+// between Next calls.
 func (it *BatchIterator) Close() error {
+	it.ra.inflight.Wait()
 	it.done = true
 	return it.err
 }

@@ -133,9 +133,10 @@ var (
 	// that would make a table one: an Insert of an assignment or
 	// declared-key value already present, a DeclareKey the data violates.
 	ErrNotFunctional = core.ErrNotFunctional
-	// ErrSchemaMismatch reports a write that does not fit the table's
-	// schema: wrong arity, a value outside its attribute's domain, or a
-	// key column that is not an attribute.
+	// ErrSchemaMismatch reports a write or query that does not fit the
+	// schema: wrong arity, a value outside its attribute's domain, a key
+	// column that is not an attribute, a query variable outside its view,
+	// or a mismatched hypothetical table.
 	ErrSchemaMismatch = core.ErrSchemaMismatch
 	// ErrUnknownExecMode reports an invalid QuerySpec.Exec value.
 	ErrUnknownExecMode = core.ErrUnknownExecMode
