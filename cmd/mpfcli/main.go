@@ -43,25 +43,17 @@ func main() {
 	command := flag.String("c", "", "execute one statement and exit")
 	frames := flag.Int("frames", 256, "buffer pool frames")
 	parallel := flag.Int("parallel", 0, "intra-query worker bound (0 or 1 = serial)")
-	workers := flag.Int("workers", 0, "morsel-scheduler worker bound (alias of -parallel; takes precedence when both are set)")
 	columnar := flag.Bool("columnar", false, "encode full heap pages columnar (dictionary/RLE segments) and run the encoded-value kernels")
 	fuse := flag.Bool("fuse", false, "fuse GroupBy-over-Join pairs into a single non-materializing operator")
 	rcache := flag.Int64("result-cache", 0, "shared subplan result cache byte budget (0 = disabled)")
 	readahead := flag.Int("readahead", 0, "buffer-pool read-ahead distance in pages for sequential scans (0 = off)")
 	ioRetries := flag.Int("io-retries", 0, "transient-fault IO retry bound (0 = default 3, negative = off)")
-	planner := flag.String("planner", "", "default planner (alias of -strategy; takes precedence when both are set)")
 	planCache := flag.Int("plan-cache", 0, "plan cache capacity in entries (0 = disabled)")
 	planBudget := flag.Duration("plan-budget", 0, "planning-time budget before falling back to the greedy planner (0 = unlimited)")
 	flag.BoolVar(&analyze, "analyze", false, "print per-operator actuals after each query")
 	flag.BoolVar(&showMetrics, "metrics", false, "print the engine metrics snapshot before exiting")
 	flag.Parse()
 
-	if *planner != "" {
-		*strategy = *planner
-	}
-	if *workers != 0 {
-		*parallel = *workers
-	}
 	if err := run(*load, *scale, *density, *tables, *seed, *srName, *strategy, *script, *command, *frames, *parallel, *rcache, *readahead, *ioRetries, *planCache, *planBudget, *columnar, *fuse); err != nil {
 		fmt.Fprintf(os.Stderr, "mpfcli: %v [%s]\n", err, mpf.ErrorCode(err))
 		os.Exit(1)

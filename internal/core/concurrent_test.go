@@ -77,3 +77,73 @@ func TestConcurrentQueries(t *testing.T) {
 type errMismatch string
 
 func (e errMismatch) Error() string { return "concurrent query mismatch on " + string(e) }
+
+// TestConcurrentSortMergesShareSmallPool runs three sort-based group-bys
+// at once on a 6-frame pool with 8-tuple sort runs, so every query
+// merges dozens of runs two at a time. Merge cursors hold no pin between
+// page batches, so the queries must all succeed with the serial answer
+// and leave no frame pinned (ROADMAP item 5(i)).
+func TestConcurrentSortMergesShareSmallPool(t *testing.T) {
+	db, err := Open(Config{PoolFrames: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r, err := relation.Complete("r", []relation.Attr{{Name: "a", Domain: 30}, {Name: "b", Domain: 20}},
+		func(v []int32) float64 { return float64(v[0]*7+v[1]%5) + 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateView("v", []string{"r"}); err != nil {
+		t.Fatal(err)
+	}
+	db.Engine().SortGroupBy = true
+	db.Engine().SortRunTuples = 8
+	vars := []string{"a", "b", "a"}
+	want := make(map[string]*relation.Relation)
+	for _, v := range vars[:2] {
+		res, err := db.Query(&QuerySpec{View: "v", GroupVars: []string{v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = res.Relation
+	}
+	const rounds = 5
+	var wg sync.WaitGroup
+	errs := make(chan error, len(vars)*rounds)
+	for _, v := range vars {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				res, err := db.Query(&QuerySpec{View: "v", GroupVars: []string{v}})
+				if err != nil {
+					errs <- err
+					continue
+				}
+				if !relation.Equal(res.Relation, want[v], 0, 0) {
+					errs <- errMismatch(v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	failed := 0
+	var first error
+	for err := range errs {
+		if first == nil {
+			first = err
+		}
+		failed++
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d concurrent sort group-bys failed, first: %v", failed, len(vars)*rounds, first)
+	}
+	if n := db.Pool().Pinned(); n != 0 {
+		t.Fatalf("%d frames pinned after the queries", n)
+	}
+}

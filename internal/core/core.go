@@ -787,7 +787,7 @@ func (db *Database) execute(ctx context.Context, q *QuerySpec, info planInfo, sn
 			}
 		}()
 		for name, h := range q.Hypothetical {
-			ht, err := exec.LoadRelationColumnar(db.pool, db.factory, h, db.cfg.Columnar)
+			ht, err := exec.LoadRelation(db.pool, db.factory, h, db.cfg.Columnar)
 			if err != nil {
 				return out, err
 			}

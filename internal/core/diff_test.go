@@ -997,10 +997,11 @@ func (r *diffRun) armedCommit(db *Database, fleet *faultFleet, tables, want []*r
 // done one version is live, no snapshot is held and nothing is pinned.
 func (r *diffRun) concurrent() {
 	// Left out of the draw: a small pool under concurrent queries. Frames
-	// are not reserved per query, so two readers' merge cursors or
-	// parallel Grace partitioning beside the writer can pin all 6–8
-	// frames, and a Pin fails untyped with "all frames pinned" (ROADMAP
-	// item 5; seed 736).
+	// are not reserved per query, so parallel Grace partitioning in two
+	// readers beside the writer can pin all 6–8 frames, and a Pin fails
+	// untyped with "all frames pinned" (ROADMAP item 5; seeds 265 and 736,
+	// both variant=grace workers=4). Merge cursors hold no pin between
+	// page batches, so sorting readers no longer pin a small pool out.
 	c := r.cfg
 	c.frames = 256
 	db := r.open(c, nil)

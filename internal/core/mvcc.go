@@ -299,7 +299,7 @@ func (db *Database) beginCommit() *commit {
 // and through it Materialize and Load): load — columnar-encoded when
 // configured — then finish.
 func (c *commit) loadTable(r *relation.Relation) (*exec.Table, error) {
-	t, err := exec.LoadRelationColumnar(c.db.pool, c.db.factory, r, c.db.cfg.Columnar)
+	t, err := exec.LoadRelation(c.db.pool, c.db.factory, r, c.db.cfg.Columnar)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"mpf/internal/gen"
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
+	"mpf/internal/storage"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -147,5 +150,60 @@ func TestSaveOverwritesPreviousSnapshot(t *testing.T) {
 	got, err := db2.Relation("t")
 	if err != nil || got.Len() != 1 {
 		t.Fatalf("reload after overwrite failed: %v", err)
+	}
+}
+
+// TestLoadMalformedPage loads a snapshot whose first heap page passes its
+// checksum but claims 50 tuples more than an arity-2 page holds: Load
+// must fail with ErrCorrupt naming the page — no panic — and the read
+// must leave no frame of the snapshot pool pinned.
+func TestLoadMalformedPage(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := []relation.Attr{{Name: "a", Domain: 40}, {Name: "b", Domain: 40}}
+	r, err := relation.Complete("r", attrs, func(v []int32) float64 { return float64(v[0] + v[1]) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	path := filepath.Join(dir, "r.heap")
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(page, uint16(storage.TuplesPerPage(len(attrs))+50))
+	storage.SealPage(page)
+	if _, err := f.WriteAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Load(dir, Config{})
+	var cpe *storage.CorruptPageError
+	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &cpe) || cpe.Page != 0 {
+		t.Fatalf("Load of an over-count page = %v, want ErrCorrupt on page 0", err)
+	}
+	pool := snapshotPool(Config{})
+	if _, err := readHeapFile(Config{}, pool, path, "r", attrs); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("readHeapFile = %v, want ErrCorrupt", err)
+	}
+	if n := pool.Pinned(); n != 0 {
+		t.Fatalf("%d snapshot-pool frames pinned after the failed read", n)
 	}
 }

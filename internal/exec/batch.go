@@ -34,12 +34,12 @@ func projectKey(vals []int32, cols []int, key []int32) {
 }
 
 // batchWriter accumulates output rows and flushes them to a table one
-// page-sized batch at a time, replacing per-row Append (a pool pin, a
-// header rewrite, and for shared outputs a mutex acquisition per row)
-// with one AppendRows per page of output. Each flush charges the run's
-// TempTuples counter immediately, which is also where the per-query
-// temp-tuple budget is enforced: an exploding join output is stopped
-// within one page of output of crossing its bound.
+// page-sized batch at a time: one AppendRows (one pool pin, one header
+// rewrite, and for shared outputs one mutex acquisition) per page of
+// output. Each flush charges the run's TempTuples counter immediately,
+// which is also where the per-query temp-tuple budget is enforced: an
+// exploding join output is stopped within one page of output of crossing
+// its bound.
 type batchWriter struct {
 	t      *Table
 	locked bool // flush under t's mutex (shared outputs of parallel producers)
@@ -49,8 +49,9 @@ type batchWriter struct {
 	rows   int64 // total rows written by this writer
 }
 
-// newBatchWriter returns a writer into t charging st; locked selects
-// LockedAppend semantics for outputs shared between goroutines.
+// newBatchWriter returns a writer into t charging st (nil for a load,
+// which is no query's work); locked serializes flushes on t's mutex, for
+// outputs shared between goroutines.
 func newBatchWriter(t *Table, locked bool, st *RunStats) *batchWriter {
 	w := &batchWriter{t: t, locked: locked, st: st, limit: storage.TuplesPerPage(len(t.Attrs))}
 	w.b.Reset(len(t.Attrs))
@@ -72,19 +73,20 @@ func (w *batchWriter) flush() error {
 	if w.b.Len() == 0 {
 		return nil
 	}
-	var err error
 	if w.locked {
-		err = w.t.LockedAppendBatch(&w.b)
-	} else {
-		err = w.t.Heap.AppendBatch(&w.b)
+		w.t.mu.Lock()
+	}
+	err := w.t.Heap.AppendBatch(&w.b)
+	if w.locked {
+		w.t.mu.Unlock()
 	}
 	n := int64(w.b.Len())
 	w.rows += n
 	w.b.Reset(w.b.Arity)
-	w.st.addTempTuples(n)
-	if err != nil {
+	if err != nil || w.st == nil {
 		return err
 	}
+	w.st.addTempTuples(n)
 	return w.st.overTemp()
 }
 

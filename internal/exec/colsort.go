@@ -289,12 +289,12 @@ func (e *Engine) colSortedAgg(ctx context.Context, sorted *Table, cols []int, ou
 	curKey := make([]int32, len(cols))
 	var acc float64
 	have := false
+	w := newBatchWriter(out, false, st)
 	emit := func() error {
 		if !have {
 			return nil
 		}
-		st.TempTuples++
-		return out.Heap.Append(curKey, acc)
+		return w.append(curKey, acc)
 	}
 	it := e.scanCB(ctx, sorted.Heap)
 	defer it.Close()
@@ -349,7 +349,10 @@ func (e *Engine) colSortedAgg(ctx context.Context, sorted *Table, cols []int, ou
 	if err := it.Err(); err != nil {
 		return err
 	}
-	return emit()
+	if err := emit(); err != nil {
+		return err
+	}
+	return w.flush()
 }
 
 // colRuns generates sorted runs over encoded batches, serially or — when

@@ -16,17 +16,13 @@ import (
 // including row ORDER — relation.Equal would hide a permutation.
 func dumpTable(t *testing.T, tb *Table) ([]int32, []float64) {
 	t.Helper()
-	it := tb.Heap.Scan()
+	it := tb.Heap.ScanBatches()
 	defer it.Close()
 	var vals []int32
 	var meas []float64
-	for {
-		v, m, ok := it.Next()
-		if !ok {
-			break
-		}
-		vals = append(vals, v...)
-		meas = append(meas, m)
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		vals = append(vals, b.Vals...)
+		meas = append(meas, b.Measures...)
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
@@ -142,7 +138,7 @@ func loadFuzzTable(t *testing.T, r *relation.Relation, columnar bool) (*harness,
 	t.Helper()
 	h := newHarness(t, 4096)
 	h.engine.Columnar = columnar
-	tb, err := LoadRelationColumnar(h.pool, h.engine.Factory, r, columnar)
+	tb, err := LoadRelation(h.pool, h.engine.Factory, r, columnar)
 	if err != nil {
 		t.Fatal(err)
 	}

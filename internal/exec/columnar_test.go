@@ -35,7 +35,7 @@ func columnarHarness(t testing.TB, frames int, rels ...*relation.Relation) *harn
 	t.Helper()
 	h := newHarness(t, frames)
 	for _, r := range rels {
-		tb, err := LoadRelationColumnar(h.pool, h.engine.Factory, r, true)
+		tb, err := LoadRelation(h.pool, h.engine.Factory, r, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -631,7 +631,8 @@ func (e *Engine) hashJoin(ctx context.Context, l, r *Table, st *RunStats) (*Tabl
 // hashJoinInto performs an in-memory-build hash join of l and r,
 // appending result tuples to out. It is safe to run concurrently with
 // other appenders to the same out (Grace partition pairs do): appends go
-// through out.LockedAppend and shared counters are merged atomically.
+// through a locked batchWriter on out and shared counters are merged
+// atomically.
 func (e *Engine) hashJoinInto(ctx context.Context, l, r *Table, lCols, rCols, rExtra []int, out *Table, st *RunStats) error {
 	build, probe := l, r
 	buildCols, probeCols := lCols, rCols

@@ -324,21 +324,18 @@ func TestExternalSortManyRuns(t *testing.T) {
 	if sorted.Heap.NumTuples() != tb.Heap.NumTuples() {
 		t.Fatalf("sort changed tuple count: %d != %d", sorted.Heap.NumTuples(), tb.Heap.NumTuples())
 	}
-	it := newRowIter(context.Background(), sorted)
-	defer it.Close()
+	c, err := openRunCursor(context.Background(), sorted)
+	defer c.it.Close()
 	var prev []int32
-	for {
-		vals, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	for ; err == nil && c.b != nil; err = c.next() {
+		vals := c.row()
 		if prev != nil && compareCols(prev, []int{0, 1}, vals, []int{0, 1}) > 0 {
 			t.Fatalf("output not sorted: %v after %v", vals, prev)
 		}
-		prev = vals
+		prev = append(prev[:0], vals...)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -25,34 +25,26 @@ type Index struct {
 	entries map[int32][]tupleLoc
 }
 
-// BuildIndex scans the table once and builds a hash index on attr.
+// BuildIndex scans the table once, a page batch at a time, and builds a
+// hash index on attr: a row's slot on its page is its index in the batch.
 func BuildIndex(t *Table, attr string) (*Index, error) {
 	col := t.ColIndex(attr)
 	if col < 0 {
 		return nil, fmt.Errorf("exec: table %s has no attribute %s", t.Name, attr)
 	}
 	idx := &Index{Attr: attr, col: col, entries: make(map[int32][]tupleLoc)}
-	it := t.Heap.Scan()
+	it := t.Heap.ScanColBatches()
 	defer it.Close()
-	for {
-		vals, _, ok := it.Next()
-		if !ok {
-			break
+	for cb, ok := it.Next(); ok; cb, ok = it.Next() {
+		page := it.Page()
+		for slot, v := range cb.Cols[col].Flat() {
+			idx.entries[v] = append(idx.entries[v], tupleLoc{page, int32(slot)})
 		}
-		page, slot := it.Location()
-		idx.entries[vals[col]] = append(idx.entries[vals[col]], tupleLoc{page, int32(slot)})
 	}
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
 	return idx, nil
-}
-
-// Add records a newly appended tuple's location, keeping the index
-// consistent under inserts.
-func (idx *Index) Add(vals []int32, page int64, slot int) {
-	v := vals[idx.col]
-	idx.entries[v] = append(idx.entries[v], tupleLoc{page, int32(slot)})
 }
 
 // Lookup returns the locations of tuples whose indexed attribute equals

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,12 +28,14 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 			t.Fatalf("index lookup a=%d returned %d locations, want %d", val, len(locs), want.Len())
 		}
 		for _, loc := range locs {
-			vals, _, err := tb.Heap.ReadTuple(loc.page, int(loc.slot))
+			err := tb.Heap.ReadTupleBatchContext(context.Background(), loc.page, []int32{loc.slot}, func(vals []int32, _ float64) error {
+				if vals[0] != val {
+					t.Fatalf("index pointed at tuple with a=%d, want %d", vals[0], val)
+				}
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if vals[0] != val {
-				t.Fatalf("index pointed at tuple with a=%d, want %d", vals[0], val)
 			}
 		}
 	}
@@ -151,14 +154,21 @@ func TestReadTupleBounds(t *testing.T) {
 	rel.MustAppend([]int32{1}, 2.5)
 	h := newHarness(t, 8, rel)
 	heap := h.tables["r"].Heap
-	vals, m, err := heap.ReadTuple(0, 0)
-	if err != nil || vals[0] != 1 || m != 2.5 {
-		t.Fatalf("ReadTuple = %v %v %v", vals, m, err)
+	read := func(page int64, slot int32) error {
+		return heap.ReadTupleBatchContext(context.Background(), page, []int32{slot}, func(vals []int32, m float64) error {
+			if vals[0] != 1 || m != 2.5 {
+				t.Fatalf("ReadTupleBatchContext = %v %v", vals, m)
+			}
+			return nil
+		})
 	}
-	if _, _, err := heap.ReadTuple(0, 5); err == nil {
+	if err := read(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := read(0, 5); err == nil {
 		t.Fatal("out-of-range slot should error")
 	}
-	if _, _, err := heap.ReadTuple(9, 0); err == nil {
+	if err := read(9, 0); err == nil {
 		t.Fatal("out-of-range page should error")
 	}
 }

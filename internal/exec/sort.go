@@ -5,6 +5,7 @@ import (
 	"context"
 
 	"mpf/internal/relation"
+	"mpf/internal/storage"
 )
 
 const defaultSortRunTuples = 1 << 17
@@ -45,10 +46,11 @@ func (e *Engine) externalSort(ctx context.Context, in *Table, cols []int, st *Ru
 		return e.newTemp(ctx, "sorted("+in.Name+")", in.Attrs)
 	}
 
-	// Multi-pass merge with fan-in bounded by the buffer pool: each open
-	// cursor pins one page for the whole pass, and the pool is shared, so
-	// a merge takes at most a quarter of it — concurrent queries sorting
-	// at once must not find every frame pinned.
+	// Multi-pass merge with fan-in bounded by the buffer pool. A merge
+	// cursor holds no pin between page batches (each batch is a decoded
+	// copy of one page), so the bound no longer guards against pinning
+	// the pool out; it keeps a pass's working set — one page per run — to
+	// a quarter of a pool that concurrent queries share.
 	fanIn := max(2, e.Pool.Size()/4)
 	for len(runs) > 1 {
 		var next []*Table
@@ -91,25 +93,51 @@ func (e *Engine) externalSort(ctx context.Context, in *Table, cols []int, st *Ru
 	return runs[0], nil
 }
 
-// mergeCursor is one run's head during a k-way merge.
-type mergeCursor struct {
-	it      *rowIter
-	vals    []int32
-	measure float64
+// runCursor walks a sorted table row by row over its page batches. It
+// holds no pin: each batch is a decoded copy of one page.
+type runCursor struct {
+	it *storage.BatchIterator
+	b  *storage.Batch // current batch; nil once the table is exhausted
+	i  int            // current row within b
 }
 
-// mergeHeap orders cursors by their head row on cols.
+// openRunCursor positions a cursor on t's first row (b is nil when t is
+// empty). The caller must close it.
+func openRunCursor(ctx context.Context, t *Table) (*runCursor, error) {
+	c := &runCursor{it: t.Heap.ScanBatchesContext(ctx), i: -1}
+	return c, c.next()
+}
+
+// next advances to the following row, decoding the table's next page
+// when the current batch is used up.
+func (c *runCursor) next() error {
+	c.i++
+	if c.b != nil && c.i < c.b.Len() {
+		return nil
+	}
+	c.b, c.i = nil, 0
+	if b, ok := c.it.Next(); ok {
+		c.b = b
+		return nil
+	}
+	return c.it.Err()
+}
+
+func (c *runCursor) row() []int32     { return c.b.Row(c.i) }
+func (c *runCursor) measure() float64 { return c.b.Measures[c.i] }
+
+// mergeHeap orders live cursors by their current row on cols.
 type mergeHeap struct {
-	cursors []*mergeCursor
+	cursors []*runCursor
 	cols    []int
 }
 
 func (h *mergeHeap) Len() int { return len(h.cursors) }
 func (h *mergeHeap) Less(i, j int) bool {
-	return compareCols(h.cursors[i].vals, h.cols, h.cursors[j].vals, h.cols) < 0
+	return compareCols(h.cursors[i].row(), h.cols, h.cursors[j].row(), h.cols) < 0
 }
 func (h *mergeHeap) Swap(i, j int) { h.cursors[i], h.cursors[j] = h.cursors[j], h.cursors[i] }
-func (h *mergeHeap) Push(x any)    { h.cursors = append(h.cursors, x.(*mergeCursor)) }
+func (h *mergeHeap) Push(x any)    { h.cursors = append(h.cursors, x.(*runCursor)) }
 func (h *mergeHeap) Pop() any {
 	old := h.cursors
 	n := len(old)
@@ -118,80 +146,60 @@ func (h *mergeHeap) Pop() any {
 	return c
 }
 
+// mergeRuns k-way merges sorted runs into one sorted temp table.
 func (e *Engine) mergeRuns(ctx context.Context, runs []*Table, cols []int, attrs []relation.Attr, st *RunStats) (*Table, error) {
 	out, err := e.newTemp(ctx, "merge", attrs)
 	if err != nil {
 		return nil, err
 	}
+	if err := e.mergeInto(ctx, out, runs, cols, st); err != nil {
+		out.Drop()
+		return nil, err
+	}
+	return out, nil
+}
+
+// mergeInto writes the merge of runs to out through a batchWriter.
+func (e *Engine) mergeInto(ctx context.Context, out *Table, runs []*Table, cols []int, st *RunStats) error {
 	mh := &mergeHeap{cols: cols}
-	var iters []*rowIter
+	var all []*runCursor
 	defer func() {
-		for _, it := range iters {
-			it.Close()
+		for _, c := range all {
+			c.it.Close()
 		}
 	}()
 	for _, r := range runs {
-		it := newRowIter(ctx, r)
-		iters = append(iters, it)
-		vals, m, ok, err := it.Next()
+		c, err := openRunCursor(ctx, r)
+		all = append(all, c)
 		if err != nil {
-			out.Drop()
-			return nil, err
+			return err
 		}
-		if ok {
-			mh.cursors = append(mh.cursors, &mergeCursor{it: it, vals: vals, measure: m})
+		if c.b != nil {
+			mh.cursors = append(mh.cursors, c)
 		}
 	}
 	heap.Init(mh)
+	w := newBatchWriter(out, false, st)
 	poll := poller{ctx: ctx, st: st}
 	for mh.Len() > 0 {
 		c := mh.cursors[0]
 		if err := poll.check(); err != nil {
-			out.Drop()
-			return nil, err
+			return err
 		}
-		if err := out.Heap.Append(c.vals, c.measure); err != nil {
-			out.Drop()
-			return nil, err
+		if err := w.append(c.row(), c.measure()); err != nil {
+			return err
 		}
-		st.TempTuples++
-		vals, m, ok, err := c.it.Next()
-		if err != nil {
-			out.Drop()
-			return nil, err
+		if err := c.next(); err != nil {
+			return err
 		}
-		if ok {
-			c.vals, c.measure = vals, m
+		if c.b != nil {
 			heap.Fix(mh, 0)
 		} else {
 			heap.Pop(mh)
 		}
 	}
-	return out, nil
+	return w.flush()
 }
-
-// rowIter wraps a heap iterator, copying rows so callers may retain them.
-type rowIter struct {
-	it interface {
-		Next() ([]int32, float64, bool)
-		Err() error
-		Close() error
-	}
-}
-
-func newRowIter(ctx context.Context, t *Table) *rowIter {
-	return &rowIter{it: t.Heap.ScanContext(ctx)}
-}
-
-func (r *rowIter) Next() ([]int32, float64, bool, error) {
-	vals, m, ok := r.it.Next()
-	if !ok {
-		return nil, 0, false, r.it.Err()
-	}
-	return append([]int32(nil), vals...), m, true, nil
-}
-
-func (r *rowIter) Close() error { return r.it.Close() }
 
 // sortGroupBy implements marginalization by external sort on the group
 // columns followed by a streaming aggregation pass.
@@ -244,75 +252,86 @@ func (e *Engine) sortMergeJoin(ctx context.Context, l, r *Table, st *RunStats) (
 	if err != nil {
 		return nil, err
 	}
-	lit, rit := newRowIter(ctx, ls), newRowIter(ctx, rs)
-	defer lit.Close()
-	defer rit.Close()
-
-	type row struct {
-		vals []int32
-		m    float64
-	}
-	lv, lm, lok, err := lit.Next()
-	if err != nil {
+	if err := e.mergeJoinInto(ctx, out, ls, rs, lCols, rCols, rExtra, st); err != nil {
 		out.Drop()
 		return nil, err
-	}
-	rv, rm, rok, err := rit.Next()
-	if err != nil {
-		out.Drop()
-		return nil, err
-	}
-	rowBuf := make([]int32, len(outAttrs))
-	poll := poller{ctx: ctx, st: st}
-	for lok && rok {
-		if err := poll.check(); err != nil {
-			out.Drop()
-			return nil, err
-		}
-		c := compareCols(lv, lCols, rv, rCols)
-		if c < 0 {
-			lv, lm, lok, err = lit.Next()
-		} else if c > 0 {
-			rv, rm, rok, err = rit.Next()
-		} else {
-			// Gather the full groups with this key from both sides.
-			var lg, rg []row
-			keyRow := lv
-			for lok && compareCols(lv, lCols, keyRow, lCols) == 0 {
-				lg = append(lg, row{lv, lm})
-				lv, lm, lok, err = lit.Next()
-				if err != nil {
-					out.Drop()
-					return nil, err
-				}
-			}
-			for rok && compareCols(rv, rCols, keyRow, lCols) == 0 {
-				rg = append(rg, row{rv, rm})
-				rv, rm, rok, err = rit.Next()
-				if err != nil {
-					out.Drop()
-					return nil, err
-				}
-			}
-			for _, a := range lg {
-				for _, b := range rg {
-					copy(rowBuf, a.vals)
-					for i, cc := range rExtra {
-						rowBuf[len(l.Attrs)+i] = b.vals[cc]
-					}
-					if err := out.Heap.Append(rowBuf, e.Sr.Mul(a.m, b.m)); err != nil {
-						out.Drop()
-						return nil, err
-					}
-					st.TempTuples++
-				}
-			}
-			continue
-		}
-		if err != nil {
-			out.Drop()
-			return nil, err
-		}
 	}
 	return out, nil
+}
+
+// keyGroup buffers the rows of one side's current join-key group, which
+// may span page batches.
+type keyGroup struct {
+	vals []int32
+	meas []float64
+}
+
+// gather moves c's rows whose cols equal key into g, replacing g's
+// previous group.
+func (g *keyGroup) gather(c *runCursor, cols []int, key []int32, keyCols []int) error {
+	g.vals, g.meas = g.vals[:0], g.meas[:0]
+	for c.b != nil && compareCols(c.row(), cols, key, keyCols) == 0 {
+		g.vals = append(g.vals, c.row()...)
+		g.meas = append(g.meas, c.measure())
+		if err := c.next(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mergeJoinInto merges the sorted inputs ls and rs on their key columns
+// and writes the cross product of each pair of matching key groups to
+// out through a batchWriter.
+func (e *Engine) mergeJoinInto(ctx context.Context, out, ls, rs *Table, lCols, rCols, rExtra []int, st *RunStats) error {
+	lc, err := openRunCursor(ctx, ls)
+	defer lc.it.Close()
+	if err != nil {
+		return err
+	}
+	rc, err := openRunCursor(ctx, rs)
+	defer rc.it.Close()
+	if err != nil {
+		return err
+	}
+	la, ra := len(ls.Attrs), len(rs.Attrs)
+	w := newBatchWriter(out, false, st)
+	rowBuf := make([]int32, len(out.Attrs))
+	key := make([]int32, la)
+	var lg, rg keyGroup
+	poll := poller{ctx: ctx, st: st}
+	for lc.b != nil && rc.b != nil {
+		if err := poll.check(); err != nil {
+			return err
+		}
+		switch c := compareCols(lc.row(), lCols, rc.row(), rCols); {
+		case c < 0:
+			err = lc.next()
+		case c > 0:
+			err = rc.next()
+		default:
+			copy(key, lc.row())
+			if err := lg.gather(lc, lCols, key, lCols); err != nil {
+				return err
+			}
+			if err := rg.gather(rc, rCols, key, lCols); err != nil {
+				return err
+			}
+			for i, lm := range lg.meas {
+				copy(rowBuf, lg.vals[i*la:(i+1)*la])
+				for j, rm := range rg.meas {
+					for k, cc := range rExtra {
+						rowBuf[la+k] = rg.vals[j*ra+cc]
+					}
+					if err := w.append(rowBuf, e.Sr.Mul(lm, rm)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return w.flush()
 }

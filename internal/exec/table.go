@@ -30,32 +30,13 @@ type Table struct {
 	// automatically when one covers a predicate variable.
 	Indexes map[string]*Index
 	temp    bool
-	mu      sync.Mutex // serializes LockedAppend for parallel producers
+	mu      sync.Mutex // serializes shared batchWriter flushes of parallel producers
 	// onDrop, when set, runs exactly once on the first Drop, before any
 	// heap release. The result cache uses it to unpin a shared cache entry
 	// when the consuming operator is done with it: cached tables are
 	// handed to operators with temp=false (so Drop never frees the shared
 	// heap) and onDrop wired to the entry's release.
 	onDrop func()
-}
-
-// LockedAppend appends one tuple under the table's mutex, allowing many
-// goroutines (e.g. Grace-join partition workers) to produce into one
-// output table. The heap performs exactly the same page operations as the
-// equivalent serial Appends, only in a different interleaving.
-func (t *Table) LockedAppend(vals []int32, measure float64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.Heap.Append(vals, measure)
-}
-
-// LockedAppendBatch appends a whole batch under the table's mutex — the
-// bulk counterpart of LockedAppend, costing one lock acquisition and one
-// heap pin per page of output instead of one of each per row.
-func (t *Table) LockedAppendBatch(b *storage.Batch) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.Heap.AppendBatch(b)
 }
 
 // Vars returns the table's variable set.
@@ -93,29 +74,30 @@ func (t *Table) Drop() error {
 }
 
 // LoadRelation materializes an in-memory relation into a fresh heap file
-// from the factory, registered with the pool. It is how base tables enter
-// the engine.
-func LoadRelation(pool *storage.Pool, factory storage.DiskFactory, r *relation.Relation) (*Table, error) {
-	return LoadRelationColumnar(pool, factory, r, false)
-}
-
-// LoadRelationColumnar is LoadRelation with a columnar switch: when on,
-// every heap page that fills during the load is re-encoded in place with
-// the per-page columnar layout (dictionary/run-length where they pay for
-// themselves), so scans of the base table serve encoded batches.
-func LoadRelationColumnar(pool *storage.Pool, factory storage.DiskFactory, r *relation.Relation, columnar bool) (*Table, error) {
+// from the factory, registered with the pool, a page of rows per append;
+// it is how base tables enter the engine. With columnar given and true,
+// every page that fills during the load is re-encoded in place with the
+// per-page columnar layout (dictionary/run-length where they pay for
+// themselves), so scans of the table serve encoded batches.
+func LoadRelation(pool *storage.Pool, factory storage.DiskFactory, r *relation.Relation, columnar ...bool) (*Table, error) {
 	h, err := storage.NewTempHeap(pool, factory, r.Arity())
 	if err != nil {
 		return nil, err
 	}
-	h.SetColumnar(columnar)
-	for i := 0; i < r.Len(); i++ {
-		if err := h.Append(r.Row(i), r.Measure(i)); err != nil {
-			h.Drop()
-			return nil, err
-		}
+	h.SetColumnar(len(columnar) > 0 && columnar[0])
+	t := &Table{Name: r.Name(), Attrs: append([]relation.Attr(nil), r.Attrs()...), Heap: h}
+	w := newBatchWriter(t, false, nil)
+	for i := 0; i < r.Len() && err == nil; i++ {
+		err = w.append(r.Row(i), r.Measure(i))
 	}
-	return &Table{Name: r.Name(), Attrs: append([]relation.Attr(nil), r.Attrs()...), Heap: h}, nil
+	if err == nil {
+		err = w.flush()
+	}
+	if err != nil {
+		h.Drop()
+		return nil, err
+	}
+	return t, nil
 }
 
 // ReadRelation scans the table back into an in-memory relation.

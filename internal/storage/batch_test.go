@@ -71,27 +71,29 @@ func TestAppendRowsMatchesAppend(t *testing.T) {
 		t.Fatalf("bulk heap shape (%d tuples, %d pages) != per-tuple shape (%d tuples, %d pages)",
 			bulk.NumTuples(), bulk.NumPages(), one.NumTuples(), one.NumPages())
 	}
-	i1, i2 := one.Scan(), bulk.Scan()
-	defer i1.Close()
-	defer i2.Close()
-	for {
-		v1, m1, ok1 := i1.Next()
-		v2, m2, ok2 := i2.Next()
-		if ok1 != ok2 {
-			t.Fatal("scan lengths differ")
+	rows := func(h *Heap) ([]int32, []float64) {
+		var vals []int32
+		var meas []float64
+		it := h.ScanBatches()
+		defer it.Close()
+		for b, ok := it.Next(); ok; b, ok = it.Next() {
+			vals = append(vals, b.Vals...)
+			meas = append(meas, b.Measures...)
 		}
-		if !ok1 {
-			break
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
 		}
-		if v1[0] != v2[0] || v1[1] != v2[1] || math.Float64bits(m1) != math.Float64bits(m2) {
-			t.Fatalf("tuple mismatch: %v/%v vs %v/%v", v1, m1, v2, m2)
-		}
+		return vals, meas
 	}
-	if err := i1.Err(); err != nil {
-		t.Fatal(err)
+	v1, m1 := rows(one)
+	v2, m2 := rows(bulk)
+	if len(v1) != len(v2) || len(m1) != len(m2) {
+		t.Fatal("scan lengths differ")
 	}
-	if err := i2.Err(); err != nil {
-		t.Fatal(err)
+	for i := range m1 {
+		if v1[2*i] != v2[2*i] || v1[2*i+1] != v2[2*i+1] || math.Float64bits(m1[i]) != math.Float64bits(m2[i]) {
+			t.Fatalf("tuple %d mismatch: %v/%v vs %v/%v", i, v1[2*i:2*i+2], m1[i], v2[2*i:2*i+2], m2[i])
+		}
 	}
 }
 
@@ -271,25 +273,19 @@ func TestReadAheadSettlesBeforeScanEnds(t *testing.T) {
 		d.SetPlan(FaultPlan{Seed: int64(rep), PermReadErr: 0.15})
 		var it interface{ Close() error }
 		var scanErr error
-		switch rep % 3 {
+		switch rep % 2 {
 		case 0:
 			bi := h.ScanBatches()
 			bi.SetReadAhead(4)
 			for _, ok := bi.Next(); ok; _, ok = bi.Next() {
 			}
 			it, scanErr = bi, bi.Err()
-		case 1:
+		default:
 			ci := h.ScanColBatches()
 			ci.SetReadAhead(4)
 			for _, ok := ci.Next(); ok; _, ok = ci.Next() {
 			}
 			it, scanErr = ci, ci.Err()
-		default:
-			ti := h.Scan()
-			ti.SetReadAhead(4)
-			for _, _, ok := ti.Next(); ok; _, _, ok = ti.Next() {
-			}
-			it, scanErr = ti, ti.Err()
 		}
 		if scanErr != nil {
 			failures++
@@ -307,10 +303,10 @@ func TestReadAheadSettlesBeforeScanEnds(t *testing.T) {
 	}
 }
 
-// TestScanAllocsPerOp is the PR's allocation-regression guard: steady-
-// state iteration must not allocate — the tuple iterator reuses its
-// value buffer and the batch iterator its decode arrays — so whole-heap
-// scans cost O(1) allocations regardless of tuple count.
+// TestScanAllocsPerOp is the allocation-regression guard: steady-state
+// iteration must not allocate — both batch shapes reuse their decode
+// arrays page after page — so whole-heap scans cost O(1) allocations
+// regardless of tuple count.
 func TestScanAllocsPerOp(t *testing.T) {
 	pool := NewPool(64)
 	h, err := NewHeap(pool, NewMemDisk(), 2)
@@ -319,12 +315,12 @@ func TestScanAllocsPerOp(t *testing.T) {
 	}
 	fillHeap(t, h, 20000, 5)
 
-	// Tuple iterator: the iterator struct and its value buffer, nothing
-	// per tuple or per page.
-	tupleScan := func() {
-		it := h.Scan()
+	// Column-batch iterator: the iterator struct, its views, their one
+	// column-major backing array and the measures.
+	colScan := func() {
+		it := h.ScanColBatches()
 		for {
-			if _, _, ok := it.Next(); !ok {
+			if _, ok := it.Next(); !ok {
 				break
 			}
 		}
@@ -344,8 +340,8 @@ func TestScanAllocsPerOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g := testing.AllocsPerRun(10, tupleScan); g > 3 {
-		t.Fatalf("tuple scan of 20000 tuples allocates %v objects, want ≤ 3", g)
+	if g := testing.AllocsPerRun(10, colScan); g > 4 {
+		t.Fatalf("column-batch scan of 20000 tuples allocates %v objects, want ≤ 4", g)
 	}
 	if g := testing.AllocsPerRun(10, batchScan); g > 4 {
 		t.Fatalf("batch scan of 20000 tuples allocates %v objects, want ≤ 4", g)
@@ -400,10 +396,10 @@ func TestPrefetchConcurrentScan(t *testing.T) {
 }
 
 // FuzzHeapPageRoundTrip drives arbitrary tuple streams through append
-// and both scan paths, guarding the batch decode loop against the
-// tuple-at-a-time decode it replaced: for any arity, tuple count, value
-// pattern, and measure bit pattern (including NaNs), both iterators
-// must reproduce the appended stream bit for bit.
+// and both batch shapes, guarding the one row-major decode loop in both
+// of its layouts: for any arity, tuple count, value pattern, and measure
+// bit pattern (including NaNs), both iterators must reproduce the
+// appended stream bit for bit.
 func FuzzHeapPageRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint16(300), int64(1))
 	f.Add(uint8(0), uint16(1), int64(2))
@@ -452,21 +448,25 @@ func FuzzHeapPageRoundTrip(f *testing.F) {
 				t.Fatalf("tuple %d measure bits %x != %x", i, math.Float64bits(m), math.Float64bits(meas[i]))
 			}
 		}
-		it := h.Scan()
+		it := h.ScanColBatches()
 		i := 0
+		row := make([]int32, arity)
 		for {
-			row, m, ok := it.Next()
+			cb, ok := it.Next()
 			if !ok {
 				break
 			}
-			check(i, row, m)
-			i++
+			for j := 0; j < cb.Len(); j++ {
+				cb.Row(j, row)
+				check(i, row, cb.Measures[j])
+				i++
+			}
 		}
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if i != n {
-			t.Fatalf("tuple scan returned %d tuples, want %d", i, n)
+			t.Fatalf("column-batch scan returned %d tuples, want %d", i, n)
 		}
 		bit := h.ScanBatches()
 		i = 0

@@ -74,26 +74,34 @@ func VerifyPage(buf []byte) bool {
 	return true
 }
 
-// ErrCorruptPage is the category sentinel for checksum failures; every
-// *CorruptPageError matches it (and mpf.ErrCorrupt aliases it) via
-// errors.Is.
-var ErrCorruptPage = errors.New("storage: page checksum mismatch")
+// ErrCorruptPage is the category sentinel for pages that cannot be
+// trusted: checksum failures and checksum-valid pages that break the page
+// format. Every *CorruptPageError matches it (and mpf.ErrCorrupt aliases
+// it) via errors.Is.
+var ErrCorruptPage = errors.New("storage: corrupt page")
 
-// CorruptPageError reports a page whose contents failed checksum
-// verification on a buffer-pool fill. The frame is vacated before the
-// error is returned — corrupt bytes are never handed to the executor.
-// Checksum failures are treated as permanent: they are never retried,
-// because re-reading stable media corruption would only repeat the
-// mismatch.
+// CorruptPageError reports a page that cannot be read: its contents
+// failed checksum verification on a buffer-pool fill (Reason empty; the
+// frame is vacated before the error is returned, so corrupt bytes never
+// reach the executor), or it passed its checksum but breaks the page
+// format (Reason names the violation; docs/PAGE_FORMAT.md, "Corruption
+// handling"). Neither is retried: re-reading stable corruption would
+// only repeat it.
 type CorruptPageError struct {
 	// Handle identifies the pool-registered disk.
 	Handle int64
 	// Page is the corrupt page's number on that disk.
 	Page int64
+	// Reason names the format violation of a malformed page; empty for a
+	// checksum failure.
+	Reason string
 }
 
 // Error describes the corrupt page.
 func (e *CorruptPageError) Error() string {
+	if e.Reason != "" {
+		return fmt.Sprintf("storage: page %d on disk %d is malformed: %s", e.Page, e.Handle, e.Reason)
+	}
 	return fmt.Sprintf("storage: page %d on disk %d failed checksum verification", e.Page, e.Handle)
 }
 

@@ -265,59 +265,115 @@ func colSegOff(buf []byte, c int) int {
 	return int(binary.LittleEndian.Uint16(buf[colDirOff+2*c:]))
 }
 
-// errCorruptColumnar builds the error for a malformed columnar page that
-// nonetheless passed its checksum (wrong arity or a bug, not bit rot).
-func errCorruptColumnar(what string) error {
-	return fmt.Errorf("heap: malformed columnar page: %s", what)
+// parseColumnar is the one parser of page format v1, behind both batch
+// shapes: it checks a columnar page of n rows against the heap's arity,
+// parses each attribute column's segment into its view, and decodes the
+// measure segment into meas. Every offset and length is checked against
+// the payload before it is read, so a malformed page that passed its
+// checksum fails with an error naming the violation instead of a panic.
+func parseColumnar(buf []byte, arity, n int, cols []ColView, meas []float64) error {
+	if int(buf[3]) != arity {
+		return fmt.Errorf("columnar page arity %d, heap arity %d", buf[3], arity)
+	}
+	for c := range cols {
+		if err := parseSegment(buf, arity, colSegOff(buf, c), n, &cols[c]); err != nil {
+			return fmt.Errorf("column %d: %w", c, err)
+		}
+	}
+	moff := colSegOff(buf, arity)
+	body, err := segBody(buf, arity, moff)
+	if err != nil {
+		return fmt.Errorf("measures: %w", err)
+	}
+	if buf[moff] != EncPlain || len(body) < 8*n {
+		return fmt.Errorf("measures: not a plain segment of %d rows", n)
+	}
+	for r := range meas {
+		meas[r] = math.Float64frombits(binary.LittleEndian.Uint64(body))
+		body = body[8:]
+	}
+	return nil
 }
 
-// decodeColumnInto decodes rows [from, from+n) of the column segment at
-// off into dst[0], dst[stride], ..., dst[(n-1)*stride].
-func decodeColumnInto(buf []byte, off, from, n int, dst []int32, stride int) error {
-	if off <= 0 || off >= PageDataSize {
-		return errCorruptColumnar("segment offset out of range")
+// segBody returns the bytes from just past the tag of the segment at off
+// to the end of the payload, after checking off lies past the directory
+// of an arity-column page and inside the payload.
+func segBody(buf []byte, arity, off int) ([]byte, error) {
+	if lo := colDirOff + 2*(arity+1); off < lo || off >= PageDataSize {
+		return nil, fmt.Errorf("segment offset %d outside [%d, %d)", off, lo, PageDataSize)
 	}
-	tag := buf[off]
-	p := off + 1
-	switch tag {
+	return buf[off+1 : PageDataSize], nil
+}
+
+// parseSegment parses the attribute column segment at off of an n-row
+// page into v: plain 4n payload bytes, byte n, dict 1+4d+n with every
+// code below d, RLE 2+6r with runs covering exactly n rows.
+func parseSegment(buf []byte, arity, off, n int, v *ColView) error {
+	body, err := segBody(buf, arity, off)
+	if err != nil {
+		return err
+	}
+	v.Enc = buf[off]
+	short := func(need int) error {
+		return fmt.Errorf("encoding %d needs %d payload bytes, %d remain", v.Enc, need, len(body))
+	}
+	switch v.Enc {
 	case EncPlain:
-		for r := 0; r < n; r++ {
-			dst[r*stride] = int32(binary.LittleEndian.Uint32(buf[p+4*(from+r):]))
+		if len(body) < 4*n {
+			return short(4 * n)
+		}
+		v.Plain = resize(v.Plain, n)
+		for r := range v.Plain {
+			v.Plain[r] = int32(binary.LittleEndian.Uint32(body))
+			body = body[4:]
 		}
 	case EncByte:
-		for r := 0; r < n; r++ {
-			dst[r*stride] = int32(buf[p+from+r])
+		if len(body) < n {
+			return short(n)
 		}
-	case EncRLE:
-		nruns := int(binary.LittleEndian.Uint16(buf[p:]))
-		p += 2
-		row, emitted := 0, 0
-		for i := 0; i < nruns && emitted < n; i++ {
-			l := int(binary.LittleEndian.Uint16(buf[p:]))
-			v := int32(binary.LittleEndian.Uint32(buf[p+2:]))
-			p += 6
-			for j := max(row, from+emitted); j < row+l && emitted < n; j++ {
-				dst[emitted*stride] = v
-				emitted++
-			}
-			row += l
-		}
-		if emitted < n {
-			return errCorruptColumnar("RLE runs cover fewer rows than the page header claims")
-		}
+		v.Codes = append(v.Codes, body[:n]...)
 	case EncDict:
-		nd := int(buf[p])
-		p++
-		dictOff, codesOff := p, p+4*nd
-		for r := 0; r < n; r++ {
-			cd := int(buf[codesOff+from+r])
-			if cd >= nd {
-				return errCorruptColumnar("dictionary code out of range")
+		if len(body) < 1 {
+			return short(1)
+		}
+		d := int(body[0])
+		if len(body) < 1+4*d+n {
+			return short(1 + 4*d + n)
+		}
+		for i := 0; i < d; i++ {
+			v.Dict = append(v.Dict, int32(binary.LittleEndian.Uint32(body[1+4*i:])))
+		}
+		codes := body[1+4*d : 1+4*d+n]
+		for _, c := range codes {
+			if int(c) >= d {
+				return fmt.Errorf("dictionary code %d, %d entries", c, d)
 			}
-			dst[r*stride] = int32(binary.LittleEndian.Uint32(buf[dictOff+4*cd:]))
+		}
+		v.Codes = append(v.Codes, codes...)
+	case EncRLE:
+		if len(body) < 2 {
+			return short(2)
+		}
+		nruns := int(binary.LittleEndian.Uint16(body))
+		if len(body) < 2+6*nruns {
+			return short(2 + 6*nruns)
+		}
+		covered := 0
+		for i := 0; i < nruns; i++ {
+			l := int(binary.LittleEndian.Uint16(body[2+6*i:]))
+			if l > n-covered {
+				return fmt.Errorf("RLE runs cover more than %d rows", n)
+			}
+			if l > 0 {
+				v.Runs = append(v.Runs, ColRun{Len: l, Val: int32(binary.LittleEndian.Uint32(body[4+6*i:]))})
+				covered += l
+			}
+		}
+		if covered != n {
+			return fmt.Errorf("RLE runs cover %d of %d rows", covered, n)
 		}
 	default:
-		return errCorruptColumnar("unknown segment encoding")
+		return fmt.Errorf("unknown segment encoding %d", v.Enc)
 	}
 	return nil
 }
@@ -371,25 +427,3 @@ func (p *Pool) noteEncoded(segs [4]int64, saved int64) {
 
 // noteEncodeFallback records a full page left row-major.
 func (p *Pool) noteEncodeFallback() { p.encFallback.Add(1) }
-
-// decodeColumnarRows decodes rows [from, from+n) of a columnar page into
-// row-major arrays: vals must hold n*arity values, meas n measures.
-func decodeColumnarRows(buf []byte, arity, from, n int, vals []int32, meas []float64) error {
-	if int(buf[3]) != arity {
-		return errCorruptColumnar(fmt.Sprintf("page arity %d, heap arity %d", buf[3], arity))
-	}
-	for c := 0; c < arity; c++ {
-		if err := decodeColumnInto(buf, colSegOff(buf, c), from, n, vals[c:], arity); err != nil {
-			return err
-		}
-	}
-	moff := colSegOff(buf, arity)
-	if moff <= 0 || moff >= PageDataSize || buf[moff] != EncPlain {
-		return errCorruptColumnar("measure segment")
-	}
-	p := moff + 1
-	for r := 0; r < n; r++ {
-		meas[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p+8*(from+r):]))
-	}
-	return nil
-}

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -23,27 +25,10 @@ func fillHeapGen(t *testing.T, h *Heap, n int, gen func(i int) ([]int32, float64
 	return vals, meas
 }
 
-// checkScan asserts every read path of the heap returns exactly the
-// expected rows, bit for bit.
+// checkScan asserts every read path of the heap — both batch shapes and
+// random access — returns exactly the expected rows, bit for bit.
 func checkScan(t *testing.T, h *Heap, vals [][]int32, meas []float64) {
 	t.Helper()
-	// Tuple iterator.
-	it := h.Scan()
-	for i := range vals {
-		v, m, ok := it.Next()
-		if !ok {
-			t.Fatalf("Scan: ended at row %d of %d: %v", i, len(vals), it.Err())
-		}
-		if !int32sEqual(v, vals[i]) || math.Float64bits(m) != math.Float64bits(meas[i]) {
-			t.Fatalf("Scan row %d: got %v %v want %v %v", i, v, m, vals[i], meas[i])
-		}
-	}
-	if _, _, ok := it.Next(); ok {
-		t.Fatalf("Scan: extra rows past %d", len(vals))
-	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("Scan close: %v", err)
-	}
 	// Batch iterator.
 	bit := h.ScanBatches()
 	i := 0
@@ -83,15 +68,17 @@ func checkScan(t *testing.T, h *Heap, vals [][]int32, meas []float64) {
 		t.Fatalf("ScanColBatches: %d rows err %v, want %d", i, err, len(vals))
 	}
 	// Random access.
+	per := TuplesPerPage(h.Arity())
 	for _, probe := range []int{0, len(vals) / 2, len(vals) - 1} {
-		per := TuplesPerPage(h.Arity())
-		pageNo, slot := int64(probe/per), probe%per
-		v, m, err := h.ReadTuple(pageNo, slot)
+		pageNo, slot := int64(probe/per), int32(probe%per)
+		err := h.ReadTupleBatchContext(context.Background(), pageNo, []int32{slot}, func(v []int32, m float64) error {
+			if !int32sEqual(v, vals[probe]) || math.Float64bits(m) != math.Float64bits(meas[probe]) {
+				t.Fatalf("ReadTupleBatchContext row %d: got %v %v want %v %v", probe, v, m, vals[probe], meas[probe])
+			}
+			return nil
+		})
 		if err != nil {
-			t.Fatalf("ReadTuple(%d,%d): %v", pageNo, slot, err)
-		}
-		if !int32sEqual(v, vals[probe]) || math.Float64bits(m) != math.Float64bits(meas[probe]) {
-			t.Fatalf("ReadTuple row %d: got %v %v want %v %v", probe, v, m, vals[probe], meas[probe])
+			t.Fatalf("ReadTupleBatchContext(%d,%d): %v", pageNo, slot, err)
 		}
 	}
 }
@@ -292,7 +279,7 @@ func TestColumnarAppendAfterReopen(t *testing.T) {
 }
 
 // FuzzColumnarPageRoundTrip encodes an arbitrary full page and asserts
-// the decode returns exactly the original rows.
+// the parser returns exactly the original rows.
 func FuzzColumnarPageRoundTrip(f *testing.F) {
 	f.Add(int64(1), 2, 4)
 	f.Add(int64(7), 1, 1)
@@ -346,10 +333,15 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 		if saved <= 0 {
 			t.Fatalf("encoded page saved %d bytes", saved)
 		}
-		got := make([]int32, n*arity)
+		var cb ColBatch
+		views := cb.views(arity, n)
 		gotM := make([]float64, n)
-		if err := decodeColumnarRows(buf, arity, 0, n, got, gotM); err != nil {
-			t.Fatalf("decode: %v", err)
+		if err := parseColumnar(buf, arity, n, views, gotM); err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		got := make([]int32, n*arity)
+		for c := range views {
+			views[c].decodeInto(got[c:], arity)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -361,20 +353,11 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 				t.Fatalf("measure %d: got %x want %x", i, math.Float64bits(gotM[i]), math.Float64bits(wantM[i]))
 			}
 		}
-		// Windowed decode must agree with the full decode.
-		from, wn := n/3, n/2
-		if wn > n-from {
-			wn = n - from
-		}
-		if wn > 0 {
-			wv := make([]int32, wn*arity)
-			wm := make([]float64, wn)
-			if err := decodeColumnarRows(buf, arity, from, wn, wv, wm); err != nil {
-				t.Fatalf("window decode: %v", err)
-			}
-			for i := 0; i < wn*arity; i++ {
-				if wv[i] != want[from*arity+i] {
-					t.Fatalf("window value %d mismatch", i)
+		// Random access through the views must agree with the expansion.
+		for _, r := range []int{0, n / 3, n / 2, n - 1} {
+			for c := range views {
+				if v := views[c].Value(r); v != want[r*arity+c] {
+					t.Fatalf("view %d row %d: got %d want %d", c, r, v, want[r*arity+c])
 				}
 			}
 		}
@@ -440,4 +423,137 @@ func TestColumnarStatsString(t *testing.T) {
 	if s == "" {
 		t.Fatal("empty stats string")
 	}
+}
+
+// probePage is a fuzz seed for FuzzPageDecode: a payload and the heap
+// arity it is read under.
+type probePage struct {
+	arity   uint8
+	payload []byte
+}
+
+// probePages returns FuzzPageDecode's seed corpus: an empty page, a
+// valid columnar page, a row-major page claiming 50 tuples more than fit,
+// and columnar pages whose first segment sits 4 bytes before the trailer
+// as a plain, a byte and a dictionary segment.
+func probePages() []probePage {
+	const arity = 2
+	per := TuplesPerPage(arity)
+	overCount := make([]byte, pageHeaderSize)
+	binary.LittleEndian.PutUint16(overCount, uint16(per+50))
+	encoded := make([]byte, PageSize)
+	binary.LittleEndian.PutUint16(encoded, uint16(per))
+	for r := 0; r < per; r++ {
+		off := pageHeaderSize + r*tupleSize(arity)
+		binary.LittleEndian.PutUint32(encoded[off:], uint32(r/64))
+		binary.LittleEndian.PutUint32(encoded[off+4:], uint32(r%7))
+		binary.LittleEndian.PutUint64(encoded[off+8:], math.Float64bits(float64(r)))
+	}
+	if _, _, ok := encodePageColumnar(encoded, arity, per, &colScratch{}); !ok {
+		panic("probe page did not encode")
+	}
+	seeds := []probePage{{arity, nil}, {arity, encoded[:PageDataSize]}, {arity, overCount}}
+	for _, tag := range []byte{EncPlain, EncByte, EncDict} {
+		img := append([]byte(nil), encoded[:PageDataSize]...)
+		binary.LittleEndian.PutUint16(img[colDirOff:], PageDataSize-4)
+		img[PageDataSize-4] = tag
+		seeds = append(seeds, probePage{arity, img})
+	}
+	return seeds
+}
+
+// pageRows is what one reader made of a heap's first page: its rows and
+// measure bits, or the error that ended the read.
+type pageRows struct {
+	vals []int32
+	meas []uint64
+	err  error
+}
+
+// FuzzPageDecode reads arbitrary checksum-valid page payloads, placed
+// before a valid one-tuple page so OpenHeap recovers the heap, through
+// both batch shapes and ReadTupleBatchContext. No reader may panic, all
+// must agree — the same rows of the fuzzed page, or every one failing
+// with ErrCorruptPage — and nothing may stay pinned.
+func FuzzPageDecode(f *testing.F) {
+	for _, p := range probePages() {
+		f.Add(p.arity, p.payload)
+	}
+	f.Fuzz(func(t *testing.T, arityB uint8, payload []byte) {
+		arity := int(arityB % 9)
+		page := make([]byte, PageSize)
+		copy(page[:PageDataSize], payload)
+		SealPage(page)
+		tail := make([]byte, PageSize)
+		binary.LittleEndian.PutUint16(tail, 1)
+		SealPage(tail)
+		d := NewMemDisk()
+		for _, img := range [][]byte{page, tail} {
+			no, _ := d.Allocate()
+			if err := d.WritePage(no, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool := NewPool(4)
+		h, err := OpenHeap(pool, d, arity)
+		if err != nil {
+			t.Fatalf("OpenHeap over a valid last page: %v", err)
+		}
+		defer h.Drop()
+
+		var batches, cols pageRows
+		bi := h.ScanBatches()
+		for b, ok := bi.Next(); ok && bi.Page() == 0; b, ok = bi.Next() {
+			batches.vals = append(batches.vals, b.Vals...)
+			for _, m := range b.Measures {
+				batches.meas = append(batches.meas, math.Float64bits(m))
+			}
+		}
+		batches.err = bi.Close()
+		ci := h.ScanColBatches()
+		row := make([]int32, arity)
+		for cb, ok := ci.Next(); ok && ci.Page() == 0; cb, ok = ci.Next() {
+			for r := 0; r < cb.Len(); r++ {
+				cb.Row(r, row)
+				cols.vals = append(cols.vals, row...)
+				cols.meas = append(cols.meas, math.Float64bits(cb.Measures[r]))
+			}
+		}
+		cols.err = ci.Close()
+		var random pageRows
+		slots := make([]int32, len(batches.meas))
+		for i := range slots {
+			slots[i] = int32(i)
+		}
+		random.err = h.ReadTupleBatchContext(context.Background(), 0, slots, func(v []int32, m float64) error {
+			random.vals = append(random.vals, v...)
+			random.meas = append(random.meas, math.Float64bits(m))
+			return nil
+		})
+
+		for name, got := range map[string]pageRows{"column batches": cols, "ReadTupleBatchContext": random} {
+			if (batches.err == nil) != (got.err == nil) {
+				t.Fatalf("batches err %v, %s err %v", batches.err, name, got.err)
+			}
+			if got.err != nil {
+				continue
+			}
+			if !int32sEqual(got.vals, batches.vals) || len(got.meas) != len(batches.meas) {
+				t.Fatalf("%s read %v, batches %v", name, got.vals, batches.vals)
+			}
+			for i := range got.meas {
+				if got.meas[i] != batches.meas[i] {
+					t.Fatalf("%s measure %d bits %x, batches %x", name, i, got.meas[i], batches.meas[i])
+				}
+			}
+		}
+		for _, err := range []error{batches.err, cols.err, random.err} {
+			if err != nil && !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("malformed page failed with %v, want ErrCorruptPage", err)
+			}
+		}
+		if n := pool.Pinned(); n != 0 {
+			t.Fatalf("%d frames pinned after the reads", n)
+		}
+	})
 }

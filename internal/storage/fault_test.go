@@ -173,15 +173,15 @@ func TestScanSurfacesReadFault(t *testing.T) {
 		}
 		pool.Unpin(h2, no, false)
 	}
-	it := heap.Scan()
+	it := heap.ScanBatches()
 	defer it.Close()
 	count := 0
 	for {
-		_, _, ok := it.Next()
+		b, ok := it.Next()
 		if !ok {
 			break
 		}
-		count++
+		count += b.Len()
 	}
 	if !errors.Is(it.Err(), ErrInjected) {
 		t.Fatalf("expected injected fault from scan (after %d tuples), got %v", count, it.Err())

@@ -8,10 +8,10 @@ import (
 	"sync"
 )
 
-// Heap page layout:
+// Heap page layout (row-major, format 0; columnar.go has format 1):
 //
 //	offset 0: uint16 tuple count
-//	offset 2: 6 reserved bytes
+//	offset 2: format byte (0), then 5 reserved zero bytes
 //	offset 8: packed fixed-width tuples
 //
 // A tuple is arity little-endian int32 variable values followed by a
@@ -63,7 +63,8 @@ func (h *Heap) maybeEncodePage(buf []byte) {
 // appends and scans observe it on every buffer-pool miss. Intended for
 // query-private temporary heaps (set once at creation, before any use);
 // shared base-table heaps must keep the default background context and
-// pass a per-query context to ScanContext instead.
+// pass a per-query context to ScanBatchesContext or
+// ScanColBatchesContext instead.
 func (h *Heap) SetContext(ctx context.Context) { h.ctx = ctx }
 
 // context returns the heap's context, defaulting to Background.
@@ -120,7 +121,8 @@ func NewHeap(pool *Pool, d Disk, arity int) (*Heap, error) {
 // OpenHeap attaches to a non-empty disk previously written by a Heap of
 // the same arity. Heaps are append-only with every page except the last
 // filled to capacity, which lets the tuple count be recovered from the
-// page count and the last page's header.
+// page count and the last page's header (validated like every page a
+// scan reads, so a wrong arity fails with a *CorruptPageError).
 func OpenHeap(pool *Pool, d Disk, arity int) (*Heap, error) {
 	per := TuplesPerPage(arity)
 	if per <= 0 {
@@ -139,18 +141,10 @@ func OpenHeap(pool *Pool, d Disk, arity int) (*Heap, error) {
 	if npages == 0 {
 		return h, nil
 	}
-	buf, err := pool.Pin(h.handle, npages-1)
+	lastCount, err := h.readPage(context.Background(), npages-1, nil)
 	if err != nil {
 		pool.Unregister(h.handle)
 		return nil, err
-	}
-	lastCount := int(binary.LittleEndian.Uint16(buf[0:]))
-	if err := pool.Unpin(h.handle, npages-1, false); err != nil {
-		return nil, err
-	}
-	if lastCount > per {
-		pool.Unregister(h.handle)
-		return nil, fmt.Errorf("heap: last page holds %d tuples but arity-%d pages fit %d — wrong arity?", lastCount, arity, per)
 	}
 	h.lastPage = npages - 1
 	h.lastCount = lastCount
@@ -193,46 +187,10 @@ func (h *Heap) NumPages() int64 { return h.disk.NumPages() }
 // the unit the engine's result cache budgets and accounts in.
 func (h *Heap) Bytes() int64 { return h.disk.NumPages() * PageSize }
 
-// Append adds one tuple. vals must have length equal to the heap's arity.
+// Append adds one tuple; vals must have length equal to the heap's
+// arity. It is AppendRows of one row, kept for tests.
 func (h *Heap) Append(vals []int32, measure float64) error {
-	_, _, err := h.AppendLocated(vals, measure)
-	return err
-}
-
-// AppendLocated adds one tuple and returns its (page, slot) address, for
-// callers maintaining indexes.
-func (h *Heap) AppendLocated(vals []int32, measure float64) (pageNo int64, slot int, err error) {
-	if len(vals) != h.arity {
-		return 0, 0, fmt.Errorf("heap: append of %d values to arity-%d heap", len(vals), h.arity)
-	}
-	var buf []byte
-	if h.lastPage >= 0 && h.lastCount < h.perPage {
-		pageNo = h.lastPage
-		buf, err = h.pool.PinContext(h.context(), h.handle, pageNo)
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		pageNo, buf, err = h.pool.NewPageContext(h.context(), h.handle)
-		if err != nil {
-			return 0, 0, err
-		}
-		h.lastPage = pageNo
-		h.lastCount = 0
-	}
-	slot = h.lastCount
-	off := pageHeaderSize + h.lastCount*h.tupleSize
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[off+4*i:], uint32(v))
-	}
-	binary.LittleEndian.PutUint64(buf[off+4*h.arity:], math.Float64bits(measure))
-	h.lastCount++
-	binary.LittleEndian.PutUint16(buf[0:], uint16(h.lastCount))
-	h.ntuples++
-	if h.lastCount == h.perPage {
-		h.maybeEncodePage(buf)
-	}
-	return pageNo, slot, h.pool.Unpin(h.handle, pageNo, true)
+	return h.AppendRows(vals, []float64{measure})
 }
 
 // AppendRows adds n tuples in one call from row-major arrays: vals holds
@@ -323,140 +281,6 @@ func (h *Heap) prefetchAhead(ctx context.Context, cur int64, ra *readAhead, npag
 	ra.mark = max(ra.mark, hi+1)
 }
 
-// Iterator streams a heap's tuples in storage order.
-type Iterator struct {
-	h       *Heap
-	ctx     context.Context
-	pageNo  int64
-	buf     []byte
-	inPage  int
-	count   int
-	valBuf  []int32
-	done    bool
-	err     error
-	pinned  bool
-	npages  int64
-	started bool
-	ra      readAhead
-	// Columnar pages are decoded whole on pin into these scratch arrays
-	// (isCol marks the current page's format); rows are then served from
-	// them with the same per-row interface as row-major pages.
-	isCol   bool
-	colVals []int32
-	colMeas []float64
-}
-
-// Scan returns an iterator over the heap. The iterator must be Closed.
-// Appending to the heap during a scan is not supported. Page fetches
-// observe the heap's context (see SetContext).
-func (h *Heap) Scan() *Iterator { return h.ScanContext(h.context()) }
-
-// ScanContext returns an iterator whose page fetches observe ctx: a scan
-// of a shared base table under a canceled query context stops at the
-// next buffer-pool miss instead of stalling on disk.
-func (h *Heap) ScanContext(ctx context.Context) *Iterator {
-	return &Iterator{h: h, ctx: ctx, valBuf: make([]int32, h.arity), npages: h.disk.NumPages()}
-}
-
-// SetReadAhead declares the scan sequential: before pinning each page the
-// iterator asks the pool to prefetch up to k following pages (see
-// Pool.prefetch). Zero (the default) disables read-ahead.
-func (it *Iterator) SetReadAhead(k int) { it.ra.k = k }
-
-// fail ends the scan with err once its read-ahead loads have settled.
-func (it *Iterator) fail(err error) {
-	it.ra.inflight.Wait()
-	it.err = err
-	it.done = true
-}
-
-// Next returns the next tuple, or ok=false at the end. The returned slice
-// is reused between calls; callers must copy values they retain.
-func (it *Iterator) Next() (vals []int32, measure float64, ok bool) {
-	if it.done || it.err != nil {
-		return nil, 0, false
-	}
-	for {
-		if !it.pinned {
-			if it.started {
-				it.pageNo++
-			}
-			it.started = true
-			if it.pageNo >= it.npages {
-				it.done = true
-				return nil, 0, false
-			}
-			it.h.prefetchAhead(it.ctx, it.pageNo, &it.ra, it.npages)
-			buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
-			if err != nil {
-				it.fail(err)
-				return nil, 0, false
-			}
-			it.buf = buf
-			it.pinned = true
-			it.inPage = 0
-			it.count = int(binary.LittleEndian.Uint16(buf[0:]))
-			it.isCol = it.count > 0 && pageFormat(buf) == formatColumnar
-			if it.isCol {
-				if cap(it.colVals) < it.count*it.h.arity {
-					it.colVals = make([]int32, it.count*it.h.arity)
-					it.colMeas = make([]float64, it.count)
-				}
-				it.colVals = it.colVals[:it.count*it.h.arity]
-				it.colMeas = it.colMeas[:it.count]
-				if err := decodeColumnarRows(buf, it.h.arity, 0, it.count, it.colVals, it.colMeas); err != nil {
-					it.fail(err)
-					return nil, 0, false
-				}
-			}
-		}
-		if it.inPage < it.count {
-			if it.isCol {
-				copy(it.valBuf, it.colVals[it.inPage*it.h.arity:(it.inPage+1)*it.h.arity])
-				m := it.colMeas[it.inPage]
-				it.inPage++
-				return it.valBuf, m, true
-			}
-			off := pageHeaderSize + it.inPage*it.h.tupleSize
-			for i := 0; i < it.h.arity; i++ {
-				it.valBuf[i] = int32(binary.LittleEndian.Uint32(it.buf[off+4*i:]))
-			}
-			m := math.Float64frombits(binary.LittleEndian.Uint64(it.buf[off+4*it.h.arity:]))
-			it.inPage++
-			return it.valBuf, m, true
-		}
-		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil {
-			it.fail(err)
-			return nil, 0, false
-		}
-		it.pinned = false
-	}
-}
-
-// Location returns the (page, slot) address of the tuple most recently
-// returned by Next; it is only valid after a successful Next. Locations
-// feed index construction.
-func (it *Iterator) Location() (pageNo int64, slot int) {
-	return it.pageNo, it.inPage - 1
-}
-
-// Err returns the first error encountered during iteration.
-func (it *Iterator) Err() error { return it.err }
-
-// Close releases any pinned page, after the scan's read-ahead loads have
-// settled.
-func (it *Iterator) Close() error {
-	it.ra.inflight.Wait()
-	if it.pinned {
-		it.pinned = false
-		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil && it.err == nil {
-			it.err = err
-		}
-	}
-	it.done = true
-	return it.err
-}
-
 // Batch is a block of decoded tuples in row-major layout: Vals holds
 // Len()*Arity int32 values (row i at Vals[i*Arity:(i+1)*Arity]) and
 // Measures holds one float64 per row. A batch is sized to a heap page —
@@ -495,20 +319,142 @@ func (b *Batch) Append(vals []int32, measure float64) {
 	b.Measures = append(b.Measures, measure)
 }
 
-// BatchIterator streams a heap's tuples in storage order, one page per
-// batch: each Next pins one page, decodes every tuple in a single loop,
-// and unpins — no per-tuple pool round-trips and no per-tuple
-// allocation.
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// pageCursor is the one walk over a heap's pages behind every scan: for
+// each page of its range it issues read-ahead, pins the page under the
+// scan's context, validates the header, hands a non-empty page to the
+// scan's decoder and unpins it (readPage), so no pin outlives a Next
+// call. On its first error, and at Close, it waits for the scan's
+// in-flight read-ahead loads: nothing a scan pinned outlives it.
+type pageCursor struct {
+	h    *Heap
+	ctx  context.Context
+	next int64 // next page to visit
+	end  int64 // one past the last page to visit
+	page int64 // page of the current batch
+	done bool
+	err  error
+	ra   readAhead
+}
+
+// cursor returns a cursor over all of h's pages under ctx.
+func (h *Heap) cursor(ctx context.Context) pageCursor {
+	return pageCursor{h: h, ctx: ctx, end: h.disk.NumPages()}
+}
+
+// advance moves to the next non-empty page and decodes it with decode;
+// it returns false at the end of the range or on the first error.
+func (c *pageCursor) advance(decode func(buf []byte, n int) error) bool {
+	for !c.done && c.next < c.end {
+		p := c.next
+		c.next++
+		c.h.prefetchAhead(c.ctx, p, &c.ra, c.end)
+		n, err := c.h.readPage(c.ctx, p, decode)
+		if err != nil {
+			c.ra.inflight.Wait()
+			c.err, c.done = err, true
+			return false
+		}
+		if n > 0 {
+			c.page = p
+			return true
+		}
+	}
+	c.done = true
+	return false
+}
+
+// SetReadAhead declares the scan sequential: before pinning each page the
+// scan asks the pool to prefetch up to k following pages (see
+// Pool.prefetch). Zero (the default) disables read-ahead.
+func (c *pageCursor) SetReadAhead(k int) { c.ra.k = k }
+
+// Page returns the heap page the current batch was decoded from; a row's
+// slot on that page is its index in the batch.
+func (c *pageCursor) Page() int64 { return c.page }
+
+// Err returns the first error encountered during iteration.
+func (c *pageCursor) Err() error { return c.err }
+
+// Close ends the scan once its read-ahead loads have settled, and reports
+// Err. A scan holds no pin of its own between Next calls.
+func (c *pageCursor) Close() error {
+	c.ra.inflight.Wait()
+	c.done = true
+	return c.err
+}
+
+// readPage pins page pageNo under ctx, validates its header, hands a
+// non-empty page to decode (when non-nil) and unpins it, returning the
+// page's tuple count. A page that passed its checksum but breaks the
+// format — in its header or under decode — fails with a
+// *CorruptPageError naming it, never with a panic.
+func (h *Heap) readPage(ctx context.Context, pageNo int64, decode func(buf []byte, n int) error) (int, error) {
+	buf, err := h.pool.PinContext(ctx, h.handle, pageNo)
+	if err != nil {
+		return 0, err
+	}
+	n, err := h.pageCount(buf)
+	if err == nil && n > 0 && decode != nil {
+		err = decode(buf, n)
+	}
+	if err != nil {
+		err = &CorruptPageError{Handle: h.handle, Page: pageNo, Reason: err.Error()}
+	}
+	if uerr := h.pool.Unpin(h.handle, pageNo, false); err == nil {
+		err = uerr
+	}
+	return n, err
+}
+
+// pageCount validates a page header against the heap and returns the
+// page's tuple count.
+func (h *Heap) pageCount(buf []byte) (int, error) {
+	n := int(binary.LittleEndian.Uint16(buf))
+	if n > h.perPage {
+		return 0, fmt.Errorf("tuple count %d exceeds the %d an arity-%d page holds", n, h.perPage, h.arity)
+	}
+	if f := pageFormat(buf); f != formatRowMajor && f != formatColumnar {
+		return 0, fmt.Errorf("unknown page format %d", f)
+	}
+	return n, nil
+}
+
+// readRowMajor is the one decode loop of row-major (format 0) pages:
+// value c of row r lands in dst[c*cstride+r*rstride] and row r's measure
+// in meas[r], so it fills a row-major Batch (cstride 1, rstride arity)
+// and a ColBatch's column-major plain views (cstride n, rstride 1) alike.
+func readRowMajor(buf []byte, arity, n int, dst []int32, cstride, rstride int, meas []float64) {
+	ts := tupleSize(arity)
+	for c := 0; c < arity; c++ {
+		d, off := dst[c*cstride:], pageHeaderSize+4*c
+		for r := 0; r < n; r++ {
+			d[r*rstride] = int32(binary.LittleEndian.Uint32(buf[off:]))
+			off += ts
+		}
+	}
+	off := pageHeaderSize + 4*arity
+	for r := range meas[:n] {
+		meas[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+		off += ts
+	}
+}
+
+// BatchIterator streams a heap's tuples in storage order as row-major
+// batches, one page per batch (see pageCursor): no per-tuple pool
+// round-trips and no per-tuple allocation.
 type BatchIterator struct {
-	h       *Heap
-	ctx     context.Context
-	pageNo  int64
-	npages  int64
-	batch   Batch
-	started bool
-	done    bool
-	err     error
-	ra      readAhead
+	pageCursor
+	batch Batch
+	cols  ColBatch // a columnar page's views, before row-major expansion
 }
 
 // ScanBatches returns a batch iterator over the heap. The iterator must
@@ -519,189 +465,64 @@ func (h *Heap) ScanBatches() *BatchIterator { return h.ScanBatchesContext(h.cont
 // ScanBatchesContext is ScanBatches with per-scan cancellation: page
 // fetches observe ctx at every buffer-pool miss.
 func (h *Heap) ScanBatchesContext(ctx context.Context) *BatchIterator {
-	return &BatchIterator{h: h, ctx: ctx, npages: h.disk.NumPages()}
-}
-
-// SetReadAhead declares the scan sequential: before pinning each page the
-// iterator asks the pool to prefetch up to k following pages (see
-// Pool.prefetch). Zero (the default) disables read-ahead.
-func (it *BatchIterator) SetReadAhead(k int) { it.ra.k = k }
-
-// fail ends the scan with err once its read-ahead loads have settled.
-func (it *BatchIterator) fail(err error) {
-	it.ra.inflight.Wait()
-	it.err = err
-	it.done = true
+	return &BatchIterator{pageCursor: h.cursor(ctx)}
 }
 
 // Next decodes and returns the next page's tuples, or ok=false at the
 // end. The returned batch and its arrays are reused between calls:
 // callers must consume (or copy) a batch before requesting the next one.
 func (it *BatchIterator) Next() (b *Batch, ok bool) {
-	if it.done || it.err != nil {
+	if !it.advance(it.decode) {
 		return nil, false
 	}
-	for {
-		if it.started {
-			it.pageNo++
-		}
-		it.started = true
-		if it.pageNo >= it.npages {
-			it.done = true
-			return nil, false
-		}
-		it.h.prefetchAhead(it.ctx, it.pageNo, &it.ra, it.npages)
-		buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
-		if err != nil {
-			it.fail(err)
-			return nil, false
-		}
-		n := int(binary.LittleEndian.Uint16(buf[0:]))
-		if n > 0 {
-			if err := it.decode(buf, n); err != nil {
-				it.h.pool.Unpin(it.h.handle, it.pageNo, false)
-				it.fail(err)
-				return nil, false
-			}
-		}
-		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil {
-			it.fail(err)
-			return nil, false
-		}
-		if n > 0 {
-			return &it.batch, true
-		}
-		// Empty page (possible only for an empty heap's zero pages): loop on.
-	}
+	return &it.batch, true
 }
 
-// decode fills it.batch with the pinned page's n tuples, reusing the
-// batch's backing arrays. It dispatches on the page's format byte, so
-// row-major and columnar pages interleave transparently within one scan.
+// decode fills it.batch with a validated page's n tuples.
 func (it *BatchIterator) decode(buf []byte, n int) error {
-	arity := it.h.arity
-	it.batch.Reset(arity)
-	if cap(it.batch.Vals) < n*arity {
-		it.batch.Vals = make([]int32, 0, it.h.perPage*arity)
+	return it.h.decodeRows(buf, n, &it.batch, &it.cols)
+}
+
+// decodeRows decodes a validated page's n tuples into b, row-major:
+// row-major pages through readRowMajor, columnar pages through the one
+// format v1 parser into cols, expanded from there.
+func (h *Heap) decodeRows(buf []byte, n int, b *Batch, cols *ColBatch) error {
+	b.Arity = h.arity
+	b.Vals = resize(b.Vals, n*h.arity)
+	b.Measures = resize(b.Measures, n)
+	if pageFormat(buf) == formatRowMajor {
+		readRowMajor(buf, h.arity, n, b.Vals, 1, h.arity, b.Measures)
+		return nil
 	}
-	if cap(it.batch.Measures) < n {
-		it.batch.Measures = make([]float64, 0, it.h.perPage)
+	views := cols.views(h.arity, n)
+	if err := parseColumnar(buf, h.arity, n, views, b.Measures); err != nil {
+		return err
 	}
-	vals := it.batch.Vals[:n*arity]
-	meas := it.batch.Measures[:n]
-	if pageFormat(buf) == formatColumnar {
-		if err := decodeColumnarRows(buf, arity, 0, n, vals, meas); err != nil {
-			return err
-		}
-	} else {
-		off := pageHeaderSize
-		vi := 0
-		for j := 0; j < n; j++ {
-			for c := 0; c < arity; c++ {
-				vals[vi] = int32(binary.LittleEndian.Uint32(buf[off+4*c:]))
-				vi++
-			}
-			meas[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4*arity:]))
-			off += it.h.tupleSize
-		}
+	for c := range views {
+		views[c].decodeInto(b.Vals[c:], h.arity)
 	}
-	it.batch.Vals = vals
-	it.batch.Measures = meas
 	return nil
 }
 
-// Err returns the first error encountered during iteration.
-func (it *BatchIterator) Err() error { return it.err }
-
-// Close ends the iteration once the scan's read-ahead loads have
-// settled, and reports Err. Batch iterators hold no pin of their own
-// between Next calls.
-func (it *BatchIterator) Close() error {
-	it.ra.inflight.Wait()
-	it.done = true
-	return it.err
-}
-
-// ReadTuple fetches the tuple at (pageNo, slot) through the buffer pool.
-// The returned value slice is freshly allocated.
-func (h *Heap) ReadTuple(pageNo int64, slot int) ([]int32, float64, error) {
-	if pageNo < 0 || pageNo >= h.disk.NumPages() {
-		return nil, 0, fmt.Errorf("heap: page %d out of range", pageNo)
-	}
-	buf, err := h.pool.Pin(h.handle, pageNo)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer h.pool.Unpin(h.handle, pageNo, false)
-	count := int(binary.LittleEndian.Uint16(buf[0:]))
-	if slot < 0 || slot >= count {
-		return nil, 0, fmt.Errorf("heap: slot %d out of range on page %d (%d tuples)", slot, pageNo, count)
-	}
-	vals := make([]int32, h.arity)
-	if pageFormat(buf) == formatColumnar {
-		var m [1]float64
-		if err := decodeColumnarRows(buf, h.arity, slot, 1, vals, m[:]); err != nil {
-			return nil, 0, err
-		}
-		return vals, m[0], nil
-	}
-	off := pageHeaderSize + slot*h.tupleSize
-	for i := 0; i < h.arity; i++ {
-		vals[i] = int32(binary.LittleEndian.Uint32(buf[off+4*i:]))
-	}
-	m := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4*h.arity:]))
-	return vals, m, nil
-}
-
-// ReadTupleBatch fetches several tuples from one page under a single pin,
-// invoking fn for each requested slot in order. The vals slice passed to
-// fn is reused between calls.
-func (h *Heap) ReadTupleBatch(pageNo int64, slots []int32, fn func(vals []int32, measure float64) error) error {
-	return h.ReadTupleBatchContext(h.context(), pageNo, slots, fn)
-}
-
-// ReadTupleBatchContext is ReadTupleBatch with cancellation: the page pin
-// observes ctx before stalling on a miss.
+// ReadTupleBatchContext decodes page pageNo — pinned under ctx, with the
+// same validation a scan applies — and invokes fn for each requested
+// slot in order. The vals slice passed to fn is valid only during the
+// call; no pin is held while fn runs.
 func (h *Heap) ReadTupleBatchContext(ctx context.Context, pageNo int64, slots []int32, fn func(vals []int32, measure float64) error) error {
 	if pageNo < 0 || pageNo >= h.disk.NumPages() {
 		return fmt.Errorf("heap: page %d out of range", pageNo)
 	}
-	buf, err := h.pool.PinContext(ctx, h.handle, pageNo)
+	var b Batch
+	var cols ColBatch
+	n, err := h.readPage(ctx, pageNo, func(buf []byte, n int) error { return h.decodeRows(buf, n, &b, &cols) })
 	if err != nil {
 		return err
 	}
-	defer h.pool.Unpin(h.handle, pageNo, false)
-	count := int(binary.LittleEndian.Uint16(buf[0:]))
-	vals := make([]int32, h.arity)
-	if count > 0 && pageFormat(buf) == formatColumnar {
-		// Decode the page once; slot lookups then index the decoded arrays
-		// (a per-slot RLE decode would rewalk the runs for every probe).
-		all := make([]int32, count*h.arity)
-		meas := make([]float64, count)
-		if err := decodeColumnarRows(buf, h.arity, 0, count, all, meas); err != nil {
-			return err
-		}
-		for _, slot := range slots {
-			if slot < 0 || int(slot) >= count {
-				return fmt.Errorf("heap: slot %d out of range on page %d (%d tuples)", slot, pageNo, count)
-			}
-			copy(vals, all[int(slot)*h.arity:(int(slot)+1)*h.arity])
-			if err := fn(vals, meas[slot]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, slot := range slots {
-		if slot < 0 || int(slot) >= count {
-			return fmt.Errorf("heap: slot %d out of range on page %d (%d tuples)", slot, pageNo, count)
+		if slot < 0 || int(slot) >= n {
+			return fmt.Errorf("heap: slot %d out of range on page %d (%d tuples)", slot, pageNo, n)
 		}
-		off := pageHeaderSize + int(slot)*h.tupleSize
-		for i := 0; i < h.arity; i++ {
-			vals[i] = int32(binary.LittleEndian.Uint32(buf[off+4*i:]))
-		}
-		m := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4*h.arity:]))
-		if err := fn(vals, m); err != nil {
+		if err := fn(b.Row(int(slot)), b.Measures[slot]); err != nil {
 			return err
 		}
 	}

@@ -250,26 +250,29 @@ func TestHeapAppendScanRoundTrip(t *testing.T) {
 	if got, want := h.NumPages(), PagesFor(3, n); got != want {
 		t.Fatalf("NumPages = %d, want %d", got, want)
 	}
-	it := h.Scan()
+	it := h.ScanBatches()
 	defer it.Close()
 	i := 0
 	for {
-		vals, m, ok := it.Next()
+		b, ok := it.Next()
 		if !ok {
 			break
 		}
-		if i >= n {
-			t.Fatal("scan returned too many tuples")
-		}
-		for j := 0; j < 3; j++ {
-			if vals[j] != wantVals[i][j] {
-				t.Fatalf("tuple %d val %d: %d != %d", i, j, vals[j], wantVals[i][j])
+		for r := 0; r < b.Len(); r++ {
+			if i >= n {
+				t.Fatal("scan returned too many tuples")
 			}
+			vals, m := b.Row(r), b.Measures[r]
+			for j := 0; j < 3; j++ {
+				if vals[j] != wantVals[i][j] {
+					t.Fatalf("tuple %d val %d: %d != %d", i, j, vals[j], wantVals[i][j])
+				}
+			}
+			if m != wantM[i] {
+				t.Fatalf("tuple %d measure %v != %v", i, m, wantM[i])
+			}
+			i++
 		}
-		if m != wantM[i] {
-			t.Fatalf("tuple %d measure %v != %v", i, m, wantM[i])
-		}
-		i++
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
@@ -306,13 +309,13 @@ func TestHeapZeroArity(t *testing.T) {
 	if err := h.Append(nil, 3.5); err != nil {
 		t.Fatal(err)
 	}
-	it := h.Scan()
+	it := h.ScanBatches()
 	defer it.Close()
-	_, m, ok := it.Next()
-	if !ok || m != 3.5 {
-		t.Fatalf("zero-arity scan: ok=%v m=%v", ok, m)
+	b, ok := it.Next()
+	if !ok || b.Len() != 1 || b.Measures[0] != 3.5 {
+		t.Fatalf("zero-arity scan: ok=%v batch=%+v", ok, b)
 	}
-	if _, _, ok := it.Next(); ok {
+	if _, ok := it.Next(); ok {
 		t.Fatal("expected one tuple")
 	}
 }
@@ -323,8 +326,8 @@ func TestHeapScanEmptyHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := h.Scan()
-	if _, _, ok := it.Next(); ok {
+	it := h.ScanBatches()
+	if _, ok := it.Next(); ok {
 		t.Fatal("empty heap should yield nothing")
 	}
 	if err := it.Close(); err != nil {
@@ -349,17 +352,19 @@ func TestHeapOnFileDiskSurvivesPoolPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it := h.Scan()
+	it := h.ScanBatches()
 	defer it.Close()
 	var count int
 	var sum float64
 	for {
-		_, m, ok := it.Next()
+		b, ok := it.Next()
 		if !ok {
 			break
 		}
-		sum += m
-		count++
+		for _, m := range b.Measures {
+			sum += m
+			count++
+		}
 	}
 	if count != n {
 		t.Fatalf("count = %d, want %d", count, n)
