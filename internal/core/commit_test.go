@@ -390,4 +390,3 @@ func commitDifferential(t *testing.T, rows int, columnar bool, pool int) {
 		t.Fatalf("a %d-page table was rewritten through %d frames without one page read: the pass never evicted", pages, pool)
 	}
 }
-

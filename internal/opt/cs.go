@@ -64,12 +64,95 @@ func (o CSPlus) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 	if o.Linear {
 		top, err = linearJoinDP(b, leaves, q.GroupVars, true)
 	} else {
-		top, err = bushyJoinDP(b, leaves, relation.NewVarSet(), q.GroupVars, true)
+		top, err = bushyJoinDP(b, leaves, nil, q.GroupVars, true)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return finishPlan(b, top, q)
+}
+
+// dpTable is the memo of a subset dynamic program over leaves: best[m]
+// is the cheapest plan joining the leaves in mask m. Under CS+ pushdown,
+// grouped[m] is best[m] under its safe GroupBy (nil when that GroupBy
+// would drop no variable), built once when best[m] is settled rather than
+// once per split that uses m as an operand.
+type dpTable struct {
+	best, grouped []*plan.Node
+}
+
+// pushed returns grouped[m], or nil without pushdown.
+func (t *dpTable) pushed(m uint64) *plan.Node {
+	if t.grouped == nil {
+		return nil
+	}
+	return t.grouped[m]
+}
+
+// joinDP runs a subset dynamic program over the leaves in popcount order:
+// extend returns the best plan for a mask of two or more leaves from the
+// plans of its proper submasks. With pushGroupBy set, each settled plan
+// except the full join gets its CS+ GroupBy onto the query variables plus
+// the variables of the leaves outside its mask and of extraContext
+// (variables outside the leaves that must be preserved, used when planning
+// a sub-join whose result joins further relations, as in Variable
+// Elimination).
+func joinDP(b *plan.Builder, leaves []*plan.Node, extraContext relation.VarSet, queryVars []string, pushGroupBy bool,
+	extend func(t *dpTable, m uint64) *plan.Node) (*plan.Node, error) {
+	n := len(leaves)
+	if n == 0 {
+		return nil, fmt.Errorf("opt: no leaves to join")
+	}
+	if n == 1 {
+		return leaves[0], nil
+	}
+	if n > maxDPTables {
+		return nil, fmt.Errorf("opt: %d tables exceeds DP limit %d", n, maxDPTables)
+	}
+	full := uint64(1)<<n - 1
+	t := &dpTable{best: make([]*plan.Node, full+1)}
+	if pushGroupBy {
+		t.grouped = make([]*plan.Node, full+1)
+	}
+	settle := func(m uint64, p *plan.Node) {
+		t.best[m] = p
+		if pushGroupBy && p != nil && m != full {
+			t.grouped[m] = maybeGroup(b, p, outsideVars(leaves, m, extraContext), queryVars)
+		}
+	}
+	for i, leaf := range leaves {
+		settle(uint64(1)<<i, leaf)
+	}
+	masksByCount := make([][]uint64, n+1)
+	for m := uint64(1); m <= full; m++ {
+		c := bits.OnesCount64(m)
+		masksByCount[c] = append(masksByCount[c], m)
+	}
+	for size := 2; size <= n; size++ {
+		for _, m := range masksByCount[size] {
+			settle(m, extend(t, m))
+		}
+	}
+	if t.best[full] == nil {
+		return nil, fmt.Errorf("opt: join DP failed to cover all tables")
+	}
+	return t.best[full], nil
+}
+
+// outsideVars returns extra plus the variables of the leaves outside mask.
+func outsideVars(leaves []*plan.Node, mask uint64, extra relation.VarSet) relation.VarSet {
+	s := make(relation.VarSet, len(extra))
+	for v := range extra {
+		s[v] = true
+	}
+	for i, l := range leaves {
+		if mask&(1<<i) == 0 {
+			for v := range l.Vars() {
+				s[v] = true
+			}
+		}
+	}
+	return s
 }
 
 // linearJoinDP finds the best left-linear join of the leaves. When
@@ -78,142 +161,58 @@ func (o CSPlus) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 // joining it with a GroupBy on top (grouping on query variables plus
 // variables shared with not-yet-joined tables), keeping the cheaper.
 func linearJoinDP(b *plan.Builder, leaves []*plan.Node, queryVars []string, pushGroupBy bool) (*plan.Node, error) {
-	n := len(leaves)
-	if n == 0 {
-		return nil, fmt.Errorf("opt: no leaves to join")
-	}
-	if n == 1 {
-		return leaves[0], nil
-	}
-	if n > maxDPTables {
-		return nil, fmt.Errorf("opt: %d tables exceeds DP limit %d", n, maxDPTables)
-	}
-	full := uint64(1)<<n - 1
-	memo := make([]*plan.Node, full+1)
-	for i, leaf := range leaves {
-		memo[uint64(1)<<i] = leaf
-	}
-	// Context vars for a state S: variables of leaves outside S.
-	outsideVars := func(mask uint64) relation.VarSet {
-		s := relation.NewVarSet()
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 {
-				s = s.Union(leaves[i].Vars())
+	return joinDP(b, leaves, nil, queryVars, pushGroupBy, func(t *dpTable, m uint64) *plan.Node {
+		var best *plan.Node
+		for j, leaf := range leaves {
+			bit := uint64(1) << j
+			if m&bit == 0 {
+				continue
 			}
-		}
-		return s
-	}
-	// Enumerate states by popcount so predecessors exist.
-	masksByCount := make([][]uint64, n+1)
-	for m := uint64(1); m <= full; m++ {
-		c := bits.OnesCount64(m)
-		masksByCount[c] = append(masksByCount[c], m)
-	}
-	for size := 2; size <= n; size++ {
-		for _, m := range masksByCount[size] {
-			var best *plan.Node
-			for j := 0; j < n; j++ {
-				bit := uint64(1) << j
-				if m&bit == 0 {
-					continue
-				}
-				prev := memo[m&^bit]
-				if prev == nil {
-					continue
-				}
-				cands := []*plan.Node{b.Join(prev, leaves[j])}
-				if pushGroupBy {
-					// Context: leaves not yet joined (including j) plus the
-					// query variables.
-					ctx := outsideVars(m &^ bit)
-					if g := maybeGroup(b, prev, ctx, queryVars); g != nil {
-						cands = append(cands, b.Join(g, leaves[j]))
-					}
-				}
-				best = cheapest(best, cheapest(cands...))
+			prev := t.best[m&^bit]
+			if prev == nil {
+				continue
 			}
-			memo[m] = best
+			var viaGroup *plan.Node
+			if g := t.pushed(m &^ bit); g != nil {
+				viaGroup = b.Join(g, leaf)
+			}
+			best = cheapest(best, cheapest(b.Join(prev, leaf), viaGroup))
 		}
-	}
-	if memo[full] == nil {
-		return nil, fmt.Errorf("opt: linear DP failed to cover all tables")
-	}
-	return memo[full], nil
+		return best
+	})
 }
 
 // bushyJoinDP finds the best nonlinear join of the leaves with optional
 // CS+ GroupBy pushdown (four candidates per split: no GroupBy, left,
 // right, both). extraContext holds variables outside the leaves that must
-// be preserved (used when planning a sub-join whose result joins further
-// relations, as in Variable Elimination).
+// be preserved (see joinDP).
 func bushyJoinDP(b *plan.Builder, leaves []*plan.Node, extraContext relation.VarSet, queryVars []string, pushGroupBy bool) (*plan.Node, error) {
-	n := len(leaves)
-	if n == 0 {
-		return nil, fmt.Errorf("opt: no leaves to join")
-	}
-	if n == 1 {
-		return leaves[0], nil
-	}
-	if n > maxDPTables {
-		return nil, fmt.Errorf("opt: %d tables exceeds DP limit %d", n, maxDPTables)
-	}
-	full := uint64(1)<<n - 1
-	memo := make([]*plan.Node, full+1)
-	for i, leaf := range leaves {
-		memo[uint64(1)<<i] = leaf
-	}
-	outsideVars := func(mask uint64) relation.VarSet {
-		s := relation.NewVarSet()
-		for k := range extraContext {
-			s[k] = true
-		}
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 {
-				s = s.Union(leaves[i].Vars())
+	return joinDP(b, leaves, extraContext, queryVars, pushGroupBy, func(t *dpTable, m uint64) *plan.Node {
+		var best *plan.Node
+		// Enumerate proper submasks; canonicalize by requiring sub to
+		// contain the lowest set bit of m so each split is seen once.
+		low := m & (-m)
+		for sub := (m - 1) & m; sub > 0; sub = (sub - 1) & m {
+			if sub&low == 0 {
+				continue
+			}
+			other := m &^ sub
+			p1, p2 := t.best[sub], t.best[other]
+			if p1 == nil || p2 == nil {
+				continue
+			}
+			l2, r2 := t.pushed(sub), t.pushed(other)
+			best = cheapest(best, b.Join(p1, p2))
+			if l2 != nil {
+				best = cheapest(best, b.Join(l2, p2))
+			}
+			if r2 != nil {
+				best = cheapest(best, b.Join(p1, r2))
+			}
+			if l2 != nil && r2 != nil {
+				best = cheapest(best, b.Join(l2, r2))
 			}
 		}
-		return s
-	}
-	masksByCount := make([][]uint64, n+1)
-	for m := uint64(1); m <= full; m++ {
-		masksByCount[bits.OnesCount64(m)] = append(masksByCount[bits.OnesCount64(m)], m)
-	}
-	for size := 2; size <= n; size++ {
-		for _, m := range masksByCount[size] {
-			var best *plan.Node
-			// Enumerate proper submasks; canonicalize by requiring sub to
-			// contain the lowest set bit of m so each split is seen once.
-			low := m & (-m)
-			for sub := (m - 1) & m; sub > 0; sub = (sub - 1) & m {
-				if sub&low == 0 {
-					continue
-				}
-				other := m &^ sub
-				p1, p2 := memo[sub], memo[other]
-				if p1 == nil || p2 == nil {
-					continue
-				}
-				var l2, r2 *plan.Node
-				if pushGroupBy {
-					l2 = maybeGroup(b, p1, outsideVars(sub), queryVars)
-					r2 = maybeGroup(b, p2, outsideVars(other), queryVars)
-				}
-				best = cheapest(best, b.Join(p1, p2))
-				if l2 != nil {
-					best = cheapest(best, b.Join(l2, p2))
-				}
-				if r2 != nil {
-					best = cheapest(best, b.Join(p1, r2))
-				}
-				if l2 != nil && r2 != nil {
-					best = cheapest(best, b.Join(l2, r2))
-				}
-			}
-			memo[m] = best
-		}
-	}
-	if memo[full] == nil {
-		return nil, fmt.Errorf("opt: bushy DP failed to cover all tables")
-	}
-	return memo[full], nil
+		return best
+	})
 }

@@ -223,12 +223,9 @@ func canonKey(n *plan.Node) string {
 func varsOfNodes(nodes []*plan.Node) relation.VarSet {
 	s := relation.NewVarSet()
 	for _, n := range nodes {
-		s = s.Union(n.Vars())
+		for v := range n.Vars() {
+			s[v] = true
+		}
 	}
 	return s
-}
-
-// sortedVarList returns the union of variables of nodes as a sorted list.
-func sortedVarList(nodes []*plan.Node) []string {
-	return varsOfNodes(nodes).Sorted()
 }

@@ -12,12 +12,13 @@ import (
 )
 
 // TestTheorem2ScaleSeparation demonstrates the optimization-time
-// complexity split of Theorem 2: on a 30-table chain view, Variable
+// complexity split of Theorem 2: on a 70-table chain view, Variable
 // Elimination (O(M·S·2^S) with connectivity S=2) plans in well under a
 // second, while the Selinger-style dynamic programs (O(N·2^N)) refuse
-// beyond their table limit rather than exploring 2^30 states.
+// beyond their table limit rather than exploring 2^70 states. The view's
+// 71 variables also take VE's elimination bitsets past one word.
 func TestTheorem2ScaleSeparation(t *testing.T) {
-	ds, err := gen.Synthetic(gen.SyntheticConfig{Kind: gen.Linear, Tables: 30, Domain: 4, Seed: 9})
+	ds, err := gen.Synthetic(gen.SyntheticConfig{Kind: gen.Linear, Tables: 70, Domain: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,30 +32,30 @@ func TestTheorem2ScaleSeparation(t *testing.T) {
 	start := time.Now()
 	p, err := VE{Heuristic: Width}.Optimize(q, b)
 	if err != nil {
-		t.Fatalf("VE must handle 30 tables: %v", err)
+		t.Fatalf("VE must handle 70 tables: %v", err)
 	}
 	elapsed := time.Since(start)
 	if err := plan.Validate(p); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed > 5*time.Second {
-		t.Fatalf("VE took %v on a 30-table chain; expected sub-second planning", elapsed)
+		t.Fatalf("VE took %v on a 70-table chain; expected sub-second planning", elapsed)
 	}
-	if got := len(plan.Tables(p)); got != 30 {
-		t.Fatalf("plan covers %d tables, want 30", got)
+	if got := len(plan.Tables(p)); got != 70 {
+		t.Fatalf("plan covers %d tables, want 70", got)
 	}
 	// Extended VE also scales (its joinplans stay small: 2 tables per
 	// elimination on a chain).
 	if _, err := (VE{Heuristic: Width, Extended: true}).Optimize(q, b); err != nil {
-		t.Fatalf("extended VE must handle 30 tables: %v", err)
+		t.Fatalf("extended VE must handle 70 tables: %v", err)
 	}
 
-	// The subset DPs refuse: 2^30 states would be explored otherwise.
+	// The subset DPs refuse: 2^70 states would be explored otherwise.
 	if _, err := (CSPlus{}).Optimize(q, b); err == nil {
-		t.Fatal("nonlinear CS+ must refuse 30 tables (2^30 DP states)")
+		t.Fatal("nonlinear CS+ must refuse 70 tables (2^70 DP states)")
 	}
 	if _, err := (CS{}).Optimize(q, b); err == nil {
-		t.Fatal("CS must refuse 30 tables")
+		t.Fatal("CS must refuse 70 tables")
 	}
 }
 

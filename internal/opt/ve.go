@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -96,14 +97,13 @@ func (o VE) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 		return nil, err
 	}
 	rng := o.Rng
-	if rng == nil {
+	if rng == nil && o.Heuristic == RandomOrder {
 		rng = rand.New(rand.NewSource(1))
 	}
-	queryVars := relation.NewVarSet(q.GroupVars...)
 
 	// S: current set of relations (plans). V: variables to eliminate.
-	s := append([]*plan.Node(nil), leaves...)
-	v := varsOfNodes(leaves).Minus(queryVars)
+	st := newVEState(leaves, q.GroupVars)
+	v := st.candidates()
 	if o.UseFDs {
 		// Proposition 1: variables outside every declared key introduce no
 		// row multiplicity, so their removal is projection, not
@@ -113,29 +113,37 @@ func (o VE) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		v = v.Minus(removable)
+		for name := range removable {
+			if i, ok := st.index[name]; ok {
+				v.clear(i)
+			}
+		}
 	}
 
-	fixed := append([]string(nil), o.Order...)
-	for len(v) > 0 {
-		var vj string
+	fixed := o.Order
+	for v.next(0) >= 0 {
+		var vj int
 		if len(fixed) > 0 {
-			vj, fixed = fixed[0], fixed[1:]
-			if !v[vj] {
+			i, ok := st.index[fixed[0]]
+			fixed = fixed[1:]
+			if !ok || !v.has(i) {
 				continue
 			}
+			vj = i
 		} else {
-			vj = o.pickVariable(b, v, s, q.GroupVars, rng)
+			vj = st.pick(o.Heuristic, v, b, rng)
 		}
+		v.clear(vj)
 		var rels, rest []*plan.Node
-		for _, n := range s {
-			if n.Vars()[vj] {
-				rels = append(rels, n)
+		var kept []veNode
+		for _, n := range st.s {
+			if n.vars.has(vj) {
+				rels = append(rels, n.p)
 			} else {
-				rest = append(rest, n)
+				rest = append(rest, n.p)
+				kept = append(kept, n)
 			}
 		}
-		delete(v, vj)
 		if len(rels) == 0 {
 			// Variable already dropped by an earlier GroupBy (possible in
 			// the extended space).
@@ -164,43 +172,169 @@ func (o VE) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 				return nil, err
 			}
 		}
-		s = append(rest, p)
+		st.s = append(kept, st.node(p))
 	}
 
 	// Join whatever remains (relations over query variables only) and add
 	// the root GroupBy.
-	var top *plan.Node
-	var err2 error
-	if o.Extended {
-		top, err2 = bushyJoinDP(b, s, relation.NewVarSet(), q.GroupVars, true)
-	} else {
-		top, err2 = bushyJoinDP(b, s, relation.NewVarSet(), q.GroupVars, false)
+	remaining := make([]*plan.Node, len(st.s))
+	for i, n := range st.s {
+		remaining[i] = n.p
 	}
-	if err2 != nil {
-		return nil, err2
+	top, err := bushyJoinDP(b, remaining, nil, q.GroupVars, o.Extended)
+	if err != nil {
+		return nil, err
 	}
 	return finishPlan(b, top, q)
 }
 
-// pickVariable applies the ordering heuristic to the candidate set.
-func (o VE) pickVariable(b *plan.Builder, v relation.VarSet, s []*plan.Node, queryVars []string, rng *rand.Rand) string {
-	cands := v.Sorted()
-	if len(cands) == 1 {
-		return cands[0]
+// varMask is a set of variables as a bitset over a veState's variable
+// index.
+type varMask []uint64
+
+func (m varMask) has(i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
+func (m varMask) set(i int)      { m[i>>6] |= 1 << (i & 63) }
+func (m varMask) clear(i int)    { m[i>>6] &^= 1 << (i & 63) }
+
+func (m varMask) or(o varMask) {
+	for w := range m {
+		m[w] |= o[w]
 	}
-	if o.Heuristic == RandomOrder {
-		return cands[rng.Intn(len(cands))]
+}
+
+func (m varMask) andNot(o varMask) {
+	for w := range m {
+		m[w] &^= o[w]
 	}
-	deg := make([]float64, len(cands))
-	wid := make([]float64, len(cands))
-	ec := make([]float64, len(cands))
-	for i, cand := range cands {
-		deg[i], wid[i], ec[i] = scoreVariable(b, cand, s, queryVars)
+}
+
+// next returns the smallest member ≥ i, or -1 when there is none;
+// `for i := m.next(0); i >= 0; i = m.next(i + 1)` visits the members in
+// ascending index order.
+func (m varMask) next(i int) int {
+	for w := i >> 6; w < len(m); w++ {
+		word := m[w]
+		if w == i>>6 {
+			word &= ^uint64(0) << (i & 63)
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// veNode is a relation of S with the data the ordering heuristics read,
+// built once when the relation enters S.
+type veNode struct {
+	p    *plan.Node
+	vars varMask
+	// dist[i] is p's distinct estimate of variable i; +Inf where p has no
+	// estimate (or does not hold the variable).
+	dist []float64
+}
+
+// veState is Variable Elimination's relation set S over one variable
+// index per query. Variables are indexed in sorted name order, so
+// ascending index is the order the estimate products multiply in: float
+// multiplication is not associative, and accumulating in map-iteration
+// order once made scores (and hence elimination picks) differ between runs
+// of the same query — a planning-determinism bug. The remaining fields are
+// scratch reused across candidates, so scoring allocates nothing per
+// candidate.
+type veState struct {
+	names []string
+	index map[string]int
+	query varMask
+	s     []veNode
+
+	rels, needed varMask
+	minDist      []float64
+	cands        []int
+	relNodes     []*plan.Node
+	deg, wid, ec []float64
+}
+
+// newVEState indexes the variables of the leaves and enters each leaf
+// into S.
+func newVEState(leaves []*plan.Node, queryVars []string) *veState {
+	names := varsOfNodes(leaves).Sorted()
+	nv := len(names)
+	st := &veState{
+		names:   names,
+		index:   make(map[string]int, nv),
+		minDist: make([]float64, nv),
+		cands:   make([]int, 0, nv),
+		deg:     make([]float64, nv),
+		wid:     make([]float64, nv),
+		ec:      make([]float64, nv),
+	}
+	for i, name := range names {
+		st.index[name] = i
+	}
+	st.query, st.rels, st.needed = st.newMask(), st.newMask(), st.newMask()
+	for _, v := range queryVars {
+		st.query.set(st.index[v])
+	}
+	for _, l := range leaves {
+		st.s = append(st.s, st.node(l))
+	}
+	return st
+}
+
+func (st *veState) newMask() varMask { return make(varMask, (len(st.names)+63)/64) }
+
+// candidates returns every indexed variable except the query variables.
+func (st *veState) candidates() varMask {
+	v := st.newMask()
+	for i := range st.names {
+		v.set(i)
+	}
+	v.andNot(st.query)
+	return v
+}
+
+// node builds p's variable mask and distinct-estimate array.
+func (st *veState) node(p *plan.Node) veNode {
+	n := veNode{p: p, vars: st.newMask(), dist: make([]float64, len(st.names))}
+	for i := range n.dist {
+		n.dist[i] = math.Inf(1)
+	}
+	for v := range p.Vars() {
+		i := st.index[v]
+		n.vars.set(i)
+		if d, ok := p.Est.Distinct[v]; ok {
+			n.dist[i] = d
+		}
+	}
+	return n
+}
+
+// pick applies the ordering heuristic to the candidate variables and
+// returns the chosen index. Exact score ties go to the smallest index, the
+// lexicographically smallest name.
+func (st *veState) pick(h Heuristic, cands varMask, b *plan.Builder, rng *rand.Rand) int {
+	st.cands = st.cands[:0]
+	for c := cands.next(0); c >= 0; c = cands.next(c + 1) {
+		st.cands = append(st.cands, c)
+	}
+	if len(st.cands) == 1 {
+		return st.cands[0]
+	}
+	if h == RandomOrder {
+		return st.cands[rng.Intn(len(st.cands))]
+	}
+	elim := h == ElimCost || h == DegreeElimCost
+	n := len(st.cands)
+	deg, wid, ec := st.deg[:n], st.wid[:n], st.ec[:n]
+	for i, c := range st.cands {
+		deg[i], wid[i] = st.score(c)
+		if elim {
+			ec[i] = st.elimCost(b, c)
+		}
 	}
 	var score []float64
-	switch o.Heuristic {
-	case Degree:
-		score = deg
+	switch h {
 	case Width:
 		score = wid
 	case ElimCost:
@@ -213,12 +347,12 @@ func (o VE) pickVariable(b *plan.Builder, v relation.VarSet, s []*plan.Node, que
 		score = deg
 	}
 	best := 0
-	for i := 1; i < len(cands); i++ {
+	for i := 1; i < n; i++ {
 		if score[i] < score[best] {
 			best = i
 		}
 	}
-	return cands[best]
+	return st.cands[best]
 }
 
 // combine normalizes each estimate vector by its maximum and multiplies
@@ -242,74 +376,70 @@ func combine(a, b []float64) []float64 {
 	return out
 }
 
-// scoreVariable computes the degree, width and elimination-cost estimates
-// for eliminating cand from the current relation set s.
+// score computes the degree and width estimates for eliminating variable
+// c from S, leaving rels(c) in st.relNodes (in S order) and the variables
+// that survive the elimination in st.needed for elimCost.
 //
 // Distinct-count estimates come from the current plan nodes (so earlier
-// selections and eliminations are reflected). Width is the size estimate
-// of the pre-elimination relation: the domain product over all variables
-// of rels(cand). Degree estimates the post-elimination relation, which
-// keeps only the variables still needed afterwards — those shared with
-// the relations not being joined plus the query variables; on a star view
+// selections and eliminations are reflected): per variable, the minimum
+// across the nodes of rels(c). Width is the size estimate of the
+// pre-elimination relation: the domain product over all variables of
+// rels(c). Degree estimates the post-elimination relation, which keeps
+// only the variables still needed afterwards — those shared with the
+// relations not being joined plus the query variables; on a star view
 // this is what makes degree favor the hub variable (its post-elimination
 // relation holds just the query variable, §7.3) even though joining all
-// its tables is expensive. Elim-cost is the modeled cost of a
-// size-ordered linear join of rels(cand) followed by the eliminating
-// aggregation (the paper's deliberate overestimate).
-func scoreVariable(b *plan.Builder, cand string, s []*plan.Node, queryVars []string) (deg, wid, ec float64) {
-	var rels, rest []*plan.Node
-	for _, n := range s {
-		if n.Vars()[cand] {
-			rels = append(rels, n)
-		} else {
-			rest = append(rest, n)
-		}
+// its tables is expensive. Both are 0 when no relation holds c.
+func (st *veState) score(c int) (deg, wid float64) {
+	for w := range st.rels {
+		st.rels[w], st.needed[w] = 0, st.query[w]
 	}
-	if len(rels) == 0 {
-		return 0, 0, 0
+	for i := range st.minDist {
+		st.minDist[i] = math.Inf(1)
 	}
-	// Distinct estimate per variable: minimum across containing nodes.
-	distinct := func(v string) float64 {
-		d := math.Inf(1)
-		for _, n := range rels {
-			if dv, ok := n.Est.Distinct[v]; ok && dv < d {
-				d = dv
-			}
-		}
-		if math.IsInf(d, 1) {
-			return 1
-		}
-		return math.Max(d, 1)
-	}
-	// Iterate variables in sorted order: float multiplication is not
-	// associative, so accumulating these products in map-iteration order
-	// made scores (and hence elimination picks) differ between runs of the
-	// same query — a planning-determinism bug.
-	vars := varsOfNodes(rels).Sorted()
-	wid = 1
-	for _, v := range vars {
-		wid *= distinct(v)
-		if wid > 1e300 {
-			wid = 1e300
-			break
-		}
-	}
-	// Variables that survive the elimination: needed by other relations or
-	// by the query itself.
-	needed := varsOfNodes(rest).Union(relation.NewVarSet(queryVars...))
-	deg = 1
-	for _, v := range vars {
-		if v == cand || !needed[v] {
+	st.relNodes = st.relNodes[:0]
+	for _, n := range st.s {
+		if !n.vars.has(c) {
+			st.needed.or(n.vars)
 			continue
 		}
-		deg *= distinct(v)
-		if deg > 1e300 {
-			deg = 1e300
-			break
+		st.rels.or(n.vars)
+		st.relNodes = append(st.relNodes, n.p)
+		for i := n.vars.next(0); i >= 0; i = n.vars.next(i + 1) {
+			if n.dist[i] < st.minDist[i] {
+				st.minDist[i] = n.dist[i]
+			}
 		}
 	}
-	// Elimination-cost overestimate: linear join in increasing size order.
-	ordered := append([]*plan.Node(nil), rels...)
+	if len(st.relNodes) == 0 {
+		return 0, 0
+	}
+	// Every factor is finite and ≥ 1, so once a product reaches the cap it
+	// stays there.
+	deg, wid = 1, 1
+	for i := st.rels.next(0); i >= 0; i = st.rels.next(i + 1) {
+		d := st.minDist[i]
+		if math.IsInf(d, 1) {
+			d = 1
+		}
+		d = math.Max(d, 1)
+		wid = math.Min(wid*d, 1e300)
+		if i != c && st.needed.has(i) {
+			deg = math.Min(deg*d, 1e300)
+		}
+	}
+	return deg, wid
+}
+
+// elimCost is the modeled cost of a size-ordered linear join of rels(c)
+// followed by the eliminating aggregation (the paper's deliberate
+// overestimate), reading the split score(c) left behind. Only the
+// elimination-cost heuristics call it: it builds plan nodes.
+func (st *veState) elimCost(b *plan.Builder, c int) float64 {
+	if len(st.relNodes) == 0 {
+		return 0
+	}
+	ordered := st.relNodes
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Est.Card < ordered[j].Est.Card })
 	acc := ordered[0]
 	base := acc.TotalCost
@@ -317,20 +447,20 @@ func scoreVariable(b *plan.Builder, cand string, s []*plan.Node, queryVars []str
 		base += n.TotalCost
 		acc = b.Join(acc, n)
 	}
-	keep := relation.NewVarSet()
-	for v := range acc.Vars() {
-		if v != cand && needed[v] {
-			keep[v] = true
+	var keep []string
+	for i := st.rels.next(0); i >= 0; i = st.rels.next(i + 1) {
+		if i != c && st.needed.has(i) {
+			keep = append(keep, st.names[i])
 		}
 	}
-	if g, err := b.GroupBy(acc, keep.Sorted()); err == nil {
+	if g, err := b.GroupBy(acc, keep); err == nil {
 		acc = g
 	}
 	// Charge only the work of this elimination, not the (sunk) cost of
 	// producing the operand relations.
-	ec = acc.TotalCost - base
+	ec := acc.TotalCost - base
 	if ec < 0 {
 		ec = 0
 	}
-	return deg, wid, ec
+	return ec
 }
