@@ -7,7 +7,7 @@
 //	mpfbench -exp all                 # every experiment, paper order
 //	mpfbench -exp fig7 -scale 0.05    # one experiment at a chosen scale
 //	mpfbench -list                    # list experiment ids
-//	mpfbench -exp parallel-exec -cpuprofile cpu.out -memprofile mem.out
+//	mpfbench -exp fig8 -cpuprofile cpu.out -memprofile mem.out
 //
 // Absolute numbers depend on hardware; the shapes (who wins, by what
 // factor, where crossovers fall) are the reproduction target recorded in
@@ -34,9 +34,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "intra-query worker bound (0 or 1 = serial)")
 	columnar := flag.Bool("columnar", false, "enable columnar page encoding for experiment sessions")
 	fuse := flag.Bool("fuse", false, "fuse GroupBy-over-Join pairs into a single non-materializing operator for experiment sessions")
-	rcache := flag.Int64("result-cache", 0, "result cache byte budget for cache-aware experiments (0 = experiment default)")
 	planner := flag.String("planner", "", "override the planning strategy for experiment sessions (empty = experiment default)")
-	planCache := flag.Int("plan-cache", 0, "plan cache capacity in entries for experiment sessions (0 = experiment default)")
 	planBudget := flag.Duration("plan-budget", 0, "planning-time budget before greedy fallback (0 = unlimited)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -62,7 +60,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, PoolFrames: *frames, Parallelism: *parallel, ResultCacheBytes: *rcache, Columnar: *columnar, Fuse: *fuse, Planner: *planner, PlanCacheEntries: *planCache, PlanBudget: *planBudget}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, PoolFrames: *frames, Parallelism: *parallel, Columnar: *columnar, Fuse: *fuse, Planner: *planner, PlanBudget: *planBudget}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()

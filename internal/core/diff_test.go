@@ -9,9 +9,9 @@ package core
 // generates random MPF instances (genInstance), runs each under a seeded
 // draw of engine configurations (drawConfig) and checks that identity
 // plus the ones configuration must not change — page layout, worker
-// count, transient faults — and the storage and MVCC contracts around
-// them (runInstance). DESIGN.md, "Differential harness", says what is
-// generated and checked and how to add a seed.
+// count, transient faults, the HTTP transport — and the storage and MVCC
+// contracts around them (runInstance). DESIGN.md, "Differential
+// harness", says what is generated and checked and how to add a seed.
 
 import (
 	"context"
@@ -64,6 +64,12 @@ var namedSeeds = []struct {
 	// aggregates merge in leaf order.
 	{"multi-leaf aggregation, fused", 1125},
 	{"multi-leaf aggregation, parallel", 9027},
+	// A log-sum-exp answer with a zero-probability group (measure −Inf)
+	// came back from /v1/query as a 200 with an empty body, and an insert
+	// of a −Inf measure could not be sent at all: JSON numbers carry no
+	// infinities.
+	{"−Inf answer over the wire", 67},
+	{"−Inf insert over the wire", 275},
 }
 
 // diffCorpus lists the corpus seeds.
@@ -158,12 +164,20 @@ type diffConfig struct {
 	caches     bool // plan and result caches
 	faults     int
 	concurrent bool // readers beside a writer in the write phase
+	wire       bool // reads and the concurrent phase also go over HTTP
 }
 
 func (c diffConfig) String() string {
-	return fmt.Sprintf("opt=%s columnar=%v fuse=%v workers=%d frames=%d variant=%s readahead=%d caches=%v faults=%s concurrent=%v",
+	return fmt.Sprintf("opt=%s columnar=%v fuse=%v workers=%d frames=%d variant=%s readahead=%d caches=%v faults=%s concurrent=%v transport=%s",
 		diffOptimizers(0)[c.opt].Name(), c.columnar, c.fuse, c.workers, c.frames, diffVariants[c.variant],
-		c.readAhead, c.caches, diffFaults[c.faults], c.concurrent)
+		c.readAhead, c.caches, diffFaults[c.faults], c.concurrent, c.transport())
+}
+
+func (c diffConfig) transport() string {
+	if c.wire {
+		return "wire"
+	}
+	return "inproc"
 }
 
 // keys names the dimension values the configuration exercises, for the
@@ -177,7 +191,7 @@ func (c diffConfig) keys() []string {
 		"opt=" + diffOptimizers(0)[c.opt].Name(),
 		fmt.Sprint("fuse=", c.fuse), fmt.Sprint("workers=", c.workers), "frames=" + frames,
 		"variant=" + diffVariants[c.variant], fmt.Sprint("readahead=", c.readAhead),
-		fmt.Sprint("caches=", c.caches), "faults=" + diffFaults[c.faults],
+		fmt.Sprint("caches=", c.caches), "faults=" + diffFaults[c.faults], "transport=" + c.transport(),
 	}
 }
 
@@ -188,7 +202,9 @@ func (c diffConfig) keys() []string {
 func (c diffConfig) ordered() bool { return c.workers <= 1 || c.variant != variantGrace }
 
 // drawConfig draws the configuration of a seed. The optimizer rotates
-// with the seed, so consecutive seeds cover every one.
+// with the seed, so consecutive seeds cover every one. The transport
+// draws from a stream of its own, so adding it re-dealt no other
+// dimension of any seed.
 func drawConfig(seed int64, rng *rand.Rand) diffConfig {
 	c := diffConfig{
 		opt:        int(uint64(seed) % uint64(len(diffOptimizers(0)))),
@@ -201,6 +217,7 @@ func drawConfig(seed int64, rng *rand.Rand) diffConfig {
 		caches:     rng.Intn(2) == 0,
 		faults:     rng.Intn(len(diffFaults)),
 		concurrent: rng.Intn(2) == 0,
+		wire:       rand.New(rand.NewSource(seed^0x77697265)).Intn(2) == 0,
 	}
 	if rng.Intn(2) == 0 {
 		c.frames = 256
@@ -474,13 +491,20 @@ func genSteps(rng *rand.Rand, in *instance) []diffStep {
 	return steps
 }
 
-// apply performs the step's write on db.
-func (s *diffStep) apply(db *Database, name string) error {
+// rowWriter takes a step's row writes: the database itself, or a
+// WireClient serving it.
+type rowWriter interface {
+	Insert(table string, vals []int32, measure float64) error
+	Delete(table string, vals []int32) (bool, error)
+}
+
+// apply performs the step's write on db, its row writes through w.
+func (s *diffStep) apply(db *Database, w rowWriter, name string) error {
 	switch s.op {
 	case opInsert:
-		return db.Insert(name, s.vals, s.measure)
+		return w.Insert(name, s.vals, s.measure)
 	case opDelete:
-		_, err := db.Delete(name, s.vals)
+		_, err := w.Delete(name, s.vals)
 		return err
 	case opDeclareKey:
 		return db.DeclareKey(name, s.cols)
@@ -733,13 +757,70 @@ func (r *diffRun) ask(ctx context.Context, db *Database, qi int, mode ExecMode) 
 	r.t.Helper()
 	registered := db.Pool().Registered() - cacheEntries(db)
 	res, err := db.QueryContext(ctx, r.spec(qi, mode))
+	r.released(db, qi, err, registered)
+	return res, err
+}
+
+// released checks that query qi, which ended with err, left no frame
+// pinned and as many disks registered as before it.
+func (r *diffRun) released(db *Database, qi int, err error, registered int) {
+	r.t.Helper()
 	if n := db.Pool().Pinned(); n != 0 {
 		r.fatalf("query %d (err %v): %d frames left pinned", qi, err, n)
 	}
 	if n := db.Pool().Registered() - cacheEntries(db); n != registered {
 		r.fatalf("query %d (err %v): %d disks registered, want %d", qi, err, n, registered)
 	}
-	return res, err
+}
+
+// WireClient is a database served over HTTP, as transport=wire runs
+// reach it: queries and row writes travel as JSON, and engine errors come
+// back as the sentinels their envelope codes name.
+type WireClient interface {
+	rowWriter
+	// Query runs q and returns the decoded result and its rendered plan.
+	Query(q *QuerySpec) (*Result, string, error)
+}
+
+// ServeWire serves db over HTTP until the test ends. internal/server
+// imports this package, so wire_test.go sets it from package core_test.
+var ServeWire func(t *testing.T, db *Database) WireClient
+
+// wireSpec is query qi as it travels: without its optimizer when the
+// optimizer's report name resolves to a different one (a seeded random
+// order) or to none (FD-aware VE), so the server plans with its default.
+func (r *diffRun) wireSpec(qi int, mode ExecMode) *QuerySpec {
+	q := r.spec(qi, mode)
+	if o, err := opt.ByName(q.Optimizer.Name()); err != nil || !reflect.DeepEqual(o, q.Optimizer) {
+		q.Optimizer = nil
+	}
+	return q
+}
+
+// askWire runs query qi through wc under the storage contract of ask.
+// The decoded answer must match the oracle, and be bit-equal to local,
+// the in-process answer, whenever arithmetic cannot tell two plans apart
+// (an exact instance) or both ran the same plan in a fixed order.
+func (r *diffRun) askWire(wc WireClient, db *Database, qi int, mode ExecMode, local *Result, want *relation.Relation) {
+	r.t.Helper()
+	registered := db.Pool().Registered() - cacheEntries(db)
+	res, plan, err := wc.Query(r.wireSpec(qi, mode))
+	r.released(db, qi, err, registered)
+	if err != nil {
+		r.fatalf("query %d mode %d over the wire: %v", qi, mode, err)
+	}
+	if !same(res.Relation, want, false, r.in.tol()) {
+		r.fatalf("query %d mode %d: answer over the wire differs from the oracle\ngot  %v\nwant %v", qi, mode, res.Relation, want)
+	}
+	samePlan := plan == local.Plan.String()
+	if (r.in.exact || samePlan && r.cfg.ordered()) && !same(res.Relation, local.Relation, false, 0) {
+		r.fatalf("query %d mode %d: answer over the wire differs from the in-process one\nwire  %v\nlocal %v", qi, mode, res.Relation, local.Relation)
+	}
+	r.tally.add(func(y *diffTally) {
+		if samePlan {
+			y.wirePlans++
+		}
+	})
 }
 
 // cacheEntries counts the result cache's materializations, each of which
@@ -760,11 +841,16 @@ func (r *diffRun) with(c diffConfig) *diffRun {
 
 // reads runs every query — twice when caches are on, the second pass
 // hitting them — checks each answer against the oracle in both execution
-// modes, and returns the engine's answers.
+// modes, over the wire as well under transport=wire, and returns the
+// engine's answers.
 func (r *diffRun) reads(want []*relation.Relation) []answer {
 	r.t.Helper()
 	c := r.cfg
 	db := r.open(c, nil)
+	var wc WireClient
+	if c.wire {
+		wc = ServeWire(r.t, db)
+	}
 	out := make([]answer, len(want))
 	passes := 1
 	if c.caches {
@@ -780,6 +866,9 @@ func (r *diffRun) reads(want []*relation.Relation) []answer {
 				if !same(res.Relation, want[qi], false, r.in.tol()) {
 					r.fatalf("pass %d query %d mode %d: answer differs from the oracle\ngot  %v\nwant %v\nplan:\n%v",
 						pass, qi, mode, res.Relation, want[qi], res.Plan)
+				}
+				if wc != nil {
+					r.askWire(wc, db, qi, mode, res, want[qi])
 				}
 				if mode == EngineExec && pass == 0 {
 					out[qi] = answer{rel: res.Relation, io: res.Exec.IO}
@@ -935,7 +1024,7 @@ func (r *diffRun) writes(armAt int) {
 		when := fmt.Sprintf("step %d (op %d on %s, vals %v, cols %v)", k, s.op, name, s.vals, s.cols)
 		snap := db.AcquireSnapshot()
 		seq := db.Metrics().MVCC.Seq
-		if err := s.apply(db, name); !errors.Is(err, s.want) || (s.want == nil && err != nil) {
+		if err := s.apply(db, db, name); !errors.Is(err, s.want) || (s.want == nil && err != nil) {
 			r.fatalf("%s: err = %v, want %v", when, err, s.want)
 		}
 		if moved := db.Metrics().MVCC.Seq != seq; moved != s.commits {
@@ -994,7 +1083,9 @@ func (r *diffRun) armedCommit(db *Database, fleet *faultFleet, tables, want []*r
 // concurrent replays the write sequence on one goroutine while readers
 // query on two others: every reader's answer must equal the oracle at
 // the catalog version it ran against (Result.Snapshot), and once all are
-// done one version is live, no snapshot is held and nothing is pinned.
+// done one version is live, no snapshot is held, nothing is pinned and
+// the stored tables equal the last shadow. Under transport=wire the
+// readers and the writer's inserts and deletes go over HTTP.
 func (r *diffRun) concurrent() {
 	// Left out of the draw: a small pool under concurrent queries. Frames
 	// are not reserved per query, so parallel Grace partitioning in two
@@ -1005,6 +1096,16 @@ func (r *diffRun) concurrent() {
 	c := r.cfg
 	c.frames = 256
 	db := r.open(c, nil)
+	query := func(qi int) (*Result, error) { return db.Query(r.spec(qi, EngineExec)) }
+	var w rowWriter = db
+	if c.wire {
+		wc := ServeWire(r.t, db)
+		query = func(qi int) (*Result, error) {
+			res, _, err := wc.Query(r.wireSpec(qi, EngineExec))
+			return res, err
+		}
+		w = wc
+	}
 	s0 := db.Metrics().MVCC.Seq
 	replay := [][]*relation.Relation{r.in.oracles(r.in.tables)}
 	for _, s := range r.in.steps {
@@ -1020,7 +1121,7 @@ func (r *diffRun) concurrent() {
 			defer wg.Done()
 			for i := 0; i < 4 || !done.Load(); i++ {
 				qi := (i + reader) % len(r.in.queries)
-				res, err := db.Query(r.spec(qi, EngineExec))
+				res, err := query(qi)
 				if err != nil {
 					r.t.Errorf("seed %d [%s]: concurrent query %d: %v", r.seed, r.cfg, qi, err)
 					return
@@ -1034,7 +1135,7 @@ func (r *diffRun) concurrent() {
 		}()
 	}
 	for k, s := range r.in.steps {
-		if err := s.apply(db, r.in.tables[s.table].Name()); !errors.Is(err, s.want) || (s.want == nil && err != nil) {
+		if err := s.apply(db, w, r.in.tables[s.table].Name()); !errors.Is(err, s.want) || (s.want == nil && err != nil) {
 			r.t.Errorf("seed %d [%s]: concurrent step %d: err = %v, want %v", r.seed, r.cfg, k, err, s.want)
 		}
 	}
@@ -1050,6 +1151,11 @@ func (r *diffRun) concurrent() {
 	if n := db.Pool().Pinned(); n != 0 {
 		r.fatalf("%d frames pinned after the concurrent phase", n)
 	}
+	for i, t := range r.in.steps[len(r.in.steps)-1].after {
+		if stored, err := db.Relation(t.Name()); err != nil || !same(stored, t, true, 0) {
+			r.fatalf("after the concurrent phase: table %d differs from the serial replay (err %v)", i, err)
+		}
+	}
 }
 
 // diffTally accumulates what the corpus exercised.
@@ -1059,6 +1165,7 @@ type diffTally struct {
 	seen                 map[string]bool
 	retries, encoded     int64
 	grace, merges, armed int
+	wirePlans            int // wire answers planned as in process
 }
 
 func (y *diffTally) note(keys ...string) {
@@ -1080,7 +1187,7 @@ func (y *diffTally) add(f func(*diffTally)) {
 func (y *diffTally) check(f *testing.F) {
 	want := []string{"columnar=true", "columnar=false", "fuse=true", "fuse=false", "frames=small", "frames=large",
 		"readahead=0", "readahead=8", "caches=true", "caches=false", "concurrent=true", "concurrent=false",
-		"writes=true", "writes=false"}
+		"writes=true", "writes=false", "transport=inproc", "transport=wire"}
 	for _, o := range diffOptimizers(0) {
 		want = append(want, "opt="+o.Name())
 	}
@@ -1104,8 +1211,9 @@ func (y *diffTally) check(f *testing.F) {
 			f.Errorf("corpus never ran %s", k)
 		}
 	}
-	if y.retries == 0 || y.encoded == 0 || y.grace == 0 || y.merges == 0 || y.armed == 0 {
-		f.Errorf("corpus coverage: %d retries, %d pages encoded, %d Grace partitionings, %d external merges, %d armed commit faults; each must be > 0",
-			y.retries, y.encoded, y.grace, y.merges, y.armed)
+	if y.retries == 0 || y.encoded == 0 || y.grace == 0 || y.merges == 0 || y.armed == 0 || y.wirePlans == 0 {
+		f.Errorf("corpus coverage: %d retries, %d pages encoded, %d Grace partitionings, %d external merges, %d armed commit faults, "+
+			"%d wire answers planned as in process; each must be > 0",
+			y.retries, y.encoded, y.grace, y.merges, y.armed, y.wirePlans)
 	}
 }

@@ -12,10 +12,11 @@ import (
 
 // This file defines the canonical JSON wire encoding of the query API:
 // QuerySpec, Having, and Result. The HTTP server (internal/server), its
-// clients, and the loadgen experiment all speak exactly this encoding,
-// so it must stay stable and round-trip: Marshal(Unmarshal(x)) is a
-// fixpoint (asserted by TestQuerySpecJSONRoundTrip and the JSON fuzz
-// targets at the package root).
+// clients, and the differential harness's wire transport all speak
+// exactly this encoding, so it must stay stable and round-trip:
+// Marshal(Unmarshal(x)) is a fixpoint (asserted by
+// TestQuerySpecJSONRoundTrip and the JSON fuzz targets at the package
+// root).
 
 // havingJSON is the wire form of a Having clause; the operator uses its
 // SQL spelling ("<", "<=", ">", ">=", "=").

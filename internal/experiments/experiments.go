@@ -39,11 +39,6 @@ type Config struct {
 	// Parallelism is the engine's intra-query worker bound applied to
 	// every experiment session; 0 or 1 is serial (today's default).
 	Parallelism int
-	// ResultCacheBytes overrides the result-cache byte budget used by
-	// cache-aware experiments (result-cache); 0 keeps the experiment's
-	// default budget. Experiments that measure raw plan IO always run with
-	// the cache disabled regardless.
-	ResultCacheBytes int64
 	// Columnar enables the per-page columnar encoding for experiment
 	// sessions.
 	Columnar bool
@@ -54,10 +49,6 @@ type Config struct {
 	// every experiment session (opt.ByName report name, e.g. "greedy").
 	// Experiments that sweep optimizers still pass their own per query.
 	Planner string
-	// PlanCacheEntries sets the plan cache capacity for experiment
-	// sessions; 0 keeps it disabled except in experiments (plan-cache)
-	// that enable it per pass.
-	PlanCacheEntries int
 	// PlanBudget bounds planning wall time for experiment sessions, with
 	// greedy fallback past the budget (0 = unlimited).
 	PlanBudget time.Duration
@@ -147,10 +138,6 @@ func Registry() []struct {
 		{"ablation-workload", AblationWorkload},
 		{"ablation-costmodel", AblationCostModel},
 		{"ablation-fusion", AblationFusion},
-		{"parallel-exec", ParallelExec},
-		{"result-cache", ResultCacheExp},
-		{"plan-cache", PlanCacheExp},
-		{"loadgen", LoadGen},
 	}
 }
 
@@ -188,28 +175,22 @@ type session struct {
 	ds *gen.Dataset
 }
 
-// sessionConfig translates the experiment config into an engine config:
-// buffer-pool size plus the execution knobs every session shares
+// openDataset loads a dataset into a fresh engine-backed database with
+// the given buffer-pool size and the execution knobs every session shares
 // (parallelism, page layout, fusion, planning).
-func sessionConfig(cfg Config, frames int) core.Config {
+func openDataset(ds *gen.Dataset, cfg Config, frames int) (*session, error) {
 	ccfg := core.Config{
-		PoolFrames:       frames,
-		Parallelism:      cfg.Parallelism,
-		Columnar:         cfg.Columnar,
-		FuseJoinGroupBy:  cfg.Fuse,
-		PlanCacheEntries: cfg.PlanCacheEntries,
-		PlanBudget:       cfg.PlanBudget,
+		PoolFrames:      frames,
+		Parallelism:     cfg.Parallelism,
+		Columnar:        cfg.Columnar,
+		FuseJoinGroupBy: cfg.Fuse,
+		PlanBudget:      cfg.PlanBudget,
 	}
 	if cfg.Planner != "" {
 		if o, err := opt.ByName(cfg.Planner); err == nil {
 			ccfg.Optimizer = o
 		}
 	}
-	return ccfg
-}
-
-// openSession loads a dataset into a database opened with ccfg.
-func openSession(ds *gen.Dataset, ccfg core.Config) (*session, error) {
 	db, err := core.Open(ccfg)
 	if err != nil {
 		return nil, err
@@ -225,12 +206,6 @@ func openSession(ds *gen.Dataset, ccfg core.Config) (*session, error) {
 		return nil, err
 	}
 	return &session{db: db, ds: ds}, nil
-}
-
-// openDataset loads a dataset into a fresh engine-backed database with
-// the given buffer-pool size and the config's execution knobs.
-func openDataset(ds *gen.Dataset, cfg Config, frames int) (*session, error) {
-	return openSession(ds, sessionConfig(cfg, frames))
 }
 
 func (s *session) close() { s.db.Close() }

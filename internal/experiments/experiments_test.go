@@ -160,31 +160,3 @@ func TestAblationBufferPoolShape(t *testing.T) {
 		t.Fatalf("reads grew with pool size: %v (small) vs %v (big)", small, big)
 	}
 }
-
-// TestResultCacheExpShape verifies the acceptance shape of the cache
-// experiment: the second cache-enabled pass hits the cache and does at
-// most half the physical IO of the first, while cache-off passes never
-// probe it.
-func TestResultCacheExpShape(t *testing.T) {
-	tbl, err := ResultCacheExp(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("want 4 rows (2 modes × 2 passes), got %d", len(tbl.Rows))
-	}
-	// Rows: off/1, off/2, cached/1, cached/2; IO is column 4, hits column 5.
-	for r := 0; r < 2; r++ {
-		if hits := cell(t, tbl, r, 5); hits != 0 {
-			t.Fatalf("cache-off pass %d reported %v hits", r+1, hits)
-		}
-	}
-	coldIO := cell(t, tbl, 2, 4)
-	warmIO := cell(t, tbl, 3, 4)
-	if warmIO*2 > coldIO {
-		t.Fatalf("warm pass IO %v not ≤ half of cold pass IO %v", warmIO, coldIO)
-	}
-	if hits := cell(t, tbl, 3, 5); hits == 0 {
-		t.Fatal("warm pass never hit the cache")
-	}
-}

@@ -236,40 +236,58 @@ func TestVECacheRestrictedAnswer(t *testing.T) {
 
 // TestVECacheConstrainedDomain reproduces the §6 running example: after
 // constraining tid=1, querying wid from the reduced cache must equal the
-// view computed under the selection.
+// view computed under the selection. The second case enters two evidence
+// variables that live in different cached tables.
 func TestVECacheConstrainedDomain(t *testing.T) {
-	base := chainRelations(t, 11)
-	cache, err := BuildVECache(semiring.SumProduct, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	constrained, err := cache.ConstrainDomain(relation.Predicate{"tid": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Oracle: select tid=1 on the base tables, then marginalize.
-	sel := make([]*relation.Relation, len(base))
-	for i, r := range base {
-		sel[i] = r
-		if r.HasVar("tid") {
-			s, _ := relation.Select(r, relation.Predicate{"tid": 1})
-			sel[i] = s
+	for _, tc := range []struct {
+		pred  relation.Predicate
+		seeds []int64
+		vars  []string
+	}{
+		{relation.Predicate{"tid": 1}, []int64{11}, []string{"wid", "cid", "pid", "sid"}},
+		{relation.Predicate{"tid": 1, "sid": 2}, []int64{11, 12, 13, 14, 15}, []string{"wid", "cid", "pid"}},
+	} {
+		for _, seed := range tc.seeds {
+			base := chainRelations(t, seed)
+			cache, err := BuildVECache(semiring.SumProduct, base, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			constrained, err := cache.ConstrainDomain(tc.pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Oracle: select the evidence on the base tables, then
+			// marginalize.
+			sel := make([]*relation.Relation, len(base))
+			for i, r := range base {
+				sel[i] = r
+				p := relation.Predicate{}
+				for v, val := range tc.pred {
+					if r.HasVar(v) {
+						p[v] = val
+					}
+				}
+				if len(p) > 0 {
+					sel[i], _ = relation.Select(r, p)
+				}
+			}
+			joint, _ := relation.ProductJoinAll(semiring.SumProduct, sel...)
+			for _, v := range tc.vars {
+				got, err := constrained.Answer(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := relation.Marginalize(semiring.SumProduct, joint, []string{v})
+				if !relation.Equal(got, want, 0, 1e-9) {
+					t.Fatalf("seed %d, evidence %v: constrained answer for %s differs\ngot  %v\nwant %v", seed, tc.pred, v, got, want)
+				}
+			}
+			// Original cache untouched.
+			if err := cache.CheckCacheInvariant(base, 1e-9); err != nil {
+				t.Fatal("ConstrainDomain mutated the original cache")
+			}
 		}
-	}
-	joint, _ := relation.ProductJoinAll(semiring.SumProduct, sel...)
-	for _, v := range []string{"wid", "cid", "pid", "sid"} {
-		got, err := constrained.Answer(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := relation.Marginalize(semiring.SumProduct, joint, []string{v})
-		if !relation.Equal(got, want, 0, 1e-9) {
-			t.Fatalf("constrained answer for %s differs", v)
-		}
-	}
-	// Original cache untouched.
-	if err := cache.CheckCacheInvariant(base, 1e-9); err != nil {
-		t.Fatal("ConstrainDomain mutated the original cache")
 	}
 }
 

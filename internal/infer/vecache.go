@@ -199,7 +199,7 @@ func (c *Cache) AnswerRestricted(x string, val int32) (*relation.Relation, error
 
 // ConstrainDomain implements the §6 protocol for adding constrained-
 // domain queries to a cached workload: apply the selection predicate to
-// every cache table containing the constrained variable, then perform
+// every cache table containing a constrained variable, then perform
 // reductions along the cache schema's join tree from the selected tables
 // to every other table. It returns a NEW cache reflecting the constraint;
 // the receiver is unchanged.
@@ -209,8 +209,29 @@ func (c *Cache) ConstrainDomain(pred relation.Predicate) (*Cache, error) {
 	}
 	out := &Cache{Sr: c.Sr, Order: c.Order, reductions: c.reductions}
 	out.Tables = make([]*relation.Relation, len(c.Tables))
-	var sources []int
+	schemas := make([]relation.VarSet, len(c.Tables))
 	for i, t := range c.Tables {
+		out.Tables[i] = t.Clone()
+		schemas[i] = t.Vars()
+	}
+	// Propagate the constraint along the cache schema's join tree
+	// (acyclic by Theorem 10): update semijoins flow outward from a
+	// selected table, carrying the reduced separator marginals to every
+	// other cached table (Theorem 5). The cached tables are joint
+	// marginals, not a factorization, so the reductions must be directed
+	// update semijoins rather than a fresh BP run.
+	jt, err := graph.BuildJunctionTree(schemas)
+	if err != nil {
+		return nil, fmt.Errorf("infer: cache schema has no join tree: %w", err)
+	}
+	adj := jt.AdjacencyList()
+	// Evidence enters one table at a time: each selection applies to the
+	// tables as the previous sources left them, and is distributed before
+	// the next. Selecting every table first would let a later source's
+	// update semijoin divide by a separator already holding its own
+	// evidence.
+	sources := 0
+	for i, t := range out.Tables {
 		p := make(relation.Predicate)
 		for v, val := range pred {
 			if t.HasVar(v) {
@@ -218,7 +239,6 @@ func (c *Cache) ConstrainDomain(pred relation.Predicate) (*Cache, error) {
 			}
 		}
 		if len(p) == 0 {
-			out.Tables[i] = t.Clone()
 			continue
 		}
 		s, err := relation.Select(t, p)
@@ -227,30 +247,13 @@ func (c *Cache) ConstrainDomain(pred relation.Predicate) (*Cache, error) {
 		}
 		s.SetName(t.Name())
 		out.Tables[i] = s
-		sources = append(sources, i)
-	}
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("infer: predicate variables %v not in any cached table", predVars(pred))
-	}
-	// Propagate the constraint along the cache schema's join tree
-	// (acyclic by Theorem 10): from each selected table, update semijoins
-	// flow outward, carrying the reduced separator marginals to every
-	// other cached table (Theorem 5). Note the cached tables are joint
-	// marginals, not a factorization, so the reductions must be directed
-	// update semijoins rather than a fresh BP run.
-	schemas := make([]relation.VarSet, len(out.Tables))
-	for i, t := range out.Tables {
-		schemas[i] = t.Vars()
-	}
-	jt, err := graph.BuildJunctionTree(schemas)
-	if err != nil {
-		return nil, fmt.Errorf("infer: cache schema has no join tree: %w", err)
-	}
-	adj := jt.AdjacencyList()
-	for _, src := range sources {
-		if err := distributeFrom(c.Sr, out.Tables, adj, src); err != nil {
+		if err := distributeFrom(c.Sr, out.Tables, adj, i); err != nil {
 			return nil, err
 		}
+		sources++
+	}
+	if sources == 0 {
+		return nil, fmt.Errorf("infer: predicate variables %v not in any cached table", predVars(pred))
 	}
 	return out, nil
 }

@@ -424,7 +424,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	err = sess.Insert(req.Table, req.Vals, req.Measure)
+	err = sess.Insert(req.Table, req.Vals, float64(req.Measure))
 	if err != nil {
 		writeError(w, err)
 		return

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"mpf"
+	"mpf/internal/relation"
 	"mpf/internal/storage"
 )
 
@@ -310,6 +312,92 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteMeasuresOverWire serves a log-sum-exp view with a
+// zero-probability group (measure −Inf): the query answers 200 with a
+// relation bit-equal to the in-process one, and an Insert of a −Inf
+// measure round-trips into the stored table.
+func TestNonFiniteMeasuresOverWire(t *testing.T) {
+	db, err := mpf.Open(mpf.Config{Semiring: mpf.LogSumExp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	x, err := mpf.FromRows("x", []mpf.Attr{{Name: "a", Domain: 3}},
+		[][]int32{{0}, {1}, {2}}, []float64{math.Inf(-1), -0.5, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := mpf.FromRows("y", []mpf.Attr{{Name: "a", Domain: 3}, {Name: "b", Domain: 2}},
+		[][]int32{{0, 0}, {0, 1}, {1, 0}, {2, 1}}, []float64{-1, -2, -3, -4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*mpf.Relation{x, y} {
+		if err := db.CreateTable(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CreateView("v", []string{"x", "y"}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db, Config{}))
+	defer ts.Close()
+	c := ts.Client()
+
+	spec := &mpf.QuerySpec{View: "v", GroupVars: []string{"a"}}
+	want, err := db.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, body := post(t, c, ts.URL+"/v1/query", QueryRequest{Query: spec})
+	if status != http.StatusOK {
+		t.Fatalf("query: %d %s", status, body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil || qr.Result == nil || qr.Result.Relation == nil {
+		t.Fatalf("decoding %q: %v", body, err)
+	}
+	got, ref := qr.Result.Relation, want.Relation
+	got.Sort()
+	ref.Sort()
+	sameBits := func(got, want *mpf.Relation) bool {
+		if got.Len() != want.Len() {
+			return false
+		}
+		for i := 0; i < got.Len(); i++ {
+			if !reflect.DeepEqual(got.Row(i), want.Row(i)) || math.Float64bits(got.Measure(i)) != math.Float64bits(want.Measure(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	if !sameBits(got, ref) || !math.IsInf(ref.Measure(0), -1) {
+		t.Fatalf("wire answer %v, in-process %v", got, ref)
+	}
+
+	if status, body := post(t, c, ts.URL+"/v1/insert", InsertRequest{Table: "y", Vals: []int32{1, 1}, Measure: relation.WireMeasure(math.Inf(-1))}); status != http.StatusOK {
+		t.Fatalf("insert: %d %s", status, body)
+	}
+	stored, err := db.Relation("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	y.MustAppend([]int32{1, 1}, math.Inf(-1))
+	if !sameBits(stored, y) {
+		t.Fatalf("stored %v after a −Inf insert, want %v", stored, y)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a response value that does not encode is
+// answered with a typed 500 envelope, never a 200 with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.Inf(1))
+	if rec.Code != http.StatusInternalServerError || envelope(t, rec.Body.Bytes()).Code != "internal" {
+		t.Fatalf("unencodable response answered %d: %q", rec.Code, rec.Body)
+	}
+}
+
 // TestAdmissionControl floods a tightly limited server and asserts
 // every response is either a correct answer or a typed 429/503
 // envelope — never anything else — and that the rejection counters add
@@ -336,17 +424,14 @@ func TestAdmissionControl(t *testing.T) {
 				QueryRequest{Query: &mpf.QuerySpec{View: "v", GroupVars: []string{"b"}}})
 			mu.Lock()
 			defer mu.Unlock()
-			switch status {
-			case http.StatusOK:
+			// A rejection is typed: its status and envelope code agree.
+			switch {
+			case status == http.StatusOK:
 				ok++
-			case http.StatusTooManyRequests:
-				if envelope(t, body).Code == CodeRateLimited {
-					limited++
-				}
-			case http.StatusServiceUnavailable:
-				if envelope(t, body).Code == CodeOverloaded {
-					overloaded++
-				}
+			case status == http.StatusTooManyRequests && envelope(t, body).Code == CodeRateLimited:
+				limited++
+			case status == http.StatusServiceUnavailable && envelope(t, body).Code == CodeOverloaded:
+				overloaded++
 			default:
 				other++
 				t.Errorf("unexpected status %d: %s", status, body)
@@ -461,6 +546,14 @@ func TestShutdownDrain(t *testing.T) {
 	}
 	if n := db.Pool().Pinned(); n != 0 {
 		t.Fatalf("%d frames left pinned after drain", n)
+	}
+	// A request after the drain completed is refused the same way.
+	if status, body := post(t, c, ts.URL+"/v1/query", QueryRequest{Query: spec}); status != http.StatusServiceUnavailable ||
+		envelope(t, body).Code != CodeDraining {
+		t.Fatalf("post-drain request got %d: %s", status, body)
+	}
+	if n := db.Pool().Pinned(); n != 0 {
+		t.Fatalf("%d frames left pinned after a post-drain request", n)
 	}
 
 	// Health reports draining.
@@ -593,6 +686,12 @@ func FuzzWireRequest(f *testing.F) {
 		f.Add(uint8(i), []byte(body), false)
 	}
 	f.Add(uint8(1), []byte(`{"query":{"view":"v"}}`), true)
+	// Non-finite measures travel as strings; an unknown string is refused.
+	f.Add(uint8(4), []byte(`{"table":"ab","vals":[0,1],"measure":"-Infinity"}`), false)
+	f.Add(uint8(4), []byte(`{"table":"ab","vals":[0,2],"measure":"NaN"}`), false)
+	f.Add(uint8(4), []byte(`{"table":"ab","vals":[0,3],"measure":"inf"}`), false)
+	f.Add(uint8(1), []byte(`{"query":{"view":"v","group_vars":["a"],"hypothetical":{"ab":{"name":"ab",`+
+		`"attrs":[{"name":"a","domain":24},{"name":"b","domain":24}],"rows":[[0,0]],"measures":["Infinity"]}}}}`), false)
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte, oversize bool) {
 		var r io.Reader = bytes.NewReader(body)
 		if oversize { // the body with a cap's worth of spaces in the middle

@@ -28,9 +28,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 
 	"mpf"
+	"mpf/internal/relation"
 )
 
 // SessionRequest opens a wire session. The defaults apply to every
@@ -96,12 +98,13 @@ type MaterializeResponse struct {
 	Relation *mpf.Relation `json:"relation"`
 }
 
-// InsertRequest adds one row to a base table.
+// InsertRequest adds one row to a base table. The measure is a
+// relation.WireMeasure, so ±Inf and NaN rows can be inserted.
 type InsertRequest struct {
-	Session string  `json:"session,omitempty"`
-	Table   string  `json:"table"`
-	Vals    []int32 `json:"vals"`
-	Measure float64 `json:"measure"`
+	Session string               `json:"session,omitempty"`
+	Table   string               `json:"table"`
+	Vals    []int32              `json:"vals"`
+	Measure relation.WireMeasure `json:"measure"`
 }
 
 // DeleteRequest removes one row from a base table.
@@ -196,11 +199,20 @@ func statusOf(code string) int {
 	}
 }
 
-// writeJSON encodes v as the response body.
+// writeJSON encodes v as the response body. It encodes before writing
+// the header, so a value that does not encode is answered with a typed
+// 500 internal envelope, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		status = statusOf("internal")
+		// Two strings always encode.
+		data, _ = json.Marshal(ErrorEnvelope{Error: fmt.Sprintf("encoding response: %v", err), Code: "internal"})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	// A failed write means the client has gone; there is no one to tell.
+	w.Write(append(data, '\n'))
 }
 
 // writeError writes the error envelope for an engine error, classifying
