@@ -228,30 +228,6 @@ func BenchmarkAblationPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPhysicalOps measures hash vs sort operator choices.
-func BenchmarkAblationPhysicalOps(b *testing.B) {
-	db := openSupply(b, 0.5, 256)
-	for _, mode := range []struct {
-		name                string
-		sortJoin, sortGroup bool
-	}{
-		{"hash-join/hash-agg", false, false},
-		{"sort-join/hash-agg", true, false},
-		{"hash-join/sort-agg", false, true},
-		{"sort-join/sort-agg", true, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			db.Engine().SortJoin = mode.sortJoin
-			db.Engine().SortGroupBy = mode.sortGroup
-			defer func() {
-				db.Engine().SortJoin = false
-				db.Engine().SortGroupBy = false
-			}()
-			runQuery(b, db, "invest", opt.CSPlus{}, "wid")
-		})
-	}
-}
-
 // BenchmarkAblationBufferPool measures the disk-resident regime: the same
 // query against shrinking buffer pools.
 func BenchmarkAblationBufferPool(b *testing.B) {
@@ -386,19 +362,6 @@ func BenchmarkUpdateSemijoin(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkExternalSort measures the engine's sort substrate under forced
-// multi-run merges.
-func BenchmarkExternalSort(b *testing.B) {
-	db := openSupply(b, 0.5, 64)
-	db.Engine().SortGroupBy = true
-	db.Engine().SortRunTuples = 1 << 12
-	defer func() {
-		db.Engine().SortGroupBy = false
-		db.Engine().SortRunTuples = 0
-	}()
-	runQuery(b, db, "invest", opt.CSPlus{}, "wid")
 }
 
 // BenchmarkParallelGraceJoin measures intra-query parallelism on a large

@@ -377,8 +377,8 @@ func TestCorruptReadInvalidatesResultCache(t *testing.T) {
 }
 
 // TestChaosColumnarUnderFaults replays the chaos matrix with columnar
-// page encoding on, across the three encoded execution paths — hash
-// aggregation, the fused join+aggregate, and sort-based aggregation —
+// page encoding on, across both encoded execution paths — hash
+// aggregation and the fused join+aggregate —
 // first fault-free, where every answer must be bit-identical to the same
 // path's row-major configuration (the encodings change CPU work, never
 // results), then over disks injecting transient faults on 5% of
@@ -395,11 +395,6 @@ func TestChaosColumnarUnderFaults(t *testing.T) {
 	}{
 		{"hash", func(db *Database) {}},
 		{"fused", func(db *Database) { db.Engine().FuseJoinGroupBy = true }},
-		{"sort", func(db *Database) {
-			db.Engine().SortGroupBy = true
-			// Small runs so the sorts spill and merge under faults.
-			db.Engine().SortRunTuples = 512
-		}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			// Row-major reference for THIS path: bit-identity is a

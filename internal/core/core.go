@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -137,6 +138,9 @@ type Database struct {
 	// QueryCached); the caches themselves are immutable once built.
 	cachesMu sync.Mutex
 	caches   map[string]*infer.Cache
+	// beforeCacheInstall, when set, runs between BuildCache's build and
+	// its install; tests commit a write there.
+	beforeCacheInstall func()
 }
 
 // Open creates a database with the given configuration.
@@ -940,10 +944,33 @@ func (db *Database) BuildCache(view string, order []string) (*infer.Cache, error
 	if err != nil {
 		return nil, err
 	}
+	if db.beforeCacheInstall != nil {
+		db.beforeCacheInstall()
+	}
+	// A commit publishes before it invalidates, so one that landed after
+	// the snapshot may already have swept the registry: install only while
+	// the view still reads the snapshot's tables at their versions.
 	db.cachesMu.Lock()
-	db.caches[view] = cache
+	if viewUnchanged(view, v.Tables, snap.v, db.currentVersion()) {
+		db.caches[view] = cache
+	}
 	db.cachesMu.Unlock()
 	return cache, nil
+}
+
+// viewUnchanged reports whether view is defined over tables in cur and
+// each of them has the same version in cur as in old.
+func viewUnchanged(view string, tables []string, old, cur *catVersion) bool {
+	def, err := cur.cat.View(view)
+	if err != nil || !slices.Equal(def.Tables, tables) {
+		return false
+	}
+	for _, t := range tables {
+		if cur.versions[t] != old.versions[t] {
+			return false
+		}
+	}
+	return true
 }
 
 // Cache returns the workload cache previously built for a view.

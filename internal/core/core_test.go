@@ -174,6 +174,44 @@ func TestBuildAndQueryCache(t *testing.T) {
 	}
 }
 
+// TestBuildCacheOvertakenByCommit commits a Delete between BuildCache's
+// build and its install. The commit's invalidation has already run, so
+// installing the cache would serve pre-commit marginals until the next
+// write.
+func TestBuildCacheOvertakenByCommit(t *testing.T) {
+	db, ds := openSupplyChain(t, Config{})
+	table := ds.ViewTables[0]
+	stored, err := db.Relation(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := stored.Row(0)
+	db.beforeCacheInstall = func() {
+		if ok, err := db.Delete(table, row); !ok || err != nil {
+			t.Errorf("delete of a stored row: %v, %v", ok, err)
+		}
+	}
+	if _, err := db.BuildCache("invest", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Cache("invest"); err == nil {
+		t.Fatal("BuildCache installed a cache that a commit had overtaken")
+	}
+	for _, v := range ds.QueryVars {
+		got, err := db.QueryCached("invest", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query(&QuerySpec{View: "invest", GroupVars: []string{v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.Equal(got, res.Relation, 0, 1e-9) {
+			t.Fatalf("QueryCached(%s) differs from Query after the delete", v)
+		}
+	}
+}
+
 func TestQueryCachedFallsBack(t *testing.T) {
 	db, _ := openSupplyChain(t, Config{})
 	// No cache built yet: falls back to full evaluation.

@@ -57,9 +57,6 @@ var namedSeeds = []struct {
 	// while other scans kept adding to it: "WaitGroup is reused before
 	// previous Wait has returned" crashed concurrent readers.
 	{"prefetch wait group reused", 122},
-	// An external merge claimed all but four frames of the shared pool,
-	// so two readers sorting at once pinned all 256 frames.
-	{"merge fan-in claims the pool", 1331},
 	// Aggregation inputs of more than one 32-page leaf, whose leaf
 	// aggregates merge in leaf order.
 	{"multi-leaf aggregation, fused", 1125},
@@ -116,23 +113,22 @@ func FuzzDifferential(f *testing.F) {
 // draws from.
 const (
 	variantHash = iota
-	variantSort // SortJoin + SortGroupBy with tiny runs: external merges
 	variantGrace
 )
 
 var (
-	diffVariants = []string{"hash", "sort", "grace"}
+	diffVariants = []string{"hash", "grace"}
+	// variantSlots is the variant draw: three slots, two of them hash, so
+	// that no seed's variant or later dimension is re-dealt.
+	variantSlots = []int{variantHash, variantHash, variantGrace}
 	diffFaults   = []string{"none", "transient", "permanent"}
 	diffWorkers  = []int{0, 2, 4}
 	diffShapes   = []string{"connected", "disconnected", "keyless"}
 )
 
-// The physical thresholds the sort and grace variants set, small enough
-// that generated tables cross them.
-const (
-	sortRunTuples = 8
-	graceMaxBuild = 8
-)
+// graceMaxBuild is the build cap the grace variant sets, small enough
+// that generated tables cross it.
+const graceMaxBuild = 8
 
 // jointCap bounds the product of an instance's variable domains, and so
 // every intermediate result: big enough for multi-page operator outputs
@@ -212,7 +208,7 @@ func drawConfig(seed int64, rng *rand.Rand) diffConfig {
 		fuse:       rng.Intn(2) == 0,
 		workers:    diffWorkers[rng.Intn(len(diffWorkers))],
 		frames:     6 + rng.Intn(3),
-		variant:    rng.Intn(len(diffVariants)),
+		variant:    variantSlots[rng.Intn(len(variantSlots))],
 		readAhead:  8 * rng.Intn(2),
 		caches:     rng.Intn(2) == 0,
 		faults:     rng.Intn(len(diffFaults)),
@@ -723,10 +719,7 @@ func (r *diffRun) open(c diffConfig, fleet *faultFleet) *Database {
 		r.fatalf("open: %v", err)
 	}
 	r.t.Cleanup(func() { db.Close() })
-	switch c.variant {
-	case variantSort:
-		db.Engine().SortJoin, db.Engine().SortGroupBy, db.Engine().SortRunTuples = true, true, sortRunTuples
-	case variantGrace:
+	if c.variant == variantGrace {
 		db.Engine().HashJoinMaxBuild = graceMaxBuild
 	}
 	names := make([]string, len(r.in.tables))
@@ -888,10 +881,10 @@ func (r *diffRun) reads(want []*relation.Relation) []answer {
 }
 
 // noteSpills records whether running p under the configuration's engine
-// variant partitions a join (Grace) or merges external sort runs, from
+// variant partitions a join (Grace), from
 // the sizes of the plan's operator inputs.
 func (r *diffRun) noteSpills(p *plan.Node) {
-	if r.cfg.variant == variantHash {
+	if r.cfg.variant != variantGrace {
 		return
 	}
 	tables := make(map[string]*relation.Relation, len(r.in.tables))
@@ -905,7 +898,7 @@ func (r *diffRun) noteSpills(p *plan.Node) {
 		}
 		return rel.Len()
 	}
-	var grace, merge bool
+	var grace bool
 	var walk func(n *plan.Node)
 	walk = func(n *plan.Node) {
 		if n == nil {
@@ -913,24 +906,14 @@ func (r *diffRun) noteSpills(p *plan.Node) {
 		}
 		walk(n.Left)
 		walk(n.Right)
-		switch {
-		case n.Op == plan.OpJoin && len(n.Left.Vars().Intersect(n.Right.Vars())) > 0:
-			l, rr := size(n.Left), size(n.Right)
-			grace = grace || r.cfg.variant == variantGrace && min(l, rr) > graceMaxBuild
-			merge = merge || r.cfg.variant == variantSort && max(l, rr) > sortRunTuples
-		case n.Op == plan.OpGroupBy:
-			merge = merge || r.cfg.variant == variantSort && size(n.Left) > sortRunTuples
+		if n.Op == plan.OpJoin && len(n.Left.Vars().Intersect(n.Right.Vars())) > 0 {
+			grace = grace || min(size(n.Left), size(n.Right)) > graceMaxBuild
 		}
 	}
 	walk(p)
-	r.tally.add(func(y *diffTally) {
-		if grace {
-			y.grace++
-		}
-		if merge {
-			y.merges++
-		}
-	})
+	if grace {
+		r.tally.add(func(y *diffTally) { y.grace++ })
+	}
 }
 
 // transient: every disk fails 5% of reads, writes and allocations
@@ -1091,8 +1074,7 @@ func (r *diffRun) concurrent() {
 	// are not reserved per query, so parallel Grace partitioning in two
 	// readers beside the writer can pin all 6–8 frames, and a Pin fails
 	// untyped with "all frames pinned" (ROADMAP item 5; seeds 265 and 736,
-	// both variant=grace workers=4). Merge cursors hold no pin between
-	// page batches, so sorting readers no longer pin a small pool out.
+	// both variant=grace workers=4).
 	c := r.cfg
 	c.frames = 256
 	db := r.open(c, nil)
@@ -1160,12 +1142,12 @@ func (r *diffRun) concurrent() {
 
 // diffTally accumulates what the corpus exercised.
 type diffTally struct {
-	mu                   sync.Mutex
-	ran                  map[int64]bool
-	seen                 map[string]bool
-	retries, encoded     int64
-	grace, merges, armed int
-	wirePlans            int // wire answers planned as in process
+	mu               sync.Mutex
+	ran              map[int64]bool
+	seen             map[string]bool
+	retries, encoded int64
+	grace, armed     int
+	wirePlans        int // wire answers planned as in process
 }
 
 func (y *diffTally) note(keys ...string) {
@@ -1211,9 +1193,9 @@ func (y *diffTally) check(f *testing.F) {
 			f.Errorf("corpus never ran %s", k)
 		}
 	}
-	if y.retries == 0 || y.encoded == 0 || y.grace == 0 || y.merges == 0 || y.armed == 0 || y.wirePlans == 0 {
-		f.Errorf("corpus coverage: %d retries, %d pages encoded, %d Grace partitionings, %d external merges, %d armed commit faults, "+
+	if y.retries == 0 || y.encoded == 0 || y.grace == 0 || y.armed == 0 || y.wirePlans == 0 {
+		f.Errorf("corpus coverage: %d retries, %d pages encoded, %d Grace partitionings, %d armed commit faults, "+
 			"%d wire answers planned as in process; each must be > 0",
-			y.retries, y.encoded, y.grace, y.merges, y.armed, y.wirePlans)
+			y.retries, y.encoded, y.grace, y.armed, y.wirePlans)
 	}
 }

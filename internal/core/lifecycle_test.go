@@ -116,27 +116,6 @@ func TestQueryCancelGraceJoin(t *testing.T) {
 	}
 }
 
-// TestQueryCancelParallelSort cancels a sort-based parallel query during
-// run generation (the PR 1 worker pools) under the same contract.
-func TestQueryCancelParallelSort(t *testing.T) {
-	db := openCancelDB(t, 4)
-	db.Engine().SortJoin = true
-	db.Engine().SortGroupBy = true
-	db.Engine().SortRunTuples = 512 // many runs -> parallel generation
-	registered := db.Pool().Registered()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var canceledAt time.Time
-	go func() {
-		time.Sleep(25 * time.Millisecond)
-		canceledAt = time.Now()
-		cancel()
-	}()
-	_, err := db.QueryContext(ctx, &QuerySpec{View: "rs", GroupVars: []string{"b"}})
-	since := time.Since(canceledAt)
-	assertCanceledCleanly(t, db, err, context.Canceled, since, registered)
-}
-
 // TestQueryDeadline runs the Grace query under a context deadline; the
 // error must match ErrCanceled and context.DeadlineExceeded.
 func TestQueryDeadline(t *testing.T) {

@@ -3,7 +3,7 @@ package exec
 // Shared pieces of the batch kernels: the scan helper, the
 // page-at-a-time output writer, the hash-join build table and the
 // aggregation state (both over the keyIndex of keyindex.go). The kernels
-// themselves (colbatch.go, colsort.go, fusecol.go) consume heap pages as
+// themselves (colbatch.go, fusecol.go) consume heap pages as
 // storage.ColBatch views — one pin and one decode loop per page — and
 // produce output through page-sized bulk appends. Batch boundaries are
 // the cancellation check points: a batch never exceeds one page, so a

@@ -168,33 +168,6 @@ func BenchmarkColumnarJoinMultiCol(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarSort measures sort-based aggregation on the clustered
-// leading key: its RLE runs become pre-sorted blocks, so columnar run
-// generation stable-sorts O(blocks) descriptors and memmoves whole
-// blocks instead of comparing rows O(n log n) times.
-func BenchmarkColumnarSort(b *testing.B) {
-	rel := benchColRel("t", 40000)
-	for _, mode := range columnarModes {
-		b.Run(mode.name, func(b *testing.B) {
-			h := colHarness(b, 8192, mode.columnar, rel)
-			h.engine.SortGroupBy = true
-			h.engine.SortRunTuples = 65536
-			pb := h.builder()
-			runPlanBench(b, h, func() *plan.Node {
-				s, err := pb.Scan("t")
-				if err != nil {
-					b.Fatal(err)
-				}
-				g, err := pb.GroupBy(s, []string{"X"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return g
-			})
-		})
-	}
-}
-
 // BenchmarkColumnarFusedJoinGroupBy measures the fused columnar
 // join+aggregate: probe pages stay encoded end to end — per-run build
 // probes, per-code group-slot memos, and run-level measure folds — and

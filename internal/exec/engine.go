@@ -19,14 +19,6 @@ type Engine struct {
 	Factory storage.DiskFactory
 	Sr      semiring.Semiring
 
-	// SortJoin selects sort-merge product joins instead of hash joins.
-	SortJoin bool
-	// SortGroupBy selects sort-based aggregation instead of hash
-	// aggregation.
-	SortGroupBy bool
-	// SortRunTuples bounds in-memory run size for the external sort;
-	// defaults to 1<<17 tuples when zero.
-	SortRunTuples int
 	// HashJoinMaxBuild caps the in-memory hash-join build side in tuples;
 	// larger builds use the Grace (partitioned) strategy. Zero selects a
 	// default of 1<<20.
@@ -37,8 +29,7 @@ type Engine struct {
 	FuseJoinGroupBy bool
 	// Parallelism bounds the worker goroutines used inside a single query:
 	// Grace-join partition pairs, the leaves of hash group-by and of the
-	// fused join+aggregate probe, and external sort run generation all fan
-	// out across this many workers. 0 or 1 runs the same morsels serially
+	// fused join+aggregate probe all fan out across this many workers. 0 or 1 runs the same morsels serially
 	// on the calling goroutine. Aggregation folds in leaf order whatever
 	// the worker count (foldLeaves), so parallel execution of a plan
 	// produces the bit-identical result relation, and (absent buffer-pool
@@ -54,7 +45,7 @@ type Engine struct {
 	// result cache keeps: when set, their pages are re-encoded in the
 	// columnar format as they fill (storage.SetColumnar), because later
 	// queries re-read them. Every other temp — join outputs, Grace
-	// partitions, sort runs, the plan root's result — is read once and
+	// partitions, the plan root's result — is read once and
 	// stays row-major whatever this says. It does not select kernels —
 	// every operator runs the encoded-batch kernels, which see row-major
 	// pages as all-plain column views — so results are byte-identical and
@@ -164,7 +155,7 @@ func (e *Engine) Run(p *plan.Node, resolve Resolver) (*relation.Relation, RunSta
 
 // RunContext is Run with cancellation: ctx is observed at every operator
 // boundary, inside operator inner loops (join build/probe, aggregation,
-// Grace partitioning, sort-run generation and merging — including the
+// Grace partitioning — including the
 // parallel worker pools), and by the buffer pool on page misses. A
 // canceled run returns ctx's error with all temporary tables dropped and
 // every buffer-pool pin released; RunStats still reports the partial
@@ -299,7 +290,7 @@ func (e *Engine) exec(ctx context.Context, p *plan.Node, env *runEnv, depth int)
 		// bound at poll/flush cadence; this catches paths that only tally
 		// on completion.
 		if berr := env.st.overTemp(); berr != nil {
-			dropInput(out, false)
+			dropInput(out)
 			out, err = nil, berr
 		}
 	}
@@ -423,7 +414,7 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 			return nil, childWall, childIO, err
 		}
 		out, err := e.selectOp(bctx, in, p.Pred, st)
-		dropInput(in, err == nil)
+		dropInput(in)
 		return out, childWall, childIO, err
 	case plan.OpJoin:
 		l, lWall, lIO, err := e.exec(ctx, p.Left, env, depth+1)
@@ -436,14 +427,9 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 			l.Drop()
 			return nil, lWall + rWall, childIO, err
 		}
-		var out *Table
-		if e.SortJoin {
-			out, err = e.sortMergeJoin(bctx, l, r, st)
-		} else {
-			out, err = e.hashJoin(bctx, l, r, st)
-		}
-		dropInput(l, err == nil)
-		dropInput(r, err == nil)
+		out, err := e.hashJoin(bctx, l, r, st)
+		dropInput(l)
+		dropInput(r)
 		return out, lWall + rWall, childIO, err
 	case plan.OpGroupBy:
 		if fused, childWall, childIO, err := e.tryFuse(ctx, bctx, p, env, depth); err != nil || fused != nil {
@@ -453,30 +439,20 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 		if err != nil {
 			return nil, childWall, childIO, err
 		}
-		var out *Table
-		if e.SortGroupBy {
-			out, err = e.sortGroupBy(bctx, in, p.GroupVars, st)
-		} else {
-			out, err = e.hashGroupBy(bctx, in, p.GroupVars, st)
-		}
-		dropInput(in, err == nil)
+		out, err := e.hashGroupBy(bctx, in, p.GroupVars, st)
+		dropInput(in)
 		return out, childWall, childIO, err
 	default:
 		return nil, 0, storage.Stats{}, fmt.Errorf("exec: unknown op %v", p.Op)
 	}
 }
 
-// dropInput releases an operator input if it was temporary. When the
-// operator already failed, the drop error is ignored in favor of the
-// original failure.
-func dropInput(t *Table, report bool) {
-	if t == nil {
-		return
-	}
-	if err := t.Drop(); err != nil && report {
-		// Temp-table cleanup failures are not fatal to the query result;
-		// the heap is memory- or temp-file-backed and will be reclaimed.
-		_ = err
+// dropInput releases an operator input if it was temporary. A failed
+// drop is not the query's failure: the heap is memory- or
+// temp-file-backed and is reclaimed either way.
+func dropInput(t *Table) {
+	if t != nil {
+		t.Drop()
 	}
 }
 
@@ -494,7 +470,7 @@ func (e *Engine) newTemp(ctx context.Context, name string, attrs []relation.Attr
 // cachedOutCtxKey marks an operator-body context whose output temp the
 // result cache will adopt: later queries re-scan it, so encoding it pays.
 // Every other temp — an output consumed by exactly one parent, the plan
-// root's result, intra-operator scratch (Grace partitions, sort runs,
+// root's result, intra-operator scratch (Grace partitions,
 // created through newTemp) — is written once, read once and dropped, and
 // re-encoding it is pure overhead.
 type cachedOutCtxKey struct{}
@@ -508,38 +484,6 @@ func (e *Engine) newOutTemp(ctx context.Context, name string, attrs []relation.A
 	}
 	t.Heap.SetColumnar(e.Columnar && ctx.Value(cachedOutCtxKey{}) != nil)
 	return t, nil
-}
-
-// ctxPollInterval bounds how many inner-loop iterations run between
-// context checks; small enough that a canceled CPU-bound loop stops
-// within microseconds, large enough that the check cost (a mutex in
-// context.cancelCtx.Err) is amortized away.
-const ctxPollInterval = 512
-
-// poller amortizes context checks over tuple-loop iterations. The zero
-// count means the first check happens after ctxPollInterval tuples —
-// callers already check ctx at operator entry. When st is set, each
-// check also enforces the run's temp-tuple budget, so budget
-// enforcement shares the cancellation cadence.
-type poller struct {
-	ctx context.Context
-	st  *RunStats
-	n   uint32
-}
-
-// check polls ctx.Err (and the temp-tuple budget, when a RunStats is
-// attached) about every ctxPollInterval calls.
-func (p *poller) check() error {
-	p.n++
-	if p.n%ctxPollInterval == 0 {
-		if err := p.ctx.Err(); err != nil {
-			return err
-		}
-		if p.st != nil {
-			return p.st.overTemp()
-		}
-	}
-	return nil
 }
 
 // selectOp filters the input by the equality predicate, using a hash

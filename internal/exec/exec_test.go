@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -115,22 +114,6 @@ func TestHashJoinMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestSortMergeJoinMatchesHashJoin(t *testing.T) {
-	a, b, _ := randomRelations(4)
-	h := newHarness(t, 16, a, b)
-	h.engine.SortRunTuples = 4 // force multi-run merges
-	pb := h.builder()
-	sa, _ := pb.Scan("a")
-	sb, _ := pb.Scan("b")
-	j := pb.Join(sa, sb)
-	hash, _ := h.run(t, j)
-	h.engine.SortJoin = true
-	smj, _ := h.run(t, j)
-	if !relation.Equal(hash, smj, 0, 1e-9) {
-		t.Fatal("sort-merge join disagrees with hash join")
-	}
-}
-
 func TestCrossProductJoin(t *testing.T) {
 	x, _ := relation.FromRows("x", []relation.Attr{{Name: "A", Domain: 2}},
 		[][]int32{{0}, {1}}, []float64{2, 3})
@@ -140,13 +123,10 @@ func TestCrossProductJoin(t *testing.T) {
 	pb := h.builder()
 	sx, _ := pb.Scan("x")
 	sy, _ := pb.Scan("y")
-	for _, sortJoin := range []bool{false, true} {
-		h.engine.SortJoin = sortJoin
-		got, _ := h.run(t, pb.Join(sx, sy))
-		want, _ := relation.ProductJoin(semiring.SumProduct, x, y)
-		if !relation.Equal(got, want, 0, 1e-12) {
-			t.Fatalf("cross product mismatch (sortJoin=%v)", sortJoin)
-		}
+	got, _ := h.run(t, pb.Join(sx, sy))
+	want, _ := relation.ProductJoin(semiring.SumProduct, x, y)
+	if !relation.Equal(got, want, 0, 1e-12) {
+		t.Fatal("cross product mismatch")
 	}
 }
 
@@ -163,12 +143,6 @@ func TestGroupByMatchesOracle(t *testing.T) {
 	want, _ := relation.Marginalize(semiring.SumProduct, a, []string{"X"})
 	if !relation.Equal(got, want, 0, 1e-9) {
 		t.Fatal("hash group-by mismatch with oracle")
-	}
-	h.engine.SortGroupBy = true
-	h.engine.SortRunTuples = 3
-	got2, _ := h.run(t, g)
-	if !relation.Equal(got2, want, 0, 1e-9) {
-		t.Fatal("sort group-by mismatch with oracle")
 	}
 }
 
@@ -305,51 +279,6 @@ func TestResolverUnknownTable(t *testing.T) {
 	r := MapResolver(h.tables)
 	if _, err := r("ghost"); err == nil {
 		t.Fatal("unknown table should error")
-	}
-}
-
-func TestExternalSortManyRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	rel, _ := relation.Random(rng, "r",
-		[]relation.Attr{{Name: "A", Domain: 64}, {Name: "B", Domain: 64}}, 0.9, relation.UniformMeasure(0, 1))
-	h := newHarness(t, 16, rel)
-	h.engine.SortRunTuples = 16
-	tb := h.tables["r"]
-	st := &RunStats{}
-	sorted, err := h.engine.externalSort(context.Background(), tb, []int{0, 1}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sorted.Drop()
-	if sorted.Heap.NumTuples() != tb.Heap.NumTuples() {
-		t.Fatalf("sort changed tuple count: %d != %d", sorted.Heap.NumTuples(), tb.Heap.NumTuples())
-	}
-	c, err := openRunCursor(context.Background(), sorted)
-	defer c.it.Close()
-	var prev []int32
-	for ; err == nil && c.b != nil; err = c.next() {
-		vals := c.row()
-		if prev != nil && compareCols(prev, []int{0, 1}, vals, []int{0, 1}) > 0 {
-			t.Fatalf("output not sorted: %v after %v", vals, prev)
-		}
-		prev = append(prev[:0], vals...)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExternalSortEmptyInput(t *testing.T) {
-	empty := relation.MustNew("e", []relation.Attr{{Name: "A", Domain: 2}})
-	h := newHarness(t, 8, empty)
-	st := &RunStats{}
-	sorted, err := h.engine.externalSort(context.Background(), h.tables["e"], []int{0}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sorted.Drop()
-	if sorted.Heap.NumTuples() != 0 {
-		t.Fatal("sorted empty input should be empty")
 	}
 }
 

@@ -71,15 +71,12 @@ func (e *groupVarError) Error() string {
 // subtrees it executed, for exclusive accounting in exec. Fused
 // grandchildren record their spans at depth+1: the elided Join node gets
 // no span of its own, so the trace tree stays contiguous. bctx is the
-// operator-body context from execOp (root-output marked at depth 0) and
+// operator-body context from execOp (cachedOutCtxKey-marked when the cache keeps its output) and
 // is used only for the calls that produce this node's output; child
 // subtrees and the intermediate Grace join run under the plain ctx.
 func (e *Engine) tryFuse(ctx, bctx context.Context, p *plan.Node, env *runEnv, depth int) (*Table, time.Duration, storage.Stats, error) {
 	if !e.FuseJoinGroupBy || p.Op != plan.OpGroupBy || p.Left == nil || p.Left.Op != plan.OpJoin {
 		return nil, 0, storage.Stats{}, nil
-	}
-	if e.SortJoin || e.SortGroupBy {
-		return nil, 0, storage.Stats{}, nil // fusion is a hash-pipeline optimization
 	}
 	st := env.st
 	join := p.Left
@@ -101,18 +98,18 @@ func (e *Engine) tryFuse(ctx, bctx context.Context, p *plan.Node, env *runEnv, d
 	}
 	if smaller > e.maxBuild() {
 		jt, err := e.hashJoin(ctx, l, r, st)
-		dropInput(l, err == nil)
-		dropInput(r, err == nil)
+		dropInput(l)
+		dropInput(r)
 		if err != nil {
 			return nil, childWall, childIO, err
 		}
 		out, err := e.hashGroupBy(bctx, jt, p.GroupVars, st)
-		dropInput(jt, err == nil)
+		dropInput(jt)
 		return out, childWall, childIO, err
 	}
 	st.Operators++ // the caller counted the GroupBy; count the fused join
 	out, err := e.fusedJoinGroupBy(bctx, l, r, p.GroupVars, st)
-	dropInput(l, err == nil)
-	dropInput(r, err == nil)
+	dropInput(l)
+	dropInput(r)
 	return out, childWall, childIO, err
 }

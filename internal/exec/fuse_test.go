@@ -57,25 +57,6 @@ func TestFusedNestedPlanMatches(t *testing.T) {
 	}
 }
 
-// TestFusionSkipsSortModes: fusion only applies to the hash pipeline.
-func TestFusionSkipsSortModes(t *testing.T) {
-	a, b, _ := randomRelations(82)
-	h := newHarness(t, 32, a, b)
-	pb := h.builder()
-	sa, _ := pb.Scan("a")
-	sb, _ := pb.Scan("b")
-	g, _ := pb.GroupBy(pb.Join(sa, sb), []string{"X"})
-	h.engine.FuseJoinGroupBy = true
-	h.engine.SortJoin = true
-	sorted, _ := h.run(t, g)
-	h.engine.SortJoin = false
-	h.engine.FuseJoinGroupBy = false
-	plain, _ := h.run(t, g)
-	if !relation.Equal(sorted, plain, 0, 1e-9) {
-		t.Fatal("sort-mode run under fusion flag differs")
-	}
-}
-
 // TestFusionWithGraceFallback: oversized builds take the materializing
 // Grace path even under the fusion flag.
 func TestFusionWithGraceFallback(t *testing.T) {

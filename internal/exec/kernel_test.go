@@ -160,15 +160,6 @@ func TestKernelsAcrossLayouts(t *testing.T) {
 		{"hash-groupby-total", nil,
 			func(pb *plan.Builder) *plan.Node { return groupBy(pb, scan(pb, "b"), nil) },
 			must(relation.Marginalize(sr, b, nil))},
-		{"sort-groupby", func(e *Engine) { e.SortGroupBy = true; e.SortRunTuples = 128 },
-			func(pb *plan.Builder) *plan.Node { return groupBy(pb, scan(pb, "a"), []string{"X"}) },
-			must(relation.Marginalize(sr, a, []string{"X"}))},
-		{"sort-groupby-total", func(e *Engine) { e.SortGroupBy = true; e.SortRunTuples = 128 },
-			func(pb *plan.Builder) *plan.Node { return groupBy(pb, scan(pb, "b"), nil) },
-			must(relation.Marginalize(sr, b, nil))},
-		{"sort-merge-join", func(e *Engine) { e.SortJoin = true; e.SortRunTuples = 128 },
-			func(pb *plan.Builder) *plan.Node { return pb.Join(scan(pb, "a"), scan(pb, "b")) },
-			ab},
 		{"fused-join-groupby", func(e *Engine) { e.FuseJoinGroupBy = true },
 			func(pb *plan.Builder) *plan.Node {
 				return groupBy(pb, pb.Join(scan(pb, "a"), scan(pb, "b")), []string{"X", "V"})

@@ -5,16 +5,15 @@ package exec
 // operators hand it morsels — leaf-to-partition-sized closures — instead
 // of spawning their own pools. The Grace join's partition passes and
 // pair joins, the leaves of hash group-by and of the fused
-// join+aggregate probe (foldLeaves), and external-sort run generation
-// all feed the same queue, so `Parallelism × ReadAhead` compose as one
-// pipeline: a worker finishing a join morsel can immediately pick up a
-// sort-run morsel of the same query.
+// join+aggregate probe (foldLeaves) all feed the same queue, so `Parallelism × ReadAhead` compose as one
+// pipeline: a worker finishing a join morsel can immediately pick up an
+// aggregation leaf of the same query.
 //
 // Two submission shapes cover every operator:
 //
 //   - parallelFor: a fixed index range (partition pairs, aggregation
 //     leaves), submitted at once and waited on.
-//   - group: an open stream (sort runs discovered while scanning), with
+//   - group: an open stream (tasks discovered while scanning), with
 //     submit backpressure bounding queued-but-unstarted morsels so a
 //     producer cannot buffer its whole input in memory.
 //

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -104,42 +103,6 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 		if parSt.IO.Reads != serialSt.IO.Reads || parSt.IO.Writes != serialSt.IO.Writes {
 			t.Fatalf("seed %d: physical IO diverged: serial %+v parallel %+v",
 				seed, serialSt.IO, parSt.IO)
-		}
-	}
-}
-
-// TestParallelSortRunsMatchSerial checks that concurrent run generation
-// yields the exact serial output sequence: runs are indexed by chunk
-// order, so the k-way merge breaks ties identically.
-func TestParallelSortRunsMatchSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	r, _ := relation.Random(rng, "r",
-		[]relation.Attr{{Name: "A", Domain: 50}, {Name: "B", Domain: 50}}, 0.8,
-		relation.UniformMeasure(0, 1))
-	read := func(parallelism int) *relation.Relation {
-		h := newHarness(t, 4096, r)
-		h.engine.SortRunTuples = 64 // many runs
-		h.engine.Parallelism = parallelism
-		st := &RunStats{}
-		sorted, err := h.engine.externalSort(context.Background(), h.tables["r"], []int{0, 1}, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sorted.Drop()
-		rel, err := ReadRelation(sorted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rel
-	}
-	serial, parallel := read(0), read(4)
-	if serial.Len() != parallel.Len() {
-		t.Fatalf("length mismatch: %d vs %d", serial.Len(), parallel.Len())
-	}
-	for i := 0; i < serial.Len(); i++ {
-		if !slices.Equal(serial.Row(i), parallel.Row(i)) || serial.Measure(i) != parallel.Measure(i) {
-			t.Fatalf("row %d differs: %v/%v vs %v/%v",
-				i, serial.Row(i), serial.Measure(i), parallel.Row(i), parallel.Measure(i))
 		}
 	}
 }

@@ -4,9 +4,8 @@
 // operands: base tables live in heap files behind a shared buffer pool and
 // every operator materializes its output to a temporary heap, mirroring
 // the IO-dominated regime the paper targets (disk-resident functional
-// relations inside PostgreSQL). Operator implementations include hash and
-// sort-based product joins and marginalizing group-bys, plus an external
-// sort; the engine records wall time, physical page IO, and intermediate
+// relations inside PostgreSQL). Operator implementations are the hash
+// product join with its Grace fallback and hash marginalizing group-by; the engine records wall time, physical page IO, and intermediate
 // tuple volume for every run so experiments can compare plans on the same
 // metrics the paper reports.
 package exec

@@ -41,54 +41,6 @@ func AblationPushdown(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationPhysicalOps compares hash against sort-based physical operators
-// for the same plan.
-func AblationPhysicalOps(cfg Config) (*Table, error) {
-	ds, err := gen.SupplyChain(gen.SupplyChainConfig{Scale: cfg.scale(), CtdealsDensity: 0.5, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	s, err := openDataset(ds, cfg, cfg.frames())
-	if err != nil {
-		return nil, err
-	}
-	defer s.close()
-	t := &Table{
-		ID:     "ablation-physical",
-		Title:  "hash vs sort operators on Q1 (group by wid, nonlinear CS+)",
-		Header: []string{"join", "groupby", "exec ms", "page IO"},
-		Notes:  "expected: hash operators avoid the external sort's extra read/write passes",
-	}
-	for _, mode := range []struct {
-		name      string
-		sortJoin  bool
-		sortGroup bool
-	}{
-		{"hash/hash", false, false},
-		{"sort/hash", true, false},
-		{"hash/sort", false, true},
-		{"sort/sort", true, true},
-	} {
-		s.db.Engine().SortJoin = mode.sortJoin
-		s.db.Engine().SortGroupBy = mode.sortGroup
-		b, err := s.run(opt.CSPlus{}, []string{"wid"}, nil)
-		if err != nil {
-			return nil, err
-		}
-		j, g := "hash", "hash"
-		if mode.sortJoin {
-			j = "sort"
-		}
-		if mode.sortGroup {
-			g = "sort"
-		}
-		t.Rows = append(t.Rows, []string{j, g, ms(b.Wall), itoa(b.IO)})
-	}
-	s.db.Engine().SortJoin = false
-	s.db.Engine().SortGroupBy = false
-	return t, nil
-}
-
 // AblationBufferPool measures how the disk-resident regime emerges as the
 // buffer pool shrinks relative to the working set.
 func AblationBufferPool(cfg Config) (*Table, error) {

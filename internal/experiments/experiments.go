@@ -132,7 +132,6 @@ func Registry() []struct {
 		{"table3", Table3},
 		{"fig10", Fig10},
 		{"ablation-pushdown", AblationPushdown},
-		{"ablation-physical", AblationPhysicalOps},
 		{"ablation-bufferpool", AblationBufferPool},
 		{"ablation-fdskip", AblationFDSkip},
 		{"ablation-workload", AblationWorkload},

@@ -58,7 +58,7 @@ type QuerySample struct {
 // measured inside those morsels (exclusive task time on whichever worker
 // ran them — attributed to the submitting kind, not the worker).
 type MorselSample struct {
-	// Kind is the submitting operator kind (ProductJoin, GroupBy, Sort).
+	// Kind is the submitting operator kind (ProductJoin, GroupBy, FusedProbe).
 	Kind string
 	// Count is the number of morsels executed.
 	Count int64

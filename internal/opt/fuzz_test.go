@@ -147,7 +147,7 @@ func TestFuzzOptimizersAgainstOracle(t *testing.T) {
 }
 
 // TestFuzzEngineMatchesInterpreter executes optimizer plans on the paged
-// engine (hash and sort operator variants) and checks agreement with the
+// engine and checks agreement with the
 // in-memory interpreter on random schemas.
 func TestFuzzEngineMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
@@ -182,17 +182,13 @@ func TestFuzzEngineMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []struct{ sj, sg bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
-			eng := exec.NewEngine(pool, factory, semiring.SumProduct)
-			eng.SortJoin, eng.SortGroupBy = mode.sj, mode.sg
-			eng.SortRunTuples = 8 // force external merges
-			got, _, err := eng.Run(p, exec.MapResolver(execTables))
-			if err != nil {
-				t.Fatalf("trial %d mode %+v: %v", trial, mode, err)
-			}
-			if !relation.Equal(got, want, 0, 1e-9) {
-				t.Fatalf("trial %d mode %+v: engine disagrees with interpreter", trial, mode)
-			}
+		eng := exec.NewEngine(pool, factory, semiring.SumProduct)
+		got, _, err := eng.Run(p, exec.MapResolver(execTables))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !relation.Equal(got, want, 0, 1e-9) {
+			t.Fatalf("trial %d: engine disagrees with interpreter", trial)
 		}
 		for _, tb := range execTables {
 			tb.Heap.Drop()

@@ -63,24 +63,6 @@ const (
 	EncDict byte = 3
 )
 
-// OrderPreserving reports whether a segment encoding's stored
-// representation orders the same way as the decoded values, so sort
-// kernels may compare the encoded form directly. This is a normative
-// guarantee of the page format (see docs/PAGE_FORMAT.md): EncPlain
-// stores the values themselves, EncByte codes ARE the values, and
-// EncRLE runs carry the values — all three compare in value order.
-// EncDict is NOT order-preserving: dictionary entries are recorded in
-// first-occurrence order, so codes must be mapped through the per-page
-// dictionary before comparing.
-func OrderPreserving(enc byte) bool {
-	switch enc {
-	case EncPlain, EncByte, EncRLE:
-		return true
-	default:
-		return false
-	}
-}
-
 // colDirOff is the page offset of the columnar segment directory.
 const colDirOff = pageHeaderSize
 
