@@ -46,15 +46,13 @@ func main() {
 	columnar := flag.Bool("columnar", false, "encode full heap pages columnar (dictionary/RLE segments) and run the encoded-value kernels")
 	fuse := flag.Bool("fuse", false, "fuse GroupBy-over-Join pairs into a single non-materializing operator")
 	rcache := flag.Int64("result-cache", 0, "shared subplan result cache byte budget (0 = disabled)")
-	readahead := flag.Int("readahead", 0, "buffer-pool read-ahead distance in pages for sequential scans (0 = off)")
-	ioRetries := flag.Int("io-retries", 0, "transient-fault IO retry bound (0 = default 3, negative = off)")
 	planCache := flag.Int("plan-cache", 0, "plan cache capacity in entries (0 = disabled)")
 	planBudget := flag.Duration("plan-budget", 0, "planning-time budget before falling back to the greedy planner (0 = unlimited)")
 	flag.BoolVar(&analyze, "analyze", false, "print per-operator actuals after each query")
 	flag.BoolVar(&showMetrics, "metrics", false, "print the engine metrics snapshot before exiting")
 	flag.Parse()
 
-	if err := run(*load, *scale, *density, *tables, *seed, *srName, *strategy, *script, *command, *frames, *parallel, *rcache, *readahead, *ioRetries, *planCache, *planBudget, *columnar, *fuse); err != nil {
+	if err := run(*load, *scale, *density, *tables, *seed, *srName, *strategy, *script, *command, *frames, *parallel, *rcache, *planCache, *planBudget, *columnar, *fuse); err != nil {
 		fmt.Fprintf(os.Stderr, "mpfcli: %v [%s]\n", err, mpf.ErrorCode(err))
 		os.Exit(1)
 	}
@@ -63,12 +61,12 @@ func main() {
 // showMetrics controls the exit-time engine metrics report (-metrics).
 var showMetrics bool
 
-func run(load string, scale, density float64, tables int, seed int64, srName, strategy, script, command string, frames, parallel int, rcache int64, readahead, ioRetries, planCache int, planBudget time.Duration, columnar, fuse bool) error {
+func run(load string, scale, density float64, tables int, seed int64, srName, strategy, script, command string, frames, parallel int, rcache int64, planCache int, planBudget time.Duration, columnar, fuse bool) error {
 	sr, err := semiring.ByName(srName)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Semiring: sr, PoolFrames: frames, Parallelism: parallel, ResultCacheBytes: rcache, ReadAhead: readahead, IORetries: ioRetries, PlanCacheEntries: planCache, PlanBudget: planBudget, Columnar: columnar, FuseJoinGroupBy: fuse}
+	cfg := core.Config{Semiring: sr, PoolFrames: frames, Parallelism: parallel, ResultCacheBytes: rcache, PlanCacheEntries: planCache, PlanBudget: planBudget, Columnar: columnar, FuseJoinGroupBy: fuse}
 	if strategy != "" {
 		o, err := opt.ByName(strategy)
 		if err != nil {
@@ -171,14 +169,8 @@ func printOutput(out *sqlx.Output) {
 		}
 		fmt.Printf("(%s; optimize %v, execute %v, %d page IOs%s)\n",
 			out.Message, out.Optimize, out.Exec.Wall, out.Exec.IO.IO(), planned)
-		if analyze && len(out.Exec.Ops) > 0 {
-			fmt.Println("operator actuals (bottom-up, self time):")
-			for _, op := range out.Exec.Ops {
-				fmt.Printf("  %-24s %8d rows  %v self\n", op.Desc, op.Rows, op.Wall)
-			}
-			if out.Exec.HotKeyFallbacks > 0 {
-				fmt.Printf("  grace hot-key fallbacks: %d\n", out.Exec.HotKeyFallbacks)
-			}
+		if analyze {
+			fmt.Print(sqlx.RenderAnalyze(out.Exec))
 		}
 		return
 	}
@@ -248,7 +240,7 @@ func meta(db *core.Database, cmd string) (quit bool) {
 		}
 	case "\\stats":
 		st := db.Pool().Stats()
-		fmt.Printf("buffer pool: %d reads, %d writes, %d hits, %d prefetched\n", st.Reads, st.Writes, st.Hits, st.Prefetches)
+		fmt.Printf("buffer pool: %d reads, %d writes, %d hits\n", st.Reads, st.Writes, st.Hits)
 		fmt.Printf("faults: %d retries, %d transient, %d permanent, %d checksum failures\n",
 			st.Retries, st.TransientFaults, st.PermanentFaults, st.ChecksumFailures)
 	case "\\metrics":

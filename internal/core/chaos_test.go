@@ -64,15 +64,13 @@ func (f *faultFleet) setNew(plan storage.FaultPlan) {
 }
 
 // chaosConfig is the full concurrent execution path under test: parallel
-// workers, read-ahead prefetching, a result cache, and a pool small
-// enough that queries do real IO.
+// workers, a result cache, and a pool small enough that queries do real
+// IO.
 func chaosConfig() Config {
 	return Config{
 		PoolFrames:       8,
 		Parallelism:      4,
-		ReadAhead:        4,
 		ResultCacheBytes: 1 << 20,
-		IORetries:        8,
 	}
 }
 
@@ -130,64 +128,6 @@ func chaosReference(t *testing.T, groupVars []string) map[string]*relation.Relat
 func matchesReference(got, want *relation.Relation) bool {
 	return got != nil && want != nil && got.Len() == want.Len() &&
 		relation.Equal(got, want, math.Inf(1), 1e-6)
-}
-
-// TestChaosTransientFaultsAbsorbed replays the query matrix on the full
-// modern path (parallel + batch + read-ahead + result cache) over disks
-// injecting transient read/write/alloc faults on 5% of operations. The
-// retry machinery must absorb every fault: all queries succeed, every
-// answer matches the fault-free reference, and no frame stays pinned.
-// Run under -race this also drives concurrent retry/backoff paths.
-func TestChaosTransientFaultsAbsorbed(t *testing.T) {
-	groupVars := []string{"a", "b", "c"}
-	ref := chaosReference(t, groupVars)
-
-	fleet := newFaultFleet(storage.MemDiskFactory(),
-		storage.FaultPlan{Seed: 3, ReadErr: 0.05, WriteErr: 0.05, AllocErr: 0.05})
-	cfg := chaosConfig()
-	cfg.DiskFactory = fleet.factory()
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	loadChaosTables(t, db)
-
-	// Two passes: the second also exercises result-cache hits and
-	// verifies cached answers survived the faulty first pass intact.
-	// Cached entries legitimately keep their temp heap's disk registered,
-	// so the leak check is stability across the cache-hit pass, not a
-	// fixed count.
-	registered := -1
-	for pass := 0; pass < 2; pass++ {
-		for _, gv := range groupVars {
-			res, err := db.Query(&QuerySpec{View: "rs", GroupVars: []string{gv}})
-			if err != nil {
-				t.Fatalf("pass %d %s: %v", pass, gv, err)
-			}
-			if !matchesReference(res.Relation, ref[gv]) {
-				t.Fatalf("pass %d %s: answer differs from fault-free reference", pass, gv)
-			}
-			if n := db.Pool().Pinned(); n != 0 {
-				t.Fatalf("pass %d %s: %d frames left pinned", pass, gv, n)
-			}
-			if pass > 0 {
-				if n := db.Pool().Registered(); n != registered {
-					t.Fatalf("pass %d %s: %d disks registered, want %d (temp leaked)", pass, gv, n, registered)
-				}
-			}
-		}
-		if pass == 0 {
-			registered = db.Pool().Registered()
-		}
-	}
-	st := db.Pool().Stats()
-	if st.Retries == 0 || st.TransientFaults == 0 {
-		t.Fatalf("fault schedule never exercised the retry path: %+v", st)
-	}
-	if st.PermanentFaults != 0 || st.ChecksumFailures != 0 {
-		t.Fatalf("transient-only schedule escaped retry: %+v", st)
-	}
 }
 
 // TestChaosPermanentFaultsTypedAndRecoverable injects permanent read
@@ -265,23 +205,21 @@ func TestChaosPermanentFaultsTypedAndRecoverable(t *testing.T) {
 
 // TestChaosCancelDuringFaultyQuery cancels a parallel batched query
 // mid-flight while its latency disks are also injecting transient
-// faults (read-ahead enabled, so prefetch-path faults fire too). The
-// full cancellation contract must hold: typed error, prompt return,
-// zero pinned frames, no leaked temps — and the same query succeeds
-// afterwards.
+// faults. The full cancellation contract must hold: typed error, prompt
+// return, zero pinned frames, no leaked temps — and the same query
+// succeeds afterwards.
 func TestChaosCancelDuringFaultyQuery(t *testing.T) {
 	fleet := newFaultFleet(storage.LatencyMemDiskFactory(time.Millisecond, time.Millisecond),
 		storage.FaultPlan{Seed: 11, ReadErr: 0.1, WriteErr: 0.1, SlowProb: 0.05, SlowDelay: 2 * time.Millisecond})
 	db, err := Open(Config{
 		PoolFrames:  16,
 		Parallelism: 4,
-		ReadAhead:   4,
-		IORetries:   4,
 		DiskFactory: fleet.factory(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Pool().SetRetry(4, 0, 0)
 	defer db.Close()
 	r, err := relation.Complete("r", []relation.Attr{
 		{Name: "a", Domain: 400}, {Name: "b", Domain: 40},
@@ -335,7 +273,7 @@ func TestChaosCancelDuringFaultyQuery(t *testing.T) {
 // healing, the query recomputes and caches cleanly.
 func TestCorruptReadInvalidatesResultCache(t *testing.T) {
 	fleet := newFaultFleet(storage.MemDiskFactory(), storage.FaultPlan{})
-	cfg := Config{PoolFrames: 4, ResultCacheBytes: 1 << 20, IORetries: 2, DiskFactory: fleet.factory()}
+	cfg := Config{PoolFrames: 4, ResultCacheBytes: 1 << 20, DiskFactory: fleet.factory()}
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -373,108 +311,5 @@ func TestCorruptReadInvalidatesResultCache(t *testing.T) {
 	st := db.Pool().Stats()
 	if st.ChecksumFailures == 0 {
 		t.Fatalf("corruption never detected by checksums: %+v", st)
-	}
-}
-
-// TestChaosColumnarUnderFaults replays the chaos matrix with columnar
-// page encoding on, across both encoded execution paths — hash
-// aggregation and the fused join+aggregate —
-// first fault-free, where every answer must be bit-identical to the same
-// path's row-major configuration (the encodings change CPU work, never
-// results), then over disks injecting transient faults on 5% of
-// operations, where the retry machinery must absorb every fault —
-// encoded pages round-trip through the checksum/retry paths like any
-// other page. Run under -race this drives concurrent encoded scans.
-func TestChaosColumnarUnderFaults(t *testing.T) {
-	groupVars := []string{"a", "b", "c"}
-
-	for _, mode := range []struct {
-		name string
-		// tune applies the mode's execution knobs to an opened database.
-		tune func(db *Database)
-	}{
-		{"hash", func(db *Database) {}},
-		{"fused", func(db *Database) { db.Engine().FuseJoinGroupBy = true }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			// Row-major reference for THIS path: bit-identity is a
-			// per-path contract (paths may emit groups in different
-			// orders, but layout never changes a path's answer).
-			rowDB, err := Open(chaosConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			loadChaosTables(t, rowDB)
-			mode.tune(rowDB)
-			ref := make(map[string]*relation.Relation)
-			for _, gv := range groupVars {
-				res, err := rowDB.Query(&QuerySpec{View: "rs", GroupVars: []string{gv}})
-				if err != nil {
-					t.Fatalf("row-major %s: %v", gv, err)
-				}
-				ref[gv] = res.Relation
-			}
-			rowDB.Close()
-
-			// Fault-free columnar pass: bit-identical to row-major answers.
-			colCfg := chaosConfig()
-			colCfg.Columnar = true
-			cleanDB, err := Open(colCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loadChaosTables(t, cleanDB)
-			mode.tune(cleanDB)
-			refCol := make(map[string]*relation.Relation)
-			for _, gv := range groupVars {
-				res, err := cleanDB.Query(&QuerySpec{View: "rs", GroupVars: []string{gv}})
-				if err != nil {
-					t.Fatalf("clean columnar %s: %v", gv, err)
-				}
-				if !relation.Equal(res.Relation, ref[gv], 0, 0) {
-					t.Fatalf("%s: columnar answer differs bit-wise from row-major", gv)
-				}
-				refCol[gv] = res.Relation
-			}
-			if es := cleanDB.Pool().EncodingStats(); es.PagesEncoded == 0 {
-				t.Fatal("columnar chaos config never encoded a page")
-			}
-			cleanDB.Close()
-
-			// Transient-fault pass: every query succeeds and matches within
-			// the harness's float-reorder tolerance; no frame stays pinned.
-			fleet := newFaultFleet(storage.MemDiskFactory(),
-				storage.FaultPlan{Seed: 17, ReadErr: 0.05, WriteErr: 0.05, AllocErr: 0.05})
-			cfg := colCfg
-			cfg.DiskFactory = fleet.factory()
-			db, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			loadChaosTables(t, db)
-			mode.tune(db)
-			for pass := 0; pass < 2; pass++ {
-				for _, gv := range groupVars {
-					res, err := db.Query(&QuerySpec{View: "rs", GroupVars: []string{gv}})
-					if err != nil {
-						t.Fatalf("pass %d %s: %v", pass, gv, err)
-					}
-					if !matchesReference(res.Relation, refCol[gv]) {
-						t.Fatalf("pass %d %s: faulty columnar answer differs from fault-free", pass, gv)
-					}
-					if n := db.Pool().Pinned(); n != 0 {
-						t.Fatalf("pass %d %s: %d frames left pinned", pass, gv, n)
-					}
-				}
-			}
-			st := db.Pool().Stats()
-			if st.Retries == 0 || st.TransientFaults == 0 {
-				t.Fatalf("fault schedule never exercised the retry path: %+v", st)
-			}
-			if es := db.Pool().EncodingStats(); es.PagesEncoded == 0 {
-				t.Fatal("faulty columnar run never encoded a page")
-			}
-		})
 	}
 }

@@ -56,11 +56,6 @@ type Config struct {
 	// base-table versions. Zero (the default) disables the cache, keeping
 	// every query's physical IO exactly reproducible.
 	ResultCacheBytes int64
-	// ReadAhead, when positive, makes sequential scans ask the buffer
-	// pool to prefetch this many pages ahead. Off by default so physical
-	// IO counts reproduce the paper's cost model exactly (see
-	// exec.Engine.ReadAhead).
-	ReadAhead int
 	// Columnar is a page-layout choice for the heaps that are read many
 	// times: when true, every page that fills of a base table or of an
 	// operator output the result cache keeps is re-encoded with the
@@ -78,18 +73,6 @@ type Config struct {
 	// exec.Engine.FuseJoinGroupBy). Results are byte-identical to the
 	// materializing pipeline.
 	FuseJoinGroupBy bool
-	// IORetries bounds how many times the buffer pool re-attempts an IO
-	// operation that failed with a transient fault (storage.IsTransient),
-	// with capped exponential backoff between attempts. 0 (the default)
-	// selects 3 retries; negative disables retry. Permanent faults and
-	// checksum failures are never retried.
-	IORetries int
-	// SnapshotDisk, when non-nil, wraps every file disk opened by the
-	// snapshot Save/Load paths — fault injection for tests
-	// (storage.NewFaultDisk), checksum tampering, or instrumentation.
-	// Nil uses the file disk directly. Snapshot IO always runs under the
-	// same IORetries retry/backoff policy as regular query IO.
-	SnapshotDisk func(storage.Disk) storage.Disk
 	// PlanCacheEntries, when positive, enables the engine-level plan cache
 	// with this many LRU slots: finished plans are cached under a canonical
 	// query fingerprint embedding the semiring, optimizer, and base-table
@@ -143,6 +126,13 @@ type Database struct {
 	beforeCacheInstall func()
 }
 
+// transientRetries bounds how many times a database's buffer pools — the
+// query pool and the snapshot pools — re-attempt an IO operation that
+// failed with a transient fault (storage.IsTransient), with capped
+// exponential backoff between attempts. Permanent faults and checksum
+// failures are never retried.
+const transientRetries = 3
+
 // Open creates a database with the given configuration.
 func Open(cfg Config) (*Database, error) {
 	if cfg.Semiring == nil {
@@ -157,11 +147,8 @@ func Open(cfg Config) (*Database, error) {
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = opt.CSPlus{}
 	}
-	if cfg.IORetries == 0 {
-		cfg.IORetries = 3
-	}
 	pool := storage.NewPool(cfg.PoolFrames)
-	pool.SetRetry(cfg.IORetries, 0, 0)
+	pool.SetRetry(transientRetries, 0, 0)
 	var factory storage.DiskFactory
 	switch {
 	case cfg.DiskFactory != nil:
@@ -173,7 +160,6 @@ func Open(cfg Config) (*Database, error) {
 	}
 	engine := exec.NewEngine(pool, factory, cfg.Semiring)
 	engine.Parallelism = cfg.Parallelism
-	engine.ReadAhead = cfg.ReadAhead
 	engine.Columnar = cfg.Columnar
 	engine.FuseJoinGroupBy = cfg.FuseJoinGroupBy
 	db := &Database{

@@ -41,8 +41,8 @@ var (
 	// also matches the underlying context.Canceled or
 	// context.DeadlineExceeded via errors.Is.
 	ErrCanceled = errors.New("query canceled")
-	// ErrIO reports a query ended by a storage fault that escaped retry
-	// (Config.IORetries). It is the storage sentinel, so the error carries
+	// ErrIO reports a query ended by a storage fault that escaped the
+	// buffer pool's bounded retry. It is the storage sentinel, so the error carries
 	// a *storage.IOError or *storage.WritebackError with the failing
 	// operation, disk handle, and page. The query fails cleanly — temps
 	// dropped, no frames pinned — and the database keeps serving.

@@ -40,30 +40,29 @@ type manifestView struct {
 
 const manifestName = "catalog.json"
 
-// snapshotPool builds the buffer pool used for snapshot IO, carrying the
-// database's configured transient-fault retry policy (Config.IORetries)
-// instead of the pool defaults, so snapshot reads and writes survive the
+// snapshotPool builds the buffer pool used for snapshot IO, with the
+// query pool's transient-fault retry bound (transientRetries) instead of
+// the pool default of none, so snapshot reads and writes survive the
 // same transient faults regular query IO survives.
-func snapshotPool(cfg Config) *storage.Pool {
+func snapshotPool() *storage.Pool {
 	p := storage.NewPool(64)
-	retries := cfg.IORetries
-	if retries == 0 {
-		retries = 3
-	}
-	p.SetRetry(retries, 0, 0)
+	p.SetRetry(transientRetries, 0, 0)
 	return p
 }
 
-// openSnapshotDisk opens one snapshot heap file, applying the configured
-// wrapper (Config.SnapshotDisk) when present — the hook fault-injection
-// tests use to exercise the retry path.
-func openSnapshotDisk(cfg Config, path string) (storage.Disk, error) {
+// wrapSnapshotFile, when non-nil, wraps every file disk the snapshot
+// Save and Load paths open: a test hook for injecting faults into them.
+var wrapSnapshotFile func(storage.Disk) storage.Disk
+
+// openSnapshotFile opens one snapshot heap file, through
+// wrapSnapshotFile when set.
+func openSnapshotFile(path string) (storage.Disk, error) {
 	d, err := storage.OpenFileDisk(path)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.SnapshotDisk != nil {
-		return cfg.SnapshotDisk(d), nil
+	if wrapSnapshotFile != nil {
+		return wrapSnapshotFile(d), nil
 	}
 	return d, nil
 }
@@ -81,7 +80,7 @@ func (db *Database) Save(dir string) error {
 	snap := db.AcquireSnapshot()
 	defer snap.Release()
 	man := snapshotManifest{Version: 1, Semiring: db.cfg.Semiring.Name()}
-	pool := snapshotPool(db.cfg)
+	pool := snapshotPool()
 	for _, name := range snap.v.cat.Tables() {
 		t, ok := snap.v.table(name)
 		if !ok {
@@ -92,7 +91,7 @@ func (db *Database) Save(dir string) error {
 			return err
 		}
 		file := name + ".heap"
-		if err := saveHeap(db.cfg, pool, filepath.Join(dir, file), t.Heap); err != nil {
+		if err := saveHeap(pool, filepath.Join(dir, file), t.Heap); err != nil {
 			return err
 		}
 		mt := manifestTable{Name: name, Card: st.Card, Key: st.Key, File: file}
@@ -117,11 +116,11 @@ func (db *Database) Save(dir string) error {
 
 // saveHeap streams one pinned heap, page by page, into a fresh heap file
 // at path and flushes it.
-func saveHeap(cfg Config, pool *storage.Pool, path string, src *storage.Heap) error {
+func saveHeap(pool *storage.Pool, path string, src *storage.Heap) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("core: save: %w", err)
 	}
-	disk, err := openSnapshotDisk(cfg, path)
+	disk, err := openSnapshotFile(path)
 	if err != nil {
 		return err
 	}
@@ -144,8 +143,8 @@ func saveHeap(cfg Config, pool *storage.Pool, path string, src *storage.Heap) er
 
 // Load opens a snapshot previously written by Save, returning a fresh
 // database with every table and view restored. The snapshot's semiring
-// overrides cfg.Semiring. Snapshot reads run under cfg.IORetries and any
-// cfg.SnapshotDisk wrapper, like Save.
+// overrides cfg.Semiring. Snapshot reads retry transient faults like
+// Save's writes.
 func Load(dir string, cfg Config) (*Database, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -167,13 +166,13 @@ func Load(dir string, cfg Config) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := snapshotPool(cfg)
+	pool := snapshotPool()
 	for _, mt := range man.Tables {
 		attrs := make([]relation.Attr, len(mt.Attrs))
 		for i, a := range mt.Attrs {
 			attrs[i] = relation.Attr{Name: a.Name, Domain: a.Domain}
 		}
-		rel, err := readHeapFile(cfg, pool, filepath.Join(dir, mt.File), mt.Name, attrs)
+		rel, err := readHeapFile(pool, filepath.Join(dir, mt.File), mt.Name, attrs)
 		if err != nil {
 			db.Close()
 			return nil, err
@@ -204,8 +203,8 @@ func Load(dir string, cfg Config) (*Database, error) {
 }
 
 // readHeapFile loads a snapshot heap file into an in-memory relation.
-func readHeapFile(cfg Config, pool *storage.Pool, path, name string, attrs []relation.Attr) (*relation.Relation, error) {
-	disk, err := openSnapshotDisk(cfg, path)
+func readHeapFile(pool *storage.Pool, path, name string, attrs []relation.Attr) (*relation.Relation, error) {
+	disk, err := openSnapshotFile(path)
 	if err != nil {
 		return nil, err
 	}

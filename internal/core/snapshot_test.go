@@ -199,8 +199,8 @@ func TestLoadMalformedPage(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &cpe) || cpe.Page != 0 {
 		t.Fatalf("Load of an over-count page = %v, want ErrCorrupt on page 0", err)
 	}
-	pool := snapshotPool(Config{})
-	if _, err := readHeapFile(Config{}, pool, path, "r", attrs); !errors.Is(err, ErrCorrupt) {
+	pool := snapshotPool()
+	if _, err := readHeapFile(pool, path, "r", attrs); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("readHeapFile = %v, want ErrCorrupt", err)
 	}
 	if n := pool.Pinned(); n != 0 {

@@ -15,16 +15,6 @@ import (
 	"mpf/internal/storage"
 )
 
-// scanB returns a row-major batch iterator over h configured with the
-// engine's read-ahead distance.
-func (e *Engine) scanB(ctx context.Context, h *storage.Heap) *storage.BatchIterator {
-	it := h.ScanBatchesContext(ctx)
-	if e.ReadAhead > 0 {
-		it.SetReadAhead(e.ReadAhead)
-	}
-	return it
-}
-
 // projectKey writes the projection of vals onto cols into key, the
 // form every keyIndex lookup takes.
 func projectKey(vals []int32, cols []int, key []int32) {
@@ -143,7 +133,7 @@ func (e *Engine) buildBatch(ctx context.Context, build *Table, buildCols []int, 
 	}
 	gid := make([]int32, 0, n) // key group of each row, in scan order
 	key := make([]int32, len(buildCols))
-	it := e.scanB(ctx, build.Heap)
+	it := build.Heap.ScanBatchesContext(ctx)
 	defer it.Close()
 	for {
 		b, ok := it.Next()

@@ -24,16 +24,6 @@ import (
 	"mpf/internal/storage"
 )
 
-// scanCB returns an encoded-batch iterator over h configured with the
-// engine's read-ahead distance.
-func (e *Engine) scanCB(ctx context.Context, h *storage.Heap) *storage.ColBatchIterator {
-	it := h.ScanColBatchesContext(ctx)
-	if e.ReadAhead > 0 {
-		it.SetReadAhead(e.ReadAhead)
-	}
-	return it
-}
-
 // flatCols materializes every column of cb as a plain value slice
 // (cached inside each view; a passthrough for plain columns), so gather
 // loops index slices directly instead of switching on the encoding per
@@ -114,7 +104,7 @@ func markMismatches(v *storage.ColView, want int32, mask []bool) {
 // mask per batch from the column encodings, then gather and emit the
 // surviving rows in scan order.
 func (e *Engine) selectColBatch(ctx context.Context, in *Table, cols []int, want []int32, out *Table, st *RunStats) error {
-	it := e.scanCB(ctx, in.Heap)
+	it := in.Heap.ScanColBatchesContext(ctx)
 	defer it.Close()
 	w := newBatchWriter(out, false, st)
 	rowBuf := make([]int32, len(in.Attrs))
@@ -274,7 +264,7 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 	var kf [][]int32  // flattened key columns (multi-column path)
 	var spanIdx []int // per-key-column run cursor (all-RLE path)
 	var spanRem []int // rows left in each cursor's current run
-	it := e.scanCB(ctx, probe.Heap)
+	it := probe.Heap.ScanColBatchesContext(ctx)
 	defer it.Close()
 	for {
 		cb, ok := it.Next()
@@ -450,7 +440,7 @@ func (e *Engine) partitionColBatch(ctx context.Context, t *Table, cols []int, de
 	fbuf := make([][]int32, 0, len(t.Attrs))
 	single := len(cols) == 1
 	var memo [256]int16 // bucket + 1 per code, per batch
-	it := e.scanCB(ctx, t.Heap)
+	it := t.Heap.ScanColBatchesContext(ctx)
 	defer it.Close()
 	for {
 		cb, ok := it.Next()

@@ -35,12 +35,6 @@ type Engine struct {
 	// produces the bit-identical result relation, and (absent buffer-pool
 	// eviction) the same physical IO counts, as serial execution.
 	Parallelism int
-	// ReadAhead makes sequential scans declare themselves to the buffer
-	// pool, which prefetches up to this many pages ahead of the scan
-	// position. 0 (the default) disables read-ahead so physical IO counts
-	// reproduce the paper's cost model exactly; prefetched reads count
-	// in storage.Stats.Prefetches as well as Reads.
-	ReadAhead int
 	// Columnar is a page-layout choice for the operator outputs the
 	// result cache keeps: when set, their pages are re-encoded in the
 	// columnar format as they fill (storage.SetColumnar), because later
@@ -58,22 +52,14 @@ func NewEngine(pool *storage.Pool, factory storage.DiskFactory, sr semiring.Semi
 	return &Engine{Pool: pool, Factory: factory, Sr: sr}
 }
 
-// OpStat records one executed operator's actuals (EXPLAIN ANALYZE
-// style): what ran, how many rows it produced, and how long it took.
-// Wall is exclusive (self) time — the operator's own work with its
-// children's time subtracted — matching PostgreSQL's per-node "actual
-// time" semantics.
-type OpStat struct {
-	Desc string        `json:"desc"`
-	Rows int64         `json:"rows"`
-	Wall time.Duration `json:"wall_ns"`
-}
-
-// Span is one operator's execution window within a query trace. Spans
-// mirror RunStats.Ops (same completion order — post-order over the plan
-// tree) but add the operator kind, tree depth, start/stop timestamps
-// relative to the run's start, and the buffer-pool stats delta observed
-// over the operator's own window (children subtracted, like Wall).
+// Span is one operator's execution window within a query trace (EXPLAIN
+// ANALYZE's data source): what ran, its kind and tree depth, how many
+// rows it produced, its start/stop timestamps relative to the run's
+// start, its exclusive wall time — the operator's own work with its
+// children's time subtracted, PostgreSQL's per-node "actual time" — and
+// the buffer-pool stats delta observed over its own window (children
+// subtracted, like Wall). Spans are recorded in completion order,
+// post-order over the plan tree.
 // Under concurrent queries on one Database the pool is shared, so IO
 // attribution is approximate: pages another query moved during this
 // operator's window land in its delta.
@@ -125,10 +111,7 @@ type RunStats struct {
 	// PlanCacheHit marks a run whose plan came from the plan cache rather
 	// than a fresh optimization. Filled by core.
 	PlanCacheHit bool `json:"plan_cache_hit,omitempty"`
-	// Ops lists per-operator actuals in completion (bottom-up) order.
-	Ops []OpStat `json:"ops,omitempty"`
-	// Trace lists per-operator spans in the same order as Ops, with
-	// timestamps and IO deltas (EXPLAIN ANALYZE's data source).
+	// Trace lists per-operator spans in completion (bottom-up) order.
 	Trace []Span `json:"trace,omitempty"`
 	// Morsels lists per-operator-kind morsel-scheduler totals (tasks run
 	// and worker busy time) for runs with Parallelism > 1. Busy time is
@@ -247,7 +230,7 @@ func (env *runEnv) cacheKey(p *plan.Node) (string, bool) {
 	return fp, ok
 }
 
-// exec evaluates one node, recording its OpStat and trace Span. The
+// exec evaluates one node, recording its trace Span. The
 // returned duration and stats delta are the node's inclusive wall time
 // and IO (children included); parents subtract them so that recorded
 // exclusive figures are self-only. The returned table is temporary
@@ -269,7 +252,6 @@ func (e *Engine) exec(ctx context.Context, p *plan.Node, env *runEnv, depth int)
 			rows := t.Heap.NumTuples()
 			incl := time.Since(start)
 			desc := "CacheHit(" + opDesc(p) + ")"
-			env.st.Ops = append(env.st.Ops, OpStat{Desc: desc, Rows: rows, Wall: incl})
 			env.st.Trace = append(env.st.Trace, Span{
 				Desc:  desc,
 				Kind:  "CacheHit",
@@ -302,7 +284,6 @@ func (e *Engine) exec(ctx context.Context, p *plan.Node, env *runEnv, depth int)
 			self = 0
 		}
 		rows := out.Heap.NumTuples()
-		env.st.Ops = append(env.st.Ops, OpStat{Desc: opDesc(p), Rows: rows, Wall: self})
 		env.st.Trace = append(env.st.Trace, Span{
 			Desc:  opDesc(p),
 			Kind:  opKind(p),
@@ -348,9 +329,6 @@ func clampStats(s storage.Stats) storage.Stats {
 	if s.Hits < 0 {
 		s.Hits = 0
 	}
-	if s.Prefetches < 0 {
-		s.Prefetches = 0
-	}
 	if s.Retries < 0 {
 		s.Retries = 0
 	}
@@ -366,7 +344,7 @@ func clampStats(s storage.Stats) storage.Stats {
 	return s
 }
 
-// opDesc renders a short operator description for OpStat.
+// opDesc renders a short operator description for a Span.
 func opDesc(p *plan.Node) string {
 	if p.Op == plan.OpScan {
 		return "Scan(" + p.Table + ")"

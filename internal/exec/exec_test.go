@@ -311,20 +311,20 @@ func TestPerOperatorStats(t *testing.T) {
 	sb, _ := pb.Scan("b")
 	g, _ := pb.GroupBy(pb.Join(sa, sb), []string{"X"})
 	_, st := h.run(t, g)
-	if len(st.Ops) != 4 { // 2 scans + join + group-by
-		t.Fatalf("Ops has %d entries, want 4: %+v", len(st.Ops), st.Ops)
+	if len(st.Trace) != 4 { // 2 scans + join + group-by
+		t.Fatalf("Trace has %d spans, want 4: %+v", len(st.Trace), st.Trace)
 	}
-	// Bottom-up: last entry is the root GroupBy.
-	last := st.Ops[len(st.Ops)-1]
-	if last.Desc != "GroupBy" {
-		t.Fatalf("last op = %s, want GroupBy", last.Desc)
+	// Bottom-up: last span is the root GroupBy.
+	last := st.Trace[len(st.Trace)-1]
+	if last.Desc != "GroupBy" || last.Depth != 0 {
+		t.Fatalf("last span = %s at depth %d, want GroupBy at 0", last.Desc, last.Depth)
 	}
 	if last.Rows != st.RowsOut {
-		t.Fatalf("root op rows %d != RowsOut %d", last.Rows, st.RowsOut)
+		t.Fatalf("root span rows %d != RowsOut %d", last.Rows, st.RowsOut)
 	}
-	for _, op := range st.Ops {
-		if op.Rows < 0 || op.Desc == "" {
-			t.Fatalf("malformed op stat %+v", op)
+	for _, sp := range st.Trace {
+		if sp.Rows < 0 || sp.Desc == "" {
+			t.Fatalf("malformed span %+v", sp)
 		}
 	}
 }

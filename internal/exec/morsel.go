@@ -5,9 +5,9 @@ package exec
 // operators hand it morsels — leaf-to-partition-sized closures — instead
 // of spawning their own pools. The Grace join's partition passes and
 // pair joins, the leaves of hash group-by and of the fused
-// join+aggregate probe (foldLeaves) all feed the same queue, so `Parallelism × ReadAhead` compose as one
-// pipeline: a worker finishing a join morsel can immediately pick up an
-// aggregation leaf of the same query.
+// join+aggregate probe (foldLeaves) all feed the same queue, so they
+// compose as one pipeline: a worker finishing a join morsel can
+// immediately pick up an aggregation leaf of the same query.
 //
 // Two submission shapes cover every operator:
 //

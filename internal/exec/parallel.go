@@ -88,7 +88,7 @@ func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, 
 		}
 		err := ctx.Err()
 		if err == nil {
-			it := e.scanCB(ctx, in)
+			it := in.ScanColBatchesContext(ctx)
 			it.SetPageRange(int64(i)*leafPages, int64(i+1)*leafPages)
 			if err = leaf(it, agg, &leafBudget{st: st, live: &f.live}); err == nil {
 				err = it.Err()

@@ -358,8 +358,7 @@ func (s Snapshot) String() string {
 		s.RowsOut, s.TempTuples, s.Operators, s.HotKeyFallbacks)
 	fmt.Fprintf(&b, "batches: %d\n", s.Batches)
 	fmt.Fprintf(&b, "exec wall: %v\n", s.ExecWall)
-	fmt.Fprintf(&b, "pool IO: %d reads, %d writes, %d hits, %d prefetched\n",
-		s.Pool.Reads, s.Pool.Writes, s.Pool.Hits, s.Pool.Prefetches)
+	fmt.Fprintf(&b, "pool IO: %d reads, %d writes, %d hits\n", s.Pool.Reads, s.Pool.Writes, s.Pool.Hits)
 	fmt.Fprintf(&b, "pool faults: %d retries, %d transient, %d permanent, %d checksum failures\n",
 		s.Pool.Retries, s.Pool.TransientFaults, s.Pool.PermanentFaults, s.Pool.ChecksumFailures)
 	enc := s.Encoding

@@ -32,10 +32,10 @@ func buildSpanTree(trace []exec.Span) []*spanNode {
 	return stack
 }
 
-// renderAnalyze formats a query's actuals in EXPLAIN ANALYZE style: the
+// RenderAnalyze formats a query's actuals in EXPLAIN ANALYZE style: the
 // operator tree with per-node exclusive wall time, output rows, and
 // physical IO, followed by run totals.
-func renderAnalyze(st exec.RunStats) string {
+func RenderAnalyze(st exec.RunStats) string {
 	var b strings.Builder
 	if st.Planner != "" {
 		fmt.Fprintf(&b, "Planner: %s", st.Planner)
@@ -57,9 +57,6 @@ func renderAnalyze(st exec.RunStats) string {
 	fmt.Fprintf(&b, "Total: wall=%v io=%dr/%dw/%dh rows=%d temp_tuples=%d operators=%d batches=%d",
 		st.Wall, st.IO.Reads, st.IO.Writes, st.IO.Hits,
 		st.RowsOut, st.TempTuples, st.Operators, st.Batches)
-	if st.IO.Prefetches > 0 {
-		fmt.Fprintf(&b, " prefetched=%d", st.IO.Prefetches)
-	}
 	if st.HotKeyFallbacks > 0 {
 		fmt.Fprintf(&b, " hot_key_fallbacks=%d", st.HotKeyFallbacks)
 	}

@@ -145,7 +145,7 @@ func (s *Session) Run(st Statement) (*Output, error) {
 				Plan:     res.Plan,
 				Optimize: res.Optimize,
 				Exec:     res.Exec,
-				Message:  renderAnalyze(res.Exec),
+				Message:  RenderAnalyze(res.Exec),
 			}, nil
 		}
 		if st.Explain {

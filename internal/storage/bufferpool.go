@@ -12,10 +12,9 @@ import (
 // together with the fault counters of its resilience machinery (retry,
 // checksum verification).
 type Stats struct {
-	Reads      int64 `json:"reads"`      // pages fetched from a Disk (read-ahead included)
-	Writes     int64 `json:"writes"`     // pages written back to a Disk
-	Hits       int64 `json:"hits"`       // page requests satisfied from the pool
-	Prefetches int64 `json:"prefetches"` // pages fetched by the read-ahead path (subset of Reads)
+	Reads  int64 `json:"reads"`  // pages fetched from a Disk
+	Writes int64 `json:"writes"` // pages written back to a Disk
+	Hits   int64 `json:"hits"`   // page requests satisfied from the pool
 	// Retries counts IO re-attempts issued after transient faults
 	// (SetRetry); zero in a fault-free run.
 	Retries int64 `json:"retries,omitempty"`
@@ -33,9 +32,7 @@ type Stats struct {
 }
 
 // IO returns total physical page transfers (reads + writes), the quantity
-// the paper's cost model minimizes for disk-resident operands. Prefetched
-// pages are already counted in Reads, so read-ahead moves reads earlier
-// without changing IO unless a prefetched page is evicted unused.
+// the paper's cost model minimizes for disk-resident operands.
 func (s Stats) IO() int64 { return s.Reads + s.Writes }
 
 // Sub returns s - o, useful for measuring the IO of one query by
@@ -45,7 +42,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Reads:            s.Reads - o.Reads,
 		Writes:           s.Writes - o.Writes,
 		Hits:             s.Hits - o.Hits,
-		Prefetches:       s.Prefetches - o.Prefetches,
 		Retries:          s.Retries - o.Retries,
 		TransientFaults:  s.TransientFaults - o.TransientFaults,
 		PermanentFaults:  s.PermanentFaults - o.PermanentFaults,
@@ -59,7 +55,6 @@ func (s Stats) Add(o Stats) Stats {
 		Reads:            s.Reads + o.Reads,
 		Writes:           s.Writes + o.Writes,
 		Hits:             s.Hits + o.Hits,
-		Prefetches:       s.Prefetches + o.Prefetches,
 		Retries:          s.Retries + o.Retries,
 		TransientFaults:  s.TransientFaults + o.TransientFaults,
 		PermanentFaults:  s.PermanentFaults + o.PermanentFaults,
@@ -100,8 +95,6 @@ type Pool struct {
 	stats   Stats
 	disks   map[int64]Disk
 	diskSeq int64
-	// prefetchSem bounds concurrent read-ahead goroutines.
-	prefetchSem chan struct{}
 	// retries/backoffBase/backoffCap configure transient-fault retry
 	// (SetRetry); set before the pool is shared, never concurrently with
 	// page traffic.
@@ -116,11 +109,6 @@ type Pool struct {
 	encPages, encFallback, encSegPlain, encSegByte, encSegRLE, encSegDict, encSaved atomic.Int64
 }
 
-// maxPrefetchers bounds the pool's concurrent read-ahead goroutines. The
-// bound is per pool, not per scan: read-ahead is best-effort, and a full
-// semaphore drops the request rather than queueing it.
-const maxPrefetchers = 4
-
 // NewPool returns a pool with the given number of page frames. At least
 // two frames are required (one being evicted, one being filled).
 func NewPool(frames int) *Pool {
@@ -128,10 +116,9 @@ func NewPool(frames int) *Pool {
 		frames = 2
 	}
 	p := &Pool{
-		frames:      make([]frame, frames),
-		table:       make(map[pageKey]int, frames),
-		disks:       make(map[int64]Disk),
-		prefetchSem: make(chan struct{}, maxPrefetchers),
+		frames: make([]frame, frames),
+		table:  make(map[pageKey]int, frames),
+		disks:  make(map[int64]Disk),
 	}
 	p.loaded.L = &p.mu
 	for i := range p.frames {
@@ -278,29 +265,42 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// diskRead fills buf from page no of disk d, retrying transient faults
-// per the pool's retry policy and verifying the page checksum on
-// success. Errors are typed: *IOError for faults that escaped retry,
-// *CorruptPageError for checksum mismatches, and ctx's error when
-// cancellation interrupts a backoff wait. Runs with the pool lock
-// released (the caller reserved a loading frame).
-func (p *Pool) diskRead(ctx context.Context, d Disk, h, no int64, buf []byte) error {
-	err := d.ReadPage(no, buf)
+// retry runs op, re-attempting a transient fault (IsTransient) up to the
+// pool's retry bound with capped exponential backoff, and counts every
+// fault it observes. An error that escapes retry is returned through
+// wrap; ctx's error, when cancellation interrupts a backoff wait, is
+// returned unwrapped.
+func (p *Pool) retry(ctx context.Context, op func() error, wrap func(error) error) error {
+	err := op()
 	for attempt := 0; err != nil; attempt++ {
-		if !IsTransient(err) {
-			p.permanentN.Add(1)
-			return &IOError{Op: "read", Handle: h, Page: no, Err: err}
+		transient := IsTransient(err)
+		if transient {
+			p.transientN.Add(1)
 		}
-		p.transientN.Add(1)
-		if attempt >= p.retries {
+		if !transient || attempt >= p.retries {
 			p.permanentN.Add(1)
-			return &IOError{Op: "read", Handle: h, Page: no, Err: err}
+			return wrap(err)
 		}
 		if serr := sleepBackoff(ctx, p.backoff(attempt)); serr != nil {
 			return serr
 		}
 		p.retryN.Add(1)
-		err = d.ReadPage(no, buf)
+		err = op()
+	}
+	return nil
+}
+
+// diskRead fills buf from page no of disk d under the retry policy and
+// verifies the page checksum on success. Errors are typed: *IOError for
+// faults that escaped retry, *CorruptPageError for checksum mismatches,
+// and ctx's error when cancellation interrupts a backoff wait. Runs with
+// the pool lock released (the caller reserved a loading frame).
+func (p *Pool) diskRead(ctx context.Context, d Disk, h, no int64, buf []byte) error {
+	err := p.retry(ctx, func() error { return d.ReadPage(no, buf) }, func(err error) error {
+		return &IOError{Op: "read", Handle: h, Page: no, Err: err}
+	})
+	if err != nil {
+		return err
 	}
 	if !VerifyPage(buf) {
 		p.checksumN.Add(1)
@@ -309,57 +309,30 @@ func (p *Pool) diskRead(ctx context.Context, d Disk, h, no int64, buf []byte) er
 	return nil
 }
 
-// diskWrite seals the page trailer and writes the page back, retrying
-// transient faults per the pool's retry policy. The last disk error is
-// returned unwrapped; callers wrap it in *WritebackError with the
-// victim's identity. Writebacks run while the caller holds p.mu, so a
-// retry's backoff briefly stalls other pool clients — writeback faults
-// are rare and the backoff is capped, and releasing the lock around an
-// eviction write would let racing pins resurrect the half-evicted frame.
+// diskWrite seals the page trailer and writes the page back under the
+// retry policy. The last disk error is returned unwrapped; callers wrap
+// it in *WritebackError with the victim's identity. Writebacks run while
+// the caller holds p.mu, so a retry's backoff briefly stalls other pool
+// clients — writeback faults are rare and the backoff is capped, and
+// releasing the lock around an eviction write would let racing pins
+// resurrect the half-evicted frame.
 func (p *Pool) diskWrite(ctx context.Context, d Disk, no int64, buf []byte) error {
 	SealPage(buf)
-	err := d.WritePage(no, buf)
-	for attempt := 0; err != nil; attempt++ {
-		if !IsTransient(err) {
-			p.permanentN.Add(1)
-			return err
-		}
-		p.transientN.Add(1)
-		if attempt >= p.retries {
-			p.permanentN.Add(1)
-			return err
-		}
-		if serr := sleepBackoff(ctx, p.backoff(attempt)); serr != nil {
-			return serr
-		}
-		p.retryN.Add(1)
-		err = d.WritePage(no, buf)
-	}
-	return nil
+	return p.retry(ctx, func() error { return d.WritePage(no, buf) }, func(err error) error { return err })
 }
 
-// diskAlloc grows the disk by one page, retrying transient faults per
-// the pool's retry policy. Faults that escape retry are wrapped in
-// *IOError (Page = -1: the page never existed).
+// diskAlloc grows the disk by one page under the retry policy. Faults
+// that escape retry are wrapped in *IOError (Page = -1: the page never
+// existed).
 func (p *Pool) diskAlloc(ctx context.Context, d Disk, h int64) (int64, error) {
-	no, err := d.Allocate()
-	for attempt := 0; err != nil; attempt++ {
-		if !IsTransient(err) {
-			p.permanentN.Add(1)
-			return 0, &IOError{Op: "alloc", Handle: h, Page: -1, Err: err}
-		}
-		p.transientN.Add(1)
-		if attempt >= p.retries {
-			p.permanentN.Add(1)
-			return 0, &IOError{Op: "alloc", Handle: h, Page: -1, Err: err}
-		}
-		if serr := sleepBackoff(ctx, p.backoff(attempt)); serr != nil {
-			return 0, serr
-		}
-		p.retryN.Add(1)
+	var no int64
+	err := p.retry(ctx, func() (err error) {
 		no, err = d.Allocate()
-	}
-	return no, nil
+		return err
+	}, func(err error) error {
+		return &IOError{Op: "alloc", Handle: h, Page: -1, Err: err}
+	})
+	return no, err
 }
 
 // Size returns the number of frames.
@@ -506,83 +479,6 @@ func (p *Pool) PinContext(ctx context.Context, h, no int64) ([]byte, error) {
 	}
 	p.loaded.Broadcast()
 	return f.buf, nil
-}
-
-// prefetch asynchronously loads the page into the pool without pinning
-// it for the caller: sequential scans hint the pages they are about to
-// request so the reads overlap the scan's own work instead of stalling
-// it. Best-effort and bounded — if the page is already resident (or
-// loading), the request is a no-op, and when maxPrefetchers reads are
-// already in flight the request is dropped rather than queued. A
-// prefetched read counts in Stats.Reads AND Stats.Prefetches; the scan's
-// later pin of the page counts a hit, exactly as if another query had
-// faulted the page in first. A canceled ctx suppresses the read. The
-// load is counted in owner, which the issuing scan waits on before it
-// ends (readAhead): a load pins its frame until its read settles, and no
-// such pin may outlive the scan — nor the heap, which is dropped only
-// after its scans end.
-func (p *Pool) prefetch(ctx context.Context, h, no int64, owner *sync.WaitGroup) {
-	if ctx.Err() != nil {
-		return
-	}
-	select {
-	case p.prefetchSem <- struct{}{}:
-	default:
-		return // all prefetchers busy: drop, don't queue
-	}
-	owner.Add(1)
-	go func() {
-		defer owner.Done()
-		defer func() { <-p.prefetchSem }()
-		p.load(ctx, h, no)
-	}()
-}
-
-// load performs one read-ahead load: reserve a frame (pinned + loading,
-// like a Pin miss), read outside the lock, then release the pin so the
-// page sits evictable-but-resident for the scan to hit.
-func (p *Pool) load(ctx context.Context, h, no int64) {
-	p.mu.Lock()
-	if _, ok := p.table[pageKey{h, no}]; ok {
-		p.mu.Unlock()
-		return // resident or already loading: nothing to do
-	}
-	d, ok := p.disks[h]
-	if !ok || ctx.Err() != nil {
-		p.mu.Unlock()
-		return
-	}
-	idx, err := p.victim(ctx)
-	if err != nil {
-		p.mu.Unlock()
-		return // pool full of pinned frames: skip, the scan will read it
-	}
-	k := pageKey{h, no}
-	f := &p.frames[idx]
-	f.key = k
-	f.pins = 1
-	f.ref = true
-	f.dirty = false
-	f.valid = true
-	f.loading = true
-	p.table[k] = idx
-	p.stats.Reads++
-	p.stats.Prefetches++
-	p.mu.Unlock()
-	rerr := p.diskRead(ctx, d, h, no, f.buf)
-	p.mu.Lock()
-	f.loading = false
-	f.pins--
-	if rerr != nil {
-		// Same undo as a failed Pin miss: vacate the frame and un-count the
-		// read so a waiter retries (and surfaces the error on its own pin).
-		f.valid = false
-		p.stats.Reads--
-		p.stats.Prefetches--
-		delete(p.table, k)
-	}
-	p.loaded.Broadcast()
-	p.mu.Unlock()
 }
 
 // NewPage allocates a fresh page on the disk, pins it and returns its

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Heap page layout (row-major, format 0; columnar.go has format 1):
@@ -257,30 +256,6 @@ func (h *Heap) AppendBatch(b *Batch) error {
 	return h.AppendRows(b.Vals, b.Measures)
 }
 
-// readAhead is one sequential scan's prefetch state: the distance k
-// (0 = off), the watermark of pages already requested, and the loads
-// still in flight. A scan waits for its in-flight loads when it ends —
-// at Close or on its first error — so no frame a read-ahead load pins
-// outlives the scan, and a query that returns leaves nothing pinned.
-type readAhead struct {
-	k        int
-	mark     int64
-	inflight sync.WaitGroup
-}
-
-// prefetchAhead issues read-ahead for up to ra.k pages past cur, each
-// page at most once per scan.
-func (h *Heap) prefetchAhead(ctx context.Context, cur int64, ra *readAhead, npages int64) {
-	if ra.k <= 0 {
-		return
-	}
-	hi := min(cur+int64(ra.k), npages-1)
-	for p := max(cur+1, ra.mark); p <= hi; p++ {
-		h.pool.prefetch(ctx, h.handle, p, &ra.inflight)
-	}
-	ra.mark = max(ra.mark, hi+1)
-}
-
 // Batch is a block of decoded tuples in row-major layout: Vals holds
 // Len()*Arity int32 values (row i at Vals[i*Arity:(i+1)*Arity]) and
 // Measures holds one float64 per row. A batch is sized to a heap page —
@@ -329,11 +304,9 @@ func resize[T any](s []T, n int) []T {
 }
 
 // pageCursor is the one walk over a heap's pages behind every scan: for
-// each page of its range it issues read-ahead, pins the page under the
-// scan's context, validates the header, hands a non-empty page to the
-// scan's decoder and unpins it (readPage), so no pin outlives a Next
-// call. On its first error, and at Close, it waits for the scan's
-// in-flight read-ahead loads: nothing a scan pinned outlives it.
+// each page of its range it pins the page under the scan's context,
+// validates the header, hands a non-empty page to the scan's decoder and
+// unpins it (readPage), so no pin outlives a Next call.
 type pageCursor struct {
 	h    *Heap
 	ctx  context.Context
@@ -342,7 +315,6 @@ type pageCursor struct {
 	page int64 // page of the current batch
 	done bool
 	err  error
-	ra   readAhead
 }
 
 // cursor returns a cursor over all of h's pages under ctx.
@@ -356,10 +328,8 @@ func (c *pageCursor) advance(decode func(buf []byte, n int) error) bool {
 	for !c.done && c.next < c.end {
 		p := c.next
 		c.next++
-		c.h.prefetchAhead(c.ctx, p, &c.ra, c.end)
 		n, err := c.h.readPage(c.ctx, p, decode)
 		if err != nil {
-			c.ra.inflight.Wait()
 			c.err, c.done = err, true
 			return false
 		}
@@ -372,11 +342,6 @@ func (c *pageCursor) advance(decode func(buf []byte, n int) error) bool {
 	return false
 }
 
-// SetReadAhead declares the scan sequential: before pinning each page the
-// scan asks the pool to prefetch up to k following pages (see
-// Pool.prefetch). Zero (the default) disables read-ahead.
-func (c *pageCursor) SetReadAhead(k int) { c.ra.k = k }
-
 // Page returns the heap page the current batch was decoded from; a row's
 // slot on that page is its index in the batch.
 func (c *pageCursor) Page() int64 { return c.page }
@@ -384,10 +349,9 @@ func (c *pageCursor) Page() int64 { return c.page }
 // Err returns the first error encountered during iteration.
 func (c *pageCursor) Err() error { return c.err }
 
-// Close ends the scan once its read-ahead loads have settled, and reports
-// Err. A scan holds no pin of its own between Next calls.
+// Close ends the scan and reports Err. A scan holds no pin of its own
+// between Next calls.
 func (c *pageCursor) Close() error {
-	c.ra.inflight.Wait()
 	c.done = true
 	return c.err
 }

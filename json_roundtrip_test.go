@@ -218,7 +218,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestRunStatsJSONRoundTrip asserts RunStats — including nested IO
-// stats, per-operator actuals, and trace spans — survives the wire.
+// stats and trace spans — survives the wire.
 func TestRunStatsJSONRoundTrip(t *testing.T) {
 	st := RunStats{
 		Wall:            123 * time.Microsecond,
@@ -231,7 +231,6 @@ func TestRunStatsJSONRoundTrip(t *testing.T) {
 		Batches:         4,
 		Planner:         "cs+linear",
 		PlanCacheHit:    true,
-		Ops:             []OpStat{{Desc: "Scan(costs)", Rows: 4, Wall: time.Millisecond}},
 		Trace: []Span{{
 			Desc: "Scan(costs)", Kind: "Scan", Depth: 1, Rows: 4,
 			Start: time.Microsecond, Stop: 2 * time.Microsecond, Wall: time.Microsecond,

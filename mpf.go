@@ -86,8 +86,6 @@ type (
 	HavingOp = core.HavingOp
 	// Result is a query answer with plan and measurements.
 	Result = core.Result
-	// OpStat records one executed operator's actuals in RunStats.Ops.
-	OpStat = exec.OpStat
 	// RunStats describes one plan execution (wall, IO, per-operator
 	// actuals, trace spans).
 	RunStats = exec.RunStats
@@ -144,8 +142,8 @@ var (
 	// matches context.Canceled or context.DeadlineExceeded.
 	ErrCanceled = core.ErrCanceled
 	// ErrIO reports a query ended by a storage fault that escaped the
-	// pool's retry policy (Config.IORetries). The query fails cleanly and
-	// the database keeps serving.
+	// buffer pool's bounded retry. The query fails cleanly and the
+	// database keeps serving.
 	ErrIO = core.ErrIO
 	// ErrCorrupt reports a query that hit a page whose checksum failed
 	// verification; corrupt bytes never reach query answers.
