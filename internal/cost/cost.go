@@ -21,15 +21,53 @@ package cost
 
 import (
 	"math"
+	"sort"
+	"strings"
 
 	"mpf/internal/storage"
 )
 
 // Estimate summarizes a (sub)plan's output for costing purposes.
+//
+// Distinct is sorted by variable name and holds each variable once, so
+// every estimate below walks it in one fixed order: float division and
+// multiplication do not associate, and an order that varied between runs
+// would let the same query price (and hence plan) differently.
 type Estimate struct {
-	Card     float64            // estimated tuple count
-	Arity    int                // number of variable attributes
-	Distinct map[string]float64 // per-variable distinct value estimate
+	Card     float64       // estimated tuple count
+	Arity    int           // number of variable attributes
+	Distinct []VarDistinct // per-variable distinct value estimates, sorted by Var
+}
+
+// VarDistinct is one variable's distinct value estimate.
+type VarDistinct struct {
+	Var string
+	N   float64
+}
+
+// DistinctOf returns the distinct estimate of variable v, if e has one.
+func (e Estimate) DistinctOf(v string) (float64, bool) {
+	i, ok := e.find(v)
+	if !ok {
+		return 0, false
+	}
+	return e.Distinct[i].N, true
+}
+
+// find returns v's position in Distinct, or where it would be inserted.
+func (e Estimate) find(v string) (int, bool) {
+	i := sort.Search(len(e.Distinct), func(i int) bool { return e.Distinct[i].Var >= v })
+	return i, i < len(e.Distinct) && e.Distinct[i].Var == v
+}
+
+// put sets v's distinct estimate, inserting it in name order if absent.
+func (e *Estimate) put(v string, n float64) {
+	i, ok := e.find(v)
+	if !ok {
+		e.Distinct = append(e.Distinct, VarDistinct{})
+		copy(e.Distinct[i+1:], e.Distinct[i:])
+	}
+	e.Distinct[i] = VarDistinct{Var: v, N: n}
 }
 
 // Pages returns the estimated page footprint of the output.
@@ -46,7 +84,9 @@ func (e Estimate) Pages() float64 {
 type Model interface {
 	// ScanCost prices reading a base table with the given estimate.
 	ScanCost(t Estimate) float64
-	// JoinCost prices a product join producing out from l and r.
+	// JoinCost prices a product join producing out from l and r. out
+	// carries Card and Arity only (JoinSize), so a candidate join is
+	// priced without building its estimate.
 	JoinCost(l, r, out Estimate) float64
 	// GroupByCost prices aggregating in into out.
 	GroupByCost(in, out Estimate) float64
@@ -119,47 +159,79 @@ func (m PageIO) SelectCost(in, out Estimate) float64 {
 // Name implements Model.
 func (m PageIO) Name() string { return "pageio" }
 
-// JoinEstimate estimates the product join of two inputs: containment on
-// shared variables gives |L||R| / Π max(dL(v), dR(v)); distinct counts of
-// shared variables become min(dL,dR) and all distincts are capped by the
-// output cardinality.
+// JoinSize returns the cardinality and arity of the product join of two
+// inputs, leaving Distinct empty: it is all a Model's JoinCost reads, so a
+// join is priced without allocating. Containment on shared variables gives
+// |L||R| / Π max(dL(v), dR(v)), divided in ascending variable order.
+func JoinSize(l, r Estimate) Estimate {
+	card, arity, _ := joinMerge(l, r, nil)
+	return Estimate{Card: card, Arity: arity}
+}
+
+// JoinEstimate estimates the product join of two inputs: JoinSize, with
+// the distinct count of a shared variable becoming min(dL, dR) and every
+// distinct capped by the output cardinality.
 func JoinEstimate(l, r Estimate) Estimate {
-	card := l.Card * r.Card
-	out := Estimate{Distinct: make(map[string]float64, len(l.Distinct)+len(r.Distinct))}
-	for v, dl := range l.Distinct {
-		if dr, shared := r.Distinct[v]; shared {
-			card /= math.Max(math.Max(dl, dr), 1)
-			out.Distinct[v] = math.Min(dl, dr)
-		} else {
-			out.Distinct[v] = dl
+	var out Estimate
+	out.Card, out.Arity, out.Distinct = joinMerge(l, r, make([]VarDistinct, 0, len(l.Distinct)+len(r.Distinct)))
+	capDistinct(&out)
+	return out
+}
+
+// joinMerge walks the sorted distinct lists of l and r together. It
+// returns the join's cardinality and variable count, and appends the
+// joined distincts to dst unless dst is nil.
+func joinMerge(l, r Estimate, dst []VarDistinct) (card float64, arity int, out []VarDistinct) {
+	card = l.Card * r.Card
+	i, j := 0, 0
+	for i < len(l.Distinct) || j < len(r.Distinct) {
+		var c int
+		switch {
+		case j == len(r.Distinct):
+			c = -1
+		case i == len(l.Distinct):
+			c = 1
+		default:
+			c = strings.Compare(l.Distinct[i].Var, r.Distinct[j].Var)
 		}
-	}
-	for v, dr := range r.Distinct {
-		if _, shared := l.Distinct[v]; !shared {
-			out.Distinct[v] = dr
+		var d VarDistinct
+		switch {
+		case c < 0:
+			d = l.Distinct[i]
+			i++
+		case c > 0:
+			d = r.Distinct[j]
+			j++
+		default:
+			dl, dr := l.Distinct[i].N, r.Distinct[j].N
+			card /= max(dl, dr, 1)
+			d = VarDistinct{Var: l.Distinct[i].Var, N: min(dl, dr)}
+			i++
+			j++
+		}
+		arity++
+		if dst != nil {
+			dst = append(dst, d)
 		}
 	}
 	if card < 1 {
 		card = 1
 	}
-	out.Card = card
-	out.Arity = len(out.Distinct)
-	capDistinct(&out)
-	return out
+	return card, arity, dst
 }
 
 // GroupByEstimate estimates grouping in onto the given variables: output
 // cardinality is the product of their distinct counts, capped by the
 // input cardinality.
 func GroupByEstimate(in Estimate, groupVars []string) Estimate {
-	out := Estimate{Distinct: make(map[string]float64, len(groupVars))}
+	out := Estimate{Distinct: make([]VarDistinct, 0, len(groupVars))}
 	prod := 1.0
 	for _, v := range groupVars {
-		d, ok := in.Distinct[v]
+		d, ok := in.DistinctOf(v)
 		if !ok {
 			d = 1
 		}
-		out.Distinct[v] = d
+		out.put(v, d)
 		prod *= d
 		if prod > 1e300 {
 			prod = 1e300
@@ -178,18 +250,15 @@ func SelectEstimate(in Estimate, constrained []string) Estimate {
 	out := Estimate{
 		Card:     in.Card,
 		Arity:    in.Arity,
-		Distinct: make(map[string]float64, len(in.Distinct)),
-	}
-	for v, d := range in.Distinct {
-		out.Distinct[v] = d
+		Distinct: append(make([]VarDistinct, 0, len(in.Distinct)+len(constrained)), in.Distinct...),
 	}
 	for _, v := range constrained {
-		d, ok := in.Distinct[v]
+		d, ok := in.DistinctOf(v)
 		if !ok || d < 1 {
 			d = 1
 		}
 		out.Card /= d
-		out.Distinct[v] = 1
+		out.put(v, 1)
 	}
 	if out.Card < 1 {
 		out.Card = 1
@@ -200,12 +269,12 @@ func SelectEstimate(in Estimate, constrained []string) Estimate {
 
 // capDistinct clamps every distinct estimate to the output cardinality.
 func capDistinct(e *Estimate) {
-	for v, d := range e.Distinct {
-		if d > e.Card {
-			e.Distinct[v] = e.Card
+	for i, d := range e.Distinct {
+		if d.N > e.Card {
+			e.Distinct[i].N = e.Card
 		}
-		if d < 1 {
-			e.Distinct[v] = 1
+		if d.N < 1 {
+			e.Distinct[i].N = 1
 		}
 	}
 }

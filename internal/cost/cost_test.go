@@ -2,12 +2,43 @@ package cost
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// est builds an estimate from per-variable distinct counts.
 func est(card float64, distinct map[string]float64) Estimate {
-	return Estimate{Card: card, Arity: len(distinct), Distinct: distinct}
+	e := Estimate{Card: card, Arity: len(distinct)}
+	for v, d := range distinct {
+		e.Distinct = append(e.Distinct, VarDistinct{Var: v, N: d})
+	}
+	sort.Slice(e.Distinct, func(i, j int) bool { return e.Distinct[i].Var < e.Distinct[j].Var })
+	return e
+}
+
+// distinctOf returns e's distinct estimate of v, failing when it has none.
+func distinctOf(t *testing.T, e Estimate, v string) float64 {
+	t.Helper()
+	d, ok := e.DistinctOf(v)
+	if !ok {
+		t.Fatalf("no distinct estimate for %s in %v", v, e.Distinct)
+	}
+	return d
+}
+
+// wellFormed reports whether e's distincts are sorted by name, duplicate
+// free, and each within [1, Card].
+func wellFormed(e Estimate) bool {
+	for i, d := range e.Distinct {
+		if i > 0 && e.Distinct[i-1].Var >= d.Var {
+			return false
+		}
+		if d.N > e.Card || d.N < 1 || math.IsNaN(d.N) {
+			return false
+		}
+	}
+	return e.Card >= 1
 }
 
 func TestJoinEstimateContainment(t *testing.T) {
@@ -18,10 +49,10 @@ func TestJoinEstimateContainment(t *testing.T) {
 	if out.Card != 25000 {
 		t.Fatalf("join card = %v, want 25000", out.Card)
 	}
-	if out.Distinct["b"] != 10 {
-		t.Fatalf("shared distinct = %v, want min(10,20)=10", out.Distinct["b"])
+	if d := distinctOf(t, out, "b"); d != 10 {
+		t.Fatalf("shared distinct = %v, want min(10,20)=10", d)
 	}
-	if out.Distinct["a"] != 100 || out.Distinct["c"] != 50 {
+	if distinctOf(t, out, "a") != 100 || distinctOf(t, out, "c") != 50 {
 		t.Fatalf("carried distincts wrong: %v", out.Distinct)
 	}
 	if out.Arity != 3 {
@@ -62,8 +93,8 @@ func TestSelectEstimate(t *testing.T) {
 	if out.Card != 10 {
 		t.Fatalf("select card = %v, want 10", out.Card)
 	}
-	if out.Distinct["a"] != 1 {
-		t.Fatalf("selected distinct = %v, want 1", out.Distinct["a"])
+	if d := distinctOf(t, out, "a"); d != 1 {
+		t.Fatalf("selected distinct = %v, want 1", d)
 	}
 	// Floor at 1.
 	out2 := SelectEstimate(est(5, map[string]float64{"a": 100}), []string{"a"})
@@ -148,20 +179,57 @@ func TestLinearPlanAdmissibleProperties(t *testing.T) {
 }
 
 func TestCapDistinctInvariant(t *testing.T) {
-	f := func(card8 uint8, d1, d2 uint16) bool {
+	f := func(card8 uint8, d1, d2, d3 uint16) bool {
 		in := est(float64(card8)+1, map[string]float64{
 			"a": float64(d1%1000) + 1,
 			"b": float64(d2%1000) + 1,
 		})
-		out := GroupByEstimate(in, []string{"a", "b"})
-		for _, d := range out.Distinct {
-			if d > out.Card || d < 1 || math.IsNaN(d) {
+		other := est(float64(d3%500)+1, map[string]float64{
+			"b": float64(d3%7) + 1,
+			"c": float64(d1%300) + 1,
+		})
+		for _, out := range []Estimate{
+			GroupByEstimate(in, []string{"a", "b"}),
+			GroupByEstimate(in, []string{"b", "zz", "a", "b"}),
+			JoinEstimate(in, other),
+			JoinEstimate(other, in),
+			SelectEstimate(in, []string{"b"}),
+			SelectEstimate(in, []string{"zz", "a"}),
+		} {
+			if !wellFormed(out) {
 				return false
 			}
 		}
-		return out.Card >= 1
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinEstimateDeterministic pins the order JoinEstimate divides by the
+// shared variables' distinct counts: ascending variable name, every time.
+// Float division does not associate, so 1000/3/7 and 1000/7/3 differ in the
+// last bit, and a division order that followed map iteration made the
+// same join price differently from run to run.
+func TestJoinEstimateDeterministic(t *testing.T) {
+	l := est(100, map[string]float64{"a": 3, "b": 7})
+	r := est(10, map[string]float64{"a": 3, "b": 7})
+	want := l.Card * r.Card
+	want /= 3 // a
+	want /= 7 // b
+	alt := l.Card * r.Card
+	alt /= 7
+	alt /= 3
+	if alt == want {
+		t.Fatalf("fixture does not tell the division orders apart: %b", want)
+	}
+	for i := 0; i < 200; i++ {
+		if got := JoinEstimate(l, r).Card; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("repetition %d: card %b, want %b (ascending variable order)", i, got, want)
+		}
+		if got := JoinSize(l, r).Card; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("repetition %d: JoinSize card %b, want %b", i, got, want)
+		}
 	}
 }

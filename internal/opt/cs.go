@@ -76,29 +76,56 @@ func (o CSPlus) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 // is the cheapest plan joining the leaves in mask m. Under CS+ pushdown,
 // grouped[m] is best[m] under its safe GroupBy (nil when that GroupBy
 // would drop no variable), built once when best[m] is settled rather than
-// once per split that uses m as an operand.
+// once per split that uses m as an operand. keys memoizes the canonKey of
+// each settled plan, rendered the first time a cost tie needs it.
 type dpTable struct {
 	best, grouped []*plan.Node
+	keys          []string // entry{m, g}'s key at 2m, +1 when g
 }
 
-// pushed returns grouped[m], or nil without pushdown.
-func (t *dpTable) pushed(m uint64) *plan.Node {
+// entry names a settled plan of a dpTable: best[m], or grouped[m] when g
+// is set.
+type entry struct {
+	m uint64
+	g bool
+}
+
+// node returns e's plan, or nil when it has none.
+func (t *dpTable) node(e entry) *plan.Node {
+	if !e.g {
+		return t.best[e.m]
+	}
 	if t.grouped == nil {
 		return nil
 	}
-	return t.grouped[m]
+	return t.grouped[e.m]
+}
+
+// key returns canonKey(t.node(e)), rendering it at most once.
+func (t *dpTable) key(e entry) string {
+	if t.keys == nil {
+		t.keys = make([]string, 2*len(t.best))
+	}
+	i := 2 * e.m
+	if e.g {
+		i++
+	}
+	if t.keys[i] == "" {
+		t.keys[i] = canonKey(t.node(e))
+	}
+	return t.keys[i]
 }
 
 // joinDP runs a subset dynamic program over the leaves in popcount order:
-// extend returns the best plan for a mask of two or more leaves from the
-// plans of its proper submasks. With pushGroupBy set, each settled plan
-// except the full join gets its CS+ GroupBy onto the query variables plus
-// the variables of the leaves outside its mask and of extraContext
-// (variables outside the leaves that must be preserved, used when planning
-// a sub-join whose result joins further relations, as in Variable
-// Elimination).
+// extend offers c every candidate join for a mask of two or more leaves,
+// built from the plans of its proper submasks, and the winner becomes the
+// mask's plan. With pushGroupBy set, each settled plan except the full
+// join gets its CS+ GroupBy onto the query variables plus the variables
+// of the leaves outside its mask and of extraContext (variables outside
+// the leaves that must be preserved, used when planning a sub-join whose
+// result joins further relations, as in Variable Elimination).
 func joinDP(b *plan.Builder, leaves []*plan.Node, extraContext relation.VarSet, queryVars []string, pushGroupBy bool,
-	extend func(t *dpTable, m uint64) *plan.Node) (*plan.Node, error) {
+	extend func(c *cheapest, m uint64)) (*plan.Node, error) {
 	n := len(leaves)
 	if n == 0 {
 		return nil, fmt.Errorf("opt: no leaves to join")
@@ -128,9 +155,12 @@ func joinDP(b *plan.Builder, leaves []*plan.Node, extraContext relation.VarSet, 
 		c := bits.OnesCount64(m)
 		masksByCount[c] = append(masksByCount[c], m)
 	}
+	c := &cheapest{b: b, t: t}
 	for size := 2; size <= n; size++ {
 		for _, m := range masksByCount[size] {
-			settle(m, extend(t, m))
+			c.found = false
+			extend(c, m)
+			settle(m, c.join())
 		}
 	}
 	if t.best[full] == nil {
@@ -161,24 +191,16 @@ func outsideVars(leaves []*plan.Node, mask uint64, extra relation.VarSet) relati
 // joining it with a GroupBy on top (grouping on query variables plus
 // variables shared with not-yet-joined tables), keeping the cheaper.
 func linearJoinDP(b *plan.Builder, leaves []*plan.Node, queryVars []string, pushGroupBy bool) (*plan.Node, error) {
-	return joinDP(b, leaves, nil, queryVars, pushGroupBy, func(t *dpTable, m uint64) *plan.Node {
-		var best *plan.Node
-		for j, leaf := range leaves {
+	return joinDP(b, leaves, nil, queryVars, pushGroupBy, func(c *cheapest, m uint64) {
+		for j := range leaves {
 			bit := uint64(1) << j
 			if m&bit == 0 {
 				continue
 			}
-			prev := t.best[m&^bit]
-			if prev == nil {
-				continue
-			}
-			var viaGroup *plan.Node
-			if g := t.pushed(m &^ bit); g != nil {
-				viaGroup = b.Join(g, leaf)
-			}
-			best = cheapest(best, cheapest(b.Join(prev, leaf), viaGroup))
+			leaf := entry{m: bit}
+			c.offer(entry{m: m &^ bit}, leaf)
+			c.offer(entry{m: m &^ bit, g: true}, leaf)
 		}
-		return best
 	})
 }
 
@@ -187,8 +209,7 @@ func linearJoinDP(b *plan.Builder, leaves []*plan.Node, queryVars []string, push
 // right, both). extraContext holds variables outside the leaves that must
 // be preserved (see joinDP).
 func bushyJoinDP(b *plan.Builder, leaves []*plan.Node, extraContext relation.VarSet, queryVars []string, pushGroupBy bool) (*plan.Node, error) {
-	return joinDP(b, leaves, extraContext, queryVars, pushGroupBy, func(t *dpTable, m uint64) *plan.Node {
-		var best *plan.Node
+	return joinDP(b, leaves, extraContext, queryVars, pushGroupBy, func(c *cheapest, m uint64) {
 		// Enumerate proper submasks; canonicalize by requiring sub to
 		// contain the lowest set bit of m so each split is seen once.
 		low := m & (-m)
@@ -197,22 +218,10 @@ func bushyJoinDP(b *plan.Builder, leaves []*plan.Node, extraContext relation.Var
 				continue
 			}
 			other := m &^ sub
-			p1, p2 := t.best[sub], t.best[other]
-			if p1 == nil || p2 == nil {
-				continue
-			}
-			l2, r2 := t.pushed(sub), t.pushed(other)
-			best = cheapest(best, b.Join(p1, p2))
-			if l2 != nil {
-				best = cheapest(best, b.Join(l2, p2))
-			}
-			if r2 != nil {
-				best = cheapest(best, b.Join(p1, r2))
-			}
-			if l2 != nil && r2 != nil {
-				best = cheapest(best, b.Join(l2, r2))
-			}
+			c.offer(entry{m: sub}, entry{m: other})
+			c.offer(entry{m: sub, g: true}, entry{m: other})
+			c.offer(entry{m: sub}, entry{m: other, g: true})
+			c.offer(entry{m: sub, g: true}, entry{m: other, g: true})
 		}
-		return best
 	})
 }

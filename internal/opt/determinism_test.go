@@ -2,6 +2,8 @@ package opt
 
 import (
 	"testing"
+
+	"mpf/internal/plan"
 )
 
 // TestRepeatedPlanningIsDeterministic is the regression test for the
@@ -45,7 +47,7 @@ func TestRepeatedPlanningIsDeterministic(t *testing.T) {
 
 // TestCheapestBreaksTiesLexicographically checks the cost-tie contract
 // directly: among equal-cost candidates the lexicographically smallest
-// canonical plan wins, regardless of argument order.
+// canonical plan wins, regardless of the order they are offered in.
 func TestCheapestBreaksTiesLexicographically(t *testing.T) {
 	f := smallChain(t, 3)
 	a, err := f.b.Scan(f.ds.ViewTables[0])
@@ -62,17 +64,24 @@ func TestCheapestBreaksTiesLexicographically(t *testing.T) {
 	if lr.TotalCost != rl.TotalCost {
 		t.Fatalf("fixture not a tie: %v vs %v", lr.TotalCost, rl.TotalCost)
 	}
-	want := lr
-	if canonKey(rl) < canonKey(lr) {
-		want = rl
+	want := canonKey(lr)
+	if canonKey(rl) < want {
+		want = canonKey(rl)
 	}
-	if got := cheapest(lr, rl); got != want {
-		t.Fatalf("cheapest(lr, rl) = %s, want %s", canonKey(got), canonKey(want))
-	}
-	if got := cheapest(rl, lr); got != want {
-		t.Fatalf("cheapest(rl, lr) = %s, want %s", canonKey(got), canonKey(want))
-	}
-	if got := cheapest(nil, rl, nil, lr); got != want {
-		t.Fatalf("cheapest with nils = %s, want %s", canonKey(got), canonKey(want))
+	// best[1] = a, best[2] = b; mask 3 is unsettled, so offers naming it
+	// are skipped.
+	ea, eb, none := entry{m: 1}, entry{m: 2}, entry{m: 3}
+	for _, offers := range [][][2]entry{
+		{{ea, eb}, {eb, ea}},
+		{{eb, ea}, {ea, eb}},
+		{{none, eb}, {eb, ea}, {ea, none}, {ea, eb}},
+	} {
+		c := cheapest{b: f.b, t: &dpTable{best: []*plan.Node{nil, a, b, nil}}}
+		for _, o := range offers {
+			c.offer(o[0], o[1])
+		}
+		if got := canonKey(c.join()); got != want {
+			t.Fatalf("offers %v chose %s, want %s", offers, got, want)
+		}
 	}
 }

@@ -22,7 +22,7 @@ package opt
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"mpf/internal/plan"
 	"mpf/internal/relation"
@@ -143,31 +143,72 @@ func finishPlan(b *plan.Builder, top *plan.Node, q *Query) (*plan.Node, error) {
 	return b.GroupBy(top, q.GroupVars)
 }
 
-// cheapest returns the lowest-TotalCost non-nil plan. Exact cost ties are
-// broken by the lexicographically smallest canonical plan string, never by
-// candidate generation order: the same query must always yield the same
-// plan (plan-cache correctness depends on it, and repeated EXPLAINs must
-// agree). Candidate order therefore cannot influence the winner.
-func cheapest(cands ...*plan.Node) *plan.Node {
-	var best *plan.Node
-	var bestKey string // canonical key of best, computed lazily on first tie
-	for _, c := range cands {
-		if c == nil {
-			continue
-		}
-		switch {
-		case best == nil || c.TotalCost < best.TotalCost:
-			best, bestKey = c, ""
-		case c.TotalCost == best.TotalCost:
-			if bestKey == "" {
-				bestKey = canonKey(best)
-			}
-			if k := canonKey(c); k < bestKey {
-				best, bestKey = c, k
-			}
-		}
+// cheapest keeps the lowest-TotalCost join among the candidates offered
+// for one DP mask. It prices each candidate with Builder.JoinCost, which
+// allocates nothing, and builds a plan node only for the winner. Exact
+// cost ties are broken by the lexicographically smallest canonical plan
+// string, never by candidate generation order: the same query must always
+// yield the same plan (plan-cache correctness depends on it, and repeated
+// EXPLAINs must agree). A tie compares the operands' memoized keys in
+// place (joinKeyLess) rather than rendering the two join keys.
+type cheapest struct {
+	b     *plan.Builder
+	t     *dpTable
+	l, r  entry   // operands of the best candidate so far
+	cost  float64 // its TotalCost
+	found bool
+}
+
+// offer considers joining the settled plans l and r, skipping the
+// candidate when either is nil.
+func (c *cheapest) offer(l, r entry) {
+	ln, rn := c.t.node(l), c.t.node(r)
+	if ln == nil || rn == nil {
+		return
 	}
-	return best
+	cost := c.b.JoinCost(ln, rn)
+	if c.found && !(cost < c.cost ||
+		cost == c.cost && joinKeyLess(c.t.key(l), c.t.key(r), c.t.key(c.l), c.t.key(c.r))) {
+		return
+	}
+	c.l, c.r, c.cost, c.found = l, r, cost, true
+}
+
+// join builds the winning candidate, or returns nil when none was offered.
+func (c *cheapest) join() *plan.Node {
+	if !c.found {
+		return nil
+	}
+	return c.b.Join(c.t.node(c.l), c.t.node(c.r))
+}
+
+// joinKeyLess reports whether canonKey(j(a1|a2)) < canonKey(j(b1|b2)),
+// given the operands' keys, without concatenating them: both keys are
+// "j(" + left + "|" + right + ")", so it compares the pieces after "j("
+// byte by byte in place.
+func joinKeyLess(a1, a2, b1, b2 string) bool {
+	a := [4]string{a1, "|", a2, ")"}
+	b := [4]string{b1, "|", b2, ")"}
+	var i, j int
+	as, bs := a[0], b[0]
+	for {
+		for as == "" && i < len(a)-1 {
+			i++
+			as = a[i]
+		}
+		for bs == "" && j < len(b)-1 {
+			j++
+			bs = b[j]
+		}
+		if as == "" || bs == "" {
+			return as == "" && bs != ""
+		}
+		n := min(len(as), len(bs))
+		if as[:n] != bs[:n] {
+			return as[:n] < bs[:n]
+		}
+		as, bs = as[n:], bs[n:]
+	}
 }
 
 // canonKey renders a plan's physical structure as a canonical string used
@@ -175,48 +216,50 @@ func cheapest(cands ...*plan.Node) *plan.Node {
 // does not canonicalize join commutativity: l ⋈* r and r ⋈* l are
 // different physical plans and the tie-break must order them.
 func canonKey(n *plan.Node) string {
-	var b strings.Builder
-	var walk func(m *plan.Node)
-	walk = func(m *plan.Node) {
-		if m == nil {
-			return
-		}
-		switch m.Op {
-		case plan.OpScan:
-			b.WriteString("s:")
-			b.WriteString(m.Table)
-		case plan.OpSelect:
-			keys := make([]string, 0, len(m.Pred))
-			for k := range m.Pred {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			b.WriteString("f[")
-			for i, k := range keys {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "%s=%d", k, m.Pred[k])
-			}
-			b.WriteString("](")
-			walk(m.Left)
-			b.WriteByte(')')
-		case plan.OpJoin:
-			b.WriteString("j(")
-			walk(m.Left)
-			b.WriteByte('|')
-			walk(m.Right)
-			b.WriteByte(')')
-		case plan.OpGroupBy:
-			b.WriteString("g[")
-			b.WriteString(strings.Join(m.GroupVars, ","))
-			b.WriteString("](")
-			walk(m.Left)
-			b.WriteByte(')')
-		}
+	return string(appendKey(make([]byte, 0, 64), n))
+}
+
+// appendKey appends canonKey(n) to dst.
+func appendKey(dst []byte, n *plan.Node) []byte {
+	if n == nil {
+		return dst
 	}
-	walk(n)
-	return b.String()
+	switch n.Op {
+	case plan.OpScan:
+		dst = append(dst, "s:"...)
+		dst = append(dst, n.Table...)
+	case plan.OpSelect:
+		keys := make([]string, 0, len(n.Pred))
+		for k := range n.Pred {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		dst = append(dst, "f["...)
+		for i, k := range keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, k...)
+			dst = append(dst, '=')
+			dst = strconv.AppendInt(dst, int64(n.Pred[k]), 10)
+		}
+		dst = append(dst, "]("...)
+		dst = append(appendKey(dst, n.Left), ')')
+	case plan.OpJoin:
+		dst = append(appendKey(append(dst, "j("...), n.Left), '|')
+		dst = append(appendKey(dst, n.Right), ')')
+	case plan.OpGroupBy:
+		dst = append(dst, "g["...)
+		for i, v := range n.GroupVars {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, v...)
+		}
+		dst = append(dst, "]("...)
+		dst = append(appendKey(dst, n.Left), ')')
+	}
+	return dst
 }
 
 // varsOfNodes unions the variable sets of the given nodes.

@@ -134,13 +134,14 @@ func (o VE) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 			vj = st.pick(o.Heuristic, v, b, rng)
 		}
 		v.clear(vj)
-		var rels, rest []*plan.Node
+		var rels []*plan.Node
 		var kept []veNode
+		restVars := st.newMask()
 		for _, n := range st.s {
 			if n.vars.has(vj) {
 				rels = append(rels, n.p)
 			} else {
-				rest = append(rest, n.p)
+				restVars.or(n.vars)
 				kept = append(kept, n)
 			}
 		}
@@ -149,7 +150,7 @@ func (o VE) Optimize(q *Query, b *plan.Builder) (*plan.Node, error) {
 			// the extended space).
 			continue
 		}
-		ctx := varsOfNodes(rest)
+		ctx := st.varSet(restVars)
 		// joinplan for rels(vj): plain VE uses pure join search; VE+ uses
 		// the CS+ greedy-conservative search that may interpose GroupBy
 		// nodes on join operands (delaying or anticipating eliminations,
@@ -284,6 +285,15 @@ func newVEState(leaves []*plan.Node, queryVars []string) *veState {
 
 func (st *veState) newMask() varMask { return make(varMask, (len(st.names)+63)/64) }
 
+// varSet returns the names of m's members.
+func (st *veState) varSet(m varMask) relation.VarSet {
+	s := make(relation.VarSet)
+	for i := m.next(0); i >= 0; i = m.next(i + 1) {
+		s[st.names[i]] = true
+	}
+	return s
+}
+
 // candidates returns every indexed variable except the query variables.
 func (st *veState) candidates() varMask {
 	v := st.newMask()
@@ -301,10 +311,11 @@ func (st *veState) node(p *plan.Node) veNode {
 		n.dist[i] = math.Inf(1)
 	}
 	for v := range p.Vars() {
-		i := st.index[v]
-		n.vars.set(i)
-		if d, ok := p.Est.Distinct[v]; ok {
-			n.dist[i] = d
+		n.vars.set(st.index[v])
+	}
+	for _, d := range p.Est.Distinct {
+		if i, ok := st.index[d.Var]; ok && n.vars.has(i) {
+			n.dist[i] = d.N
 		}
 	}
 	return n

@@ -11,6 +11,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,15 +87,16 @@ func (b *Builder) Scan(table string) (*Node, error) {
 	est := cost.Estimate{
 		Card:     float64(st.Card),
 		Arity:    len(st.Attrs),
-		Distinct: make(map[string]float64, len(st.Attrs)),
+		Distinct: make([]cost.VarDistinct, len(st.Attrs)),
 	}
-	for _, a := range st.Attrs {
+	for i, a := range st.Attrs {
 		d := st.Distinct[a.Name]
 		if d <= 0 {
 			d = int64(a.Domain)
 		}
-		est.Distinct[a.Name] = float64(d)
+		est.Distinct[i] = cost.VarDistinct{Var: a.Name, N: float64(d)}
 	}
+	slices.SortFunc(est.Distinct, func(x, y cost.VarDistinct) int { return strings.Compare(x.Var, y.Var) })
 	n := &Node{
 		Op:    OpScan,
 		Table: table,
@@ -134,19 +136,32 @@ func (b *Builder) Select(in *Node, pred relation.Predicate) (*Node, error) {
 	return n, nil
 }
 
-// Join builds a product-join node.
+// Join builds a product-join node. Its TotalCost is JoinCost(l, r).
 func (b *Builder) Join(l, r *Node) *Node {
-	est := cost.JoinEstimate(l.Est, r.Est)
 	n := &Node{
 		Op:    OpJoin,
 		Left:  l,
 		Right: r,
-		Est:   est,
+		Est:   cost.JoinEstimate(l.Est, r.Est),
 		vars:  l.vars.Union(r.vars),
 	}
-	n.OpCost = b.Model.JoinCost(l.Est, r.Est, est)
-	n.TotalCost = l.TotalCost + r.TotalCost + n.OpCost
+	n.OpCost, n.TotalCost = b.joinCost(l, r)
 	return n
+}
+
+// JoinCost returns the TotalCost Join(l, r) would have, without building
+// the node or allocating: optimizers price every candidate join with it
+// and build only the winners.
+func (b *Builder) JoinCost(l, r *Node) float64 {
+	_, total := b.joinCost(l, r)
+	return total
+}
+
+// joinCost prices the join of l and r from its size estimate alone, for
+// both Join and JoinCost, so a priced and a built join cannot differ.
+func (b *Builder) joinCost(l, r *Node) (op, total float64) {
+	op = b.Model.JoinCost(l.Est, r.Est, cost.JoinSize(l.Est, r.Est))
+	return op, l.TotalCost + r.TotalCost + op
 }
 
 // GroupBy builds a marginalizing GroupBy keeping the given variables,

@@ -88,6 +88,9 @@ func TestJoinEstimateAndCost(t *testing.T) {
 	if j.TotalCost != a.TotalCost+bb.TotalCost+j.OpCost {
 		t.Fatal("total cost not cumulative")
 	}
+	if got := b.JoinCost(a, bb); got != j.TotalCost {
+		t.Fatalf("JoinCost = %v, want the built join's TotalCost %v", got, j.TotalCost)
+	}
 }
 
 func TestPlanShapeHelpers(t *testing.T) {
