@@ -157,24 +157,32 @@ func (q *QuerySpec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// resultJSON is the wire form of a Result. The plan travels as its
-// rendered text — plans are diagnostic output on the wire, not an
-// executable structure — so unmarshaling a Result leaves Plan nil and
-// keeps only the rendering. RunStats carries its own snake_case json
-// tags (see internal/exec), so it encodes with the default machinery.
+// resultJSON is the wire form of a Result besides its relation, which
+// the relation codec writes and reads in place (Relation.AppendJSON,
+// relation.UnmarshalJSONMember), so its bytes pass through
+// encoding/json neither way. The plan travels as its rendered text —
+// plans are diagnostic output on the wire, not an executable structure —
+// so unmarshaling a Result leaves Plan nil and keeps only the rendering.
+// RunStats carries its own snake_case json tags (see internal/exec), so
+// it encodes with the default machinery.
 type resultJSON struct {
-	Relation   *relation.Relation `json:"relation,omitempty"`
-	Plan       string             `json:"plan,omitempty"`
-	OptimizeNS int64              `json:"optimize_ns"`
-	Snapshot   int64              `json:"snapshot,omitempty"`
-	Exec       exec.RunStats      `json:"exec"`
+	Plan       string        `json:"plan,omitempty"`
+	OptimizeNS int64         `json:"optimize_ns"`
+	Snapshot   int64         `json:"snapshot,omitempty"`
+	Exec       exec.RunStats `json:"exec"`
 }
 
 // MarshalJSON encodes the result with its relation, rendered plan, and
-// execution stats.
+// execution stats; it is AppendJSON(nil).
 func (r *Result) MarshalJSON() ([]byte, error) {
+	return r.AppendJSON(nil)
+}
+
+// AppendJSON appends the result's wire form to dst and returns the
+// extended buffer: {"relation":...} first (omitted when nil), then the
+// rendered plan, optimize time, snapshot and execution stats.
+func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	w := resultJSON{
-		Relation:   r.Relation,
 		OptimizeNS: r.Optimize.Nanoseconds(),
 		Snapshot:   r.Snapshot,
 		Exec:       r.Exec,
@@ -182,19 +190,33 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	if r.Plan != nil {
 		w.Plan = r.Plan.String()
 	}
-	return json.Marshal(w)
+	tail, err := json.Marshal(&w)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, '{')
+	if r.Relation != nil {
+		dst = append(dst, `"relation":`...)
+		dst = append(r.Relation.AppendJSON(dst), ',')
+	}
+	// tail is a non-empty object: optimize_ns and exec are always there.
+	return append(dst, tail[1:]...), nil
 }
 
-// UnmarshalJSON decodes the wire form. Plan stays nil (the wire carries
-// only its rendering); Trace is restored as an alias of Exec.Trace,
-// matching how core fills it.
+// UnmarshalJSON decodes the wire form in one pass over the relation.
+// Plan stays nil (the wire carries only its rendering); Trace is
+// restored as an alias of Exec.Trace, matching how core fills it.
 func (r *Result) UnmarshalJSON(data []byte) error {
+	rel, rest, err := relation.UnmarshalJSONMember(data, "relation")
+	if err != nil {
+		return err
+	}
 	var w resultJSON
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := json.Unmarshal(rest, &w); err != nil {
 		return err
 	}
 	*r = Result{
-		Relation: w.Relation,
+		Relation: rel,
 		Optimize: time.Duration(w.OptimizeNS),
 		Snapshot: w.Snapshot,
 		Exec:     w.Exec,

@@ -150,6 +150,16 @@ func (r *Relation) SetMeasure(row int, m float64) { r.measures[row] = m }
 // Append adds a row. The number of values must equal the arity and each
 // value must lie within its attribute's domain.
 func (r *Relation) Append(vals []int32, measure float64) error {
+	if err := r.checkRow(vals); err != nil {
+		return err
+	}
+	r.vals = append(r.vals, vals...)
+	r.measures = append(r.measures, measure)
+	return nil
+}
+
+// checkRow checks a row's values against the schema, as Append does.
+func (r *Relation) checkRow(vals []int32) error {
 	if len(vals) != len(r.attrs) {
 		return fmt.Errorf("relation %s: Append got %d values, want %d", r.name, len(vals), len(r.attrs))
 	}
@@ -159,8 +169,6 @@ func (r *Relation) Append(vals []int32, measure float64) error {
 				r.name, v, r.attrs[i].Domain, r.attrs[i].Name)
 		}
 	}
-	r.vals = append(r.vals, vals...)
-	r.measures = append(r.measures, measure)
 	return nil
 }
 

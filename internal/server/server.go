@@ -345,7 +345,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{Result: res})
+	writeMember(w, "result", res.AppendJSON)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -406,7 +406,7 @@ func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MaterializeResponse{Relation: rel})
+	writeMember(w, "relation", func(dst []byte) ([]byte, error) { return rel.AppendJSON(dst), nil })
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {

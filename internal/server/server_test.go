@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -395,6 +396,31 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	writeJSON(rec, http.StatusOK, math.Inf(1))
 	if rec.Code != http.StatusInternalServerError || envelope(t, rec.Body.Bytes()).Code != "internal" {
 		t.Fatalf("unencodable response answered %d: %q", rec.Code, rec.Body)
+	}
+}
+
+// TestWriteMember: a query or materialize answer written into the pooled
+// buffer is byte for byte what writeJSON writes for the same response,
+// and one that does not encode is answered with the typed 500 envelope.
+func TestWriteMember(t *testing.T) {
+	rel, err := mpf.FromRows("r", []mpf.Attr{{Name: "a", Domain: 3}},
+		[][]int32{{0}, {2}}, []float64{0.5, math.Inf(-1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := httptest.NewRecorder()
+	writeJSON(want, http.StatusOK, MaterializeResponse{Relation: rel})
+	for i := 0; i < 2; i++ { // the second answer reuses the first one's buffer
+		rec := httptest.NewRecorder()
+		writeMember(rec, "relation", func(dst []byte) ([]byte, error) { return rel.AppendJSON(dst), nil })
+		if rec.Code != http.StatusOK || rec.Body.String() != want.Body.String() {
+			t.Fatalf("answered %d %q, writeJSON writes %q", rec.Code, rec.Body, want.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeMember(rec, "result", func(dst []byte) ([]byte, error) { return dst, errors.New("no encoding") })
+	if rec.Code != http.StatusInternalServerError || envelope(t, rec.Body.Bytes()).Code != "internal" {
+		t.Fatalf("unencodable answer answered %d: %q", rec.Code, rec.Body)
 	}
 }
 

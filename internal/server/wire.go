@@ -3,8 +3,8 @@
 // deadlines and resource budgets, token-bucket admission control, and
 // graceful drain. The wire encoding of queries, relations, and results
 // is the canonical JSON form defined by the mpf package
-// (QuerySpec/Relation/Result MarshalJSON); this package adds the
-// request/response framing and the error envelope.
+// (QuerySpec/Relation/Result MarshalJSON, DESIGN.md "Wire protocol");
+// this package adds the request/response framing and the error envelope.
 //
 // Endpoints (all payloads JSON):
 //
@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"mpf"
 	"mpf/internal/relation"
@@ -204,15 +205,46 @@ func statusOf(code string) int {
 // 500 internal envelope, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
+	writeEncoded(w, status, append(data, '\n'), err)
+}
+
+// bodies recycles the buffers writeMember encodes answers into.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody bounds the buffer writeMember returns to the pool, so one
+// large answer does not pin its buffer for every later request.
+const maxPooledBody = 1 << 20
+
+// writeMember answers 200 with the body {"<key>":<value>}, the value
+// appended by appendValue into a pooled buffer: the canonical encoding of
+// a query's Result or a materialized Relation, written in one pass with no
+// copy through encoding/json. Like writeJSON it encodes the whole body
+// before writing the header.
+func writeMember(w http.ResponseWriter, key string, appendValue func([]byte) ([]byte, error)) {
+	buf := bodies.Get().(*[]byte)
+	body := append(append(append((*buf)[:0], `{"`...), key...), `":`...)
+	body, err := appendValue(body)
+	body = append(body, "}\n"...)
+	writeEncoded(w, http.StatusOK, body, err)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodies.Put(buf)
+	}
+}
+
+// writeEncoded writes an encoded JSON body with its status, or, when
+// encoding it failed, the typed 500 internal envelope.
+func writeEncoded(w http.ResponseWriter, status int, body []byte, err error) {
 	if err != nil {
 		status = statusOf("internal")
 		// Two strings always encode.
-		data, _ = json.Marshal(ErrorEnvelope{Error: fmt.Sprintf("encoding response: %v", err), Code: "internal"})
+		body, _ = json.Marshal(ErrorEnvelope{Error: fmt.Sprintf("encoding response: %v", err), Code: "internal"})
+		body = append(body, '\n')
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// A failed write means the client has gone; there is no one to tell.
-	w.Write(append(data, '\n'))
+	w.Write(body)
 }
 
 // writeError writes the error envelope for an engine error, classifying

@@ -111,6 +111,10 @@ func TestRelationJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	total, err := FromRows("total", nil, [][]int32{{}}, []float64{2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		rel  *Relation
 		wire string
@@ -118,6 +122,8 @@ func TestRelationJSONRoundTrip(t *testing.T) {
 		{r, `{"name":"price","attrs":[{"name":"pid","domain":3},{"name":"tid","domain":2}],"rows":[[2,0],[0,1],[1,1]],"measures":[4.5,0,1.7976931348623157e+308]}`},
 		{MustNewRelation(t, "empty", []Attr{{Name: "x", Domain: 1}}), `{"name":"empty","attrs":[{"name":"x","domain":1}],"rows":[],"measures":[]}`},
 		{nonFinite, `{"name":"logp","attrs":[{"name":"x","domain":4}],"rows":[[0],[1],[2],[3]],"measures":["-Infinity",-0.25,"Infinity","NaN"]}`},
+		// A total aggregate has no variables: lists, not nulls.
+		{total, `{"name":"total","attrs":[],"rows":[[]],"measures":[2.5]}`},
 	} {
 		rel := tc.rel
 		data, err := json.Marshal(rel)
@@ -139,6 +145,15 @@ func TestRelationJSONRoundTrip(t *testing.T) {
 				t.Fatalf("row %d changed in round trip: %s", i, data)
 			}
 		}
+	}
+
+	// The null form older encoders wrote for a total aggregate still decodes.
+	var old Relation
+	if err := json.Unmarshal([]byte(`{"name":"total","attrs":null,"rows":[null],"measures":[2.5]}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Arity() != 0 || old.Len() != 1 || old.Measure(0) != 2.5 {
+		t.Fatalf("arity-0 null form decoded as %v", &old)
 	}
 
 	for _, bad := range []string{
@@ -214,6 +229,61 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 	if len(back.Trace) != len(res.Trace) {
 		t.Fatalf("round trip changed trace: %d spans, want %d", len(back.Trace), len(res.Trace))
+	}
+}
+
+// TestResultJSONBytes pins the Result encoding, which writes its
+// relation inline, to the bytes encoding/json writes for the same fields
+// in the same order, with and without a relation.
+func TestResultJSONBytes(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r, err := FromRows("costs", []Attr{{Name: "a", Domain: 2}}, [][]int32{{0}, {1}}, []float64{1.5, math.Inf(-1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateView("v", []string{"costs"}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(&QuerySpec{View: "v", GroupVars: []string{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type layout struct {
+		Relation   json.RawMessage `json:"relation,omitempty"`
+		Plan       string          `json:"plan,omitempty"`
+		OptimizeNS int64           `json:"optimize_ns"`
+		Snapshot   int64           `json:"snapshot,omitempty"`
+		Exec       RunStats        `json:"exec"`
+	}
+	rel, err := json.Marshal(res.Relation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		res  *Result
+		want layout
+	}{
+		{res, layout{rel, res.Plan.String(), res.Optimize.Nanoseconds(), res.Snapshot, res.Exec}},
+		{&Result{Exec: res.Exec}, layout{Exec: res.Exec}},
+	} {
+		got, err := json.Marshal(tc.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("result encodes\n%s\nwant\n%s", got, want)
+		}
 	}
 }
 
