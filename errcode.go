@@ -20,6 +20,7 @@ var errorCodes = []struct {
 	{ErrCanceled, "canceled"},
 	{ErrCorrupt, "corrupt"},
 	{ErrIO, "io"},
+	{ErrPoolExhausted, "pool_exhausted"},
 }
 
 // ErrorCode classifies an error from the Database API as a stable,

@@ -72,6 +72,7 @@ func TestErrorCodeTotal(t *testing.T) {
 		"ErrIO":              ErrIO,
 		"ErrCorrupt":         ErrCorrupt,
 		"ErrBudget":          ErrBudget,
+		"ErrPoolExhausted":   ErrPoolExhausted,
 	}
 	seen := map[string]string{}
 	for _, name := range exportedSentinels(t) {

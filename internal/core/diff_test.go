@@ -1105,8 +1105,8 @@ func (r *diffRun) concurrent() {
 	// Left out of the draw: a small pool under concurrent queries. Frames
 	// are not reserved per query, so parallel Grace partitioning in two
 	// readers beside the writer can pin all 6–8 frames, and a Pin fails
-	// untyped with "all frames pinned" (ROADMAP item 5; seeds 265 and 736,
-	// both variant=grace workers=4).
+	// with ErrPoolExhausted (ROADMAP item 5; seeds 265 and 736, both
+	// variant=grace workers=4).
 	c := r.cfg
 	c.frames = 256
 	db := r.open(c, nil)

@@ -61,6 +61,10 @@ var (
 	// cleanly — temps dropped, no frames pinned — and the database keeps
 	// serving.
 	ErrBudget = exec.ErrBudget
+	// ErrPoolExhausted reports a query that found every buffer-pool frame
+	// pinned by concurrent work. It is the storage sentinel; the query
+	// fails cleanly and may succeed when retried under less load.
+	ErrPoolExhausted = storage.ErrPoolExhausted
 )
 
 // CancelError wraps the context error that ended a query. errors.Is

@@ -11,7 +11,10 @@ package exec
 
 import (
 	"context"
+	"math"
 
+	"mpf/internal/relation"
+	"mpf/internal/semiring"
 	"mpf/internal/storage"
 )
 
@@ -115,18 +118,28 @@ func (h *hashBuild) lookup(key []int32) (rows rowSpan, gi int) {
 	if !ok {
 		return rowSpan{}, -1
 	}
+	return h.span(int32(gi)), gi
+}
+
+// span returns the build rows of key group gi.
+func (h *hashBuild) span(gi int32) rowSpan {
 	if h.off == nil {
-		return rowSpan{int32(gi), int32(gi) + 1}, gi
+		return rowSpan{gi, gi + 1}
 	}
-	return rowSpan{h.off[gi], h.off[gi+1]}, gi
+	return rowSpan{h.off[gi], h.off[gi+1]}
 }
 
 // buildBatch scans build's heap into a hashBuild keyed on buildCols.
 func (e *Engine) buildBatch(ctx context.Context, build *Table, buildCols []int, st *RunStats) (*hashBuild, error) {
 	n := int(build.Heap.NumTuples())
 	arity := len(build.Attrs)
+	var ka [maxRadixCols]relation.Attr
+	keyAttrs := ka[:0]
+	for _, c := range buildCols {
+		keyAttrs = append(keyAttrs, build.Attrs[c])
+	}
 	hb := &hashBuild{
-		idx:   newKeyIndex(len(buildCols), n),
+		idx:   newAttrKeyIndex(keyAttrs, n),
 		arity: arity,
 		vals:  make([]int32, 0, n*arity),
 		meas:  make([]float64, 0, n),
@@ -196,43 +209,138 @@ type batchAgg struct {
 	arity int
 }
 
-// newBatchAgg returns an empty aggregation over keys of the given arity.
-func newBatchAgg(arity int) *batchAgg {
-	return &batchAgg{idx: newKeyIndex(arity, 0), arity: arity}
+// newBatchAgg returns an empty aggregation keyed on attrs, the group
+// key's attributes, expecting about hint input rows (0 when unknown).
+func newBatchAgg(attrs []relation.Attr, hint int) *batchAgg {
+	return &batchAgg{idx: newAttrKeyIndex(attrs, hint), arity: len(attrs)}
 }
 
-// absorb folds one measure into the group with the given key (the row's
-// group-column values), creating the group on first sight, and returns
-// the group's position (for memo fast paths that cache positions per
-// dictionary code).
-func (a *batchAgg) absorb(e *Engine, key []int32, m float64) int {
-	gi, added := a.group(key)
-	if added {
-		a.meas[gi] = m
-	} else {
-		a.meas[gi] = e.Sr.Add(a.meas[gi], m)
+// newAttrKeyIndex is newKeyIndex over a key of the attributes attrs,
+// passing their declared domains.
+func newAttrKeyIndex(attrs []relation.Attr, hint int) *keyIndex {
+	var doms [maxRadixCols]int32
+	n := min(len(attrs), maxRadixCols)
+	for j, a := range attrs[:n] {
+		doms[j] = int32(min(a.Domain, math.MaxInt32))
 	}
-	return gi
+	return newKeyIndex(len(attrs), hint, doms[:n]...)
 }
 
 // group returns the position of key's group, appending the group — its
 // measure still to be set by the caller — when key is new.
-func (a *batchAgg) group(key []int32) (gi int, added bool) {
-	gi, added = a.idx.put(key)
+func (a *batchAgg) group(key []int32) (gi int32, added bool) {
+	pos, added := a.idx.put(key)
 	if added {
 		a.vals = append(a.vals, key...)
 		a.meas = append(a.meas, 0)
 	}
-	return gi, added
+	return int32(pos), added
+}
+
+// slotCol is the slot pass over single-column keys: out[j] becomes the
+// group of vals[j], groups new to a are created in row order and
+// flagged in first, and the result reports whether any was.
+func (a *batchAgg) slotCol(vals, out []int32, first []bool) (created bool) {
+	if !a.idx.putCol(vals, out, first) {
+		return false
+	}
+	for j, f := range first[:len(vals)] {
+		if f {
+			a.vals = append(a.vals, vals[j])
+			a.meas = append(a.meas, 0)
+		}
+	}
+	return true
+}
+
+// slotRows is slotCol over keys spread across columns: row lo+j of cols
+// (one slice per key column) is key j; key is scratch of arity values.
+func (a *batchAgg) slotRows(cols [][]int32, lo int, out []int32, first []bool, key []int32) (created bool) {
+	if a.arity == 1 {
+		return a.slotCol(cols[0][lo:lo+len(out)], out, first)
+	}
+	if !a.idx.putRows(cols, lo, out, first, key) {
+		return false
+	}
+	for j, f := range first[:len(out)] {
+		if f {
+			for _, col := range cols {
+				a.vals = append(a.vals, col[lo+j])
+			}
+			a.meas = append(a.meas, 0)
+		}
+	}
+	return true
 }
 
 // merge absorbs every group of b, in b's first-seen order: b's groups
 // new to a are appended after a's own, and a shared group's measure
-// becomes Add(a's, b's).
+// becomes Add(a's, b's) — a chunk of groups at a time, slots first and
+// then one batch fold.
 func (a *batchAgg) merge(e *Engine, b *batchAgg) {
-	for g, m := range b.meas {
-		a.absorb(e, b.vals[g*a.arity:(g+1)*a.arity], m)
+	var sc foldScratch
+	for g0 := 0; g0 < len(b.meas); g0 += foldChunk {
+		g1 := min(g0+foldChunk, len(b.meas))
+		slots, first := sc.slots[:g1-g0], sc.first[:g1-g0]
+		created := false
+		if a.arity == 1 {
+			created = a.slotCol(b.vals[g0:g1], slots, first)
+		} else {
+			for g := g0; g < g1; g++ {
+				slots[g-g0], first[g-g0] = a.group(b.vals[g*a.arity : (g+1)*a.arity])
+				created = created || first[g-g0]
+			}
+		}
+		semiring.AddAt(e.Sr, a.meas, slots, b.meas[g0:g1], firstIf(created, first))
 	}
+}
+
+// foldChunk is the row count of one staged pass of the aggregating
+// kernels (DESIGN.md, "Batch execution"): at most a page of rows, small
+// enough that the scratch stays in L1.
+const foldChunk = 256
+
+// foldScratch is one chunk's scratch: the resolved build groups per
+// input row, and per fold element its one-column group key, group slot,
+// first-contribution flag and the fold's two measures. Kernels declare it
+// as a local, so it lives on the goroutine's stack and is never
+// allocated.
+type foldScratch struct {
+	at    [foldChunk]int32
+	keys  [foldChunk]int32
+	slots [foldChunk]int32
+	first [foldChunk]bool
+	a, b  [foldChunk]float64
+}
+
+// zeroSlots addresses one accumulator foldChunk times over: the batch
+// fold's slots when a run of measures folds into a single group.
+var zeroSlots [foldChunk]int32
+
+// foldPairs folds the first n gathered pairs — build measures in a,
+// probe measures in b — into agg in one batch call, each contributing
+// Mul(build, probe) in the join's left/right argument order. With byKey
+// their groups are still to be found — keys holds each pair's
+// one-column group key — and are slotted here in pair order; otherwise
+// slots, first and created are already set.
+func (sc *foldScratch) foldPairs(e *Engine, agg *batchAgg, n int, byKey, created, buildIsLeft bool) {
+	if byKey {
+		created = agg.slotCol(sc.keys[:n], sc.slots[:n], sc.first[:n])
+	}
+	l, r := sc.a[:n], sc.b[:n]
+	if !buildIsLeft {
+		l, r = r, l
+	}
+	semiring.MulAddAt(e.Sr, agg.meas, sc.slots[:n], l, r, firstIf(created, sc.first[:n]))
+}
+
+// firstIf returns first when some group was created in the chunk, nil
+// (no first contributions) otherwise.
+func firstIf(created bool, first []bool) []bool {
+	if created {
+		return first
+	}
+	return nil
 }
 
 // reset empties a for reuse, keeping its allocations.

@@ -3,19 +3,22 @@ package exec
 // Encoded-batch operator kernels — the executor's only tier. They
 // consume storage.ColBatch views and operate on the page encodings
 // directly: an equality predicate is checked once per RLE run instead of
-// once per row, and dictionary/byte codes feed per-batch memo tables so a
-// group-by or join probe does one keyIndex lookup per distinct code per
-// batch instead of one per row. Row-major pages arrive as all-plain
-// views (storage.ColBatchIterator does the transposition), so they take
-// the same kernels through the plain branches. The canonical hash key is
-// always the decoded column values through the keyIndex — per-page
-// dictionary codes only short-circuit lookups, never key tables — so
-// mixed columnar/row-major/fallback pages aggregate and join
-// consistently. Every kernel emits rows in scan order, and RLE
-// aggregation folds measures in row order within a run — collapsing a
-// measure span in O(1) only when the semiring proves the collapsed
-// result bit-identical to the iterated fold (fold.go) — so results are
-// byte-identical across page layouts, float accumulation order included.
+// once per row, a group-by or join probe looks a single-column key up
+// once per RLE run, and selection and partitioning compare or hash
+// byte/dictionary codes once per distinct code per batch. Row-major
+// pages arrive as all-plain views (storage.ColBatchIterator does the
+// transposition), so they take the same kernels through the plain
+// branches. The canonical hash key is always the decoded column values
+// through the keyIndex — per-page dictionary codes never key a table —
+// so mixed columnar/row-major/fallback pages aggregate and join
+// consistently. Every other key of the aggregating kernels and of the
+// hash-join probe takes the staged resolve/slot/fold passes of
+// DESIGN.md, "Batch execution". Every kernel emits rows in scan
+// order, and aggregation folds measures in row order — RLE runs
+// collapse a measure span in O(1) only when the semiring proves the
+// collapsed result bit-identical to the iterated fold (fold.go) — so
+// results are byte-identical across page layouts, float accumulation
+// order included.
 
 import (
 	"context"
@@ -165,15 +168,14 @@ func (a *batchAgg) absorbRun(e *Engine, rf semiring.RunFolder, key []int32, meas
 
 // aggregateColBatch is one leaf of the encoded hash aggregation: it
 // folds the batches of it, grouped on cols, into agg. A single-column
-// group key hits the encoding fast paths (one lookup per RLE run, one
-// lookup per distinct byte/dict code per batch); wider keys gather the
-// key columns and use the canonical path.
+// RLE key does one lookup per run; every other key runs the staged slot
+// and fold passes over the flattened key columns.
 func (e *Engine) aggregateColBatch(ctx context.Context, it *storage.ColBatchIterator, cols []int, agg *batchAgg, lb *leafBudget, st *RunStats) error {
 	rf := e.runFolder()
 	key := make([]int32, len(cols))
 	kf := make([][]int32, 0, len(cols)) // flattened key columns
 	single := len(cols) == 1
-	var memo [256]int32 // group position + 1 per code, per batch
+	var sc foldScratch
 	for {
 		cb, ok := it.Next()
 		if !ok {
@@ -193,30 +195,8 @@ func (e *Engine) aggregateColBatch(ctx context.Context, it *storage.ColBatchIter
 					agg.absorbRun(e, rf, key, cb.Measures[i:i+r.Len])
 					i += r.Len
 				}
-			case storage.EncByte, storage.EncDict:
-				ncodes := len(v.Dict)
-				if v.Enc == storage.EncByte {
-					ncodes = 256
-				}
-				for i := 0; i < ncodes; i++ {
-					memo[i] = 0
-				}
-				for i, code := range v.Codes {
-					if gi := memo[code]; gi != 0 {
-						agg.meas[gi-1] = e.Sr.Add(agg.meas[gi-1], cb.Measures[i])
-						continue
-					}
-					key[0] = int32(code)
-					if v.Enc == storage.EncDict {
-						key[0] = v.Dict[code]
-					}
-					memo[code] = int32(agg.absorb(e, key, cb.Measures[i])) + 1
-				}
 			default:
-				for i, val := range v.Plain {
-					key[0] = val
-					agg.absorb(e, key, cb.Measures[i])
-				}
+				agg.foldRows(e, [][]int32{v.Flat()}, cb.Measures, key, &sc)
 			}
 		} else {
 			// Only the key columns are read, so only they are flattened.
@@ -224,12 +204,7 @@ func (e *Engine) aggregateColBatch(ctx context.Context, it *storage.ColBatchIter
 			for _, c := range cols {
 				kf = append(kf, cb.Cols[c].Flat())
 			}
-			for i := 0; i < cb.Len(); i++ {
-				for k := range kf {
-					key[k] = kf[k][i]
-				}
-				agg.absorb(e, key, cb.Measures[i])
-			}
+			agg.foldRows(e, kf, cb.Measures, key, &sc)
 		}
 		if err := lb.check(agg); err != nil {
 			return err
@@ -237,16 +212,28 @@ func (e *Engine) aggregateColBatch(ctx context.Context, it *storage.ColBatchIter
 	}
 }
 
+// foldRows aggregates rows of flattened key columns kf with measures
+// meas, a chunk at a time: the slot pass resolves every row's group,
+// then one batch fold adds the chunk's measures in row order.
+func (a *batchAgg) foldRows(e *Engine, kf [][]int32, meas []float64, key []int32, sc *foldScratch) {
+	for i0 := 0; i0 < len(meas); i0 += foldChunk {
+		n := min(foldChunk, len(meas)-i0)
+		slots, first := sc.slots[:n], sc.first[:n]
+		created := a.slotRows(kf, i0, slots, first, key)
+		semiring.AddAt(e.Sr, a.meas, slots, meas[i0:i0+n], firstIf(created, first))
+	}
+}
+
 // hashJoinIntoColBatch is the encoded in-memory-build hash join: build
 // with buildBatch (row-major decoding works on any page format),
-// then probe encoded batches, memoizing the group lookup per dictionary
-// code (or per RLE run) on single-column join keys. Multi-column keys
-// encode straight from the flattened KEY columns — no full-row gather —
-// and probe the build table once per composed span when every key
-// column run-length encodes. Output rows assemble in place: only the
-// probe columns the output actually carries (the left columns when the
-// probe is the left input, r's extra columns otherwise) are ever read,
-// so wide probe rows with few surviving columns cost what they keep.
+// then probe encoded batches: once per RLE run on a single-column join
+// key, once per composed span when every column of a multi-column key
+// run-length encodes, and otherwise by the staged resolve pass over the
+// flattened KEY columns — no full-row gather. Output rows assemble in
+// place: only the probe columns the output actually carries (the left
+// columns when the probe is the left input, r's extra columns
+// otherwise) are ever read, so wide probe rows with few surviving
+// columns cost what they keep.
 // Rows are emitted in probe scan order, build rows in build scan order.
 func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Table, buildCols, probeCols, rExtra []int, buildIsLeft bool, out *Table, st *RunStats) error {
 	hb, err := e.buildBatch(ctx, build, buildCols, st)
@@ -259,11 +246,10 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 	key := make([]int32, len(probeCols))
 	nl := len(l.Attrs)
 	single := len(probeCols) == 1
-	var memo [256]rowSpan // matches per code, per batch
-	var memoSet [256]bool
-	var kf [][]int32  // flattened key columns (multi-column path)
-	var spanIdx []int // per-key-column run cursor (all-RLE path)
-	var spanRem []int // rows left in each cursor's current run
+	var kf [][]int32            // flattened key columns (multi-column path)
+	var spanIdx []int           // per-key-column run cursor (all-RLE path)
+	var spanRem []int           // rows left in each cursor's current run
+	var groups [foldChunk]int32 // the resolve pass's build key groups
 	it := probe.Heap.ScanColBatchesContext(ctx)
 	defer it.Close()
 	for {
@@ -307,18 +293,14 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 			}
 			return nil
 		}
-		lookup1 := func(val int32) rowSpan {
-			key[0] = val
-			rows, _ := hb.lookup(key)
-			return rows
-		}
 		if single {
 			v := &cb.Cols[probeCols[0]]
 			switch v.Enc {
 			case storage.EncRLE:
 				i := 0
 				for _, r := range v.Runs {
-					rows := lookup1(r.Val)
+					key[0] = r.Val
+					rows, _ := hb.lookup(key)
 					if rows.len() == 0 {
 						i += r.Len
 						continue
@@ -329,32 +311,6 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 						}
 					}
 					i += r.Len
-				}
-				continue
-			case storage.EncByte, storage.EncDict:
-				ncodes := len(v.Dict)
-				if v.Enc == storage.EncByte {
-					ncodes = 256
-				}
-				for i := 0; i < ncodes; i++ {
-					memoSet[i] = false
-				}
-				for i, code := range v.Codes {
-					if !memoSet[code] {
-						val := int32(code)
-						if v.Enc == storage.EncDict {
-							val = v.Dict[code]
-						}
-						memo[code] = lookup1(val)
-						memoSet[code] = true
-					}
-					rows := memo[code]
-					if rows.len() == 0 {
-						continue
-					}
-					if err := emitAt(rows, i, cb.Measures[i]); err != nil {
-						return err
-					}
 				}
 				continue
 			}
@@ -403,20 +359,22 @@ func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Tabl
 			}
 			continue
 		}
+		// Every other key: resolve a chunk of rows to build key groups in
+		// one pass, then emit the matches in row order.
 		kf = kf[:0]
 		for _, c := range probeCols {
 			kf = append(kf, cb.Cols[c].Flat())
 		}
-		for i := 0; i < n; i++ {
-			for k := range kf {
-				key[k] = kf[k][i]
-			}
-			rows, _ := hb.lookup(key)
-			if rows.len() == 0 {
-				continue
-			}
-			if err := emitAt(rows, i, cb.Measures[i]); err != nil {
-				return err
+		for i0 := 0; i0 < n; i0 += foldChunk {
+			at := groups[:min(foldChunk, n-i0)]
+			hb.idx.getRows(kf, i0, at, key)
+			for j, gi := range at {
+				if gi < 0 {
+					continue
+				}
+				if err := emitAt(hb.span(gi), i0+j, cb.Measures[i0+j]); err != nil {
+					return err
+				}
 			}
 		}
 	}

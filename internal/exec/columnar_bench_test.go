@@ -203,9 +203,47 @@ func BenchmarkColumnarFusedJoinGroupBy(b *testing.B) {
 	}
 }
 
+// BenchmarkColumnarFusedJoinGroupByPlainKey is the fused kernel on the
+// shape that dominates the supply-chain decision-support queries: a
+// row-major probe whose 40 000-value join key never encodes (so every
+// batch takes the staged resolve/slot/fold passes), unique build keys,
+// and a group on a probe-side column. It reports ns per probe row.
+func BenchmarkColumnarFusedJoinGroupByPlainKey(b *testing.B) {
+	const rows, keys, groups = 200000, 40000, 2000
+	rng := rand.New(rand.NewSource(31))
+	probe := relation.MustNew("loc", []relation.Attr{{Name: "P", Domain: keys}, {Name: "W", Domain: groups}})
+	seen := make(map[[2]int32]bool, rows)
+	for probe.Len() < rows {
+		k := [2]int32{rng.Int31n(keys), rng.Int31n(groups)}
+		if !seen[k] {
+			seen[k] = true
+			probe.MustAppend(k[:], 1+49*rng.Float64())
+		}
+	}
+	build := relation.MustNew("con", []relation.Attr{{Name: "P", Domain: keys}})
+	for p := 0; p < keys; p++ {
+		if rng.Intn(8) < 5 { // about 25 000 of the 40 000 keys, as γ(contracts)
+			build.MustAppend([]int32{int32(p)}, 1+99*rng.Float64())
+		}
+	}
+	b.Run("rowmajor", func(b *testing.B) {
+		h := newHarness(b, 8192, probe, build)
+		h.engine.FuseJoinGroupBy = true
+		pb := h.builder()
+		runPlanBench(b, h, func() *plan.Node {
+			g, err := pb.GroupBy(pb.Join(mustScan(pb, "loc"), mustScan(pb, "con")), []string{"W"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return g
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	})
+}
+
 // BenchmarkColumnarGroupBy measures hash aggregation on a byte-coded
-// group key: one keyIndex lookup per distinct code per batch instead of
-// one per row.
+// group key: the staged slot and fold passes over the key's flat view
+// (DESIGN.md, "Batch execution").
 func BenchmarkColumnarGroupBy(b *testing.B) {
 	rel := benchColRel("t", 40000)
 	for _, mode := range columnarModes {

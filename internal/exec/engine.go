@@ -590,7 +590,7 @@ func (e *Engine) hashGroupBy(ctx context.Context, in *Table, groupVars []string,
 	if err != nil {
 		return nil, err
 	}
-	agg, err := e.foldLeaves(ctx, "GroupBy", in.Heap, len(cols), st,
+	agg, err := e.foldLeaves(ctx, "GroupBy", in.Heap, outAttrs, st,
 		func(it *storage.ColBatchIterator, agg *batchAgg, lb *leafBudget) error {
 			return e.aggregateColBatch(ctx, it, cols, agg, lb, st)
 		})

@@ -28,14 +28,22 @@ func (e *Engine) runFolder() semiring.RunFolder {
 // foldMeasures folds meas into acc with sr.Add in index order. With a
 // RunFolder it detects spans of bit-identical measures (bit comparison,
 // so ±0 and NaN payloads never alias) and collapses each span through
-// FoldAdd when that is exact, falling back to the per-row loop when not.
-// The result is bit-identical to the plain left fold in every case.
+// FoldAdd when that is exact, falling back to the element-wise fold when
+// not. The element-wise Adds go through the batch fold
+// (semiring.AddAt), as on every other path, so the result is
+// bit-identical to the plain left fold in every case.
 func foldMeasures(sr semiring.Semiring, rf semiring.RunFolder, acc float64, meas []float64) float64 {
-	if rf == nil {
-		for _, m := range meas {
-			acc = sr.Add(acc, m)
+	d := [1]float64{acc}
+	add := func(ms []float64) {
+		for len(ms) > 0 {
+			n := min(len(ms), foldChunk)
+			semiring.AddAt(sr, d[:], zeroSlots[:n], ms[:n], nil)
+			ms = ms[n:]
 		}
-		return acc
+	}
+	if rf == nil {
+		add(meas)
+		return d[0]
 	}
 	for i := 0; i < len(meas); {
 		m := meas[i]
@@ -45,14 +53,13 @@ func foldMeasures(sr semiring.Semiring, rf semiring.RunFolder, acc float64, meas
 			j++
 		}
 		if k := j - i; k > 1 {
-			if res, ok := rf.FoldAdd(acc, m, k); ok {
-				acc, i = res, j
+			if res, ok := rf.FoldAdd(d[0], m, k); ok {
+				d[0], i = res, j
 				continue
 			}
 		}
-		for ; i < j; i++ {
-			acc = sr.Add(acc, m)
-		}
+		add(meas[i:j])
+		i = j
 	}
-	return acc
+	return d[0]
 }

@@ -17,23 +17,24 @@ package exec
 //
 // Inside a leaf the kernel consumes ENCODED probe batches and never
 // materializes probe rows — the only probe columns ever decoded are the
-// ones feeding the join key or the group key. Per batch it probes the
-// build table once per RLE key run (or once per distinct byte/dict code,
-// memoized), and folds aggregates run-at-a-time: within a key run, a
+// ones feeding the join key or the group key. A single-column RLE key
+// probes the build table once per run and folds aggregates
+// run-at-a-time: within a key run, a
 // maximal sub-span over which every probe-side group column is constant
 // contributes to each matching build row's group with ONE key lookup,
 // and its measure vector folds through absorbMulSpan (collapsing
 // repeated measures in O(1) when the semiring's RunFolder proves it
-// exact — fold.go).
+// exact — fold.go). Every other key takes the staged resolve/slot/fold
+// passes of DESIGN.md, "Batch execution".
 //
 // Byte-identity across page layouts within a leaf: spans fold each build
 // row's contributions in probe-row order, and span folding is used only
 // when every matching build row lands in a DISTINCT aggregation group
 // (or there is just one match) — otherwise two build rows would
-// interleave into one accumulator under per-row absorption, which is
-// then used instead. Group creation therefore happens in probe-row
-// first-touch order and every accumulator sees the per-row Add sequence,
-// whatever the encoding.
+// interleave into one accumulator, and the run's rows take the staged
+// slot and fold passes instead. Group creation therefore happens in
+// probe-row first-touch order and every accumulator sees the per-row
+// Add sequence, whatever the encoding, through the same batch fold.
 
 import (
 	"context"
@@ -48,41 +49,59 @@ import (
 // absorbMulSpan folds a probe measure span into the group with the given
 // key: each row contributes Mul(build measure, row measure) (in the
 // join's left/right argument order) and spans of bit-identical measures
-// collapse through the RunFolder when exact. The Add sequence equals
-// per-row absorbs for this (group, span) pair exactly.
-func (a *batchAgg) absorbMulSpan(e *Engine, rf semiring.RunFolder, key []int32, bm float64, buildIsLeft bool, meas []float64) {
-	mul := func(m float64) float64 {
-		if buildIsLeft {
-			return e.Sr.Mul(bm, m)
+// collapse through the RunFolder when exact. Products and element-wise
+// Adds go through the batch fold, as on every other path, so the Add
+// sequence and its bits equal per-row folding of this (group, span)
+// pair exactly. sc.a is scratch.
+func (a *batchAgg) absorbMulSpan(e *Engine, rf semiring.RunFolder, key []int32, bm float64, buildIsLeft bool, meas []float64, sc *foldScratch) {
+	bms := sc.a[:min(len(meas), foldChunk)]
+	for j := range bms {
+		bms[j] = bm
+	}
+	// mulAdd folds Mul(bm, m) for every m of ms into dst[0], storing the
+	// first product when first.
+	mulAdd := func(dst []float64, ms []float64, first bool) {
+		f := [1]bool{true}
+		for len(ms) > 0 {
+			n := min(len(ms), foldChunk)
+			var fs []bool
+			if first {
+				n, fs = 1, f[:]
+			}
+			l, r := bms[:n], ms[:n]
+			if !buildIsLeft {
+				l, r = r, l
+			}
+			semiring.MulAddAt(e.Sr, dst, zeroSlots[:n], l, r, fs)
+			ms, first = ms[n:], false
 		}
-		return e.Sr.Mul(m, bm)
 	}
 	gi, added := a.group(key)
+	acc := [1]float64{a.meas[gi]}
 	i := 0
 	if added {
-		a.meas[gi] = mul(meas[0])
+		mulAdd(acc[:], meas[:1], true)
 		i = 1
 	}
-	acc := a.meas[gi]
 	for i < len(meas) {
-		m := meas[i]
-		j := i + 1
-		mb := math.Float64bits(m)
-		for j < len(meas) && math.Float64bits(meas[j]) == mb {
-			j++
-		}
-		mm := mul(m)
-		if k := j - i; k > 1 && rf != nil {
-			if res, ok := rf.FoldAdd(acc, mm, k); ok {
-				acc, i = res, j
-				continue
+		j := len(meas)
+		if rf != nil {
+			mb := math.Float64bits(meas[i])
+			for j = i + 1; j < len(meas) && math.Float64bits(meas[j]) == mb; j++ {
+			}
+			if j-i > 1 {
+				var mm [1]float64
+				mulAdd(mm[:], meas[i:i+1], true)
+				if res, ok := rf.FoldAdd(acc[0], mm[0], j-i); ok {
+					acc[0], i = res, j
+					continue
+				}
 			}
 		}
-		for ; i < j; i++ {
-			acc = e.Sr.Add(acc, mm)
-		}
+		mulAdd(acc[:], meas[i:j], false)
+		i = j
 	}
-	a.meas[gi] = acc
+	a.meas[gi] = acc[0]
 }
 
 // fusedColBatch is the encoded-batch fused join+aggregate (see the file
@@ -116,16 +135,6 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 		}
 	}
 	single := len(probeCols) == 1
-	// pgOnlyKey: the group key is a function of the join-key value and
-	// the build row alone, so byte/dict batches can memoize the group
-	// slot per code for single-match keys.
-	pgOnlyKey := single
-	for _, c := range pgCols {
-		if pgOnlyKey && c != probeCols[0] { // probeCols is empty on a key-less join
-			pgOnlyKey = false
-		}
-	}
-
 	// safe caches, per build key group, whether span folding preserves
 	// the per-row accumulation order: it does when every matching
 	// build row lands in a distinct aggregation group (always true for
@@ -161,12 +170,7 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 		safe[gi].Store(1)
 		return true
 	}
-	mul := func(bm, pm float64) float64 {
-		if buildIsLeft {
-			return e.Sr.Mul(bm, pm)
-		}
-		return e.Sr.Mul(pm, bm)
-	}
+	oneKey := len(groupCols) == 1
 
 	// probeLeaf folds one leaf of the probe — the batches of it — into
 	// agg. All scratch state is the leaf's own; hb and safe are shared.
@@ -174,13 +178,7 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 		probeKey := make([]int32, len(probeCols))
 		groupKey := make([]int32, len(groupCols))
 		var pgfBuf, kfBuf [][]int32
-		var memoRows [256]rowSpan
-		var memoSet [256]bool
-		var slotMemo [256]int32 // group slot + 1 per code, per batch
-		lookup1 := func(val int32) (rowSpan, int) {
-			probeKey[0] = val
-			return hb.lookup(probeKey)
-		}
+		var sc foldScratch
 		for {
 			cb, ok := it.Next()
 			if !ok {
@@ -212,32 +210,61 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 					groupKey[bgPos[k]] = bv[c]
 				}
 			}
-			absorbOne := func(rows rowSpan, i int, pf [][]int32, pm float64) {
-				for r := rows.lo; r < rows.hi; r++ {
-					setGroupKey(pf, i, r)
-					agg.absorb(e, groupKey, mul(hb.meas[r], pm))
+			// foldMatches is the slot and fold passes over rows i0+j whose
+			// build key groups the resolve pass left in at (−1 on a miss):
+			// it walks the (row, build row) pairs in row order — a
+			// one-column group key is gathered and slotted per chunk
+			// (batchAgg.slotCol), wider keys are slotted per pair — and
+			// folds the scratch in one batch call whenever it fills, and
+			// at the end.
+			foldMatches := func(i0 int, at []int32) {
+				np, created := 0, false
+				var pf [][]int32
+				for j, gi := range at {
+					if gi < 0 {
+						continue
+					}
+					if pf == nil {
+						pf = groupFlats()
+					}
+					i := i0 + j
+					pm := cb.Measures[i]
+					rows := hb.span(gi)
+					for r := rows.lo; r < rows.hi; r++ {
+						if np == foldChunk {
+							sc.foldPairs(e, agg, np, oneKey, created, buildIsLeft)
+							np, created = 0, false
+						}
+						switch {
+						case oneKey && len(pgCols) == 1:
+							sc.keys[np] = pf[0][i]
+						case oneKey:
+							sc.keys[np] = hb.row(r)[bgCols[0]]
+						default:
+							setGroupKey(pf, i, r)
+							sc.slots[np], sc.first[np] = agg.group(groupKey)
+							created = created || sc.first[np]
+						}
+						sc.a[np], sc.b[np] = hb.meas[r], pm
+						np++
+					}
 				}
+				sc.foldPairs(e, agg, np, oneKey, created, buildIsLeft)
 			}
 			// Only a single-column key can use its encoding; wider keys
 			// take the plain path whatever their columns' encodings.
-			var v *storage.ColView
-			enc := storage.EncPlain
-			if single {
-				v = &cb.Cols[probeCols[0]]
-				enc = v.Enc
-			}
-			switch enc {
-			case storage.EncRLE:
+			if single && cb.Cols[probeCols[0]].Enc == storage.EncRLE {
 				i := 0
-				for _, run := range v.Runs {
-					rows, gi := lookup1(run.Val)
+				for _, run := range cb.Cols[probeCols[0]].Runs {
+					probeKey[0] = run.Val
+					rows, gi := hb.lookup(probeKey)
 					if rows.len() == 0 {
 						i += run.Len
 						continue
 					}
 					end := i + run.Len
-					pf := groupFlats()
 					if spanSafe(rows, gi) {
+						pf := groupFlats()
 						for s := i; s < end; {
 							t := s + 1
 						extend:
@@ -251,69 +278,34 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 							}
 							for r := rows.lo; r < rows.hi; r++ {
 								setGroupKey(pf, s, r)
-								agg.absorbMulSpan(e, rf, groupKey, hb.meas[r], buildIsLeft, cb.Measures[s:t])
+								agg.absorbMulSpan(e, rf, groupKey, hb.meas[r], buildIsLeft, cb.Measures[s:t], &sc)
 							}
 							s = t
 						}
 					} else {
-						for j := i; j < end; j++ {
-							absorbOne(rows, j, pf, cb.Measures[j])
+						// Every row of the run matches key group gi.
+						for i0 := i; i0 < end; i0 += foldChunk {
+							at := sc.at[:min(foldChunk, end-i0)]
+							for j := range at {
+								at[j] = int32(gi)
+							}
+							foldMatches(i0, at)
 						}
 					}
 					i = end
 				}
-			case storage.EncByte, storage.EncDict:
-				ncodes := len(v.Dict)
-				if v.Enc == storage.EncByte {
-					ncodes = 256
-				}
-				for c := 0; c < ncodes; c++ {
-					memoSet[c] = false
-					slotMemo[c] = 0
-				}
-				for i := 0; i < n; i++ {
-					code := v.Codes[i]
-					if !memoSet[code] {
-						val := int32(code)
-						if v.Enc == storage.EncDict {
-							val = v.Dict[code]
-						}
-						memoRows[code], _ = lookup1(val)
-						memoSet[code] = true
-					}
-					rows := memoRows[code]
-					if rows.len() == 0 {
-						continue
-					}
-					if pgOnlyKey && rows.len() == 1 {
-						m := mul(hb.meas[rows.lo], cb.Measures[i])
-						if sm := slotMemo[code]; sm != 0 {
-							agg.meas[sm-1] = e.Sr.Add(agg.meas[sm-1], m)
-							continue
-						}
-						setGroupKey(groupFlats(), i, rows.lo)
-						slotMemo[code] = int32(agg.absorb(e, groupKey, m)) + 1
-						continue
-					}
-					absorbOne(rows, i, groupFlats(), cb.Measures[i])
-				}
-			default:
-				// Multi-column or plain-encoded keys: gather the probe key
-				// from the flattened key columns; probe rows are never
-				// fully gathered.
+			} else {
+				// Every other key: resolve a chunk of rows to build key
+				// groups over the flattened key columns (probe rows are
+				// never fully gathered), then slot and fold its matches.
 				kfBuf = kfBuf[:0]
 				for _, c := range probeCols {
 					kfBuf = append(kfBuf, cb.Cols[c].Flat())
 				}
-				for i := 0; i < n; i++ {
-					for k := range kfBuf {
-						probeKey[k] = kfBuf[k][i]
-					}
-					rows, _ := hb.lookup(probeKey)
-					if rows.len() == 0 {
-						continue
-					}
-					absorbOne(rows, i, groupFlats(), cb.Measures[i])
+				for i0 := 0; i0 < n; i0 += foldChunk {
+					at := sc.at[:min(foldChunk, n-i0)]
+					hb.idx.getRows(kfBuf, i0, at, probeKey)
+					foldMatches(i0, at)
 				}
 			}
 			if err := lb.check(agg); err != nil {
@@ -321,7 +313,7 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 			}
 		}
 	}
-	agg, err := e.foldLeaves(ctx, "FusedProbe", probe.Heap, len(groupCols), st, probeLeaf)
+	agg, err := e.foldLeaves(ctx, "FusedProbe", probe.Heap, aggAttrs, st, probeLeaf)
 	if err != nil {
 		return nil, err
 	}

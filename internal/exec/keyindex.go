@@ -20,7 +20,10 @@ package exec
 // while the observed value range stays within denseSlack × the entry
 // count (or denseFloor, for small indexes) — supply-chain ids and
 // Bayesian-network domains are dense — and rehashes into the table the
-// moment a key falls outside it. The switch is one-way.
+// moment a key falls outside it. Multi-column keys whose declared
+// domains multiply to within the same bound start in radix mode, the
+// same array addressed by the key's mixed-radix code (DESIGN.md, "Batch
+// execution"). Both switches are one-way.
 type keyIndex struct {
 	ncols int
 	n     int // entries so far; the position the next new key gets
@@ -32,19 +35,28 @@ type keyIndex struct {
 	shift uint     // 64 − log2(len(keys))
 	wide  []int32  // ncols > 2: full keys row-major by position
 
-	// Dense mode (ncols == 1 until the first out-of-range key).
+	// The direct-address modes keep positions + 1 in dense; 0 marks
+	// absent. Dense mode (ncols == 1 until the first out-of-range key)
+	// indexes it by value − lo; radix mode (ncols ≥ 2 until the first key
+	// outside its declared domains) by the key's mixed-radix code over
+	// doms, in an array of the domain product.
 	isDense    bool
-	dense      []int32 // position + 1 by value − lo; 0 marks absent
-	lo         int64   // value of dense[0]
-	kmin, kmax int64   // observed value range (valid when n > 0)
+	isRadix    bool
+	dense      []int32
+	lo         int64 // dense mode: value of dense[0]
+	kmin, kmax int64 // dense mode: observed value range (valid when n > 0)
+	doms       [maxRadixCols]int32
 }
 
 const (
-	// denseSlack and denseFloor bound the dense mode: the observed value
-	// range may span at most denseSlack slots per entry, or denseFloor
-	// slots (256 KiB of positions) whatever the entry count.
+	// denseSlack and denseFloor bound the direct-address modes: the value
+	// range (dense) or domain product (radix) may span at most denseSlack
+	// slots per entry, or denseFloor slots (256 KiB of positions)
+	// whatever the entry count.
 	denseSlack = 4
 	denseFloor = 1 << 16
+	// maxRadixCols is the widest key radix mode addresses.
+	maxRadixCols = 8
 	// maxKeyIndexHint caps the table preallocated from a size hint, so a
 	// huge (or hostile) hint costs at most a few MiB up front; the table
 	// still grows on demand.
@@ -54,12 +66,32 @@ const (
 )
 
 // newKeyIndex returns an empty index over ncols-column keys expecting
-// about sizeHint entries (0 when unknown).
-func newKeyIndex(ncols, sizeHint int) *keyIndex {
+// about sizeHint entries (0 when unknown). domains, when given, are the
+// columns' declared domain sizes (relation.Attr.Domain; values in
+// [0, domain)): a multi-column key whose domain product fits the dense
+// bound for sizeHint entries starts in radix mode.
+func newKeyIndex(ncols, sizeHint int, domains ...int32) *keyIndex {
 	if sizeHint > maxKeyIndexHint {
 		sizeHint = maxKeyIndexHint
 	}
-	return &keyIndex{ncols: ncols, hint: sizeHint, isDense: ncols == 1}
+	k := &keyIndex{ncols: ncols, hint: sizeHint, isDense: ncols == 1}
+	if ncols < 2 || ncols > maxRadixCols || len(domains) != ncols {
+		return k
+	}
+	bound := int64(max(denseFloor, denseSlack*sizeHint))
+	cells := int64(1)
+	for _, d := range domains {
+		if d <= 0 {
+			return k
+		}
+		if cells *= int64(d); cells > bound {
+			return k
+		}
+	}
+	copy(k.doms[:], domains)
+	k.isRadix = true
+	k.dense = make([]int32, cells)
+	return k
 }
 
 // len returns the number of distinct keys put so far.
@@ -71,6 +103,19 @@ func (k *keyIndex) reset() {
 	k.wide = k.wide[:0]
 	clear(k.dense)
 	clear(k.pos)
+}
+
+// radixCode returns key's mixed-radix code over the declared domains,
+// or ok=false when a value lies outside its domain.
+func (k *keyIndex) radixCode(key []int32) (code int, ok bool) {
+	for j, v := range key {
+		d := k.doms[j]
+		if uint32(v) >= uint32(d) {
+			return 0, false
+		}
+		code = code*int(d) + int(v)
+	}
+	return code, true
 }
 
 // packKey packs a key of at most two columns into the table key.
@@ -113,6 +158,13 @@ func (k *keyIndex) get(key []int32) (pos int, ok bool) {
 		}
 		return -1, false
 	}
+	if k.isRadix {
+		if c, ok := k.radixCode(key); ok {
+			p := k.dense[c]
+			return int(p) - 1, p != 0
+		}
+		return -1, false
+	}
 	if len(k.keys) == 0 {
 		return -1, false
 	}
@@ -137,6 +189,17 @@ func (k *keyIndex) put(key []int32) (pos int, added bool) {
 			return pos, added
 		}
 		// The key broke the dense range: k is a table now.
+	} else if k.isRadix {
+		if c, ok := k.radixCode(key); ok {
+			if p := k.dense[c]; p != 0 {
+				return int(p) - 1, false
+			}
+			k.n++
+			k.dense[c] = int32(k.n)
+			return k.n - 1, true
+		}
+		// The key lies outside its declared domains: k is a table now.
+		k.unradix()
 	}
 	if (k.n+1)*4 > len(k.keys)*3 {
 		k.grow()
@@ -270,4 +333,129 @@ func (k *keyIndex) undense() {
 		}
 	}
 	k.isDense, k.dense = false, nil
+}
+
+// unradix rehashes a radix index into table mode, keeping positions:
+// each occupied cell's key is decoded from its code.
+func (k *keyIndex) unradix() {
+	k.allocTable(k.firstTableSize())
+	if k.ncols > 2 {
+		k.wide = make([]int32, k.n*k.ncols)
+	}
+	key := make([]int32, k.ncols)
+	for c, p := range k.dense {
+		if p == 0 {
+			continue
+		}
+		for j, rest := k.ncols-1, c; j >= 0; j-- {
+			d := int(k.doms[j])
+			key[j] = int32(rest % d)
+			rest /= d
+		}
+		if k.ncols > 2 {
+			copy(k.wide[int(p-1)*k.ncols:], key)
+		}
+		k.insertSlot(k.tableKey(key), p)
+	}
+	k.isRadix, k.dense = false, nil
+}
+
+// getCol is the resolve pass over a column of single-column keys: out[j]
+// becomes the position of vals[j], or −1 when it was never put. The
+// dense-array read and the packed-key table probe are inlined, so the
+// loop's loads are independent of each other.
+func (k *keyIndex) getCol(vals []int32, out []int32) {
+	out = out[:len(vals)]
+	if k.isDense {
+		d, lo := k.dense, k.lo
+		for j, v := range vals {
+			p := int32(0)
+			if i := uint64(int64(v) - lo); i < uint64(len(d)) {
+				p = d[i]
+			}
+			out[j] = p - 1
+		}
+		return
+	}
+	if len(k.keys) == 0 {
+		for j := range out {
+			out[j] = -1
+		}
+		return
+	}
+	keys, pos, shift := k.keys, k.pos, k.shift
+	mask := uint64(len(keys) - 1)
+	for j, v := range vals {
+		tk := uint64(uint32(v))
+		p := int32(0)
+		for i := (tk * fibMul) >> shift; ; i = (i + 1) & mask {
+			q := pos[i]
+			if q == 0 {
+				break
+			}
+			if keys[i] == tk {
+				p = q
+				break
+			}
+		}
+		out[j] = p - 1
+	}
+}
+
+// getRows is getCol over keys spread across columns: out[j] becomes the
+// position of the key in row lo+j of cols (one slice per key column),
+// or −1. key is scratch of ncols values.
+func (k *keyIndex) getRows(cols [][]int32, lo int, out []int32, key []int32) {
+	if k.ncols == 1 {
+		k.getCol(cols[0][lo:lo+len(out)], out)
+		return
+	}
+	for j := range out {
+		for m, col := range cols {
+			key[m] = col[lo+j]
+		}
+		p, ok := k.get(key)
+		if !ok {
+			p = -1
+		}
+		out[j] = int32(p)
+	}
+}
+
+// putCol is the slot pass over a column of single-column keys: out[j]
+// becomes the position of vals[j] and added[j] whether that put created
+// it, keys new to k taking positions in row order; the result reports
+// whether any did. A key already in the dense array is resolved inline.
+func (k *keyIndex) putCol(vals, out []int32, added []bool) (anyAdded bool) {
+	out, added = out[:len(vals)], added[:len(vals)]
+	for j, v := range vals {
+		if k.isDense {
+			if i := uint64(int64(v) - k.lo); i < uint64(len(k.dense)) && k.dense[i] != 0 {
+				out[j], added[j] = k.dense[i]-1, false
+				continue
+			}
+		}
+		key := [1]int32{v}
+		p, a := k.put(key[:])
+		out[j], added[j] = int32(p), a
+		anyAdded = anyAdded || a
+	}
+	return anyAdded
+}
+
+// putRows is putCol over keys spread across columns: row lo+j of cols
+// (one slice per key column) is key j. key is scratch of ncols values.
+func (k *keyIndex) putRows(cols [][]int32, lo int, out []int32, added []bool, key []int32) (anyAdded bool) {
+	if k.ncols == 1 {
+		return k.putCol(cols[0][lo:lo+len(out)], out, added)
+	}
+	for j := range out {
+		for m, col := range cols {
+			key[m] = col[lo+j]
+		}
+		p, a := k.put(key)
+		out[j], added[j] = int32(p), a
+		anyAdded = anyAdded || a
+	}
+	return anyAdded
 }

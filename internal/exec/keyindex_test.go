@@ -48,6 +48,56 @@ func drive(t testing.TB, k *keyIndex, keys [][]int32, getOnly func(i int) bool) 
 			t.Fatalf("final get(%v) = %d,%v; want %d,%v", key, got, ok, want, seen)
 		}
 	}
+	checkResolve(t, k, keys, ref)
+}
+
+// checkResolve runs the batch resolve pass (getRows, getCol for one
+// column) over keys laid out as columns, starting at an offset row,
+// against the map reference, then the slot pass (putRows, putCol for
+// one column) over the same columns into a fresh index with k's
+// domains: every key must get its first-put position, flagged added
+// exactly at its first occurrence.
+func checkResolve(t testing.TB, k *keyIndex, keys [][]int32, ref refIndex) {
+	t.Helper()
+	if k.ncols == 0 {
+		return
+	}
+	const lo = 3
+	cols := make([][]int32, k.ncols)
+	for c := range cols {
+		cols[c] = make([]int32, lo, lo+len(keys))
+		for _, key := range keys {
+			cols[c] = append(cols[c], key[c])
+		}
+	}
+	out := make([]int32, len(keys))
+	k.getRows(cols, lo, out, make([]int32, k.ncols))
+	for j, key := range keys {
+		want, seen := ref[refKey(key)]
+		if !seen {
+			want = -1
+		}
+		if int(out[j]) != want {
+			t.Fatalf("getRows row %d (%v) = %d, want %d", j, key, out[j], want)
+		}
+	}
+	fresh := newKeyIndex(k.ncols, k.hint, k.doms[:min(k.ncols, maxRadixCols)]...)
+	added := make([]bool, len(keys))
+	anyAdded := fresh.putRows(cols, lo, out, added, make([]int32, k.ncols))
+	put := refIndex{}
+	for j, key := range keys {
+		want, seen := put[refKey(key)]
+		if !seen {
+			want = len(put)
+			put[refKey(key)] = want
+		}
+		if int(out[j]) != want || added[j] == seen {
+			t.Fatalf("putRows row %d (%v) = %d,%v; want %d,%v", j, key, out[j], added[j], want, !seen)
+		}
+	}
+	if anyAdded != (len(keys) > 0) || fresh.len() != len(put) {
+		t.Fatalf("putRows: anyAdded %v over %d keys, len %d; want %d", anyAdded, len(keys), fresh.len(), len(put))
+	}
 }
 
 func TestKeyIndex(t *testing.T) {
@@ -69,37 +119,65 @@ func TestKeyIndex(t *testing.T) {
 		}
 		return keys
 	}
+	// inDomain draws n keys with column c in [0, doms[c]).
+	inDomain := func(n int, doms ...int32) [][]int32 {
+		keys := make([][]int32, n)
+		for i := range keys {
+			keys[i] = make([]int32, len(doms))
+			for c, d := range doms {
+				keys[i][c] = rng.Int31n(d)
+			}
+		}
+		return keys
+	}
 	cases := []struct {
 		name  string
 		ncols int
 		hint  int
 		keys  [][]int32
-		dense bool // mode expected at the end
+		dense bool    // mode expected at the end
+		doms  []int32 // declared domains (none when nil)
+		radix bool    // radix mode expected at the end
 	}{
-		{"keyless", 0, 0, [][]int32{{}, {}, {}}, false},
-		{"one-col zero first", 1, 0, [][]int32{{0}, {0}, {1}, {0}}, true},
-		{"one-col negatives", 1, 0, [][]int32{{-1}, {math.MinInt32}, {-1}, {math.MaxInt32}, {0}}, false},
-		{"one-col dense ascending", 1, 0, seq(0, 5000), true},
-		{"one-col dense descending from a high id", 1, 0, append(seq(90000, 90100), seq(89000, 90000)...), true},
-		{"one-col dense random order", 1, 4, randKeys(20000, 1, 3000), true},
+		{"keyless", 0, 0, [][]int32{{}, {}, {}}, false, nil, false},
+		{"one-col zero first", 1, 0, [][]int32{{0}, {0}, {1}, {0}}, true, nil, false},
+		{"one-col negatives", 1, 0, [][]int32{{-1}, {math.MinInt32}, {-1}, {math.MaxInt32}, {0}}, false, nil, false},
+		{"one-col dense ascending", 1, 0, seq(0, 5000), true, nil, false},
+		{"one-col dense descending from a high id", 1, 0, append(seq(90000, 90100), seq(89000, 90000)...), true, nil, false},
+		{"one-col dense random order", 1, 4, randKeys(20000, 1, 3000), true, nil, false},
 		// 300 dense ids, then one far outside: the index must rehash into
 		// the table and keep every position.
-		{"one-col late outlier switches mode", 1, 0, append(seq(0, 300), []int32{1 << 30}, []int32{7}, []int32{-(1 << 30)}), false},
-		{"one-col sparse", 1, 0, randKeys(5000, 1, math.MaxInt32), false},
-		{"two-col all ones bits", 2, 0, [][]int32{{-1, -1}, {0, 0}, {-1, 0}, {0, -1}, {-1, -1}, {0, 0}}, false},
-		{"two-col growth", 2, 0, randKeys(40000, 2, 600), false},
-		{"three-col", 3, 0, randKeys(20000, 3, 12), false},
-		{"five-col", 5, 100, randKeys(20000, 5, 4), false},
-		{"five-col same low bits", 5, 0, [][]int32{{0, 0, 0, 0, 0}, {0, 0, 0, 0, 1 << 16}, {1 << 16, 0, 0, 0, 0}, {0, 0, 0, 0, 0}}, false},
-		{"huge hint", 2, math.MaxInt, randKeys(100, 2, 50), false},
-		{"huge hint one-col", 1, math.MaxInt, [][]int32{{5}, {1 << 29}, {5}}, false},
+		{"one-col late outlier switches mode", 1, 0, append(seq(0, 300), []int32{1 << 30}, []int32{7}, []int32{-(1 << 30)}), false, nil, false},
+		{"one-col sparse", 1, 0, randKeys(5000, 1, math.MaxInt32), false, nil, false},
+		{"two-col all ones bits", 2, 0, [][]int32{{-1, -1}, {0, 0}, {-1, 0}, {0, -1}, {-1, -1}, {0, 0}}, false, nil, false},
+		{"two-col growth", 2, 0, randKeys(40000, 2, 600), false, nil, false},
+		{"three-col", 3, 0, randKeys(20000, 3, 12), false, nil, false},
+		{"five-col", 5, 100, randKeys(20000, 5, 4), false, nil, false},
+		{"five-col same low bits", 5, 0, [][]int32{{0, 0, 0, 0, 0}, {0, 0, 0, 0, 1 << 16}, {1 << 16, 0, 0, 0, 0}, {0, 0, 0, 0, 0}}, false, nil, false},
+		{"huge hint", 2, math.MaxInt, randKeys(100, 2, 50), false, nil, false},
+		{"huge hint one-col", 1, math.MaxInt, [][]int32{{5}, {1 << 29}, {5}}, false, nil, false},
+		// Declared domains: multi-column keys whose domain product fits
+		// max(denseFloor, denseSlack × hint) are radix addressed; a
+		// one-column key is dense whatever its domain.
+		{"one-col declared domain", 1, 0, inDomain(3000, 40000), true, []int32{40000}, false},
+		{"radix two-col", 2, 0, inDomain(5000, 50, 40), false, []int32{50, 40}, true},
+		{"radix three-col with a domain-1 column", 3, 0, inDomain(3000, 7, 1, 9), false, []int32{7, 1, 9}, true},
+		{"radix product exactly at the floor", 2, 0, inDomain(4000, 256, 256), false, []int32{256, 256}, true},
+		{"radix product one past the floor", 2, 0, inDomain(4000, 256, 257), false, []int32{256, 257}, false},
+		{"radix product within slack × hint", 2, 20000, inDomain(4000, 400, 200), false, []int32{400, 200}, true},
+		{"radix product one past slack × hint", 2, 20000, inDomain(4000, 400, 201), false, []int32{400, 201}, false},
+		{"radix five-col", 5, 0, inDomain(4000, 3, 4, 5, 6, 7), false, []int32{3, 4, 5, 6, 7}, true},
+		{"radix key outside its domain switches mode", 2, 0,
+			append(inDomain(500, 10, 10), []int32{10, 0}, []int32{-1, 3}, []int32{4, 4}), false, []int32{10, 10}, false},
+		{"radix wide key outside its domain switches mode", 4, 0,
+			append(inDomain(500, 4, 3, 4, 5), []int32{0, 0, 0, 5}, []int32{3, 2, 3, 5}, []int32{1, 1, 1, 1}), false, []int32{4, 3, 4, 5}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			k := newKeyIndex(tc.ncols, tc.hint)
+			k := newKeyIndex(tc.ncols, tc.hint, tc.doms...)
 			drive(t, k, tc.keys, func(i int) bool { return i%3 == 2 })
-			if k.isDense != tc.dense {
-				t.Fatalf("dense mode = %v, want %v", k.isDense, tc.dense)
+			if k.isDense != tc.dense || k.isRadix != tc.radix {
+				t.Fatalf("dense, radix mode = %v, %v; want %v, %v", k.isDense, k.isRadix, tc.dense, tc.radix)
 			}
 			// A reset index answers like a new one.
 			k.reset()
@@ -175,19 +253,31 @@ func TestKeyIndexAllocs(t *testing.T) {
 }
 
 // FuzzKeyIndex replays an arbitrary byte string as a key sequence — the
-// first byte picks the key width, each later 4-byte group is one column
-// value, drawn from a small alphabet that includes 0, −1 and the int32
-// extremes so sentinel-looking keys and mode switches are common —
-// against the map reference.
+// first byte picks the key width (low bits) and whether, and which,
+// domains are declared (bit 7; bits 5–6 pick the domain of every
+// column), each later 4-byte group is one column value, drawn from a
+// small alphabet that includes 0, −1 and the int32 extremes so
+// sentinel-looking keys, out-of-domain keys and mode switches are
+// common — against the map reference.
 func FuzzKeyIndex(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 255, 255, 255, 255, 0, 0, 0, 128})
 	f.Add([]byte{2, 255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
+	f.Add([]byte{0x80 | 2<<5 | 2, 6, 0, 0, 0, 14, 0, 0, 0, 38, 0, 0, 0, 6, 0, 0, 0, 1, 0, 0, 0, 6, 0, 0, 0})
+	f.Add([]byte{0x80 | 2<<5 | 3, 54, 1, 0, 0, 6, 0, 0, 0, 22, 0, 0, 0, 54, 1, 0, 0, 6, 0, 0, 0, 22, 0, 0, 0})
+	f.Add([]byte{0x80 | 0<<5 | 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		ncols := int(data[0] % 6)
+		ncols := int(data[0] & 0x1f % 6)
+		var doms []int32
+		if data[0]&0x80 != 0 && ncols > 0 {
+			doms = make([]int32, ncols)
+			for c := range doms {
+				doms[c] = []int32{1, 2, 16, 1024}[data[0]>>5&3]
+			}
+		}
 		data = data[1:]
 		var keys [][]int32
 		if ncols == 0 {
@@ -208,6 +298,8 @@ func FuzzKeyIndex(f *testing.F) {
 					v = math.MaxInt32
 				case 4, 5:
 					v = (v >> 3) & 1023
+				case 6:
+					v = (v >> 3) & 15
 				}
 				key[c] = v
 			}
@@ -217,6 +309,6 @@ func FuzzKeyIndex(f *testing.F) {
 		if len(keys) == 0 {
 			return
 		}
-		drive(t, newKeyIndex(ncols, len(keys)%7), keys, func(i int) bool { return i%4 == 3 })
+		drive(t, newKeyIndex(ncols, len(keys)%7, doms...), keys, func(i int) bool { return i%4 == 3 })
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mpf/internal/relation"
 	"mpf/internal/storage"
 )
 
@@ -58,9 +59,10 @@ const (
 // foldLeaves is the executor's one parallel aggregation scheme, shared by
 // hash group-by and the fused join+aggregate probe. It cuts in into
 // leaves of leafPages consecutive pages, submits one morsel per leaf to
-// the run's scheduler under kind — each fills its own batchAgg by
-// calling leaf with an iterator over its page range — and merges the
-// leaf aggregates IN LEAF ORDER into the result. That ordered merge is
+// the run's scheduler under kind — each fills its own batchAgg, keyed on
+// attrs (the group key's attributes), by calling leaf with an iterator
+// over its page range — and merges the leaf aggregates IN LEAF ORDER
+// into the result. That ordered merge is
 // the definition of the fold order: a group's measure is
 // Add(…Add(leaf₀, leaf₁)…, leafₙ) over the leaves it occurs in, each
 // leaf value itself folded in scan order, and groups appear in the
@@ -76,10 +78,14 @@ const (
 // an error the scheduler drops the pending leaves, in-flight ones stop
 // at their next batch boundary or finish, and every aggregate is
 // garbage.
-func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, arity int, st *RunStats,
+func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, attrs []relation.Attr, st *RunStats,
 	leaf func(it *storage.ColBatchIterator, agg *batchAgg, lb *leafBudget) error) (*batchAgg, error) {
-	n := int((in.NumPages() + leafPages - 1) / leafPages)
-	f := &leafFold{e: e, arity: arity, done: make([]*batchAgg, n), window: e.workers(), maxBacklog: leafBacklogGroups}
+	pages := in.NumPages()
+	n := int((pages + leafPages - 1) / leafPages)
+	f := &leafFold{e: e, attrs: attrs, done: make([]*batchAgg, n), window: e.workers(), maxBacklog: leafBacklogGroups}
+	if pages > 0 {
+		f.hint = int(in.NumTuples() * min(pages, leafPages) / pages)
+	}
 	f.advanced.L = &f.mu
 	err := st.parallelFor(kind, n, func(i int) error {
 		agg := f.start(i)
@@ -106,7 +112,7 @@ func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, 
 		return nil, err
 	}
 	if f.out == nil {
-		f.out = newBatchAgg(arity)
+		f.out = newBatchAgg(attrs, 0)
 	}
 	return f.out, nil
 }
@@ -114,8 +120,9 @@ func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, 
 // leafFold is the merge state of one foldLeaves call.
 type leafFold struct {
 	e     *Engine
-	arity int
-	live  atomic.Int64 // groups held by leaf aggregates and out
+	attrs []relation.Attr // the group key's attributes
+	hint  int             // rows per leaf, about
+	live  atomic.Int64    // groups held by leaf aggregates and out
 
 	mu       sync.Mutex
 	advanced sync.Cond   // signalled when next moves or a leaf fails
@@ -156,7 +163,7 @@ func (f *leafFold) start(i int) *batchAgg {
 		f.free = f.free[:k-1]
 		return agg
 	}
-	return newBatchAgg(f.arity)
+	return newBatchAgg(f.attrs, f.hint)
 }
 
 // mayStart reports whether leaf i is close enough to the merge to begin.

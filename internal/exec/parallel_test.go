@@ -278,6 +278,18 @@ func TestAggregationStateCountsAgainstBudget(t *testing.T) {
 	}
 }
 
+// absorb folds one measure into the group with the given key, creating
+// the group on first sight: one-row aggregation for tests that build
+// aggregates by hand.
+func (a *batchAgg) absorb(e *Engine, key []int32, m float64) {
+	gi, added := a.group(key)
+	if added {
+		a.meas[gi] = m
+	} else {
+		a.meas[gi] = e.Sr.Add(a.meas[gi], m)
+	}
+}
+
 // TestLeafFoldWindow drives the pacing of leafFold directly: a leaf
 // beyond the window waits in start until the merge reaches it, is
 // released by a failure with no aggregate, merging is strictly in leaf
@@ -286,7 +298,7 @@ func TestAggregationStateCountsAgainstBudget(t *testing.T) {
 func TestLeafFoldWindow(t *testing.T) {
 	e := &Engine{Sr: semiring.SumProduct}
 	newFold := func(n, window int) *leafFold {
-		f := &leafFold{e: e, arity: 1, done: make([]*batchAgg, n), window: window}
+		f := &leafFold{e: e, attrs: []relation.Attr{{Name: "K"}}, done: make([]*batchAgg, n), window: window}
 		f.advanced.L = &f.mu
 		return f
 	}

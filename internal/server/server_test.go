@@ -755,3 +755,29 @@ func (spaces) Read(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// TestPoolExhaustedIs503 checks the mapping of a pinned-out buffer pool:
+// the pool's own error, wrapped as the engine wraps it, reaches the
+// client as 503 with code pool_exhausted — a retryable overload, not an
+// internal fault.
+func TestPoolExhaustedIs503(t *testing.T) {
+	pool := storage.NewPool(2)
+	h := pool.Register(storage.NewMemDisk())
+	for i := 0; i < 2; i++ {
+		if _, _, err := pool.NewPage(h); err != nil { // left pinned
+			t.Fatal(err)
+		}
+	}
+	_, _, err := pool.NewPage(h)
+	if !errors.Is(err, mpf.ErrPoolExhausted) {
+		t.Fatalf("third page with both frames pinned: %v, want ErrPoolExhausted", err)
+	}
+	rec := httptest.NewRecorder()
+	writeError(rec, fmt.Errorf("exec: scan: %w", err))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", rec.Code)
+	}
+	if e := envelope(t, rec.Body.Bytes()); e.Code != "pool_exhausted" {
+		t.Fatalf("code %q, want pool_exhausted", e.Code)
+	}
+}

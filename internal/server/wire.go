@@ -193,7 +193,7 @@ func statusOf(code string) int {
 		return http.StatusUnprocessableEntity
 	case CodeRateLimited:
 		return http.StatusTooManyRequests
-	case CodeOverloaded, CodeDraining:
+	case CodeOverloaded, CodeDraining, "pool_exhausted":
 		return http.StatusServiceUnavailable
 	default: // "io", "corrupt", "internal"
 		return http.StatusInternalServerError

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -360,6 +361,12 @@ func (p *Pool) Registered() int {
 	return len(p.disks)
 }
 
+// ErrPoolExhausted reports a pin or page allocation that found every
+// frame of the pool pinned: the pool reserves no frames per query, so
+// enough concurrent scans can hold all of them at once. Match it with
+// errors.Is.
+var ErrPoolExhausted = errors.New("storage: buffer pool exhausted")
+
 // victim finds a frame to reuse using the clock algorithm, writing it back
 // if dirty. A writeback failure is returned as a *WritebackError naming
 // the VICTIM page (not the page the caller was pinning), and the victim
@@ -396,7 +403,7 @@ func (p *Pool) victim(ctx context.Context) (int, error) {
 		f.valid = false
 		return idx, nil
 	}
-	return 0, fmt.Errorf("bufferpool: all %d frames pinned", n)
+	return 0, fmt.Errorf("bufferpool: all %d frames pinned: %w", n, ErrPoolExhausted)
 }
 
 // Pin fetches the page into the pool (reading from disk on a miss), pins

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -173,8 +174,9 @@ func TestPoolAllPinnedError(t *testing.T) {
 		}
 		// Intentionally left pinned.
 	}
-	if _, _, err := pool.NewPage(h); err == nil {
-		t.Fatal("allocating with all frames pinned should error")
+	_, _, err := pool.NewPage(h)
+	if !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("allocating with all frames pinned: %v, want ErrPoolExhausted", err)
 	}
 }
 

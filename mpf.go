@@ -152,6 +152,9 @@ var (
 	// (WithBudget / SessionOptions.Budget); errors.As against
 	// *BudgetError tells which bound tripped.
 	ErrBudget = core.ErrBudget
+	// ErrPoolExhausted reports a query that found every buffer-pool frame
+	// pinned by concurrent work; it may succeed when retried.
+	ErrPoolExhausted = core.ErrPoolExhausted
 )
 
 // Execution modes for QuerySpec.Exec.
