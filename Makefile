@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race bench bench-smoke perf fuzz experiments examples fmt vet clean docs-check server-smoke
+.PHONY: all check build test test-race race bench bench-smoke perf fuzz experiments examples fmt vet clean docs-check server-smoke reach
 
 all: check
 
@@ -12,9 +12,9 @@ all: check
 # fixed-seed corpus among them, see DESIGN.md, with half its seeds also
 # served over HTTP), the race-enabled suite (which also runs the
 # harness's concurrent readers and writer), the serving-layer smoke (a
-# curl-driven endpoint walk of cmd/mpfserver), and a compile + test pass
-# over the nested bench/ module.
-check: build vet test test-race server-smoke bench-smoke
+# curl-driven endpoint walk of cmd/mpfserver), a compile + test pass
+# over the nested bench/ module, and the reachability check.
+check: build vet test test-race server-smoke bench-smoke reach
 
 # Documentation gate: vet, the exported-identifier doc-comment check,
 # and markdown link verification (README/DESIGN/EXPERIMENTS/ARCHITECTURE).
@@ -53,6 +53,12 @@ perf:
 # change to the mpf API it uses fails here, not in the benchmark driver.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Reachability: fail on any non-test function that no binary of cmd/,
+# examples/ or bench/cmd/mpfperf reaches and scripts/reach.allow does not
+# list with a reason (scripts/reach.sh).
+reach:
+	sh scripts/reach.sh
 
 # End-to-end smoke of cmd/mpfserver: start on an ephemeral port, walk
 # the wire endpoints with curl, then assert a clean SIGTERM drain.

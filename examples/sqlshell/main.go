@@ -1,6 +1,6 @@
 // SQL end to end: builds a small decision-support database purely through
 // the SQL subset — the paper's `create mpfview … measure = (* …)` DDL,
-// inserts, an index, and MPF queries in every §3.1 form including
+// inserts, and MPF queries in every §3.1 form including
 // constrained range (`having`) and strategy selection (`using`).
 //
 // Run with: go run ./examples/sqlshell
@@ -39,8 +39,6 @@ func main() {
 		"insert into location values (1, 1, 25)",
 		"insert into location values (2, 1, 10)",
 		"insert into location values (3, 0, 40)",
-
-		"create index on contracts (pid)",
 
 		// The paper's view syntax: the measure clause names the factors
 		// the product join multiplies.

@@ -242,14 +242,6 @@ func (c *Catalog) Table(name string) (*TableStats, error) {
 	return t.Clone(), nil
 }
 
-// HasTable reports whether the table exists.
-func (c *Catalog) HasTable(name string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.tables[name]
-	return ok
-}
-
 // DropTable removes a table's stats.
 func (c *Catalog) DropTable(name string) {
 	c.mu.Lock()

@@ -34,12 +34,9 @@ type Config struct {
 	// (2 MiB), deliberately small so the disk-resident regime of the
 	// paper is observable.
 	PoolFrames int
-	// Dir, when non-empty, stores heap files as temp files under this
-	// directory; empty keeps pages in memory (identical IO accounting).
-	Dir string
-	// DiskFactory, when non-nil, overrides Dir and supplies the disks
-	// backing heap files directly — e.g. storage.LatencyMemDiskFactory to
-	// simulate slow media in cancellation experiments.
+	// DiskFactory, when non-nil, supplies the disks backing heap files;
+	// nil keeps pages in memory. Tests set it to inject latency
+	// (storage.LatencyMemDiskFactory) or faults (storage.FaultDiskFactory).
 	DiskFactory storage.DiskFactory
 	// CostModel for the optimizers; nil defaults to cost.Simple.
 	CostModel cost.Model
@@ -93,8 +90,8 @@ type Config struct {
 // Database is the engine facade. It is safe for fully concurrent use:
 // every query runs against an immutable catalog version pinned at
 // admission (a Snapshot, acquired per query or threaded explicitly via
-// WithSnapshot), and every write — CreateTable, CreateIndex,
-// CreateView, Insert, Delete, DropTable, DropView, Materialize — is a
+// WithSnapshot), and every write — CreateTable, CreateView, Insert,
+// Delete, DeclareKey, DropTable, DropView, Materialize — is a
 // serialized copy-on-write commit that publishes a new catalog version
 // without touching the one readers hold (see mvcc.go). Reads never
 // block behind writes and writes never block behind reads; superseded
@@ -126,11 +123,10 @@ type Database struct {
 	beforeCacheInstall func()
 }
 
-// transientRetries bounds how many times a database's buffer pools — the
-// query pool and the snapshot pools — re-attempt an IO operation that
-// failed with a transient fault (storage.IsTransient), with capped
-// exponential backoff between attempts. Permanent faults and checksum
-// failures are never retried.
+// transientRetries bounds how many times a database's buffer pool
+// re-attempts an IO operation that failed with a transient fault
+// (storage.IsTransient), with capped exponential backoff between
+// attempts. Permanent faults and checksum failures are never retried.
 const transientRetries = 3
 
 // Open creates a database with the given configuration.
@@ -149,13 +145,8 @@ func Open(cfg Config) (*Database, error) {
 	}
 	pool := storage.NewPool(cfg.PoolFrames)
 	pool.SetRetry(transientRetries, 0, 0)
-	var factory storage.DiskFactory
-	switch {
-	case cfg.DiskFactory != nil:
-		factory = cfg.DiskFactory
-	case cfg.Dir != "":
-		factory = storage.TempFileDiskFactory(cfg.Dir)
-	default:
+	factory := cfg.DiskFactory
+	if factory == nil {
 		factory = storage.MemDiskFactory()
 	}
 	engine := exec.NewEngine(pool, factory, cfg.Semiring)
@@ -280,41 +271,6 @@ func (db *Database) CreateTable(r *relation.Relation) error {
 		return c.abort(err)
 	}
 	return c.publish()
-}
-
-// CreateIndex builds a hash index on a base table's attribute; equality
-// selections on that attribute then fetch only matching pages instead of
-// scanning (§5.4's alternative access methods). Under MVCC the table's
-// next generation is the parent's rows unchanged (commit.rewrite) with
-// the index attached; contents, statistics and per-table version stand,
-// so cached plans and results stay valid and in-flight readers keep
-// their generation.
-func (db *Database) CreateIndex(table, attr string) error {
-	c := db.beginCommit()
-	tv, ok := c.next.tables[table]
-	if !ok {
-		return c.abort(fmt.Errorf("core: %w %q", ErrUnknownTable, table))
-	}
-	attrs := indexAttrs(tv.tab)
-	if _, have := tv.tab.Indexes[attr]; !have {
-		attrs = append(attrs, attr)
-	}
-	t, err := c.rewrite(tv.tab, nil, nil, attrs)
-	if err != nil {
-		return c.abort(err)
-	}
-	c.install(t)
-	return c.publish()
-}
-
-// indexAttrs lists the attributes a table generation has hash indexes
-// on, so the next generation can rebuild them.
-func indexAttrs(t *exec.Table) []string {
-	attrs := make([]string, 0, len(t.Indexes))
-	for attr := range t.Indexes {
-		attrs = append(attrs, attr)
-	}
-	return attrs
 }
 
 // CreateView registers an MPF view over existing tables (the SQL

@@ -252,31 +252,3 @@ func TestMinProductDatabase(t *testing.T) {
 		t.Fatal("min-product query wrong")
 	}
 }
-
-func TestFileBackedDatabase(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := gen.SupplyChain(gen.SupplyChainConfig{Scale: 0.005, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(Config{Dir: dir, PoolFrames: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for _, r := range ds.Relations {
-		if err := db.CreateTable(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.CreateView("invest", ds.ViewTables); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(&QuerySpec{View: "invest", GroupVars: []string{"wid"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exec.IO.Reads == 0 {
-		t.Fatal("file-backed run with a 16-frame pool should do physical IO")
-	}
-}

@@ -405,7 +405,7 @@ const (
 	opInsert = iota
 	opDelete
 	opDeclareKey
-	opCreateIndex
+	opNoop // commits nothing; it keeps the slot an index build had, so no seed is re-dealt
 )
 
 // diffStep is one write with its expected outcome, found by applying it
@@ -415,7 +415,7 @@ type diffStep struct {
 	table   int
 	vals    []int32
 	measure float64
-	cols    []string // DeclareKey's columns; CreateIndex's attribute
+	cols    []string // DeclareKey's columns
 	want    error    // the sentinel the write fails with; nil = succeeds
 	commits bool     // publishes a catalog version
 	after   []*relation.Relation
@@ -424,7 +424,7 @@ type diffStep struct {
 
 // genSteps draws 3–10 writes — inserts of new, stored and invalid rows,
 // deletes of present, absent and invalid rows, key declarations the data
-// holds or breaks, index builds — and simulates each on the shadow.
+// holds or breaks, no-ops — and simulates each on the shadow.
 func genSteps(rng *rand.Rand, in *instance) []diffStep {
 	tables := slices.Clone(in.tables)
 	keys := make([][]string, len(tables))
@@ -489,7 +489,8 @@ func genSteps(rng *rand.Rand, in *instance) []diffStep {
 				keys[s.table], s.commits = s.cols, true
 			}
 		default:
-			s.op, s.cols, s.commits = opCreateIndex, []string{attrs[rng.Intn(len(attrs))].Name}, true
+			s.op = opNoop
+			rng.Intn(len(attrs))
 		}
 		s.after, s.keys = slices.Clone(tables), slices.Clone(keys)
 		steps[k] = s
@@ -515,7 +516,7 @@ func (s *diffStep) apply(db *Database, w rowWriter, name string) error {
 	case opDeclareKey:
 		return db.DeclareKey(name, s.cols)
 	default:
-		return db.CreateIndex(name, s.cols[0])
+		return nil
 	}
 }
 
@@ -1071,17 +1072,18 @@ func (r *diffRun) writes(armAt int) {
 }
 
 // armedCommit makes the next heap the engine creates fail its first page
-// write and rebuilds a non-empty table through CreateIndex: the commit
-// must fail with ErrIO without moving the catalog sequence, and the old
-// version must keep answering.
+// write and deletes a stored row from a table of at least two rows, so
+// the rewritten heap writes a page: the commit must fail with ErrIO
+// without moving the catalog sequence, and the old version must keep
+// answering.
 func (r *diffRun) armedCommit(db *Database, fleet *faultFleet, tables, want []*relation.Relation) {
-	i := slices.IndexFunc(tables, func(t *relation.Relation) bool { return t.Len() > 0 })
+	i := slices.IndexFunc(tables, func(t *relation.Relation) bool { return t.Len() >= 2 })
 	if i < 0 {
 		return
 	}
 	seq := db.Metrics().MVCC.Seq
 	fleet.setNew(storage.FaultPlan{FailWriteOp: 1})
-	err := db.CreateIndex(tables[i].Name(), tables[i].Attrs()[0].Name)
+	_, err := db.Delete(tables[i].Name(), tables[i].Row(0))
 	fleet.setNew(storage.FaultPlan{})
 	if st := db.Metrics().MVCC; !errors.Is(err, ErrIO) || st.Seq != seq || st.VersionsLive != 1 {
 		r.fatalf("commit under an armed write fault: err = %v, sequence %d → %d, %d versions live", err, seq, st.Seq, st.VersionsLive)

@@ -154,9 +154,6 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := db.Relation("ghost"); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("Relation(ghost) = %v, want ErrUnknownTable", err)
 	}
-	if err := db.CreateIndex("ghost", "a"); !errors.Is(err, ErrUnknownTable) {
-		t.Fatalf("CreateIndex(ghost) = %v, want ErrUnknownTable", err)
-	}
 	if err := db.DropTable("ghost"); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("DropTable(ghost) = %v, want ErrUnknownTable", err)
 	}

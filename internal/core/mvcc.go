@@ -62,9 +62,9 @@ type catVersion struct {
 	// seq is the catalog version sequence number, bumped once per
 	// published commit. Result.Snapshot reports it.
 	seq int64
-	// tables holds each base table's generation: schema, heap and hash
-	// indexes. cat holds the matching statistics and the view
-	// definitions. Neither is edited after publish.
+	// tables holds each base table's generation: schema and heap. cat
+	// holds the matching statistics and the view definitions. Neither is
+	// edited after publish.
 	tables   map[string]*tableVersion
 	cat      *catalog.Catalog
 	versions map[string]int64
@@ -296,25 +296,25 @@ func (db *Database) beginCommit() *commit {
 }
 
 // loadTable builds a generation from a caller's relation (CreateTable,
-// and through it Materialize and Load): load — columnar-encoded when
-// configured — then finish.
+// and through it Materialize): load — columnar-encoded when configured —
+// then finish.
 func (c *commit) loadTable(r *relation.Relation) (*exec.Table, error) {
 	t, err := exec.LoadRelation(c.db.pool, c.db.factory, r, c.db.cfg.Columnar)
 	if err != nil {
 		return nil, err
 	}
-	return c.finish(t, nil)
+	return c.finish(t)
 }
 
 // rewrite builds a table's next generation from its parent in one pass
-// (Insert, Delete, CreateIndex): the parent's pages are streamed through
-// the pool into a fresh heap. visit, when non-nil, sees each parent
-// batch before it is copied and may name one row of it to leave out (-1
-// for none) or stop the pass with an error; tail, when non-nil, holds
-// rows to append after the last parent row. The parent is the current
+// (Insert, Delete): the parent's pages are streamed through the pool
+// into a fresh heap. visit, when non-nil, sees each parent batch before
+// it is copied and may name one row of it to leave out (-1 for none) or
+// stop the pass with an error; tail, when non-nil, holds rows to append
+// after the last parent row. The parent is the current
 // generation and the writer lock is held, so it cannot be reclaimed
 // under the scan.
-func (c *commit) rewrite(parent *exec.Table, visit func(*storage.Batch) (int, error), tail *storage.Batch, indexes []string) (*exec.Table, error) {
+func (c *commit) rewrite(parent *exec.Table, visit func(*storage.Batch) (int, error), tail *storage.Batch) (*exec.Table, error) {
 	h, err := storage.NewTempHeap(c.db.pool, c.db.factory, len(parent.Attrs))
 	if err != nil {
 		return nil, err
@@ -324,7 +324,7 @@ func (c *commit) rewrite(parent *exec.Table, visit func(*storage.Batch) (int, er
 		h.Drop()
 		return nil, err
 	}
-	return c.finish(&exec.Table{Name: parent.Name, Attrs: parent.Attrs, Heap: h}, indexes)
+	return c.finish(&exec.Table{Name: parent.Name, Attrs: parent.Attrs, Heap: h})
 }
 
 // copyRows appends src's rows to dst in storage order, one page per
@@ -360,19 +360,10 @@ func copyRows(dst, src *storage.Heap, visit func(*storage.Batch) (int, error), t
 	return dst.AppendBatch(tail)
 }
 
-// finish completes a freshly written generation: build the requested
-// hash indexes, then flush its dirty pages so the commit is durable
-// before it becomes visible. Any failure drops the heap and returns the
-// typed storage error.
-func (c *commit) finish(t *exec.Table, indexes []string) (*exec.Table, error) {
-	for _, attr := range indexes {
-		idx, err := exec.BuildIndex(t, attr)
-		if err != nil {
-			t.Heap.Drop()
-			return nil, err
-		}
-		t.AddIndex(idx)
-	}
+// finish completes a freshly written generation: flush its dirty pages
+// so the commit is durable before it becomes visible. A failure drops
+// the heap and returns the typed storage error.
+func (c *commit) finish(t *exec.Table) (*exec.Table, error) {
 	if err := c.db.pool.FlushDisk(t.Heap.Handle()); err != nil {
 		t.Heap.Drop()
 		return nil, err
@@ -380,9 +371,8 @@ func (c *commit) finish(t *exec.Table, indexes []string) (*exec.Table, error) {
 	return t, nil
 }
 
-// install makes t the next version's generation of its table. On its
-// own (CreateIndex) the contents are unchanged, so the per-table version
-// and statistics stand and cached plans and results stay valid.
+// install makes t the next version's generation of its table. The
+// per-table version and statistics change only through restat.
 func (c *commit) install(t *exec.Table) {
 	tv := &tableVersion{tab: t}
 	c.newTables = append(c.newTables, tv)

@@ -315,70 +315,3 @@ func TestConcurrentSnapshotsVsCommits(t *testing.T) {
 		t.Fatalf("%d frames pinned after quiescing, want 0", n)
 	}
 }
-
-// TestSnapshotSaveLoadUnderTransientFaults: the Save and Load pools retry
-// transient faults like the query pool, so a snapshot round-trips through
-// file disks injecting transient read and write faults (wrapSnapshotFile).
-func TestSnapshotSaveLoadUnderTransientFaults(t *testing.T) {
-	dir := t.TempDir()
-	// Each table is one page, so each snapshot disk sees only a couple of
-	// operations: the fault rate is high enough that Save and Load both
-	// meet faults, low enough that three retries absorb them.
-	var disks []*storage.FaultDisk
-	wrapSnapshotFile = func(d storage.Disk) storage.Disk {
-		fd := storage.NewFaultDisk(d, storage.FaultPlan{Seed: 7 + int64(len(disks)), ReadErr: 0.3, WriteErr: 0.3})
-		disks = append(disks, fd)
-		return fd
-	}
-	defer func() { wrapSnapshotFile = nil }()
-	// injected sums the transient faults of the disks opened since disk i.
-	injected := func(i int) (n int64) {
-		for _, d := range disks[i:] {
-			st := d.Stats()
-			n += st.TransientReads + st.TransientWrites
-		}
-		return n
-	}
-	cfg := Config{}
-	db := mvccTestDB(t, cfg)
-	want, err := db.Query(&QuerySpec{View: "rs", GroupVars: []string{"b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Save(dir); err != nil {
-		t.Fatalf("save under transient faults: %v", err)
-	}
-	if injected(0) == 0 {
-		t.Fatal("no transient fault fired during Save")
-	}
-
-	saved := len(disks)
-	db2, err := Load(dir, cfg)
-	if err != nil {
-		t.Fatalf("load under transient faults: %v", err)
-	}
-	if injected(saved) == 0 {
-		t.Fatal("no transient fault fired during Load")
-	}
-	defer db2.Close()
-	got, err := db2.Query(&QuerySpec{View: "rs", GroupVars: []string{"b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.Equal(got.Relation, want.Relation, 0, 1e-9) {
-		t.Fatal("answer differs after faulty snapshot round trip")
-	}
-	for _, name := range []string{"r", "s"} {
-		a, err := db.Relation(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := db2.Relation(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relation.Equal(a, b, 0, 0) {
-			t.Fatalf("table %s differs after round trip", name)
-		}
-	}
-}

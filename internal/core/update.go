@@ -39,8 +39,8 @@ func (c *commit) target(table string, vals []int32, inDomain bool) (*exec.Table,
 // from its parent in one pass (commit.rewrite) that also enforces the
 // functional dependency — no second measure for an existing variable
 // assignment, no second row for an existing value of a declared key —
-// and carries the statistics and key forward. The generation, with its
-// hash indexes rebuilt, is published as a new catalog version. Readers
+// and carries the statistics and key forward. The generation is
+// published as a new catalog version. Readers
 // pinned to the old version keep their generation; workload caches over
 // views containing the table are invalidated (they no longer satisfy
 // the Definition 5 invariant and must be rebuilt with BuildCache).
@@ -62,7 +62,7 @@ func (db *Database) Insert(table string, vals []int32, measure float64) error {
 			}
 		}
 		return -1, nil
-	}, &storage.Batch{Arity: len(vals), Vals: vals, Measures: []float64{measure}}, indexAttrs(parent))
+	}, &storage.Batch{Arity: len(vals), Vals: vals, Measures: []float64{measure}})
 	if errors.Is(err, ErrNotFunctional) {
 		c.cancel()
 		return err
@@ -79,9 +79,9 @@ func (db *Database) Insert(table string, vals []int32, measure float64) error {
 
 // Delete removes the tuple with the given variable assignment, returning
 // whether it existed. The next generation is the parent's rows minus
-// that one, built by the same pass as Insert; indexes are rebuilt,
-// statistics and key carried forward, and dependent caches invalidated.
-// Deleting an absent row publishes nothing.
+// that one, built by the same pass as Insert; statistics and key are
+// carried forward and dependent caches invalidated. Deleting an absent
+// row publishes nothing.
 func (db *Database) Delete(table string, vals []int32) (bool, error) {
 	c := db.beginCommit()
 	parent, edit, err := c.target(table, vals, false)
@@ -98,7 +98,7 @@ func (db *Database) Delete(table string, vals []int32) (bool, error) {
 			}
 		}
 		return skip, nil
-	}, nil, indexAttrs(parent))
+	}, nil)
 	if err != nil {
 		return false, c.abort(err)
 	}
@@ -119,8 +119,7 @@ func (db *Database) Delete(table string, vals []int32) (bool, error) {
 // Every column must be an attribute of the table and the stored rows
 // must be distinct on cols. The declaration is a commit: the table's
 // version is bumped so cached plans are re-planned against the key, and
-// it survives later Inserts (which must respect it), Deletes,
-// CreateIndex and Save/Load.
+// it survives later Inserts (which must respect it) and Deletes.
 func (db *Database) DeclareKey(table string, cols []string) error {
 	c := db.beginCommit()
 	tv, ok := c.next.tables[table]

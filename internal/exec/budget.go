@@ -31,9 +31,6 @@ type Budget struct {
 	MaxRows int64
 }
 
-// active reports whether any bound is set.
-func (b Budget) active() bool { return b.MaxTempTuples > 0 || b.MaxRows > 0 }
-
 // budgetKey is the context key for WithBudget.
 type budgetKey struct{}
 

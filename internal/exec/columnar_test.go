@@ -233,44 +233,6 @@ func TestMorselSchedParallelFor(t *testing.T) {
 	}
 }
 
-// TestMorselSchedGroup exercises the open-stream shape: submissions with
-// backpressure, wait draining everything, and error short-circuiting.
-func TestMorselSchedGroup(t *testing.T) {
-	m := newMorselSched(3)
-	defer m.close()
-	g := m.newGroup("stream")
-	var n atomic.Int32
-	for i := 0; i < 200; i++ {
-		if err := g.submit(func() error {
-			n.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Load(); got != 200 {
-		t.Fatalf("ran %d of 200 submitted tasks", got)
-	}
-	boom := errors.New("boom")
-	g2 := m.newGroup("stream")
-	_ = g2.submit(func() error { return boom })
-	for i := 0; i < 50; i++ {
-		if err := g2.submit(func() error { return nil }); err != nil {
-			break // error surfaced at submit: acceptable, as long as wait agrees
-		}
-	}
-	if err := g2.wait(); !errors.Is(err, boom) {
-		t.Fatalf("want boom from wait, got %v", err)
-	}
-	snap := m.snapshot()
-	if len(snap) == 0 || snap[0].Kind != "stream" || snap[0].Count == 0 {
-		t.Fatalf("bad snapshot %v", snap)
-	}
-}
-
 // TestColumnarResultCacheStable checks the encoded paths through the
 // result cache: a warm re-run served from cache equals the cold columnar
 // run bit for bit.

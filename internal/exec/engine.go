@@ -426,8 +426,8 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 }
 
 // dropInput releases an operator input if it was temporary. A failed
-// drop is not the query's failure: the heap is memory- or
-// temp-file-backed and is reclaimed either way.
+// drop is not the query's failure: the heap is in memory and is
+// reclaimed either way.
 func dropInput(t *Table) {
 	if t != nil {
 		t.Drop()
@@ -464,18 +464,8 @@ func (e *Engine) newOutTemp(ctx context.Context, name string, attrs []relation.A
 	return t, nil
 }
 
-// selectOp filters the input by the equality predicate, using a hash
-// index when one covers a predicate variable and falling back to a scan.
+// selectOp filters the input by the equality predicate in one scan.
 func (e *Engine) selectOp(ctx context.Context, in *Table, pred relation.Predicate, st *RunStats) (*Table, error) {
-	if len(in.Indexes) > 0 {
-		out, err := e.indexedSelect(ctx, in, pred, st)
-		if err != nil {
-			return nil, err
-		}
-		if out != nil {
-			return out, nil
-		}
-	}
 	cols := make([]int, 0, len(pred))
 	want := make([]int32, 0, len(pred))
 	for v, val := range pred {

@@ -48,7 +48,7 @@ func layoutHarness(t testing.TB, l pageLayout, rels ...*relation.Relation) *harn
 		per := storage.TuplesPerPage(r.Arity())
 		for i := 0; i < r.Len(); i++ {
 			heap.SetColumnar(l.pageColumnar(i / per))
-			if err := heap.Append(r.Row(i), r.Measure(i)); err != nil {
+			if err := heap.AppendRows(r.Row(i), []float64{r.Measure(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,13 +9,8 @@ package exec
 // compose as one pipeline: a worker finishing a join morsel can
 // immediately pick up an aggregation leaf of the same query.
 //
-// Two submission shapes cover every operator:
-//
-//   - parallelFor: a fixed index range (partition pairs, aggregation
-//     leaves), submitted at once and waited on.
-//   - group: an open stream (tasks discovered while scanning), with
-//     submit backpressure bounding queued-but-unstarted morsels so a
-//     producer cannot buffer its whole input in memory.
+// Every operator submits through parallelFor: a fixed index range
+// (partition pairs, aggregation leaves), submitted at once and waited on.
 //
 // The caller participates: while waiting it runs its own set's pending
 // morsels, which makes the scheduler deadlock-free at any worker count
@@ -56,15 +51,13 @@ type morselSet struct {
 	kind     string
 	tasks    []morselTask
 	inflight int
-	open     bool // group still submitting; wait requires open == false
-	limit    int  // group backpressure: max queued+inflight (0 = none)
 	err      error
 }
 
 // finished reports whether the set has no more work and no task running.
 // Errors clear the pending queue, so a failed set also finishes.
 func (s *morselSet) finished() bool {
-	return !s.open && len(s.tasks) == 0 && s.inflight == 0
+	return len(s.tasks) == 0 && s.inflight == 0
 }
 
 // morselSched is a query run's shared work queue and worker pool.
@@ -198,58 +191,6 @@ func (m *morselSched) parallelFor(kind string, n int, task func(i int) error) er
 	m.ensureWorkersLocked()
 	m.cond.Broadcast()
 	return m.waitLocked(s)
-}
-
-// morselGroup is an open morsel stream: a producer submits tasks as it
-// discovers them and waits once done submitting.
-type morselGroup struct {
-	m *morselSched
-	s *morselSet
-}
-
-// newGroup opens a morsel group under kind. The group bounds its queue
-// to the worker count plus one: submit blocks (running queued tasks
-// itself) past that, so a fast producer cannot buffer unbounded work.
-func (m *morselSched) newGroup(kind string) *morselGroup {
-	s := &morselSet{kind: kind, open: true, limit: m.workers + 1}
-	m.mu.Lock()
-	m.sets = append(m.sets, s)
-	m.ensureWorkersLocked()
-	m.mu.Unlock()
-	return &morselGroup{m: m, s: s}
-}
-
-// submit queues one task, applying backpressure: when the group is at
-// its limit the producer runs pending tasks itself or waits for a slot.
-// After a task error submit drops new work and returns the error, so
-// producers can stop early.
-func (g *morselGroup) submit(t morselTask) error {
-	m, s := g.m, g.s
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for s.err == nil && len(s.tasks)+s.inflight >= s.limit {
-		if len(s.tasks) > 0 {
-			m.runOneLocked(s)
-			continue
-		}
-		m.cond.Wait()
-	}
-	if s.err != nil {
-		return s.err
-	}
-	s.tasks = append(s.tasks, t)
-	m.cond.Broadcast()
-	return nil
-}
-
-// wait closes the group to new submissions and blocks until every
-// submitted task finished, returning the first task error.
-func (g *morselGroup) wait() error {
-	g.m.mu.Lock()
-	defer g.m.mu.Unlock()
-	g.s.open = false
-	g.m.cond.Broadcast()
-	return g.m.waitLocked(g.s)
 }
 
 // close shuts the scheduler down; background workers exit once idle.

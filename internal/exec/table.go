@@ -25,11 +25,8 @@ type Table struct {
 	Name  string
 	Attrs []relation.Attr
 	Heap  *storage.Heap
-	// Indexes holds hash indexes by attribute name; selections use them
-	// automatically when one covers a predicate variable.
-	Indexes map[string]*Index
-	temp    bool
-	mu      sync.Mutex // serializes shared batchWriter flushes of parallel producers
+	temp  bool
+	mu    sync.Mutex // serializes shared batchWriter flushes of parallel producers
 	// onDrop, when set, runs exactly once on the first Drop, before any
 	// heap release. The result cache uses it to unpin a shared cache entry
 	// when the consuming operator is done with it: cached tables are

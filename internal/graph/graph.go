@@ -73,15 +73,6 @@ func (g *Undirected) Neighbors(v string) []string {
 // Degree returns the number of neighbors of v.
 func (g *Undirected) Degree(v string) int { return len(g.adj[v]) }
 
-// NumEdges returns the number of undirected edges.
-func (g *Undirected) NumEdges() int {
-	n := 0
-	for _, ns := range g.adj {
-		n += len(ns)
-	}
-	return n / 2
-}
-
 // Clone returns a deep copy.
 func (g *Undirected) Clone() *Undirected {
 	c := NewUndirected()

@@ -373,3 +373,12 @@ func TestInducedWidth(t *testing.T) {
 		t.Fatalf("width = %d, want 2", w)
 	}
 }
+
+// NumEdges returns the number of undirected edges.
+func (g *Undirected) NumEdges() int {
+	n := 0
+	for _, ns := range g.adj {
+		n += len(ns)
+	}
+	return n / 2
+}

@@ -36,13 +36,8 @@ type Result struct {
 	Planner  string
 }
 
-// Run optimizes q with o, measuring planning time.
-func Run(o Optimizer, q *Query, b *plan.Builder) (Result, error) {
-	return RunContext(context.Background(), o, q, b)
-}
-
-// RunContext is Run with cancellation: ctx is observed before and after
-// the optimize phase. Optimizers themselves are pure CPU work bounded by
+// RunContext optimizes q with o, measuring planning time. ctx is
+// observed before and after the optimize phase. Optimizers themselves are pure CPU work bounded by
 // the plan search space, so phase-boundary checks keep the Optimizer
 // interface unchanged while still letting a canceled query skip planning
 // (and discard a plan that finished after the deadline).

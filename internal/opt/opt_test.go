@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -449,4 +450,9 @@ func TestSupplyChainOptimizersMatchOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Run is RunContext without cancellation.
+func Run(o Optimizer, q *Query, b *plan.Builder) (Result, error) {
+	return RunContext(context.Background(), o, q, b)
 }

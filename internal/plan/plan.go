@@ -218,18 +218,6 @@ func CountOps(n *Node, op Op) int {
 	return c
 }
 
-// Depth returns the height of the plan tree.
-func Depth(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	l, r := Depth(n.Left), Depth(n.Right)
-	if r > l {
-		l = r
-	}
-	return l + 1
-}
-
 // IsLeftLinear reports whether every join's right input is a leaf-ish
 // subplan containing exactly one base table (the paper's linear plans:
 // new relations are always joined to the accumulated left side).

@@ -191,3 +191,15 @@ func TestPageIOCostModel(t *testing.T) {
 		t.Fatal("PageIO join should have positive cost")
 	}
 }
+
+// Depth returns the height of the plan tree.
+func Depth(n *Node) int {
+	if n == nil {
+		return 0
+	}
+	l, r := Depth(n.Left), Depth(n.Right)
+	if r > l {
+		l = r
+	}
+	return l + 1
+}

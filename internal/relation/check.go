@@ -29,18 +29,10 @@ func (r *Relation) CheckFD() error {
 // IsComplete reports whether the relation contains every combination of
 // its attribute domains exactly once (the paper's "complete" relations;
 // probability functions are complete in principle).
+// A domain product that overflows saturates at MaxInt, which no relation
+// reaches.
 func (r *Relation) IsComplete() bool {
-	total := 1
-	for _, a := range r.attrs {
-		if total > math.MaxInt/a.Domain {
-			return false // domain product overflows; cannot be materialized anyway
-		}
-		total *= a.Domain
-	}
-	if r.Len() != total {
-		return false
-	}
-	return r.CheckFD() == nil
+	return r.Len() == r.DomainProduct() && r.CheckFD() == nil
 }
 
 // DomainProduct returns the size of the cross product of attribute

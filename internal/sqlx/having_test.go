@@ -76,48 +76,6 @@ func TestHavingEndToEnd(t *testing.T) {
 	}
 }
 
-func TestCreateIndexStatement(t *testing.T) {
-	st, err := Parse("create index on t (a)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci := st.(*CreateIndex)
-	if ci.Table != "t" || ci.Attr != "a" {
-		t.Fatalf("parsed %+v", ci)
-	}
-	if _, err := Parse("create index on t"); err == nil {
-		t.Fatal("missing attr should error")
-	}
-
-	db, err := core.Open(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := NewSession(db)
-	for _, line := range []string{
-		"create table t (a domain 4)",
-		"insert into t values (0, 1)",
-		"insert into t values (1, 2)",
-		"create index on t (a)",
-		"create mpfview v as select * from t",
-	} {
-		if _, err := s.Exec(line); err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-	}
-	out, err := s.Exec("select a, sum(f) from v where a = 1 group by a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Relation.Len() != 1 || out.Relation.Measure(0) != 2 {
-		t.Fatalf("indexed SQL query wrong: %v", out.Relation)
-	}
-	if _, err := s.Exec("create index on ghost (a)"); err == nil {
-		t.Fatal("index on unknown table should error")
-	}
-}
-
 func TestDropStatements(t *testing.T) {
 	db, err := core.Open(core.Config{})
 	if err != nil {

@@ -7,10 +7,9 @@
 //
 // Grammar (case-insensitive keywords; identifiers are [a-z_][a-z0-9_]*):
 //
-//	stmt        := create_table | create_index | insert | create_view
+//	stmt        := create_table | insert | create_view
 //	             | drop | select | explain
 //	create_table:= CREATE TABLE name '(' attr (',' attr)* ')'
-//	create_index:= CREATE INDEX ON name '(' name ')'
 //	drop        := DROP (TABLE | MPFVIEW) name
 //	attr        := name DOMAIN int
 //	insert      := INSERT INTO name VALUES '(' int (',' int)* ',' number ')'

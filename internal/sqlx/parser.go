@@ -29,15 +29,6 @@ type Insert struct {
 
 func (*Insert) stmt() {}
 
-// CreateIndex builds a hash index on a table attribute:
-// CREATE INDEX ON t (a).
-type CreateIndex struct {
-	Table string
-	Attr  string
-}
-
-func (*CreateIndex) stmt() {}
-
 // Drop removes a table or a view: DROP TABLE t / DROP MPFVIEW v.
 type Drop struct {
 	// View selects view semantics; otherwise a table is dropped.
@@ -232,11 +223,8 @@ func (p *parser) statement() (Statement, error) {
 		case p.at(tokIdent, "mpfview"):
 			p.next()
 			return p.createView()
-		case p.at(tokIdent, "index"):
-			p.next()
-			return p.createIndex()
 		default:
-			return nil, fmt.Errorf("sqlx: expected TABLE, MPFVIEW or INDEX after CREATE, found %v", p.peek())
+			return nil, fmt.Errorf("sqlx: expected TABLE or MPFVIEW after CREATE, found %v", p.peek())
 		}
 	case p.at(tokIdent, "drop"):
 		p.next()
@@ -307,27 +295,6 @@ func (p *parser) createTable() (Statement, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-func (p *parser) createIndex() (Statement, error) {
-	if err := p.keyword("on"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokPunct, "("); err != nil {
-		return nil, err
-	}
-	attr, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokPunct, ")"); err != nil {
-		return nil, err
-	}
-	return &CreateIndex{Table: table, Attr: attr}, nil
 }
 
 func (p *parser) insert() (Statement, error) {

@@ -71,16 +71,6 @@ func (s *Session) Run(st Statement) (*Output, error) {
 		}
 		return &Output{Message: fmt.Sprintf("inserted 1 tuple into %s", st.Table)}, nil
 
-	case *CreateIndex:
-		// The table must be loaded into the engine before indexing.
-		if err := s.flush([]string{st.Table}); err != nil {
-			return nil, err
-		}
-		if err := s.DB.CreateIndex(st.Table, st.Attr); err != nil {
-			return nil, err
-		}
-		return &Output{Message: fmt.Sprintf("created index on %s(%s)", st.Table, st.Attr)}, nil
-
 	case *Drop:
 		if st.View {
 			if err := s.DB.DropView(st.Name); err != nil {

@@ -270,6 +270,9 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := s.Exec("totally not sql"); err == nil {
 		t.Fatal("garbage should error")
 	}
+	if _, err := s.Exec("create index on t (a)"); err == nil {
+		t.Fatal("create index should be refused as an unknown statement")
+	}
 }
 
 // TestSessionMinProduct checks aggregate/semiring compatibility the other

@@ -152,6 +152,15 @@ func failedScanSource(t *testing.T) *MemDisk {
 	return src
 }
 
+// attachHeap attaches a heap of the given arity to n tuples already on
+// d's pages, every page full but the last.
+func attachHeap(pool *Pool, d Disk, arity int, n int64) *Heap {
+	per := int64(TuplesPerPage(arity))
+	last := d.NumPages() - 1
+	return &Heap{pool: pool, disk: d, handle: pool.Register(d), arity: arity, tupleSize: tupleSize(arity),
+		perPage: int(per), ntuples: n, lastPage: last, lastCount: int(n - last*per)}
+}
+
 // runFailedScan scans h to its end under ctx, in the column-batch shape
 // when columns is set and the row-major one otherwise, and returns the
 // error the scan reported. When there is one, it checks that the scan
@@ -205,10 +214,7 @@ func TestScanReadAheadCanceled(t *testing.T) {
 	cancel()
 	for rep, columns := range []bool{false, true} {
 		pool := NewPool(16)
-		h, err := OpenHeap(pool, src, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := attachHeap(pool, src, 2, int64(40*TuplesPerPage(2)))
 		before := pool.Stats().Reads
 		if runFailedScan(t, rep, pool, h, ctx, columns) == nil {
 			t.Fatalf("rep %d: scan under a canceled context reported no error", rep)
@@ -229,10 +235,7 @@ func TestReadAheadSettlesBeforeScanEnds(t *testing.T) {
 	for rep := 0; rep < 24; rep++ {
 		pool := NewPool(16)
 		d := NewFaultDisk(src, FaultPlan{})
-		h, err := OpenHeap(pool, d, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := attachHeap(pool, d, 2, int64(40*TuplesPerPage(2)))
 		d.SetPlan(FaultPlan{Seed: int64(rep), PermReadErr: 0.15})
 		if runFailedScan(t, rep, pool, h, context.Background(), rep%2 == 1) != nil {
 			failures++

@@ -189,24 +189,6 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes the IO counters.
-func (p *Pool) ResetStats() {
-	p.mu.Lock()
-	p.stats = Stats{}
-	p.mu.Unlock()
-	p.retryN.Store(0)
-	p.transientN.Store(0)
-	p.permanentN.Store(0)
-	p.checksumN.Store(0)
-	p.encPages.Store(0)
-	p.encFallback.Store(0)
-	p.encSegPlain.Store(0)
-	p.encSegByte.Store(0)
-	p.encSegRLE.Store(0)
-	p.encSegDict.Store(0)
-	p.encSaved.Store(0)
-}
-
 // Default retry backoff: the first re-attempt waits retryBackoffBase,
 // doubling per attempt up to retryBackoffCap.
 const (
@@ -406,22 +388,18 @@ func (p *Pool) victim(ctx context.Context) (int, error) {
 	return 0, fmt.Errorf("bufferpool: all %d frames pinned: %w", n, ErrPoolExhausted)
 }
 
-// Pin fetches the page into the pool (reading from disk on a miss), pins
-// it, and returns the frame's buffer. The buffer remains valid until the
-// matching Unpin. Callers that modify the buffer must pass dirty=true to
-// Unpin.
+// PinContext fetches the page into the pool (reading from disk on a
+// miss), pins it, and returns the frame's buffer. The buffer remains
+// valid until the matching Unpin. Callers that modify the buffer must
+// pass dirty=true to Unpin.
 //
 // On a miss the frame is reserved under the pool lock but filled from
 // disk with the lock released, so concurrent pins of other pages proceed
 // while the read is in flight. Concurrent pins of the SAME page wait for
 // the in-flight read and then share the frame, counting a hit — exactly
 // the accounting a serial execution of the same accesses would produce.
-func (p *Pool) Pin(h, no int64) ([]byte, error) {
-	return p.PinContext(context.Background(), h, no)
-}
-
-// PinContext is Pin with cancellation: a request that would miss and
-// stall on a disk read (or on a dirty-page writeback during eviction)
+//
+// A request that would miss and stall on a disk read (or on a dirty-page writeback during eviction)
 // first observes ctx and returns its error instead of starting the IO.
 // Hits are served unconditionally — they perform no IO, and refusing
 // them would only delay the caller's own cleanup.

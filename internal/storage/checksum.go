@@ -13,7 +13,7 @@ import (
 // — a flipped bit, a torn write, a misdirected sector — is reported as a
 // *CorruptPageError instead of flowing into query answers. The trailer
 // lives inside the page so the layout is identical for every Disk
-// implementation and survives snapshot save/load byte-for-byte.
+// implementation.
 
 // PageTrailerSize is the number of bytes reserved at the end of every
 // page for the integrity checksum.

@@ -2,10 +2,9 @@ package storage
 
 // Columnar in-page layout (page format v1). A heap page holds exactly the
 // same tuples as its row-major (v0) form — TuplesPerPage is unchanged, so
-// page counts, the IO cost model, and OpenHeap's tuple-count recovery are
-// format-independent — but a full page's payload is stored per attribute
-// as column segments with per-page dictionary and run-length encodings
-// chosen column by column. The win is pure CPU: operators skip whole runs
+// page counts and the IO cost model are format-independent — but a full
+// page's payload is stored per attribute as column segments with per-page
+// dictionary and run-length encodings chosen column by column. The win is pure CPU: operators skip whole runs
 // and feed small code spaces through memoized key lookups instead of
 // decoding every tuple. The precise on-disk byte layout, with a worked
 // example, is specified in docs/PAGE_FORMAT.md; this file is its
@@ -13,7 +12,7 @@ package storage
 //
 // Layout summary:
 //
-//	offset 0: uint16 tuple count (all formats — OpenHeap recovery)
+//	offset 0: uint16 tuple count (all formats)
 //	offset 2: format version byte (0 row-major, 1 columnar)
 //	offset 3: arity byte (columnar pages; 0 on row-major pages)
 //	offset 4: 4 reserved zero bytes

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,20 +65,6 @@ func checkScan(t *testing.T, h *Heap, vals [][]int32, meas []float64) {
 	}
 	if err := cit.Close(); err != nil || i != len(vals) {
 		t.Fatalf("ScanColBatches: %d rows err %v, want %d", i, err, len(vals))
-	}
-	// Random access.
-	per := TuplesPerPage(h.Arity())
-	for _, probe := range []int{0, len(vals) / 2, len(vals) - 1} {
-		pageNo, slot := int64(probe/per), int32(probe%per)
-		err := h.ReadTupleBatchContext(context.Background(), pageNo, []int32{slot}, func(v []int32, m float64) error {
-			if !int32sEqual(v, vals[probe]) || math.Float64bits(m) != math.Float64bits(meas[probe]) {
-				t.Fatalf("ReadTupleBatchContext row %d: got %v %v want %v %v", probe, v, m, vals[probe], meas[probe])
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("ReadTupleBatchContext(%d,%d): %v", pageNo, slot, err)
-		}
 	}
 }
 
@@ -218,66 +203,6 @@ func TestColumnarMixedFormats(t *testing.T) {
 	}
 }
 
-// TestColumnarSurvivesReopen flushes a columnar heap to disk and reopens
-// it: OpenHeap's count recovery and every read path must work on the
-// persisted pages, and checksum sealing must round-trip them unchanged.
-func TestColumnarSurvivesReopen(t *testing.T) {
-	pool, h := newColumnarHeap(t, 4, 2)
-	d := h.disk
-	per := TuplesPerPage(2)
-	n := 2*per + 5
-	vals, meas := fillHeapGen(t, h, n, func(i int) ([]int32, float64) {
-		return []int32{int32(i % 3), int32(i / 128)}, float64(i) + 0.5
-	})
-	if err := pool.FlushAll(); err != nil {
-		t.Fatalf("FlushAll: %v", err)
-	}
-	if err := pool.Unregister(h.handle); err != nil {
-		t.Fatalf("Unregister: %v", err)
-	}
-	h2, err := OpenHeap(pool, d, 2)
-	if err != nil {
-		t.Fatalf("OpenHeap: %v", err)
-	}
-	if h2.NumTuples() != int64(n) {
-		t.Fatalf("reopened heap has %d tuples, want %d", h2.NumTuples(), n)
-	}
-	checkScan(t, h2, vals, meas)
-}
-
-// TestColumnarAppendAfterReopen verifies a reopened columnar heap keeps
-// appending to its row-major tail page and encodes it when it fills.
-func TestColumnarAppendAfterReopen(t *testing.T) {
-	pool, h := newColumnarHeap(t, 4, 1)
-	d := h.disk
-	per := TuplesPerPage(1)
-	gen := func(i int) ([]int32, float64) { return []int32{int32(i / 9)}, float64(i) }
-	vals, meas := fillHeapGen(t, h, per/2, gen)
-	if err := pool.FlushAll(); err != nil {
-		t.Fatalf("FlushAll: %v", err)
-	}
-	if err := pool.Unregister(h.handle); err != nil {
-		t.Fatalf("Unregister: %v", err)
-	}
-	h2, err := OpenHeap(pool, d, 1)
-	if err != nil {
-		t.Fatalf("OpenHeap: %v", err)
-	}
-	h2.SetColumnar(true)
-	for i := per / 2; i < per+3; i++ {
-		v, m := gen(i)
-		if err := h2.Append(v, m); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		vals = append(vals, append([]int32(nil), v...))
-		meas = append(meas, m)
-	}
-	checkScan(t, h2, vals, meas)
-	if st := pool.EncodingStats(); st.PagesEncoded != 1 {
-		t.Fatalf("expected the filled tail page encoded, got %+v", st)
-	}
-}
-
 // FuzzColumnarPageRoundTrip encodes an arbitrary full page and asserts
 // the parser returns exactly the original rows.
 func FuzzColumnarPageRoundTrip(f *testing.F) {
@@ -351,14 +276,6 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 		for i := range wantM {
 			if math.Float64bits(gotM[i]) != math.Float64bits(wantM[i]) {
 				t.Fatalf("measure %d: got %x want %x", i, math.Float64bits(gotM[i]), math.Float64bits(wantM[i]))
-			}
-		}
-		// Random access through the views must agree with the expansion.
-		for _, r := range []int{0, n / 3, n / 2, n - 1} {
-			for c := range views {
-				if v := views[c].Value(r); v != want[r*arity+c] {
-					t.Fatalf("view %d row %d: got %d want %d", c, r, v, want[r*arity+c])
-				}
 			}
 		}
 	})
@@ -471,10 +388,9 @@ type pageRows struct {
 }
 
 // FuzzPageDecode reads arbitrary checksum-valid page payloads, placed
-// before a valid one-tuple page so OpenHeap recovers the heap, through
-// both batch shapes and ReadTupleBatchContext. No reader may panic, all
-// must agree — the same rows of the fuzzed page, or every one failing
-// with ErrCorruptPage — and nothing may stay pinned.
+// before a valid one-tuple page, through both batch shapes. No reader
+// may panic, both must agree — the same rows of the fuzzed page, or both
+// failing with ErrCorruptPage — and nothing may stay pinned.
 func FuzzPageDecode(f *testing.F) {
 	for _, p := range probePages() {
 		f.Add(p.arity, p.payload)
@@ -495,10 +411,7 @@ func FuzzPageDecode(f *testing.F) {
 			}
 		}
 		pool := NewPool(4)
-		h, err := OpenHeap(pool, d, arity)
-		if err != nil {
-			t.Fatalf("OpenHeap over a valid last page: %v", err)
-		}
+		h := attachHeap(pool, d, arity, int64(TuplesPerPage(arity))+1)
 		defer h.Drop()
 
 		var batches, cols pageRows
@@ -520,34 +433,20 @@ func FuzzPageDecode(f *testing.F) {
 			}
 		}
 		cols.err = ci.Close()
-		var random pageRows
-		slots := make([]int32, len(batches.meas))
-		for i := range slots {
-			slots[i] = int32(i)
+		if (batches.err == nil) != (cols.err == nil) {
+			t.Fatalf("batches err %v, column batches err %v", batches.err, cols.err)
 		}
-		random.err = h.ReadTupleBatchContext(context.Background(), 0, slots, func(v []int32, m float64) error {
-			random.vals = append(random.vals, v...)
-			random.meas = append(random.meas, math.Float64bits(m))
-			return nil
-		})
-
-		for name, got := range map[string]pageRows{"column batches": cols, "ReadTupleBatchContext": random} {
-			if (batches.err == nil) != (got.err == nil) {
-				t.Fatalf("batches err %v, %s err %v", batches.err, name, got.err)
+		if cols.err == nil {
+			if !int32sEqual(cols.vals, batches.vals) || len(cols.meas) != len(batches.meas) {
+				t.Fatalf("column batches read %v, batches %v", cols.vals, batches.vals)
 			}
-			if got.err != nil {
-				continue
-			}
-			if !int32sEqual(got.vals, batches.vals) || len(got.meas) != len(batches.meas) {
-				t.Fatalf("%s read %v, batches %v", name, got.vals, batches.vals)
-			}
-			for i := range got.meas {
-				if got.meas[i] != batches.meas[i] {
-					t.Fatalf("%s measure %d bits %x, batches %x", name, i, got.meas[i], batches.meas[i])
+			for i := range cols.meas {
+				if cols.meas[i] != batches.meas[i] {
+					t.Fatalf("column batches measure %d bits %x, batches %x", i, cols.meas[i], batches.meas[i])
 				}
 			}
 		}
-		for _, err := range []error{batches.err, cols.err, random.err} {
+		for _, err := range []error{batches.err, cols.err} {
 			if err != nil && !errors.Is(err, ErrCorruptPage) {
 				t.Fatalf("malformed page failed with %v, want ErrCorruptPage", err)
 			}

@@ -45,22 +45,6 @@ type ColView struct {
 // Len returns the number of rows in the view.
 func (v *ColView) Len() int { return v.n }
 
-// Value returns row i's decoded value. For EncRLE views it materializes
-// the column once (see Flat); encoding-aware operators avoid it on hot
-// paths in favor of the encoded fields.
-func (v *ColView) Value(i int) int32 {
-	switch v.Enc {
-	case EncPlain:
-		return v.Plain[i]
-	case EncByte:
-		return int32(v.Codes[i])
-	case EncDict:
-		return v.Dict[v.Codes[i]]
-	default:
-		return v.Flat()[i]
-	}
-}
-
 // Flat returns the view fully decoded as one value per row, materializing
 // and caching it on first use (EncPlain views return Plain directly).
 func (v *ColView) Flat() []int32 {
@@ -141,14 +125,6 @@ func (cb *ColBatch) views(arity, n int) []ColView {
 	return cb.Cols
 }
 
-// Row gathers row i's values across all columns into dst, which must
-// have length Arity.
-func (cb *ColBatch) Row(i int, dst []int32) {
-	for c := range cb.Cols {
-		dst[c] = cb.Cols[c].Value(i)
-	}
-}
-
 // ColBatchIterator streams a heap's tuples in storage order as encoded
 // column batches, one page per batch (see pageCursor): every column
 // segment is copied out of the pinned page, so no pin outlives a Next
@@ -158,12 +134,9 @@ type ColBatchIterator struct {
 	cb ColBatch
 }
 
-// ScanColBatches returns an encoded-batch iterator over the heap. The
-// iterator must be Closed. Appending during a scan is not supported.
-func (h *Heap) ScanColBatches() *ColBatchIterator { return h.ScanColBatchesContext(h.context()) }
-
-// ScanColBatchesContext is ScanColBatches with per-scan cancellation:
-// page fetches observe ctx at every buffer-pool miss.
+// ScanColBatchesContext returns an encoded-batch iterator over the heap,
+// whose page fetches observe ctx at every buffer-pool miss. The iterator
+// must be Closed. Appending during a scan is not supported.
 func (h *Heap) ScanColBatchesContext(ctx stdcontext.Context) *ColBatchIterator {
 	return &ColBatchIterator{pageCursor: h.cursor(ctx)}
 }

@@ -6,15 +6,13 @@
 // dominated by IO on disk-resident operands. This package reproduces that
 // regime: every tuple flows through 8 KiB pages cached by a buffer pool of
 // bounded size, and the pool counts physical reads, writes and hits so
-// that experiments can report IO alongside wall-clock time. Two disk
-// managers are provided — a real file-backed one and an in-memory one that
-// performs identical page accounting — so tests and benchmarks can choose
-// between fidelity and speed without changing IO counts.
+// that experiments can report IO alongside wall-clock time. Pages live on
+// an in-memory disk; wrappers add latency (LatencyDisk) or injected faults
+// (FaultDisk) without changing IO counts.
 package storage
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 )
@@ -37,9 +35,9 @@ type Disk interface {
 	Close() error
 }
 
-// MemDisk is an in-memory Disk. It is byte-compatible with FileDisk and
-// performs identical page-granular IO accounting through the buffer pool,
-// making it the default substrate for tests and deterministic benchmarks.
+// MemDisk is an in-memory Disk: the engine's page store. Every page
+// still moves through the buffer pool, so IO accounting is page-granular
+// and deterministic.
 type MemDisk struct {
 	mu    sync.Mutex
 	pages [][]byte
@@ -91,98 +89,6 @@ func (d *MemDisk) Close() error {
 	defer d.mu.Unlock()
 	d.pages = nil
 	return nil
-}
-
-// FileDisk is a Disk backed by a single operating-system file.
-type FileDisk struct {
-	mu     sync.Mutex
-	f      *os.File
-	npages int64
-	remove bool // unlink on Close (temp files)
-}
-
-// OpenFileDisk opens (creating if necessary) the file at path as a disk.
-func OpenFileDisk(path string) (*FileDisk, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open disk: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: stat disk: %w", err)
-	}
-	if st.Size()%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s size %d is not page aligned", path, st.Size())
-	}
-	return &FileDisk{f: f, npages: st.Size() / PageSize}, nil
-}
-
-// NewTempFileDisk creates a disk backed by a temp file under dir (or the
-// system temp dir when dir is empty); the file is removed on Close.
-func NewTempFileDisk(dir string) (*FileDisk, error) {
-	f, err := os.CreateTemp(dir, "mpf-heap-*.pag")
-	if err != nil {
-		return nil, fmt.Errorf("storage: create temp disk: %w", err)
-	}
-	return &FileDisk{f: f, remove: true}, nil
-}
-
-// ReadPage implements Disk.
-func (d *FileDisk) ReadPage(no int64, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if no < 0 || no >= d.npages {
-		return fmt.Errorf("filedisk: read of unallocated page %d (have %d)", no, d.npages)
-	}
-	_, err := d.f.ReadAt(buf[:PageSize], no*PageSize)
-	return err
-}
-
-// WritePage implements Disk.
-func (d *FileDisk) WritePage(no int64, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if no < 0 || no >= d.npages {
-		return fmt.Errorf("filedisk: write of unallocated page %d (have %d)", no, d.npages)
-	}
-	_, err := d.f.WriteAt(buf[:PageSize], no*PageSize)
-	return err
-}
-
-// Allocate implements Disk.
-func (d *FileDisk) Allocate() (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	no := d.npages
-	var zero [PageSize]byte
-	if _, err := d.f.WriteAt(zero[:], no*PageSize); err != nil {
-		return 0, err
-	}
-	d.npages++
-	return no, nil
-}
-
-// NumPages implements Disk.
-func (d *FileDisk) NumPages() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.npages
-}
-
-// Close implements Disk, removing the backing file for temp disks.
-func (d *FileDisk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	name := d.f.Name()
-	err := d.f.Close()
-	if d.remove {
-		if rmErr := os.Remove(name); err == nil {
-			err = rmErr
-		}
-	}
-	return err
 }
 
 // LatencyDisk wraps a Disk and sleeps for a fixed duration on every page
@@ -237,11 +143,6 @@ type DiskFactory func() (Disk, error)
 // MemDiskFactory returns a factory producing in-memory disks.
 func MemDiskFactory() DiskFactory {
 	return func() (Disk, error) { return NewMemDisk(), nil }
-}
-
-// TempFileDiskFactory returns a factory producing temp-file disks in dir.
-func TempFileDiskFactory(dir string) DiskFactory {
-	return func() (Disk, error) { return NewTempFileDisk(dir) }
 }
 
 // LatencyMemDiskFactory returns a factory producing in-memory disks with

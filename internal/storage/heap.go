@@ -117,42 +117,8 @@ func NewHeap(pool *Pool, d Disk, arity int) (*Heap, error) {
 	}, nil
 }
 
-// OpenHeap attaches to a non-empty disk previously written by a Heap of
-// the same arity. Heaps are append-only with every page except the last
-// filled to capacity, which lets the tuple count be recovered from the
-// page count and the last page's header (validated like every page a
-// scan reads, so a wrong arity fails with a *CorruptPageError).
-func OpenHeap(pool *Pool, d Disk, arity int) (*Heap, error) {
-	per := TuplesPerPage(arity)
-	if per <= 0 {
-		return nil, fmt.Errorf("heap: arity %d tuples do not fit in a page", arity)
-	}
-	h := &Heap{
-		pool:      pool,
-		disk:      d,
-		handle:    pool.Register(d),
-		arity:     arity,
-		tupleSize: tupleSize(arity),
-		perPage:   per,
-		lastPage:  -1,
-	}
-	npages := d.NumPages()
-	if npages == 0 {
-		return h, nil
-	}
-	lastCount, err := h.readPage(context.Background(), npages-1, nil)
-	if err != nil {
-		pool.Unregister(h.handle)
-		return nil, err
-	}
-	h.lastPage = npages - 1
-	h.lastCount = lastCount
-	h.ntuples = (npages-1)*int64(per) + int64(lastCount)
-	return h, nil
-}
-
 // NewTempHeap creates a heap on a disk from the factory. The disk is
-// closed (removing any backing temp file) when the heap is Dropped. A
+// closed when the heap is Dropped. A
 // factory failure is reported as an "alloc" *IOError (matching ErrIO).
 func NewTempHeap(pool *Pool, factory DiskFactory, arity int) (*Heap, error) {
 	d, err := factory()
@@ -186,16 +152,10 @@ func (h *Heap) NumPages() int64 { return h.disk.NumPages() }
 // the unit the engine's result cache budgets and accounts in.
 func (h *Heap) Bytes() int64 { return h.disk.NumPages() * PageSize }
 
-// Append adds one tuple; vals must have length equal to the heap's
-// arity. It is AppendRows of one row, kept for tests.
-func (h *Heap) Append(vals []int32, measure float64) error {
-	return h.AppendRows(vals, []float64{measure})
-}
-
 // AppendRows adds n tuples in one call from row-major arrays: vals holds
 // n*arity int32 values and measures holds n measures. Each page on the
 // fill path is pinned once and its header rewritten once, amortizing the
-// per-tuple pool round-trip of Append across a page of tuples.
+// pool round-trip across a page of tuples.
 func (h *Heap) AppendRows(vals []int32, measures []float64) error {
 	n := len(measures)
 	if len(vals) != n*h.arity {
@@ -342,10 +302,6 @@ func (c *pageCursor) advance(decode func(buf []byte, n int) error) bool {
 	return false
 }
 
-// Page returns the heap page the current batch was decoded from; a row's
-// slot on that page is its index in the batch.
-func (c *pageCursor) Page() int64 { return c.page }
-
 // Err returns the first error encountered during iteration.
 func (c *pageCursor) Err() error { return c.err }
 
@@ -468,34 +424,8 @@ func (h *Heap) decodeRows(buf []byte, n int, b *Batch, cols *ColBatch) error {
 	return nil
 }
 
-// ReadTupleBatchContext decodes page pageNo — pinned under ctx, with the
-// same validation a scan applies — and invokes fn for each requested
-// slot in order. The vals slice passed to fn is valid only during the
-// call; no pin is held while fn runs.
-func (h *Heap) ReadTupleBatchContext(ctx context.Context, pageNo int64, slots []int32, fn func(vals []int32, measure float64) error) error {
-	if pageNo < 0 || pageNo >= h.disk.NumPages() {
-		return fmt.Errorf("heap: page %d out of range", pageNo)
-	}
-	var b Batch
-	var cols ColBatch
-	n, err := h.readPage(ctx, pageNo, func(buf []byte, n int) error { return h.decodeRows(buf, n, &b, &cols) })
-	if err != nil {
-		return err
-	}
-	for _, slot := range slots {
-		if slot < 0 || int(slot) >= n {
-			return fmt.Errorf("heap: slot %d out of range on page %d (%d tuples)", slot, pageNo, n)
-		}
-		if err := fn(b.Row(int(slot)), b.Measures[slot]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Drop detaches the heap from the pool and, for temp heaps, discards
-// dirty pages (their contents are dead) and closes the underlying disk,
-// removing backing temp files.
+// dirty pages (their contents are dead) and closes the underlying disk.
 func (h *Heap) Drop() error {
 	if h.statsOwned {
 		if err := h.pool.Discard(h.handle); err != nil {

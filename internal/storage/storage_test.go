@@ -1,10 +1,9 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -36,63 +35,6 @@ func TestMemDiskRoundTrip(t *testing.T) {
 	}
 	if err := d.WritePage(5, got); err == nil {
 		t.Fatal("write of unallocated page should error")
-	}
-}
-
-func TestFileDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenFileDisk(filepath.Join(dir, "x.pag"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	no, err := d.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	buf[0], buf[PageSize-1] = 0xAA, 0x55
-	if err := d.WritePage(no, buf); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, PageSize)
-	if err := d.ReadPage(no, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xAA || got[PageSize-1] != 0x55 {
-		t.Fatal("file disk corrupted data")
-	}
-	if d.NumPages() != 1 {
-		t.Fatalf("NumPages = %d", d.NumPages())
-	}
-}
-
-func TestTempFileDiskRemovedOnClose(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewTempFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := d.f.Name()
-	if _, err := d.Allocate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(name); !os.IsNotExist(err) {
-		t.Fatalf("temp file %s not removed", name)
-	}
-}
-
-func TestOpenFileDiskRejectsMisaligned(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.pag")
-	if err := os.WriteFile(path, []byte("short"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileDisk(path); err == nil {
-		t.Fatal("misaligned file should be rejected")
 	}
 }
 
@@ -337,14 +279,9 @@ func TestHeapScanEmptyHeap(t *testing.T) {
 	}
 }
 
-func TestHeapOnFileDiskSurvivesPoolPressure(t *testing.T) {
+func TestHeapSurvivesPoolPressure(t *testing.T) {
 	pool := NewPool(3) // tiny pool forces constant eviction
-	dir := t.TempDir()
-	d, err := NewTempFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHeap(pool, d, 1)
+	h, err := NewHeap(pool, NewMemDisk(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,10 +320,10 @@ func TestHeapOnFileDiskSurvivesPoolPressure(t *testing.T) {
 	}
 }
 
-func TestTempHeapDropRemovesFile(t *testing.T) {
+func TestTempHeapDropClosesDisk(t *testing.T) {
 	pool := NewPool(4)
-	dir := t.TempDir()
-	h, err := NewTempHeap(pool, TempFileDiskFactory(dir), 2)
+	d := NewMemDisk()
+	h, err := NewTempHeap(pool, func() (Disk, error) { return d, nil }, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,12 +333,8 @@ func TestTempHeapDropRemovesFile(t *testing.T) {
 	if err := h.Drop(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("temp dir not empty after Drop: %v", entries)
+	if n := d.NumPages(); n != 0 {
+		t.Fatalf("temp disk still holds %d pages after Drop", n)
 	}
 }
 
@@ -430,5 +363,49 @@ func TestStatsArithmetic(t *testing.T) {
 	}
 	if a.IO() != 14 {
 		t.Fatalf("IO = %d", a.IO())
+	}
+}
+
+// Pin is PinContext without cancellation.
+func (p *Pool) Pin(h, no int64) ([]byte, error) {
+	return p.PinContext(context.Background(), h, no)
+}
+
+// ResetStats zeroes the IO counters.
+func (p *Pool) ResetStats() {
+	p.mu.Lock()
+	p.stats = Stats{}
+	p.mu.Unlock()
+	p.retryN.Store(0)
+	p.transientN.Store(0)
+	p.permanentN.Store(0)
+	p.checksumN.Store(0)
+	p.encPages.Store(0)
+	p.encFallback.Store(0)
+	p.encSegPlain.Store(0)
+	p.encSegByte.Store(0)
+	p.encSegRLE.Store(0)
+	p.encSegDict.Store(0)
+	p.encSaved.Store(0)
+}
+
+// Append adds one tuple; vals must have length equal to the heap's
+// arity.
+func (h *Heap) Append(vals []int32, measure float64) error {
+	return h.AppendRows(vals, []float64{measure})
+}
+
+// Page returns the heap page the current batch was decoded from; a row's
+// slot on that page is its index in the batch.
+func (c *pageCursor) Page() int64 { return c.page }
+
+// ScanColBatches is ScanColBatchesContext under the heap's context.
+func (h *Heap) ScanColBatches() *ColBatchIterator { return h.ScanColBatchesContext(h.context()) }
+
+// Row gathers row i's values across all columns into dst, which must
+// have length Arity.
+func (cb *ColBatch) Row(i int, dst []int32) {
+	for c := range cb.Cols {
+		dst[c] = cb.Cols[c].Flat()[i]
 	}
 }
