@@ -3,7 +3,7 @@ package exec
 // Shared pieces of the batch kernels: the scan helper, the
 // page-at-a-time output writer, the hash-join build table and the
 // aggregation state (both over the keyIndex of keyindex.go). The kernels
-// themselves (colbatch.go, fusecol.go) consume heap pages as
+// themselves (colbatch.go, fusecol.go, pipe.go) consume heap pages as
 // storage.ColBatch views — one pin and one decode loop per page — and
 // produce output through page-sized bulk appends. Batch boundaries are
 // the cancellation check points: a batch never exceeds one page, so a
@@ -66,16 +66,41 @@ func (w *batchWriter) flush() error {
 	if w.b.Len() == 0 {
 		return nil
 	}
+	err := w.write(w.b.Vals, w.b.Measures)
+	w.b.Reset(w.b.Arity)
+	return err
+}
+
+// flushPages writes the buffered rows out a page's worth at a time while
+// a page's worth is buffered, and keeps the rest: after a bulk add to
+// w.b it makes exactly the flushes append would have made, so the pages
+// pinned — and the buffer pool's hits and evictions — are the same.
+func (w *batchWriter) flushPages() error {
+	k := 0
+	for w.b.Len()-k >= w.limit {
+		if err := w.write(w.b.Vals[k*w.b.Arity:(k+w.limit)*w.b.Arity], w.b.Measures[k:k+w.limit]); err != nil {
+			return err
+		}
+		k += w.limit
+	}
+	if k > 0 {
+		w.b.Vals = w.b.Vals[:copy(w.b.Vals, w.b.Vals[k*w.b.Arity:])]
+		w.b.Measures = w.b.Measures[:copy(w.b.Measures, w.b.Measures[k:])]
+	}
+	return nil
+}
+
+// write appends rows to the table and charges them.
+func (w *batchWriter) write(vals []int32, meas []float64) error {
 	if w.locked {
 		w.t.mu.Lock()
 	}
-	err := w.t.Heap.AppendBatch(&w.b)
+	err := w.t.Heap.AppendRows(vals, meas)
 	if w.locked {
 		w.t.mu.Unlock()
 	}
-	n := int64(w.b.Len())
+	n := int64(len(meas))
 	w.rows += n
-	w.b.Reset(w.b.Arity)
 	if err != nil || w.st == nil {
 		return err
 	}
@@ -273,6 +298,25 @@ func (a *batchAgg) slotRows(cols [][]int32, lo int, out []int32, first []bool, k
 	return true
 }
 
+// slotKeys is slotCol over keys stored row-major in vals, arity values
+// each: the slot pass of a merge, whose keys are another aggregate's
+// key arena.
+func (a *batchAgg) slotKeys(vals, out []int32, first []bool) (created bool) {
+	if a.arity == 1 {
+		return a.slotCol(vals, out, first)
+	}
+	if !a.idx.putKeys(vals, out, first) {
+		return false
+	}
+	for j, f := range first[:len(out)] {
+		if f {
+			a.vals = append(a.vals, vals[j*a.arity:(j+1)*a.arity]...)
+			a.meas = append(a.meas, 0)
+		}
+	}
+	return true
+}
+
 // merge absorbs every group of b, in b's first-seen order: b's groups
 // new to a are appended after a's own, and a shared group's measure
 // becomes Add(a's, b's) — a chunk of groups at a time, slots first and
@@ -282,15 +326,7 @@ func (a *batchAgg) merge(e *Engine, b *batchAgg) {
 	for g0 := 0; g0 < len(b.meas); g0 += foldChunk {
 		g1 := min(g0+foldChunk, len(b.meas))
 		slots, first := sc.slots[:g1-g0], sc.first[:g1-g0]
-		created := false
-		if a.arity == 1 {
-			created = a.slotCol(b.vals[g0:g1], slots, first)
-		} else {
-			for g := g0; g < g1; g++ {
-				slots[g-g0], first[g-g0] = a.group(b.vals[g*a.arity : (g+1)*a.arity])
-				created = created || first[g-g0]
-			}
-		}
+		created := a.slotKeys(b.vals[g0*a.arity:g1*a.arity], slots, first)
 		semiring.AddAt(e.Sr, a.meas, slots, b.meas[g0:g1], firstIf(created, first))
 	}
 }
@@ -316,23 +352,6 @@ type foldScratch struct {
 // zeroSlots addresses one accumulator foldChunk times over: the batch
 // fold's slots when a run of measures folds into a single group.
 var zeroSlots [foldChunk]int32
-
-// foldPairs folds the first n gathered pairs — build measures in a,
-// probe measures in b — into agg in one batch call, each contributing
-// Mul(build, probe) in the join's left/right argument order. With byKey
-// their groups are still to be found — keys holds each pair's
-// one-column group key — and are slotted here in pair order; otherwise
-// slots, first and created are already set.
-func (sc *foldScratch) foldPairs(e *Engine, agg *batchAgg, n int, byKey, created, buildIsLeft bool) {
-	if byKey {
-		created = agg.slotCol(sc.keys[:n], sc.slots[:n], sc.first[:n])
-	}
-	l, r := sc.a[:n], sc.b[:n]
-	if !buildIsLeft {
-		l, r = r, l
-	}
-	semiring.MulAddAt(e.Sr, agg.meas, sc.slots[:n], l, r, firstIf(created, sc.first[:n]))
-}
 
 // firstIf returns first when some group was created in the chunk, nil
 // (no first contributions) otherwise.

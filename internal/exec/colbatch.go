@@ -13,7 +13,8 @@ package exec
 // so mixed columnar/row-major/fallback pages aggregate and join
 // consistently. Every other key of the aggregating kernels and of the
 // hash-join probe takes the staged resolve/slot/fold passes of
-// DESIGN.md, "Batch execution". Every kernel emits rows in scan
+// DESIGN.md, "Batch execution". Selection and the in-memory join probe
+// run as pipeline stages (pipe.go). Every kernel emits rows in scan
 // order, and aggregation folds measures in row order — RLE runs
 // collapse a measure span in O(1) only when the semiring proves the
 // collapsed result bit-identical to the iterated fold (fold.go) — so
@@ -103,57 +104,6 @@ func markMismatches(v *storage.ColView, want int32, mask []bool) {
 	}
 }
 
-// selectColBatch is the encoded equality-selection scan: build a match
-// mask per batch from the column encodings, then gather and emit the
-// surviving rows in scan order.
-func (e *Engine) selectColBatch(ctx context.Context, in *Table, cols []int, want []int32, out *Table, st *RunStats) error {
-	it := in.Heap.ScanColBatchesContext(ctx)
-	defer it.Close()
-	w := newBatchWriter(out, false, st)
-	rowBuf := make([]int32, len(in.Attrs))
-	fbuf := make([][]int32, 0, len(in.Attrs))
-	var mask []bool
-	for {
-		cb, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.addBatches(1)
-		n := cb.Len()
-		if cap(mask) < n {
-			mask = make([]bool, n)
-		}
-		mask = mask[:n]
-		for i := range mask {
-			mask[i] = true
-		}
-		for j, c := range cols {
-			markMismatches(&cb.Cols[c], want[j], mask)
-		}
-		var fs [][]int32 // flattened lazily: an all-miss batch never decodes
-		for i := 0; i < n; i++ {
-			if !mask[i] {
-				continue
-			}
-			if fs == nil {
-				fs = flatCols(cb, fbuf)
-				fbuf = fs
-			}
-			gatherRow(fs, i, rowBuf)
-			if err := w.append(rowBuf, cb.Measures[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	return w.flush()
-}
-
 // absorbRun folds one RLE run's measures into the group with the given
 // key, in row order — one key lookup for the run, with spans of
 // repeated measures collapsed in O(1) when the semiring's RunFolder
@@ -206,7 +156,7 @@ func (e *Engine) aggregateColBatch(ctx context.Context, it *storage.ColBatchIter
 			}
 			agg.foldRows(e, kf, cb.Measures, key, &sc)
 		}
-		if err := lb.check(agg); err != nil {
+		if err := lb.check(len(agg.meas)); err != nil {
 			return err
 		}
 	}
@@ -222,166 +172,6 @@ func (a *batchAgg) foldRows(e *Engine, kf [][]int32, meas []float64, key []int32
 		created := a.slotRows(kf, i0, slots, first, key)
 		semiring.AddAt(e.Sr, a.meas, slots, meas[i0:i0+n], firstIf(created, first))
 	}
-}
-
-// hashJoinIntoColBatch is the encoded in-memory-build hash join: build
-// with buildBatch (row-major decoding works on any page format),
-// then probe encoded batches: once per RLE run on a single-column join
-// key, once per composed span when every column of a multi-column key
-// run-length encodes, and otherwise by the staged resolve pass over the
-// flattened KEY columns — no full-row gather. Output rows assemble in
-// place: only the probe columns the output actually carries (the left
-// columns when the probe is the left input, r's extra columns
-// otherwise) are ever read, so wide probe rows with few surviving
-// columns cost what they keep.
-// Rows are emitted in probe scan order, build rows in build scan order.
-func (e *Engine) hashJoinIntoColBatch(ctx context.Context, l, build, probe *Table, buildCols, probeCols, rExtra []int, buildIsLeft bool, out *Table, st *RunStats) error {
-	hb, err := e.buildBatch(ctx, build, buildCols, st)
-	if err != nil {
-		return err
-	}
-	w := newBatchWriter(out, true, st)
-	rowBuf := make([]int32, len(out.Attrs))
-	fbuf := make([][]int32, 0, len(probe.Attrs))
-	key := make([]int32, len(probeCols))
-	nl := len(l.Attrs)
-	single := len(probeCols) == 1
-	var kf [][]int32            // flattened key columns (multi-column path)
-	var spanIdx []int           // per-key-column run cursor (all-RLE path)
-	var spanRem []int           // rows left in each cursor's current run
-	var groups [foldChunk]int32 // the resolve pass's build key groups
-	it := probe.Heap.ScanColBatchesContext(ctx)
-	defer it.Close()
-	for {
-		cb, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.addBatches(1)
-		var fs [][]int32 // flattened on first match: all-miss batches skip decode
-		emitAt := func(rows rowSpan, i int, pm float64) error {
-			if fs == nil {
-				fs = flatCols(cb, fbuf)
-				fbuf = fs
-			}
-			if buildIsLeft {
-				for j, c := range rExtra {
-					rowBuf[nl+j] = fs[c][i]
-				}
-				for r := rows.lo; r < rows.hi; r++ {
-					copy(rowBuf[:nl], hb.row(r))
-					if err := w.append(rowBuf, e.Sr.Mul(hb.meas[r], pm)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			for c := 0; c < nl; c++ {
-				rowBuf[c] = fs[c][i]
-			}
-			for r := rows.lo; r < rows.hi; r++ {
-				bv := hb.row(r)
-				for j, c := range rExtra {
-					rowBuf[nl+j] = bv[c]
-				}
-				if err := w.append(rowBuf, e.Sr.Mul(pm, hb.meas[r])); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if single {
-			v := &cb.Cols[probeCols[0]]
-			switch v.Enc {
-			case storage.EncRLE:
-				i := 0
-				for _, r := range v.Runs {
-					key[0] = r.Val
-					rows, _ := hb.lookup(key)
-					if rows.len() == 0 {
-						i += r.Len
-						continue
-					}
-					for j := i; j < i+r.Len; j++ {
-						if err := emitAt(rows, j, cb.Measures[j]); err != nil {
-							return err
-						}
-					}
-					i += r.Len
-				}
-				continue
-			}
-		}
-		n := cb.Len()
-		allRLE := !single
-		for _, c := range probeCols {
-			if cb.Cols[c].Enc != storage.EncRLE {
-				allRLE = false
-				break
-			}
-		}
-		if allRLE {
-			// Every key column is RLE: walk the runs in lockstep and
-			// compose one key per maximal span over which all columns
-			// are constant — one encode + one probe per span instead of
-			// per row.
-			spanIdx = append(spanIdx[:0], make([]int, len(probeCols))...)
-			spanRem = spanRem[:0]
-			for _, c := range probeCols {
-				spanRem = append(spanRem, cb.Cols[c].Runs[0].Len)
-			}
-			for i := 0; i < n; {
-				span := n - i
-				for k, c := range probeCols {
-					key[k] = cb.Cols[c].Runs[spanIdx[k]].Val
-					if spanRem[k] < span {
-						span = spanRem[k]
-					}
-				}
-				if rows, _ := hb.lookup(key); rows.len() != 0 {
-					for j := i; j < i+span; j++ {
-						if err := emitAt(rows, j, cb.Measures[j]); err != nil {
-							return err
-						}
-					}
-				}
-				i += span
-				for k := range spanRem {
-					if spanRem[k] -= span; spanRem[k] == 0 {
-						if spanIdx[k]++; spanIdx[k] < len(cb.Cols[probeCols[k]].Runs) {
-							spanRem[k] = cb.Cols[probeCols[k]].Runs[spanIdx[k]].Len
-						}
-					}
-				}
-			}
-			continue
-		}
-		// Every other key: resolve a chunk of rows to build key groups in
-		// one pass, then emit the matches in row order.
-		kf = kf[:0]
-		for _, c := range probeCols {
-			kf = append(kf, cb.Cols[c].Flat())
-		}
-		for i0 := 0; i0 < n; i0 += foldChunk {
-			at := groups[:min(foldChunk, n-i0)]
-			hb.idx.getRows(kf, i0, at, key)
-			for j, gi := range at {
-				if gi < 0 {
-					continue
-				}
-				if err := emitAt(hb.span(gi), i0+j, cb.Measures[i0+j]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	return w.flush()
 }
 
 // partitionColBatch is the encoded Grace partition pass: bucket numbers

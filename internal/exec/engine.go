@@ -28,12 +28,15 @@ type Engine struct {
 	// so operator IO matches the paper's materializing cost model.
 	FuseJoinGroupBy bool
 	// Parallelism bounds the worker goroutines used inside a single query:
-	// Grace-join partition pairs, the leaves of hash group-by and of the
-	// fused join+aggregate probe all fan out across this many workers. 0 or 1 runs the same morsels serially
-	// on the calling goroutine. Aggregation folds in leaf order whatever
-	// the worker count (foldLeaves), so parallel execution of a plan
-	// produces the bit-identical result relation, and (absent buffer-pool
-	// eviction) the same physical IO counts, as serial execution.
+	// Grace-join partition pairs, the leaves of hash group-by, of the
+	// fused join+aggregate probe, of selections and of in-memory join
+	// probes all fan out across this many workers. 0 or 1 runs the same
+	// morsels serially on the calling goroutine. Aggregation folds in leaf
+	// order whatever the worker count (foldLeaves), and selection and
+	// probe outputs are appended in leaf order (runPipe), so parallel
+	// execution of a plan produces the bit-identical result relation, and
+	// (absent buffer-pool eviction) the same physical IO counts, as serial
+	// execution.
 	Parallelism int
 	// Columnar is a page-layout choice for the operator outputs the
 	// result cache keeps: when set, their pages are re-encoded in the
@@ -279,21 +282,7 @@ func (e *Engine) exec(ctx context.Context, p *plan.Node, env *runEnv, depth int)
 	incl := time.Since(start)
 	inclIO := e.Pool.Stats().Sub(ioBefore)
 	if err == nil && out != nil {
-		self := incl - childWall
-		if self < 0 {
-			self = 0
-		}
-		rows := out.Heap.NumTuples()
-		env.st.Trace = append(env.st.Trace, Span{
-			Desc:  opDesc(p),
-			Kind:  opKind(p),
-			Depth: depth,
-			Rows:  rows,
-			Start: start.Sub(env.start),
-			Stop:  start.Sub(env.start) + incl,
-			Wall:  self,
-			IO:    clampStats(inclIO.Sub(childIO)),
-		})
+		env.addSpan(p, opDesc(p), depth, start, start.Add(incl), out.Heap.NumTuples(), incl-childWall, inclIO.Sub(childIO))
 		if cacheable && out.temp {
 			// Materialize-and-register: the output was produced anyway;
 			// adopting it into the cache costs no extra IO. The subtree's
@@ -302,6 +291,22 @@ func (e *Engine) exec(ctx context.Context, p *plan.Node, env *runEnv, depth int)
 		}
 	}
 	return out, incl, inclIO, err
+}
+
+// addSpan records the trace span of node p at depth, run from start to
+// stop: rows is its output cardinality, self and selfIO its exclusive
+// wall time and IO (floored at zero).
+func (env *runEnv) addSpan(p *plan.Node, desc string, depth int, start, stop time.Time, rows int64, self time.Duration, selfIO storage.Stats) {
+	env.st.Trace = append(env.st.Trace, Span{
+		Desc:  desc,
+		Kind:  opKind(p),
+		Depth: depth,
+		Rows:  rows,
+		Start: start.Sub(env.start),
+		Stop:  stop.Sub(env.start),
+		Wall:  max(self, 0),
+		IO:    clampStats(selfIO),
+	})
 }
 
 // sortedTables lists the base tables under a plan node in sorted order,
@@ -464,23 +469,18 @@ func (e *Engine) newOutTemp(ctx context.Context, name string, attrs []relation.A
 	return t, nil
 }
 
-// selectOp filters the input by the equality predicate in one scan.
+// selectOp filters the input by the equality predicate: a one-stage
+// pipeline into the ordered heap sink (pipe.go).
 func (e *Engine) selectOp(ctx context.Context, in *Table, pred relation.Predicate, st *RunStats) (*Table, error) {
-	cols := make([]int, 0, len(pred))
-	want := make([]int32, 0, len(pred))
-	for v, val := range pred {
-		c := in.ColIndex(v)
-		if c < 0 {
-			return nil, fmt.Errorf("exec: selection variable %s not in %s", v, in.Name)
-		}
-		cols = append(cols, c)
-		want = append(want, val)
+	s, err := newSelectStage(e.Sr, in, pred)
+	if err != nil {
+		return nil, err
 	}
 	out, err := e.newOutTemp(ctx, "σ("+in.Name+")", in.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.selectColBatch(ctx, in, cols, want, out, st); err != nil {
+	if err := e.runPipe(ctx, "Select", in, s, out, st); err != nil {
 		out.Drop()
 		return nil, err
 	}
@@ -533,28 +533,28 @@ func (e *Engine) hashJoin(ctx context.Context, l, r *Table, st *RunStats) (*Tabl
 		}
 		return out, nil
 	}
-	if err := e.hashJoinInto(ctx, l, r, lCols, rCols, rExtra, out, st); err != nil {
+	s, stream, err := e.newProbeStage(ctx, l, r, lCols, rCols, rExtra, st)
+	if err == nil {
+		err = e.runPipe(ctx, "ProductJoin", stream, s, out, st)
+	}
+	if err != nil {
 		out.Drop()
 		return nil, err
 	}
 	return out, nil
 }
 
-// hashJoinInto performs an in-memory-build hash join of l and r,
-// appending result tuples to out. It is safe to run concurrently with
-// other appenders to the same out (Grace partition pairs do): appends go
-// through a locked batchWriter on out and shared counters are merged
-// atomically.
+// hashJoinInto performs an in-memory-build hash join of l and r on the
+// calling goroutine, appending result tuples to out. It is safe to run
+// concurrently with other appenders to the same out (Grace partition
+// pairs do): appends go through a locked batchWriter on out and shared
+// counters are merged atomically.
 func (e *Engine) hashJoinInto(ctx context.Context, l, r *Table, lCols, rCols, rExtra []int, out *Table, st *RunStats) error {
-	build, probe := l, r
-	buildCols, probeCols := lCols, rCols
-	buildIsLeft := true
-	if r.Heap.NumTuples() < l.Heap.NumTuples() {
-		build, probe = r, l
-		buildCols, probeCols = rCols, lCols
-		buildIsLeft = false
+	s, stream, err := e.newProbeStage(ctx, l, r, lCols, rCols, rExtra, st)
+	if err != nil {
+		return err
 	}
-	return e.hashJoinIntoColBatch(ctx, l, build, probe, buildCols, probeCols, rExtra, buildIsLeft, out, st)
+	return e.pipeSerial(ctx, stream, s, newBatchWriter(out, true, st), st)
 }
 
 // groupSchema resolves the group variables to column indexes and the

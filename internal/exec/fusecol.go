@@ -13,7 +13,11 @@ package exec
 // ranges": serial execution runs the same leaves in the same order, so
 // the answer is bit-identical at every Parallelism and over every page
 // layout, and no join output or partition is ever materialized. A probe
-// of at most one leaf folds in plain scan order.
+// of at most one leaf folds in plain scan order. A pipelined probe
+// (pipe.go) is a Select or join output that is never materialized
+// either: its leaves are those of the heap it streams, and each leaf
+// runs the stage over its batches and folds the stage's output chunks
+// here as plain batches.
 //
 // Inside a leaf the kernel consumes ENCODED probe batches and never
 // materializes probe rows — the only probe columns ever decoded are the
@@ -104,81 +108,321 @@ func (a *batchAgg) absorbMulSpan(e *Engine, rf semiring.RunFolder, key []int32, 
 	a.meas[gi] = acc[0]
 }
 
-// fusedColBatch is the encoded-batch fused join+aggregate (see the file
-// comment). l and r are the join's inputs in output-schema order;
-// build/probe are the same two tables in build order, and groupCols
-// index the virtual join output (l's columns, then r's rExtra columns).
-func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, buildCols, probeCols, rExtra, groupCols []int, aggAttrs []relation.Attr, buildIsLeft bool, st *RunStats) (*Table, error) {
-	hb, err := e.buildBatch(ctx, build, buildCols, st)
-	if err != nil {
-		return nil, err
-	}
-	rf := e.runFolder()
-	nl := len(l.Attrs)
-
-	// Split the group columns by source side. A join-output position
-	// g < nl reads the left relation's column g; g >= nl reads r's
-	// column rExtra[g-nl]. pgCols/bgCols are the probe-/build-side source
-	// columns, pgPos/bgPos their positions in the group key.
-	var pgPos, pgCols, bgPos, bgCols []int
-	for k, g := range groupCols {
-		src := g
-		if g >= nl {
-			src = rExtra[g-nl]
-		}
-		if (buildIsLeft && g >= nl) || (!buildIsLeft && g < nl) {
-			pgPos = append(pgPos, k)
-			pgCols = append(pgCols, src)
-		} else {
-			bgPos = append(bgPos, k)
-			bgCols = append(bgCols, src)
-		}
-	}
-	single := len(probeCols) == 1
+// fusedProbe is the shared state of one fused join+aggregate probe:
+// the build table, where the group key's columns come from, and the
+// span-safety memo. Leaves share it; each folds through a fusedLeaf of
+// its own.
+type fusedProbe struct {
+	e           *Engine
+	rf          semiring.RunFolder
+	hb          *hashBuild
+	probeCols   []int // the join key's columns in the probe
+	buildIsLeft bool
+	// pgCols/bgCols are the probe-/build-side source columns of the
+	// group key, pgPos/bgPos their positions in it.
+	pgPos, pgCols, bgPos, bgCols []int
+	groupArity                   int
 	// safe caches, per build key group, whether span folding preserves
 	// the per-row accumulation order: it does when every matching
 	// build row lands in a distinct aggregation group (always true for
 	// single-row matches). 0 = unknown, 1 = span-safe, 2 = per-row.
 	// Leaves share the cache; the verdict is a function of the build
 	// table alone, so racing leaves store the same value.
-	var safe []atomic.Int32
-	if hb.off != nil { // unique build keys never consult it
-		safe = make([]atomic.Int32, hb.idx.len())
+	safe []atomic.Int32
+	// need marks the probe columns the kernel reads: the join key and
+	// the probe side of the group key.
+	need []bool
+}
+
+// fusedLeaf is one leaf's fold of a fused probe into agg, with the
+// leaf's own scratch.
+type fusedLeaf struct {
+	*fusedProbe
+	agg      *batchAgg
+	probeKey []int32
+	groupKey []int32
+	kf, pf   [][]int32 // flattened join key / probe-side group columns
+	pfDone   bool      // pf holds the current batch's columns
+	wide     [][]int32 // a chunk's group keys, one column per key column (groupArity > 1)
+	sc       foldScratch
+}
+
+// leaf returns the fold of one leaf into agg.
+func (p *fusedProbe) leaf(agg *batchAgg) *fusedLeaf {
+	f := &fusedLeaf{fusedProbe: p, agg: agg, probeKey: make([]int32, len(p.probeCols)), groupKey: make([]int32, p.groupArity)}
+	if p.groupArity > 1 {
+		f.wide = make([][]int32, p.groupArity)
+		for k := range f.wide {
+			f.wide[k] = make([]int32, foldChunk)
+		}
 	}
-	spanSafe := func(rows rowSpan, gi int) bool {
-		if rows.len() == 1 {
-			return true
-		}
-		if s := safe[gi].Load(); s != 0 {
-			return s == 1
-		}
-		for i := rows.lo + 1; i < rows.hi; i++ {
-			for j := rows.lo; j < i; j++ {
-				same := true
-				for _, c := range bgCols {
-					if hb.row(i)[c] != hb.row(j)[c] {
-						same = false
-						break
-					}
-				}
-				if same {
-					safe[gi].Store(2)
-					return false
-				}
-			}
-		}
-		safe[gi].Store(1)
+	return f
+}
+
+// spanSafe reports whether the build rows of key group gi may fold
+// span-at-a-time (see safe).
+func (p *fusedProbe) spanSafe(rows rowSpan, gi int) bool {
+	if rows.len() == 1 {
 		return true
 	}
-	oneKey := len(groupCols) == 1
+	if s := p.safe[gi].Load(); s != 0 {
+		return s == 1
+	}
+	hb := p.hb
+	for i := rows.lo + 1; i < rows.hi; i++ {
+		for j := rows.lo; j < i; j++ {
+			same := true
+			for _, c := range p.bgCols {
+				if hb.row(i)[c] != hb.row(j)[c] {
+					same = false
+					break
+				}
+			}
+			if same {
+				p.safe[gi].Store(2)
+				return false
+			}
+		}
+	}
+	p.safe[gi].Store(1)
+	return true
+}
 
-	// probeLeaf folds one leaf of the probe — the batches of it — into
-	// agg. All scratch state is the leaf's own; hb and safe are shared.
+// groupFlats returns the batch's probe-side group columns, flattened on
+// first use within the batch.
+func (f *fusedLeaf) groupFlats(cb *storage.ColBatch) [][]int32 {
+	if !f.pfDone {
+		f.pf = f.pf[:0]
+		for _, c := range f.pgCols {
+			f.pf = append(f.pf, cb.Cols[c].Flat())
+		}
+		f.pfDone = true
+	}
+	return f.pf
+}
+
+// setGroupKey fills the group key for probe row i and build row r.
+func (f *fusedLeaf) setGroupKey(pf [][]int32, i int, r int32) {
+	for k := range pf {
+		f.groupKey[f.pgPos[k]] = pf[k][i]
+	}
+	bv := f.hb.row(r)
+	for k, c := range f.bgCols {
+		f.groupKey[f.bgPos[k]] = bv[c]
+	}
+}
+
+// batch folds one probe batch into the leaf's aggregate. A
+// single-column RLE join key probes once per run and folds span-safe
+// runs span-at-a-time; every other key resolves a chunk of rows to
+// build key groups over the flattened key columns (probe rows are never
+// fully gathered), then slots and folds the chunk's matches.
+func (f *fusedLeaf) batch(cb *storage.ColBatch) {
+	f.pfDone = false
+	if len(f.probeCols) == 1 && cb.Cols[f.probeCols[0]].Enc == storage.EncRLE {
+		f.rleBatch(cb)
+		return
+	}
+	f.kf = f.kf[:0]
+	for _, c := range f.probeCols {
+		f.kf = append(f.kf, cb.Cols[c].Flat())
+	}
+	n := cb.Len()
+	for i0 := 0; i0 < n; i0 += foldChunk {
+		at := f.sc.at[:min(foldChunk, n-i0)]
+		f.hb.idx.getRows(f.kf, i0, at, f.probeKey)
+		f.foldMatches(cb, i0, at)
+	}
+}
+
+// rleBatch is batch over a single-column run-length-encoded join key.
+// Within a key run, a maximal sub-span over which every probe-side
+// group column is constant contributes to each matching build row's
+// group with one key lookup, its measures folding through
+// absorbMulSpan — when the run's build rows are span-safe; otherwise the
+// run's rows take the staged slot and fold passes.
+func (f *fusedLeaf) rleBatch(cb *storage.ColBatch) {
+	i := 0
+	for _, run := range cb.Cols[f.probeCols[0]].Runs {
+		f.probeKey[0] = run.Val
+		rows, gi := f.hb.lookup(f.probeKey)
+		if rows.len() == 0 {
+			i += run.Len
+			continue
+		}
+		end := i + run.Len
+		if f.spanSafe(rows, gi) {
+			pf := f.groupFlats(cb)
+			for s := i; s < end; {
+				t := s + 1
+			extend:
+				for t < end {
+					for k := range pf {
+						if pf[k][t] != pf[k][s] {
+							break extend
+						}
+					}
+					t++
+				}
+				for r := rows.lo; r < rows.hi; r++ {
+					f.setGroupKey(pf, s, r)
+					f.agg.absorbMulSpan(f.e, f.rf, f.groupKey, f.hb.meas[r], f.buildIsLeft, cb.Measures[s:t], &f.sc)
+				}
+				s = t
+			}
+		} else {
+			// Every row of the run matches key group gi.
+			for i0 := i; i0 < end; i0 += foldChunk {
+				at := f.sc.at[:min(foldChunk, end-i0)]
+				for j := range at {
+					at[j] = int32(gi)
+				}
+				f.foldMatches(cb, i0, at)
+			}
+		}
+		i = end
+	}
+}
+
+// foldMatches is the slot and fold passes over rows i0+j of cb whose
+// build key groups the resolve pass left in at (−1 on a miss): it walks
+// the (row, build row) pairs in row order, gathering each pair's group
+// key and its two measures, and slots and folds the gathered pairs in
+// one pass each whenever a chunk's worth is gathered, and at the end.
+// Unique build keys with a one-column probe-side group key take a
+// one-pair-per-row loop.
+func (f *fusedLeaf) foldMatches(cb *storage.ColBatch, i0 int, at []int32) {
+	sc, hb := &f.sc, f.hb
+	np := 0
+	if hb.off == nil && f.groupArity == 1 && len(f.pgCols) == 1 {
+		// Each matching row is one pair, and len(at) ≤ foldChunk.
+		var keys []int32 // flattened on the first match
+		meas := cb.Measures[i0 : i0+len(at)]
+		for j, gi := range at {
+			if gi < 0 {
+				continue
+			}
+			if keys == nil {
+				keys = f.groupFlats(cb)[0][i0 : i0+len(at)]
+			}
+			sc.keys[np], sc.a[np], sc.b[np] = keys[j], hb.meas[gi], meas[j]
+			np++
+		}
+		f.foldPairs(np)
+		return
+	}
+	var pf [][]int32 // flattened on the first match: all-miss chunks skip decode
+	for j, gi := range at {
+		if gi < 0 {
+			continue
+		}
+		if pf == nil {
+			pf = f.groupFlats(cb)
+		}
+		i := i0 + j
+		pm := cb.Measures[i]
+		rows := hb.span(gi)
+		for r := rows.lo; r < rows.hi; r++ {
+			if np == foldChunk {
+				f.foldPairs(np)
+				np = 0
+			}
+			switch {
+			case f.groupArity == 1 && len(f.pgCols) == 1:
+				sc.keys[np] = pf[0][i]
+			case f.groupArity == 1:
+				sc.keys[np] = hb.row(r)[f.bgCols[0]]
+			default:
+				for k, col := range pf {
+					f.wide[f.pgPos[k]][np] = col[i]
+				}
+				bv := hb.row(r)
+				for k, c := range f.bgCols {
+					f.wide[f.bgPos[k]][np] = bv[c]
+				}
+			}
+			sc.a[np], sc.b[np] = hb.meas[r], pm
+			np++
+		}
+	}
+	f.foldPairs(np)
+}
+
+// foldPairs slots the first n gathered pairs' group keys — in pair
+// order, a chunk at a time — and folds their products Mul(build, probe),
+// in the join's left/right argument order, in one batch call.
+func (f *fusedLeaf) foldPairs(n int) {
+	if n == 0 {
+		return
+	}
+	sc, agg := &f.sc, f.agg
+	slots, first := sc.slots[:n], sc.first[:n]
+	var created bool
+	if f.groupArity == 1 {
+		created = agg.slotCol(sc.keys[:n], slots, first)
+	} else {
+		created = agg.slotRows(f.wide, 0, slots, first, f.groupKey)
+	}
+	l, r := sc.a[:n], sc.b[:n]
+	if !f.buildIsLeft {
+		l, r = r, l
+	}
+	semiring.MulAddAt(f.e.Sr, agg.meas, slots, l, r, firstIf(created, first))
+}
+
+// fusedColBatch is the encoded-batch fused join+aggregate (see the file
+// comment). l and r are the join's inputs in output-schema order;
+// build/probe are the same two tables in build order, and groupCols
+// index the virtual join output (l's columns, then r's rExtra columns).
+// A non-nil stage pipelines the probe: its rows are those of probe.Heap
+// through stage (pipe.go), never materialized, and the leaves are that
+// heap's.
+func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, stage *pipeStage, buildCols, probeCols, rExtra, groupCols []int, aggAttrs []relation.Attr, buildIsLeft bool, st *RunStats) (*Table, error) {
+	hb, err := e.buildBatch(ctx, build, buildCols, st)
+	if err != nil {
+		return nil, err
+	}
+	nl := len(l.Attrs)
+	p := &fusedProbe{e: e, rf: e.runFolder(), hb: hb, probeCols: probeCols, buildIsLeft: buildIsLeft, groupArity: len(groupCols),
+		need: make([]bool, len(probe.Attrs))}
+	// Split the group columns by source side. A join-output position
+	// g < nl reads the left relation's column g; g >= nl reads r's
+	// column rExtra[g-nl].
+	for k, g := range groupCols {
+		src := g
+		if g >= nl {
+			src = rExtra[g-nl]
+		}
+		if (buildIsLeft && g >= nl) || (!buildIsLeft && g < nl) {
+			p.pgPos = append(p.pgPos, k)
+			p.pgCols = append(p.pgCols, src)
+			p.need[src] = true
+		} else {
+			p.bgPos = append(p.bgPos, k)
+			p.bgCols = append(p.bgCols, src)
+		}
+	}
+	for _, c := range probeCols {
+		p.need[c] = true
+	}
+	if hb.off != nil { // unique build keys never consult it
+		p.safe = make([]atomic.Int32, hb.idx.len())
+	}
+
+	// probeLeaf folds one leaf of the probe — the batches of it, or of
+	// its streamed heap through the stage — into agg.
 	probeLeaf := func(it *storage.ColBatchIterator, agg *batchAgg, lb *leafBudget) error {
-		probeKey := make([]int32, len(probeCols))
-		groupKey := make([]int32, len(groupCols))
-		var pgfBuf, kfBuf [][]int32
-		var sc foldScratch
+		f := p.leaf(agg)
+		var run *stageRun
+		var emit func() error
+		if stage != nil {
+			run = stage.run()
+			emit = func() error {
+				f.batch(run.view(p.need))
+				return nil
+			}
+			defer func() { stage.rows.Add(run.rows) }()
+		}
 		for {
 			cb, ok := it.Next()
 			if !ok {
@@ -188,127 +432,12 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 				return err
 			}
 			st.addBatches(1)
-			n := cb.Len()
-			pgfDone := false
-			groupFlats := func() [][]int32 { // probe-side group columns, flattened on first match
-				if !pgfDone {
-					pgfBuf = pgfBuf[:0]
-					for _, c := range pgCols {
-						pgfBuf = append(pgfBuf, cb.Cols[c].Flat())
-					}
-					pgfDone = true
-				}
-				return pgfBuf
+			if run == nil {
+				f.batch(cb)
+			} else if err := run.push(cb, emit); err != nil {
+				return err
 			}
-			// setGroupKey fills the group key for probe row i and build row r.
-			setGroupKey := func(pf [][]int32, i int, r int32) {
-				for k := range pf {
-					groupKey[pgPos[k]] = pf[k][i]
-				}
-				bv := hb.row(r)
-				for k, c := range bgCols {
-					groupKey[bgPos[k]] = bv[c]
-				}
-			}
-			// foldMatches is the slot and fold passes over rows i0+j whose
-			// build key groups the resolve pass left in at (−1 on a miss):
-			// it walks the (row, build row) pairs in row order — a
-			// one-column group key is gathered and slotted per chunk
-			// (batchAgg.slotCol), wider keys are slotted per pair — and
-			// folds the scratch in one batch call whenever it fills, and
-			// at the end.
-			foldMatches := func(i0 int, at []int32) {
-				np, created := 0, false
-				var pf [][]int32
-				for j, gi := range at {
-					if gi < 0 {
-						continue
-					}
-					if pf == nil {
-						pf = groupFlats()
-					}
-					i := i0 + j
-					pm := cb.Measures[i]
-					rows := hb.span(gi)
-					for r := rows.lo; r < rows.hi; r++ {
-						if np == foldChunk {
-							sc.foldPairs(e, agg, np, oneKey, created, buildIsLeft)
-							np, created = 0, false
-						}
-						switch {
-						case oneKey && len(pgCols) == 1:
-							sc.keys[np] = pf[0][i]
-						case oneKey:
-							sc.keys[np] = hb.row(r)[bgCols[0]]
-						default:
-							setGroupKey(pf, i, r)
-							sc.slots[np], sc.first[np] = agg.group(groupKey)
-							created = created || sc.first[np]
-						}
-						sc.a[np], sc.b[np] = hb.meas[r], pm
-						np++
-					}
-				}
-				sc.foldPairs(e, agg, np, oneKey, created, buildIsLeft)
-			}
-			// Only a single-column key can use its encoding; wider keys
-			// take the plain path whatever their columns' encodings.
-			if single && cb.Cols[probeCols[0]].Enc == storage.EncRLE {
-				i := 0
-				for _, run := range cb.Cols[probeCols[0]].Runs {
-					probeKey[0] = run.Val
-					rows, gi := hb.lookup(probeKey)
-					if rows.len() == 0 {
-						i += run.Len
-						continue
-					}
-					end := i + run.Len
-					if spanSafe(rows, gi) {
-						pf := groupFlats()
-						for s := i; s < end; {
-							t := s + 1
-						extend:
-							for t < end {
-								for k := range pf {
-									if pf[k][t] != pf[k][s] {
-										break extend
-									}
-								}
-								t++
-							}
-							for r := rows.lo; r < rows.hi; r++ {
-								setGroupKey(pf, s, r)
-								agg.absorbMulSpan(e, rf, groupKey, hb.meas[r], buildIsLeft, cb.Measures[s:t], &sc)
-							}
-							s = t
-						}
-					} else {
-						// Every row of the run matches key group gi.
-						for i0 := i; i0 < end; i0 += foldChunk {
-							at := sc.at[:min(foldChunk, end-i0)]
-							for j := range at {
-								at[j] = int32(gi)
-							}
-							foldMatches(i0, at)
-						}
-					}
-					i = end
-				}
-			} else {
-				// Every other key: resolve a chunk of rows to build key
-				// groups over the flattened key columns (probe rows are
-				// never fully gathered), then slot and fold its matches.
-				kfBuf = kfBuf[:0]
-				for _, c := range probeCols {
-					kfBuf = append(kfBuf, cb.Cols[c].Flat())
-				}
-				for i0 := 0; i0 < n; i0 += foldChunk {
-					at := sc.at[:min(foldChunk, n-i0)]
-					hb.idx.getRows(kfBuf, i0, at, probeKey)
-					foldMatches(i0, at)
-				}
-			}
-			if err := lb.check(agg); err != nil {
+			if err := lb.check(len(agg.meas)); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -303,6 +305,21 @@ func testLeafFoldAcrossLayouts(t *testing.T) {
 		{"group-by 3 columns", "p", "", []string{"K", "G", "D"}},
 		{"group-by total", "p", "", nil},
 		{"group-by empty input", "e", "", []string{"E"}},
+		// Pipelined probe inputs (pipe.go): a join or selection input of
+		// a fused join that is never materialized, named as leafInput
+		// reads it.
+		{"pipelined probe, streamed-side key", "p⋈q", "q1", []string{"G"}},
+		{"pipelined probe, inner build key", "p⋈q1", "q", []string{"V"}},
+		{"pipelined probe, outer build key", "p⋈q1", "q", []string{"W"}},
+		{"pipelined probe, keys from all three", "p⋈q1", "q", []string{"H", "V", "W"}},
+		{"pipelined probe, unique inner build", "p⋈q1", "o1", []string{"G", "A"}},
+		{"pipelined probe, key-less outer join", "p⋈o1", "c", []string{"G", "U"}},
+		{"pipelined probe, total aggregate", "p⋈o1", "o2", nil},
+		{"pipelined probe, empty inner build", "p⋈e", "q1", []string{"G"}},
+		{"pipelined probe on the right", "o2", "p⋈q1", []string{"G"}},
+		{"pipelined select", "σ(p)", "q", []string{"G"}},
+		{"pipelined select, build on the left", "q", "σ(p)", []string{"W"}},
+		{"pipeline materialized as the build", "o1⋈o2", "p", []string{"A", "G"}},
 	}
 	harnesses := make([]*harness, len(kernelLayouts))
 	for i, l := range kernelLayouts {
@@ -312,10 +329,10 @@ func testLeafFoldAcrossLayouts(t *testing.T) {
 	for _, tc := range cases {
 		for _, sr := range semiring.All() {
 			t.Run(tc.name+"/"+sr.Name(), func(t *testing.T) {
-				in := rels[tc.left]
+				in := leafRef(t, rels, sr, tc.left)
 				if tc.right != "" {
 					var err error
-					if in, err = relation.ProductJoin(sr, rels[tc.left], rels[tc.right]); err != nil {
+					if in, err = relation.ProductJoin(sr, in, leafRef(t, rels, sr, tc.right)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -331,16 +348,9 @@ func testLeafFoldAcrossLayouts(t *testing.T) {
 					for _, workers := range []int{0, 2, 3, 4, 8} {
 						h.engine.Parallelism = workers
 						pb := h.builder()
-						node, err := pb.Scan(tc.left)
-						if err != nil {
-							t.Fatal(err)
-						}
+						node := leafInput(t, pb, tc.left)
 						if tc.right != "" {
-							r, err := pb.Scan(tc.right)
-							if err != nil {
-								t.Fatal(err)
-							}
-							node = pb.Join(node, r)
+							node = pb.Join(node, leafInput(t, pb, tc.right))
 						}
 						if node, err = pb.GroupBy(node, tc.group); err != nil {
 							t.Fatal(err)
@@ -348,6 +358,13 @@ func testLeafFoldAcrossLayouts(t *testing.T) {
 						got, st := h.run(t, node)
 						if !relation.Equal(want, got, sr.Zero(), 1e-12) {
 							t.Fatalf("%s workers=%d: result differs from the relation reference", l.name, workers)
+						}
+						pipelined := slices.ContainsFunc(st.Trace, func(sp Span) bool { return strings.HasSuffix(sp.Desc, " [pipelined]") })
+						if pipelined != strings.HasPrefix(tc.name, "pipelined") {
+							t.Fatalf("%s workers=%d: pipelined = %v", l.name, workers, pipelined)
+						}
+						if pipelined && exactAdd(sr) && !relation.Equal(want, got, sr.Zero(), 0) {
+							t.Fatalf("%s workers=%d: exact semiring not bit-equal to the relation reference", l.name, workers)
 						}
 						if first == nil {
 							first, firstTemp = got, st.TempTuples
@@ -366,6 +383,47 @@ func testLeafFoldAcrossLayouts(t *testing.T) {
 			})
 		}
 	}
+}
+
+// leafInput builds the plan input a multi-leaf case names: a table,
+// "σ(t)" — t's rows with H = 4 — or "a⋈b", the join of tables a and b.
+func leafInput(t *testing.T, pb *plan.Builder, name string) *plan.Node {
+	t.Helper()
+	if a, b, ok := strings.Cut(name, "⋈"); ok {
+		return pb.Join(mustScan(pb, a), mustScan(pb, b))
+	}
+	if inner, ok := strings.CutPrefix(name, "σ("); ok {
+		s, err := pb.Select(mustScan(pb, strings.TrimSuffix(inner, ")")), relation.Predicate{"H": 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	return mustScan(pb, name)
+}
+
+// leafRef is the in-memory reference of a leafInput name under sr.
+func leafRef(t *testing.T, rels map[string]*relation.Relation, sr semiring.Semiring, name string) *relation.Relation {
+	t.Helper()
+	var r *relation.Relation
+	var err error
+	if a, b, ok := strings.Cut(name, "⋈"); ok {
+		r, err = relation.ProductJoin(sr, rels[a], rels[b])
+	} else if inner, ok := strings.CutPrefix(name, "σ("); ok {
+		r, err = relation.Select(rels[strings.TrimSuffix(inner, ")")], relation.Predicate{"H": 4})
+	} else {
+		r = rels[name]
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// exactAdd reports whether sr's Add is exact (min, max, or), so a fold in
+// any order gives the same bits.
+func exactAdd(sr semiring.Semiring) bool {
+	return sr.Name() != semiring.SumProduct.Name() && sr.Name() != semiring.LogSumExp.Name()
 }
 
 // countingFactory hands out MemDisks, failing its failAt-th call, and

@@ -453,9 +453,44 @@ func (k *keyIndex) putRows(cols [][]int32, lo int, out []int32, added []bool, ke
 		for m, col := range cols {
 			key[m] = col[lo+j]
 		}
+		if p, ok := k.radixHit(key); ok {
+			out[j], added[j] = p, false
+			continue
+		}
 		p, a := k.put(key)
 		out[j], added[j] = int32(p), a
 		anyAdded = anyAdded || a
 	}
 	return anyAdded
+}
+
+// putKeys is putRows over keys stored row-major in vals, ncols values
+// each.
+func (k *keyIndex) putKeys(vals, out []int32, added []bool) (anyAdded bool) {
+	w := k.ncols
+	for j := range out {
+		key := vals[j*w : (j+1)*w]
+		if p, ok := k.radixHit(key); ok {
+			out[j], added[j] = p, false
+			continue
+		}
+		p, a := k.put(key)
+		out[j], added[j] = int32(p), a
+		anyAdded = anyAdded || a
+	}
+	return anyAdded
+}
+
+// radixHit resolves a key already in a radix-mode index with one array
+// read, so the slot passes call put only for new keys.
+func (k *keyIndex) radixHit(key []int32) (pos int32, ok bool) {
+	if !k.isRadix {
+		return 0, false
+	}
+	c, in := k.radixCode(key)
+	if !in {
+		return 0, false
+	}
+	p := k.dense[c]
+	return p - 1, p != 0
 }

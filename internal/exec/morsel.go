@@ -5,12 +5,13 @@ package exec
 // operators hand it morsels — leaf-to-partition-sized closures — instead
 // of spawning their own pools. The Grace join's partition passes and
 // pair joins, the leaves of hash group-by and of the fused
-// join+aggregate probe (foldLeaves) all feed the same queue, so they
+// join+aggregate probe (foldLeaves), and the leaves of selections and
+// in-memory join probes (runPipe) all feed the same queue, so they
 // compose as one pipeline: a worker finishing a join morsel can
 // immediately pick up an aggregation leaf of the same query.
 //
 // Every operator submits through parallelFor: a fixed index range
-// (partition pairs, aggregation leaves), submitted at once and waited on.
+// (partition pairs, leaves), submitted at once and waited on.
 //
 // The caller participates: while waiting it runs its own set's pending
 // morsels, which makes the scheduler deadlock-free at any worker count

@@ -71,7 +71,7 @@ const (
 // at every worker count and — leaves being page ranges, and page counts
 // layout-independent — across page layouts.
 //
-// Merging is pipelined (leafFold): whichever worker completes the next
+// Merging is pipelined (leafOrder): whichever worker completes the next
 // leaf in order merges it, and any successors already waiting, while the
 // others keep probing. The groups of all live aggregates count against
 // the query's temp-tuple budget at every batch boundary (leafBudget). On
@@ -81,32 +81,14 @@ const (
 func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, attrs []relation.Attr, st *RunStats,
 	leaf func(it *storage.ColBatchIterator, agg *batchAgg, lb *leafBudget) error) (*batchAgg, error) {
 	pages := in.NumPages()
-	n := int((pages + leafPages - 1) / leafPages)
-	f := &leafFold{e: e, attrs: attrs, done: make([]*batchAgg, n), window: e.workers(), maxBacklog: leafBacklogGroups}
+	hint := 0
 	if pages > 0 {
-		f.hint = int(in.NumTuples() * min(pages, leafPages) / pages)
+		hint = int(in.NumTuples() * min(pages, leafPages) / pages)
 	}
-	f.advanced.L = &f.mu
-	err := st.parallelFor(kind, n, func(i int) error {
-		agg := f.start(i)
-		if agg == nil {
-			return nil // another leaf failed; its error ends the set
-		}
-		err := ctx.Err()
-		if err == nil {
-			it := in.ScanColBatchesContext(ctx)
-			it.SetPageRange(int64(i)*leafPages, int64(i+1)*leafPages)
-			if err = leaf(it, agg, &leafBudget{st: st, live: &f.live}); err == nil {
-				err = it.Err()
-			}
-			it.Close()
-		}
-		if err != nil {
-			f.fail()
-			return err
-		}
-		f.finish(i, agg)
-		return nil
+	f := newLeafFold(e, attrs, leafCount(pages), e.workers(), hint)
+	f.maxBacklog = leafBacklogGroups
+	err := f.run(ctx, st, kind, in, func(it *storage.ColBatchIterator, agg *batchAgg) error {
+		return leaf(it, agg, &leafBudget{st: st, live: &f.live})
 	})
 	if err != nil {
 		return nil, err
@@ -117,124 +99,220 @@ func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, 
 	return f.out, nil
 }
 
-// leafFold is the merge state of one foldLeaves call.
-type leafFold struct {
-	e     *Engine
-	attrs []relation.Attr // the group key's attributes
-	hint  int             // rows per leaf, about
-	live  atomic.Int64    // groups held by leaf aggregates and out
+// leafCount is the number of leaves of a heap of the given page count.
+func leafCount(pages int64) int {
+	return int((pages + leafPages - 1) / leafPages)
+}
 
+// leafOrder is the leaf scheduling every leaf-parallel operator shares:
+// one morsel per leaf of a heap, each filling a leaf state L of its own,
+// and the finished states handed to absorb strictly in leaf order. The
+// fold of an aggregation (leafFold) absorbs a leaf aggregate by merging
+// it into the result; the ordered heap sink (pipe.go) by appending a
+// leaf's rows to the output heap.
+type leafOrder[L any] struct {
 	mu       sync.Mutex
-	advanced sync.Cond   // signalled when next moves or a leaf fails
-	done     []*batchAgg // finished leaves waiting for their turn to merge
-	next     int         // the leaf to merge next
-	merging  bool        // a worker is merging; it will pick up new arrivals
+	advanced sync.Cond // signalled when next moves or a leaf fails
+	done     []*L      // finished leaves waiting for their turn to be absorbed
+	next     int       // the leaf to absorb next
+	merging  bool      // a worker is absorbing; it will pick up new arrivals
 	failed   bool
-	free     []*batchAgg // merged leaf aggregates, reset for reuse
-	out      *batchAgg   // owned by the worker that set merging
+	free     []*L // absorbed leaf states, reset for reuse
 	// window and maxBacklog pace the workers: a leaf may start only
 	// window leaves past next, or leafRunAhead times as far while the
-	// finished leaves waiting to merge hold fewer than maxBacklog groups
-	// (backlog). The bound keeps the leaf aggregates alive at once few
-	// when merging into a large result is slower than probing — a high
-	// fan-out join under a high-cardinality group-by — where the probing
+	// finished leaves waiting to be absorbed hold fewer than maxBacklog
+	// groups or rows (backlog). The bound keeps the leaf states alive at
+	// once few when absorbing is slower than producing — a high fan-out
+	// join under a high-cardinality group-by — where the producing
 	// workers would otherwise run the whole input ahead of the one
-	// merging and hold every leaf's groups in memory; the slack keeps
-	// workers with small aggregates from waiting on each other. What is
-	// merged into what never depends on either.
+	// absorbing and hold every leaf in memory; the slack keeps workers
+	// with small leaves from waiting on each other. What is absorbed into
+	// what never depends on either.
 	window, maxBacklog int
 	backlog            int
+
+	fresh func(i int) *L // a new state for leaf i, when none is free
+	size  func(*L) int   // a leaf's groups or rows, for the backlog
+	// absorb takes in the next leaf in order. It runs on one worker at a
+	// time, without mu; keep=false recycles the state, which absorb has
+	// reset.
+	absorb func(*L) (keep bool, err error)
 }
 
-// start returns the aggregation state for leaf i, first waiting until i
-// may start. Morsels start in leaf order, so leaf next is always running
-// or done and the wait ends. It returns nil when the fold has failed.
-func (f *leafFold) start(i int) *batchAgg {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.mayStart(i) && !f.failed {
-		f.advanced.Wait()
+// init prepares o for n leaves, paced by window.
+func (o *leafOrder[L]) init(n, window int) {
+	o.done = make([]*L, n)
+	o.window = window
+	o.advanced.L = &o.mu
+}
+
+// run submits one morsel per leaf of in under kind: each takes a leaf
+// state (start), calls leaf with an iterator over its page range, and
+// hands the state in (finish). The first error fails the set.
+func (o *leafOrder[L]) run(ctx context.Context, st *RunStats, kind string, in *storage.Heap,
+	leaf func(it *storage.ColBatchIterator, l *L) error) error {
+	return st.parallelFor(kind, len(o.done), func(i int) error {
+		l := o.start(i)
+		if l == nil {
+			return nil // another leaf failed; its error ends the set
+		}
+		err := ctx.Err()
+		if err == nil {
+			it := in.ScanColBatchesContext(ctx)
+			it.SetPageRange(int64(i)*leafPages, int64(i+1)*leafPages)
+			if err = leaf(it, l); err == nil {
+				err = it.Err()
+			}
+			it.Close()
+		}
+		if err == nil {
+			err = o.finish(i, l)
+		}
+		if err != nil {
+			o.fail()
+			return err
+		}
+		return nil
+	})
+}
+
+// start returns the state for leaf i, first waiting until i may start.
+// Morsels start in leaf order, so leaf next is always running or done
+// and the wait ends. It returns nil when the set has failed.
+func (o *leafOrder[L]) start(i int) *L {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for !o.mayStart(i) && !o.failed {
+		o.advanced.Wait()
 	}
-	if f.failed {
+	if o.failed {
 		return nil
 	}
-	if k := len(f.free); k > 0 {
-		agg := f.free[k-1]
-		f.free = f.free[:k-1]
-		return agg
+	if k := len(o.free); k > 0 {
+		l := o.free[k-1]
+		o.free = o.free[:k-1]
+		return l
 	}
-	return newBatchAgg(f.attrs, f.hint)
+	return o.fresh(i)
 }
 
-// mayStart reports whether leaf i is close enough to the merge to begin.
-// Called with f.mu held.
-func (f *leafFold) mayStart(i int) bool {
-	ahead := f.window
-	if f.backlog < f.maxBacklog {
+// mayStart reports whether leaf i is close enough to the absorbed ones
+// to begin. Called with o.mu held.
+func (o *leafOrder[L]) mayStart(i int) bool {
+	ahead := o.window
+	if o.backlog < o.maxBacklog {
 		ahead *= leafRunAhead
 	}
-	return i < f.next+ahead
+	return i < o.next+ahead
 }
 
-// fail releases the leaves waiting in start.
-func (f *leafFold) fail() {
-	f.mu.Lock()
-	f.failed = true
-	f.advanced.Broadcast()
-	f.mu.Unlock()
+// fail releases the leaves waiting in start and stops absorbing.
+func (o *leafOrder[L]) fail() {
+	o.mu.Lock()
+	o.failed = true
+	o.advanced.Broadcast()
+	o.mu.Unlock()
 }
 
-// finish hands in leaf i's aggregate and, unless another worker is
-// already merging, merges every leaf that is next in order: the first
-// becomes the result, the others are absorbed into it and recycled.
-func (f *leafFold) finish(i int, agg *batchAgg) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.done[i] = agg
-	f.backlog += len(agg.meas)
-	if f.merging {
-		return
+// finish hands in leaf i's state and, unless another worker is already
+// absorbing, absorbs every leaf that is next in order.
+func (o *leafOrder[L]) finish(i int, l *L) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.done[i] = l
+	o.backlog += o.size(l)
+	if o.merging {
+		return nil
 	}
-	f.merging = true
-	for f.next < len(f.done) && f.done[f.next] != nil {
-		a := f.done[f.next]
-		f.done[f.next] = nil
-		groups := len(a.meas)
-		if f.out == nil {
-			f.out = a
-		} else {
-			f.mu.Unlock()
-			before := len(f.out.meas)
-			f.out.merge(f.e, a)
-			f.live.Add(int64(len(f.out.meas) - before - groups))
-			a.reset()
-			f.mu.Lock()
-			f.free = append(f.free, a)
+	o.merging = true
+	defer func() { o.merging = false }()
+	for o.next < len(o.done) && o.done[o.next] != nil && !o.failed {
+		l := o.done[o.next]
+		o.done[o.next] = nil
+		size := o.size(l)
+		o.mu.Unlock()
+		keep, err := o.absorb(l)
+		o.mu.Lock()
+		if err != nil {
+			return err
 		}
-		f.backlog -= groups
-		f.next++
-		f.advanced.Broadcast()
+		if !keep {
+			o.free = append(o.free, l)
+		}
+		o.backlog -= size
+		o.next++
+		o.advanced.Broadcast()
 	}
-	f.merging = false
+	return nil
 }
 
-// leafBudget charges one leaf aggregate's groups against the query's
-// temp-tuple budget while the aggregation is still running — the groups
-// reach RunStats.TempTuples only when the result is emitted, and a
-// key-less join under a wide group-by can grow them without bound long
-// before that. live sums the groups of every aggregate of the operator
-// still alive, across in-flight leaves.
+// leafFold is the merge state of one foldLeaves call: the first leaf
+// aggregate in order becomes the result, and every later one is merged
+// into it and recycled.
+type leafFold struct {
+	leafOrder[batchAgg]
+	e     *Engine
+	attrs []relation.Attr
+	live  atomic.Int64 // groups held by leaf aggregates and out
+	// out and resized are owned by the worker absorbing.
+	out     *batchAgg
+	resized bool // out has been sized for every leaf's groups
+}
+
+// newLeafFold returns the fold of n leaves keyed on attrs, paced by
+// window, whose leaf aggregates expect about hint rows.
+func newLeafFold(e *Engine, attrs []relation.Attr, n, window, hint int) *leafFold {
+	f := &leafFold{e: e, attrs: attrs}
+	f.init(n, window)
+	f.fresh = func(int) *batchAgg { return newBatchAgg(attrs, hint) }
+	f.size = func(a *batchAgg) int { return len(a.meas) }
+	f.absorb = f.merge
+	return f
+}
+
+// merge absorbs leaf aggregate a into the result. Before the first
+// merge the result — leaf 0's aggregate, its index sized for one leaf —
+// moves into an aggregate sized for leaf 0's groups times the leaf
+// count, when that lets a multi-column key's index direct-address its
+// domain product (radix mode, keyindex.go): a leaf group then slots
+// into the result with one array read.
+func (f *leafFold) merge(a *batchAgg) (keep bool, err error) {
+	if f.out == nil {
+		f.out = a
+		return true, nil
+	}
+	if !f.resized {
+		f.resized = true
+		if res := newBatchAgg(f.attrs, len(f.out.meas)*len(f.done)); res.idx.isRadix && !f.out.idx.isRadix {
+			res.merge(f.e, f.out)
+			f.out = res
+		}
+	}
+	groups, before := len(a.meas), len(f.out.meas)
+	f.out.merge(f.e, a)
+	f.live.Add(int64(len(f.out.meas) - before - groups))
+	a.reset()
+	return false, nil
+}
+
+// leafBudget charges one leaf's in-memory state — an aggregate's groups,
+// or the rows an ordered sink buffers — against the query's temp-tuple
+// budget while the operator is still running: they reach
+// RunStats.TempTuples only when they are written, and a key-less join
+// under a wide group-by can grow them without bound long before that.
+// live sums the state of every leaf of the operator still alive, across
+// in-flight leaves.
 type leafBudget struct {
 	st      *RunStats
 	live    *atomic.Int64
 	charged int
 }
 
-// check publishes agg's growth since the last call and reports whether
-// the run's temp tuples plus the operator's live groups exceed the
-// bound. Kernels call it at every batch boundary.
-func (lb *leafBudget) check(agg *batchAgg) error {
-	live := lb.live.Add(int64(len(agg.meas) - lb.charged))
-	lb.charged = len(agg.meas)
+// check publishes the leaf's growth to n groups or rows since the last
+// call and reports whether the run's temp tuples plus the operator's
+// live state exceed the bound. Kernels call it at every batch boundary.
+func (lb *leafBudget) check(n int) error {
+	live := lb.live.Add(int64(n - lb.charged))
+	lb.charged = n
 	return lb.st.overTempWith(live)
 }

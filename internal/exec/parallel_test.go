@@ -298,9 +298,7 @@ func (a *batchAgg) absorb(e *Engine, key []int32, m float64) {
 func TestLeafFoldWindow(t *testing.T) {
 	e := &Engine{Sr: semiring.SumProduct}
 	newFold := func(n, window int) *leafFold {
-		f := &leafFold{e: e, attrs: []relation.Attr{{Name: "K"}}, done: make([]*batchAgg, n), window: window}
-		f.advanced.L = &f.mu
-		return f
+		return newLeafFold(e, []relation.Attr{{Name: "K"}}, n, window, 0)
 	}
 	leafAgg := func(f *leafFold, i int, key int32, m float64) *batchAgg {
 		agg := f.start(i)

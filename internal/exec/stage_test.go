@@ -9,6 +9,7 @@ import (
 	"mpf/internal/plan"
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
+	"mpf/internal/storage"
 )
 
 // TestBatchAggSlots drives the slot passes (slotCol, slotRows) in
@@ -112,9 +113,13 @@ func stagedRels(rows int) (p, b, c *relation.Relation) {
 // allocate nothing per batch: over row-major pages (all-plain batches,
 // so every batch takes the staged resolve/slot/fold passes) a run over a
 // 28-page probe allocates what a run over a 3-page one does, for the
-// fused join+aggregate, for hash group-by on one- and two-column keys
-// and for the hash join's probe. Both probes are one leaf, and every
-// plan's output has the same size at both probe sizes.
+// fused join+aggregate — over a base heap and over a join it pipelines
+// (pipe.go) — for hash group-by on one- and two-column keys and for the
+// hash join's probe. Both probes are one leaf, and every plan's output
+// has the same size at both probe sizes. The ordered heap sink runs
+// only with workers over several leaves, so its run with two workers
+// over twice the leaves may allocate more per leaf — its morsel and its
+// scan — but less than one allocation per batch.
 func TestStagedKernelsAllocateNothingPerBatch(t *testing.T) {
 	plans := []struct {
 		name string
@@ -131,11 +136,15 @@ func TestStagedKernelsAllocateNothingPerBatch(t *testing.T) {
 		{"join probe", false, func(pb *plan.Builder) (*plan.Node, error) {
 			return pb.Join(mustScan(pb, "p"), mustScan(pb, "c")), nil
 		}},
+		{"pipelined probe", true, func(pb *plan.Builder) (*plan.Node, error) {
+			return pb.GroupBy(pb.Join(pb.Join(mustScan(pb, "p"), mustScan(pb, "b")), mustScan(pb, "c")), []string{"G"})
+		}},
 	}
-	allocs := func(rows int, fuse bool, mk func(pb *plan.Builder) (*plan.Node, error)) float64 {
+	allocs := func(rows, workers int, fuse bool, mk func(pb *plan.Builder) (*plan.Node, error)) float64 {
 		p, b, c := stagedRels(rows)
 		h := newHarness(t, 256, p, b, c)
 		h.engine.FuseJoinGroupBy = fuse
+		h.engine.Parallelism = workers
 		node, err := mk(h.builder())
 		if err != nil {
 			t.Fatal(err)
@@ -147,10 +156,16 @@ func TestStagedKernelsAllocateNothingPerBatch(t *testing.T) {
 		})
 	}
 	for _, pl := range plans {
-		small, large := allocs(600, pl.fuse, pl.make), allocs(8000, pl.fuse, pl.make)
+		small, large := allocs(600, 0, pl.fuse, pl.make), allocs(8000, 0, pl.fuse, pl.make)
 		if large != small {
 			t.Errorf("%s: %v allocations over a 28-page probe, %v over a 3-page one: the kernel allocates per batch", pl.name, large, small)
 		}
+	}
+	join := plans[3]
+	leafRows := leafPages * storage.TuplesPerPage(3)
+	small, large := allocs(3*leafRows, 2, false, join.make), allocs(6*leafRows, 2, false, join.make)
+	if extra := float64(3 * leafPages); large-small >= extra {
+		t.Errorf("ordered sink: %v allocations over 6 leaves, %v over 3: more than one per extra batch", large, small)
 	}
 }
 

@@ -102,7 +102,8 @@ func ReadRelation(t *Table) (*relation.Relation, error) {
 }
 
 // readRelationContext scans the table back into an in-memory relation,
-// observing ctx on page misses.
+// observing ctx on page misses: a page of rows at a time, each value
+// checked against its domain.
 func readRelationContext(ctx context.Context, t *Table) (*relation.Relation, error) {
 	r, err := relation.New(t.Name, t.Attrs)
 	if err != nil {
@@ -118,10 +119,8 @@ func readRelationContext(ctx context.Context, t *Table) (*relation.Relation, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for i := 0; i < b.Len(); i++ {
-			if err := r.Append(b.Row(i), b.Measures[i]); err != nil {
-				return nil, err
-			}
+		if err := r.AppendRows(b.Vals, b.Measures); err != nil {
+			return nil, err
 		}
 	}
 	if err := it.Err(); err != nil {

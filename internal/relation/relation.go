@@ -158,6 +158,27 @@ func (r *Relation) Append(vals []int32, measure float64) error {
 	return nil
 }
 
+// AppendRows adds rows in bulk: vals holds them row-major, Arity values
+// each, and measures one measure per row. Every value is checked against
+// its attribute's domain, as Append checks it; on an error nothing is
+// appended.
+func (r *Relation) AppendRows(vals []int32, measures []float64) error {
+	n := len(r.attrs)
+	if len(vals) != len(measures)*n {
+		return fmt.Errorf("relation %s: AppendRows got %d values for %d rows of %d", r.name, len(vals), len(measures), n)
+	}
+	for off := 0; off < len(vals); off += n {
+		for c, v := range vals[off : off+n] {
+			if v < 0 || int(v) >= r.attrs[c].Domain {
+				return r.checkRow(vals[off : off+n])
+			}
+		}
+	}
+	r.vals = append(r.vals, vals...)
+	r.measures = append(r.measures, measures...)
+	return nil
+}
+
 // checkRow checks a row's values against the schema, as Append does.
 func (r *Relation) checkRow(vals []int32) error {
 	if len(vals) != len(r.attrs) {
