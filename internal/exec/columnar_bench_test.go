@@ -76,9 +76,9 @@ func colHarness(b *testing.B, frames int, columnar bool, rels ...*relation.Relat
 	return columnarHarness(b, frames, rels...)
 }
 
-// BenchmarkColumnarScan measures a selective scan (σ then full read):
-// the predicate is checked per RLE run / per dictionary code instead of
-// per row.
+// BenchmarkColumnarScan measures a selective scan (σ then full read)
+// on a byte-coded predicate column, compared row by row over its
+// decoded values.
 func BenchmarkColumnarScan(b *testing.B) {
 	rel := benchColRel("t", 40000)
 	for _, mode := range columnarModes {
@@ -101,10 +101,10 @@ func BenchmarkColumnarScan(b *testing.B) {
 }
 
 // BenchmarkColumnarJoin measures a hash join probing on a single
-// byte-coded key: the probe side resolves each distinct code once per
-// batch through the memo instead of one keyIndex lookup per row. The
-// build side covers a quarter of the key domain, so most probes miss —
-// the case where lookup cost (not output writing) dominates.
+// run-length-coded key, resolved through the staged pass over its
+// decoded values. The build side covers a quarter of the key domain, so
+// most probes miss — the case where lookup cost (not output writing)
+// dominates.
 func BenchmarkColumnarJoin(b *testing.B) {
 	l := benchColRel("l", 40000)
 	r := relation.MustNew("r", []relation.Attr{{Name: "Y", Domain: 16}, {Name: "W", Domain: 4}})
@@ -133,12 +133,11 @@ func BenchmarkColumnarJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarJoinMultiCol measures the documented worst case of
-// the encoded probe: a TWO-column join key where every probe row matches,
-// so per-row key assembly and output writing dominate and the encoding
-// buys no selectivity. The kernel composes spans from aligned RLE runs
-// (one probe per span) and assembles output rows without gathering the
-// full probe row.
+// BenchmarkColumnarJoinMultiCol measures a TWO-column join key where
+// every probe row matches, so per-row key assembly and output writing
+// dominate: the probe resolves each row's key from the decoded key
+// columns and assembles output rows without gathering the full probe
+// row.
 func BenchmarkColumnarJoinMultiCol(b *testing.B) {
 	l := benchColRel("l", 40000)
 	// r covers the full (X mod 64, Y) key space, so every probe matches.
@@ -168,10 +167,10 @@ func BenchmarkColumnarJoinMultiCol(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarFusedJoinGroupBy measures the fused columnar
-// join+aggregate: probe pages stay encoded end to end — per-run build
-// probes, per-code group-slot memos, and run-level measure folds — and
-// the join output is never materialized.
+// BenchmarkColumnarFusedJoinGroupBy measures the fused join+aggregate
+// on a run-length-coded join key: on columnar pages it probes the build
+// once per run and folds measure spans (the one encoding-aware kernel),
+// and the join output is never materialized.
 func BenchmarkColumnarFusedJoinGroupBy(b *testing.B) {
 	l := benchColRel("l", 40000)
 	r := relation.MustNew("r", []relation.Attr{{Name: "Y", Domain: 16}, {Name: "W", Domain: 4}})

@@ -36,7 +36,11 @@ type Engine struct {
 	// probe outputs are appended in leaf order (runPipe), so parallel
 	// execution of a plan produces the bit-identical result relation, and
 	// (absent buffer-pool eviction) the same physical IO counts, as serial
-	// execution.
+	// execution. The one exception is a Grace join: its partition pairs
+	// append to the join's output in completion order (hashJoinInto
+	// through a locked writer), so the output's row order, and float sums
+	// folded over it, may differ from serial execution's in the last
+	// bits.
 	Parallelism int
 	// Columnar is a page-layout choice for the operator outputs the
 	// result cache keeps: when set, their pages are re-encoded in the
@@ -44,9 +48,9 @@ type Engine struct {
 	// queries re-read them. Every other temp — join outputs, Grace
 	// partitions, the plan root's result — is read once and
 	// stays row-major whatever this says. It does not select kernels —
-	// every operator runs the encoded-batch kernels, which see row-major
-	// pages as all-plain column views — so results are byte-identical and
-	// page counts (and so IO) unchanged either way.
+	// every operator reads decoded column views, row-major pages and
+	// columnar pages alike — so results are byte-identical and page
+	// counts (and so IO) unchanged either way.
 	Columnar bool
 }
 

@@ -1,6 +1,6 @@
 package exec
 
-// Fused join+aggregate over encoded batches: the executor's one hot
+// Fused join+aggregate over column batches: the executor's one hot
 // kernel on decision-support plans, where every pushed-down
 // marginalisation is a GroupBy(Join(…)).
 //
@@ -19,17 +19,18 @@ package exec
 // runs the stage over its batches and folds the stage's output chunks
 // here as plain batches.
 //
-// Inside a leaf the kernel consumes ENCODED probe batches and never
-// materializes probe rows — the only probe columns ever decoded are the
-// ones feeding the join key or the group key. A single-column RLE key
-// probes the build table once per run and folds aggregates
-// run-at-a-time: within a key run, a
-// maximal sub-span over which every probe-side group column is constant
-// contributes to each matching build row's group with ONE key lookup,
-// and its measure vector folds through absorbMulSpan (collapsing
-// repeated measures in O(1) when the semiring's RunFolder proves it
-// exact — fold.go). Every other key takes the staged resolve/slot/fold
-// passes of DESIGN.md, "Batch execution".
+// Inside a leaf the kernel reads only the probe columns feeding the
+// join key or the group key, decoded (ColView.Flat), and never
+// materializes probe rows: a chunk of rows resolves to build key groups,
+// then the matches are slotted and folded (DESIGN.md, "Batch
+// execution"). The one exception is a single-column join key that
+// run-length encodes (ColView.Runs): it probes the build table once per
+// run, and within a run a maximal sub-span over which every probe-side
+// group column is constant contributes to each matching build row's
+// group with ONE key lookup, its measure vector folding through
+// absorbMulSpan (collapsing repeated measures in O(1) when the
+// semiring's RunFolder proves it exact). It is the only encoding-aware
+// kernel left; rleBatch gives the measurements it is kept on.
 //
 // Byte-identity across page layouts within a leaf: spans fold each build
 // row's contributions in probe-row order, and span folding is used only
@@ -192,10 +193,7 @@ func (p *fusedProbe) spanSafe(rows rowSpan, gi int) bool {
 // first use within the batch.
 func (f *fusedLeaf) groupFlats(cb *storage.ColBatch) [][]int32 {
 	if !f.pfDone {
-		f.pf = f.pf[:0]
-		for _, c := range f.pgCols {
-			f.pf = append(f.pf, cb.Cols[c].Flat())
-		}
+		f.pf = flatCols(cb, f.pgCols, f.pf)
 		f.pfDone = true
 	}
 	return f.pf
@@ -219,14 +217,13 @@ func (f *fusedLeaf) setGroupKey(pf [][]int32, i int, r int32) {
 // fully gathered), then slots and folds the chunk's matches.
 func (f *fusedLeaf) batch(cb *storage.ColBatch) {
 	f.pfDone = false
-	if len(f.probeCols) == 1 && cb.Cols[f.probeCols[0]].Enc == storage.EncRLE {
-		f.rleBatch(cb)
-		return
+	if len(f.probeCols) == 1 {
+		if runs := cb.Cols[f.probeCols[0]].Runs(); runs != nil {
+			f.rleBatch(cb, runs)
+			return
+		}
 	}
-	f.kf = f.kf[:0]
-	for _, c := range f.probeCols {
-		f.kf = append(f.kf, cb.Cols[c].Flat())
-	}
+	f.kf = flatCols(cb, f.probeCols, f.kf)
 	n := cb.Len()
 	for i0 := 0; i0 < n; i0 += foldChunk {
 		at := f.sc.at[:min(foldChunk, n-i0)]
@@ -240,10 +237,16 @@ func (f *fusedLeaf) batch(cb *storage.ColBatch) {
 // group column is constant contributes to each matching build row's
 // group with one key lookup, its measures folding through
 // absorbMulSpan — when the run's build rows are span-safe; otherwise the
-// run's rows take the staged slot and fold passes.
-func (f *fusedLeaf) rleBatch(cb *storage.ColBatch) {
+// run's rows take the staged slot and fold passes. It is kept on a
+// 4-pair ds_adhoc run (10 s runs, 2-CPU machine) in which routing these
+// batches through the staged passes instead cost 6.8 % of
+// queries_per_s, every pair lost. Later measurements read the other
+// way — a 10-pair ds_adhoc run +7.4 % queries_per_s (8 of 10 pairs won)
+// and BenchmarkColumnarFusedJoinGroupBy/columnar about 30 % faster
+// without it — so whether it stays is open (ROADMAP item 4(b″)).
+func (f *fusedLeaf) rleBatch(cb *storage.ColBatch, runs []storage.ColRun) {
 	i := 0
-	for _, run := range cb.Cols[f.probeCols[0]].Runs {
+	for _, run := range runs {
 		f.probeKey[0] = run.Val
 		rows, gi := f.hb.lookup(f.probeKey)
 		if rows.len() == 0 {
@@ -370,8 +373,8 @@ func (f *fusedLeaf) foldPairs(n int) {
 	semiring.MulAddAt(f.e.Sr, agg.meas, slots, l, r, firstIf(created, first))
 }
 
-// fusedColBatch is the encoded-batch fused join+aggregate (see the file
-// comment). l and r are the join's inputs in output-schema order;
+// fusedColBatch is the fused join+aggregate over column batches (see
+// the file comment). l and r are the join's inputs in output-schema order;
 // build/probe are the same two tables in build order, and groupCols
 // index the virtual join output (l's columns, then r's rExtra columns).
 // A non-nil stage pipelines the probe: its rows are those of probe.Heap
@@ -383,7 +386,8 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, s
 		return nil, err
 	}
 	nl := len(l.Attrs)
-	p := &fusedProbe{e: e, rf: e.runFolder(), hb: hb, probeCols: probeCols, buildIsLeft: buildIsLeft, groupArity: len(groupCols),
+	rf, _ := e.Sr.(semiring.RunFolder) // nil: spans fold row by row
+	p := &fusedProbe{e: e, rf: rf, hb: hb, probeCols: probeCols, buildIsLeft: buildIsLeft, groupArity: len(groupCols),
 		need: make([]bool, len(probe.Attrs))}
 	// Split the group columns by source side. A join-output position
 	// g < nl reads the left relation's column g; g >= nl reads r's

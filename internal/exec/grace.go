@@ -8,11 +8,12 @@ import (
 // graceFanOut is the number of partitions per Grace hash-join pass.
 const graceFanOut = 16
 
-// MaxBuildTuples caps the in-memory hash-join build side; larger builds
-// switch to the Grace strategy: both inputs are hash-partitioned on the
-// join key into temp heaps, and partition pairs are joined independently
-// (recursively re-partitioning with a different hash seed if a partition
-// is still too large). Zero means 1<<20 tuples (~16 MiB of build rows).
+// defaultMaxBuildTuples caps the in-memory hash-join build side, 1<<20
+// tuples (~16 MiB of build rows), when Engine.HashJoinMaxBuild is zero.
+// Larger builds switch to the Grace strategy: both inputs are
+// hash-partitioned on the join key into temp heaps, and partition pairs
+// are joined independently (recursively re-partitioning with a
+// different hash seed if a partition is still too large).
 const defaultMaxBuildTuples = 1 << 20
 
 // graceDepthLimit stops pathological recursion when all join-key values

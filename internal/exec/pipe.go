@@ -124,13 +124,11 @@ type stageRun struct {
 	ma   [foldChunk]float64 // a probe chunk's build measures
 	mb   [foldChunk]float64 // and its streamed rows' measures
 
-	mask           []bool    // a selection's row matches
-	at             []int32   // a probe's build key group per row, −1 on a miss
-	key            []int32   // probe key scratch
-	kf             [][]int32 // flattened key columns
-	runIdx, runRem []int     // all-RLE key cursors: run index, rows left in it
-	vb             storage.ColBatch
-	vcols          [][]int32 // backing of vb's columns
+	at    []int32   // a probe's build key group per row, −1 on a miss
+	key   []int32   // probe key scratch
+	kf    [][]int32 // decoded predicate or key columns
+	vb    storage.ColBatch
+	vcols [][]int32 // backing of vb's columns
 }
 
 // run returns a stageRun for one leaf.
@@ -148,24 +146,17 @@ func (r *stageRun) push(cb *storage.ColBatch, emit func() error) error {
 	return r.pushProbe(emit)
 }
 
-// pushSelect emits the rows of the batch the selection keeps: the match
-// mask comes from the column encodings (markMismatches), so an RLE run
-// is accepted or rejected whole and byte/dictionary codes are compared
-// undecoded.
+// pushSelect emits the rows of the batch the selection keeps, comparing
+// the decoded predicate columns row by row.
 func (r *stageRun) pushSelect(emit func() error) error {
 	cb, s := r.cb, r.s
-	n := cb.Len()
-	r.mask = grow(r.mask, n)
-	mask := r.mask
-	for i := range mask {
-		mask[i] = true
-	}
-	for j, c := range s.cols {
-		markMismatches(&cb.Cols[c], s.want[j], mask)
-	}
-	for i, ok := range mask {
-		if !ok {
-			continue
+	r.kf = flatCols(cb, s.cols, r.kf)
+rows:
+	for i := 0; i < cb.Len(); i++ {
+		for j, col := range r.kf {
+			if col[i] != s.want[j] {
+				continue rows
+			}
 		}
 		r.src[r.n], r.meas[r.n] = int32(i), cb.Measures[i]
 		if r.n++; r.n == foldChunk {
@@ -200,60 +191,13 @@ func (r *stageRun) pushProbe(emit func() error) error {
 }
 
 // resolve is the probe's resolve pass: it maps every row of the batch
-// to its build key group. A single-column RLE key is looked up once per
-// run, a key whose every column run-length encodes once per span over
-// which all its columns are constant, and any other key by the index's
-// column pass over the flattened key columns.
+// to its build key group through the index's column pass over the
+// decoded key columns.
 func (r *stageRun) resolve() []int32 {
-	cb, s := r.cb, r.s
-	n := cb.Len()
-	r.at = grow(r.at, n)
-	at := r.at
-	allRLE := len(s.keyCols) > 0
-	for _, c := range s.keyCols {
-		if cb.Cols[c].Enc != storage.EncRLE {
-			allRLE = false
-			break
-		}
-	}
-	if !allRLE {
-		r.kf = r.kf[:0]
-		for _, c := range s.keyCols {
-			r.kf = append(r.kf, cb.Cols[c].Flat())
-		}
-		s.hb.idx.getRows(r.kf, 0, at, r.key)
-		return at
-	}
-	// Walk the key columns' runs in lockstep: one lookup per maximal
-	// span over which every key column is constant.
-	r.runIdx = append(r.runIdx[:0], make([]int, len(s.keyCols))...)
-	r.runRem = r.runRem[:0]
-	for _, c := range s.keyCols {
-		r.runRem = append(r.runRem, cb.Cols[c].Runs[0].Len)
-	}
-	for i := 0; i < n; {
-		span := n - i
-		for k, c := range s.keyCols {
-			r.key[k] = cb.Cols[c].Runs[r.runIdx[k]].Val
-			span = min(span, r.runRem[k])
-		}
-		gi := int32(-1)
-		if p, ok := s.hb.idx.get(r.key); ok {
-			gi = int32(p)
-		}
-		for j := i; j < i+span; j++ {
-			at[j] = gi
-		}
-		i += span
-		for k := range r.runRem {
-			if r.runRem[k] -= span; r.runRem[k] == 0 {
-				if r.runIdx[k]++; r.runIdx[k] < len(cb.Cols[s.keyCols[k]].Runs) {
-					r.runRem[k] = cb.Cols[s.keyCols[k]].Runs[r.runIdx[k]].Len
-				}
-			}
-		}
-	}
-	return at
+	r.at = grow(r.at, r.cb.Len())
+	r.kf = flatCols(r.cb, r.s.keyCols, r.kf)
+	r.s.hb.idx.getRows(r.kf, 0, r.at, r.key)
+	return r.at
 }
 
 // iotaSlots addresses foldChunk accumulators in order and allFirst
@@ -322,7 +266,6 @@ func (r *stageRun) appendRows(vals []int32, meas []float64) ([]int32, []float64)
 func (r *stageRun) view(need []bool) *storage.ColBatch {
 	arity := len(r.s.out)
 	if r.vcols == nil {
-		r.vb.Arity = arity
 		r.vb.Cols = make([]storage.ColView, arity)
 		r.vcols = make([][]int32, arity)
 		for k, ok := range need {
@@ -335,7 +278,7 @@ func (r *stageRun) view(need []bool) *storage.ColBatch {
 		if ok {
 			dst := r.vcols[k][:r.n]
 			r.gather(k, dst, 1)
-			r.vb.Cols[k] = storage.ColView{Enc: storage.EncPlain, Plain: dst}
+			r.vb.Cols[k] = storage.PlainView(dst)
 		}
 	}
 	r.vb.Measures = r.meas[:r.n]

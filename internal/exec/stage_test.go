@@ -109,17 +109,20 @@ func stagedRels(rows int) (p, b, c *relation.Relation) {
 	return p, b, c
 }
 
-// TestStagedKernelsAllocateNothingPerBatch pins that the staged kernels
-// allocate nothing per batch: over row-major pages (all-plain batches,
-// so every batch takes the staged resolve/slot/fold passes) a run over a
-// 28-page probe allocates what a run over a 3-page one does, for the
-// fused join+aggregate — over a base heap and over a join it pipelines
-// (pipe.go) — for hash group-by on one- and two-column keys and for the
-// hash join's probe. Both probes are one leaf, and every plan's output
-// has the same size at both probe sizes. The ordered heap sink runs
-// only with workers over several leaves, so its run with two workers
-// over twice the leaves may allocate more per leaf — its morsel and its
-// scan — but less than one allocation per batch.
+// TestStagedKernelsAllocateNothingPerBatch pins that the kernels
+// allocate nothing per batch: a run over a 28-page probe allocates what
+// a run over a 3-page one does, for the fused join+aggregate — over a
+// base heap, over a run-length-encoded join key and over a join it
+// pipelines (pipe.go) — for hash group-by on one- and two-column keys
+// and for the hash join's probe. Every plan runs over row-major pages
+// (all-plain batches) and over kernelLayouts' columnar layout, where K
+// byte-encodes and G run-length encodes on every full page, so the one
+// decode path (ColView.Flat, cached per view) and the fused probe's RLE
+// span fold are pinned too. Both probes are one leaf, and every plan's
+// output has the same size at both probe sizes. The ordered heap sink
+// runs only with workers over several leaves, so its run with two
+// workers over twice the leaves may allocate more per leaf — its morsel
+// and its scan — but less than one allocation per batch.
 func TestStagedKernelsAllocateNothingPerBatch(t *testing.T) {
 	plans := []struct {
 		name string
@@ -128,6 +131,9 @@ func TestStagedKernelsAllocateNothingPerBatch(t *testing.T) {
 	}{
 		{"fused", true, func(pb *plan.Builder) (*plan.Node, error) {
 			return pb.GroupBy(pb.Join(mustScan(pb, "p"), mustScan(pb, "b")), []string{"G"})
+		}},
+		{"fused run-length key", true, func(pb *plan.Builder) (*plan.Node, error) {
+			return pb.GroupBy(pb.Join(mustScan(pb, "p"), mustScan(pb, "g")), []string{"K"})
 		}},
 		{"groupby one-col", false, func(pb *plan.Builder) (*plan.Node, error) { return pb.GroupBy(mustScan(pb, "p"), []string{"K"}) }},
 		{"groupby two-col", false, func(pb *plan.Builder) (*plan.Node, error) {
@@ -140,9 +146,13 @@ func TestStagedKernelsAllocateNothingPerBatch(t *testing.T) {
 			return pb.GroupBy(pb.Join(pb.Join(mustScan(pb, "p"), mustScan(pb, "b")), mustScan(pb, "c")), []string{"G"})
 		}},
 	}
-	allocs := func(rows, workers int, fuse bool, mk func(pb *plan.Builder) (*plan.Node, error)) float64 {
+	allocs := func(l pageLayout, rows, workers int, fuse bool, mk func(pb *plan.Builder) (*plan.Node, error)) float64 {
 		p, b, c := stagedRels(rows)
-		h := newHarness(t, 256, p, b, c)
+		g := relation.MustNew("g", []relation.Attr{{Name: "G", Domain: 8}})
+		for v := int32(0); v < 8; v++ {
+			g.MustAppend([]int32{v}, 1+float64(v))
+		}
+		h := layoutHarness(t, l, p, b, c, g)
 		h.engine.FuseJoinGroupBy = fuse
 		h.engine.Parallelism = workers
 		node, err := mk(h.builder())
@@ -155,17 +165,19 @@ func TestStagedKernelsAllocateNothingPerBatch(t *testing.T) {
 			}
 		})
 	}
-	for _, pl := range plans {
-		small, large := allocs(600, 0, pl.fuse, pl.make), allocs(8000, 0, pl.fuse, pl.make)
-		if large != small {
-			t.Errorf("%s: %v allocations over a 28-page probe, %v over a 3-page one: the kernel allocates per batch", pl.name, large, small)
-		}
-	}
-	join := plans[3]
+	join := plans[4]
 	leafRows := leafPages * storage.TuplesPerPage(3)
-	small, large := allocs(3*leafRows, 2, false, join.make), allocs(6*leafRows, 2, false, join.make)
-	if extra := float64(3 * leafPages); large-small >= extra {
-		t.Errorf("ordered sink: %v allocations over 6 leaves, %v over 3: more than one per extra batch", large, small)
+	for _, l := range kernelLayouts[:2] {
+		for _, pl := range plans {
+			small, large := allocs(l, 600, 0, pl.fuse, pl.make), allocs(l, 8000, 0, pl.fuse, pl.make)
+			if large != small {
+				t.Errorf("%s %s: %v allocations over a 28-page probe, %v over a 3-page one: the kernel allocates per batch", l.name, pl.name, large, small)
+			}
+		}
+		small, large := allocs(l, 3*leafRows, 2, false, join.make), allocs(l, 6*leafRows, 2, false, join.make)
+		if extra := float64(3 * leafPages); large-small >= extra {
+			t.Errorf("%s ordered sink: %v allocations over 6 leaves, %v over 3: more than one per extra batch", l.name, large, small)
+		}
 	}
 }
 
@@ -179,13 +191,15 @@ func mustScan(pb *plan.Builder, name string) *plan.Node {
 
 // TestNaNPayloadsAcrossLayouts runs group-by and the fused
 // join+aggregate over measures carrying NaNs of several payloads, on
-// row-major pages (every key plain: the staged passes) and on columnar
-// pages (the sorted key run-length encodes on every full page: the
-// per-run paths, with repeated measures for the RunFolder), and
-// requires the same rows in the same order with the same measure bits.
-// When two NaNs meet, which payload survives depends on the compiled
-// fold, so this holds only because every path folds through the same
-// batch functions.
+// row-major pages and on columnar pages, and requires the same rows in
+// the same order with the same measure bits. Group-by takes the staged
+// passes over the decoded key on both layouts. The fused plans' sorted
+// join key run-length encodes on every full columnar page, so there
+// they take the RLE span fold (rleBatch, absorbMulSpan), whose measure
+// spans repeat in pairs for the RunFolder; a span fold that ignored
+// FoldAdd's refusal fails here. When two NaNs meet, which payload
+// survives depends on the compiled fold, so this holds only because
+// every path folds through the same batch functions.
 func TestNaNPayloadsAcrossLayouts(t *testing.T) {
 	vals := []float64{
 		math.Float64frombits(0x7ff8_0000_0000_0001), 1.5, math.Float64frombits(0xfff8_0000_0000_0bad),

@@ -7,11 +7,9 @@ import (
 
 	"mpf/internal/catalog"
 	"mpf/internal/cost"
-	"mpf/internal/exec"
 	"mpf/internal/plan"
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
-	"mpf/internal/storage"
 )
 
 // randomSchema builds a connected random view: nTables relations over a
@@ -142,56 +140,6 @@ func TestFuzzOptimizersAgainstOracle(t *testing.T) {
 				t.Fatalf("trial %d %s: wrong answer for group=%v pred=%v\nplan:\n%s",
 					trial, o.Name(), q.GroupVars, q.Pred, p)
 			}
-		}
-	}
-}
-
-// TestFuzzEngineMatchesInterpreter executes optimizer plans on the paged
-// engine and checks agreement with the
-// in-memory interpreter on random schemas.
-func TestFuzzEngineMatchesInterpreter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fuzz test skipped in -short mode")
-	}
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 15; trial++ {
-		rels := randomSchema(rng, 2+rng.Intn(3), 4)
-		cat := catalog.New()
-		relMap := map[string]*relation.Relation{}
-		var tables []string
-		pool := storage.NewPool(16)
-		factory := storage.MemDiskFactory()
-		execTables := map[string]*exec.Table{}
-		for _, r := range rels {
-			cat.AddTable(catalog.AnalyzeRelation(r))
-			relMap[r.Name()] = r
-			tables = append(tables, r.Name())
-			tb, err := exec.LoadRelation(pool, factory, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			execTables[r.Name()] = tb
-		}
-		q := &Query{Tables: tables, GroupVars: []string{rels[0].VarNames()[0]}}
-		b := plan.NewBuilder(cat, cost.Simple{})
-		p, err := CSPlus{}.Optimize(q, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := plan.Eval(p, plan.MapResolver(relMap), semiring.SumProduct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := exec.NewEngine(pool, factory, semiring.SumProduct)
-		got, _, err := eng.Run(p, exec.MapResolver(execTables))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !relation.Equal(got, want, 0, 1e-9) {
-			t.Fatalf("trial %d: engine disagrees with interpreter", trial)
-		}
-		for _, tb := range execTables {
-			tb.Heap.Drop()
 		}
 	}
 }

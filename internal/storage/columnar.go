@@ -4,9 +4,12 @@ package storage
 // same tuples as its row-major (v0) form — TuplesPerPage is unchanged, so
 // page counts and the IO cost model are format-independent — but a full
 // page's payload is stored per attribute as column segments with per-page
-// dictionary and run-length encodings chosen column by column. The win is pure CPU: operators skip whole runs
-// and feed small code spaces through memoized key lookups instead of
-// decoding every tuple. The precise on-disk byte layout, with a worked
+// dictionary and run-length encodings chosen column by column. Scans
+// hand the executor decoded columns (ColView.Flat); the one kernel that
+// reads an encoding is the fused join+aggregate probe, which folds a
+// run-length-encoded join key a span at a time (ColView.Runs). The
+// encodings buy CPU only: page counts, and so IO, are those of
+// row-major pages. The precise on-disk byte layout, with a worked
 // example, is specified in docs/PAGE_FORMAT.md; this file is its
 // implementation and the two must change together.
 //
@@ -294,25 +297,26 @@ func parseSegment(buf []byte, arity, off, n int, v *ColView) error {
 	if err != nil {
 		return err
 	}
-	v.Enc = buf[off]
+	v.enc = buf[off]
 	short := func(need int) error {
-		return fmt.Errorf("encoding %d needs %d payload bytes, %d remain", v.Enc, need, len(body))
+		return fmt.Errorf("encoding %d needs %d payload bytes, %d remain", v.enc, need, len(body))
 	}
-	switch v.Enc {
+	switch v.enc {
 	case EncPlain:
 		if len(body) < 4*n {
 			return short(4 * n)
 		}
-		v.Plain = resize(v.Plain, n)
-		for r := range v.Plain {
-			v.Plain[r] = int32(binary.LittleEndian.Uint32(body))
+		v.flatBuf = resize(v.flatBuf, n)
+		for r := range v.flatBuf {
+			v.flatBuf[r] = int32(binary.LittleEndian.Uint32(body))
 			body = body[4:]
 		}
+		v.flat = v.flatBuf
 	case EncByte:
 		if len(body) < n {
 			return short(n)
 		}
-		v.Codes = append(v.Codes, body[:n]...)
+		v.codes = append(v.codes, body[:n]...)
 	case EncDict:
 		if len(body) < 1 {
 			return short(1)
@@ -322,7 +326,7 @@ func parseSegment(buf []byte, arity, off, n int, v *ColView) error {
 			return short(1 + 4*d + n)
 		}
 		for i := 0; i < d; i++ {
-			v.Dict = append(v.Dict, int32(binary.LittleEndian.Uint32(body[1+4*i:])))
+			v.dict = append(v.dict, int32(binary.LittleEndian.Uint32(body[1+4*i:])))
 		}
 		codes := body[1+4*d : 1+4*d+n]
 		for _, c := range codes {
@@ -330,7 +334,7 @@ func parseSegment(buf []byte, arity, off, n int, v *ColView) error {
 				return fmt.Errorf("dictionary code %d, %d entries", c, d)
 			}
 		}
-		v.Codes = append(v.Codes, codes...)
+		v.codes = append(v.codes, codes...)
 	case EncRLE:
 		if len(body) < 2 {
 			return short(2)
@@ -346,7 +350,7 @@ func parseSegment(buf []byte, arity, off, n int, v *ColView) error {
 				return fmt.Errorf("RLE runs cover more than %d rows", n)
 			}
 			if l > 0 {
-				v.Runs = append(v.Runs, ColRun{Len: l, Val: int32(binary.LittleEndian.Uint32(body[4+6*i:]))})
+				v.runs = append(v.runs, ColRun{Len: l, Val: int32(binary.LittleEndian.Uint32(body[4+6*i:]))})
 				covered += l
 			}
 		}
@@ -354,7 +358,7 @@ func parseSegment(buf []byte, arity, off, n int, v *ColView) error {
 			return fmt.Errorf("RLE runs cover %d of %d rows", covered, n)
 		}
 	default:
-		return fmt.Errorf("unknown segment encoding %d", v.Enc)
+		return fmt.Errorf("unknown segment encoding %d", v.enc)
 	}
 	return nil
 }

@@ -164,11 +164,11 @@ func TestColumnarRLERunsCoverBatch(t *testing.T) {
 	cit := h.ScanColBatches()
 	defer cit.Close()
 	cb, ok := cit.Next()
-	if !ok || cb.Cols[0].Enc != EncRLE {
+	if !ok || cb.Cols[0].Runs() == nil {
 		t.Fatalf("want one RLE batch, got ok=%v err=%v", ok, cit.Err())
 	}
 	sum := 0
-	for _, r := range cb.Cols[0].Runs {
+	for _, r := range cb.Cols[0].Runs() {
 		sum += r.Len
 	}
 	if sum != cb.Len() || cb.Len() != per {

@@ -1,12 +1,13 @@
 package storage
 
-// Encoded batch views. A ColBatch exposes one page's tuples column by
-// column in their on-page encodings (columnar.go) so operators can work
-// on codes and runs directly — comparing a predicate against one RLE run
-// instead of its every row, or memoizing a hash-table lookup per
-// dictionary code instead of per tuple. Row-major pages surface as
-// all-plain views, so a scan over a mixed-format heap hands every
-// operator the same interface.
+// Column batch views. A ColBatch exposes one page's tuples column by
+// column; each ColView holds its column in the page's segment encoding
+// (columnar.go) and hands the executor decoded values through Flat,
+// decoded once per view and cached. The encoding stays inside this
+// package, with one exception: Runs exposes a run-length-encoded
+// column's runs, which the fused join+aggregate probe folds a span at a
+// time. Row-major pages surface as plain views, so a scan over a
+// mixed-format heap hands every operator the same interface.
 
 import stdcontext "context"
 
@@ -20,65 +21,66 @@ type ColRun struct {
 }
 
 // ColView is one column of a ColBatch in its page encoding. Exactly the
-// fields for its Enc are populated:
+// fields for its enc are populated:
 //
-//	EncPlain: Plain (one value per row)
-//	EncByte:  Codes (one byte per row; the code IS the value)
-//	EncDict:  Codes + Dict (per-page dictionary, first-occurrence order)
-//	EncRLE:   Runs (covering the view's rows in order)
+//	EncPlain: flat (one value per row)
+//	EncByte:  codes (one byte per row; the code IS the value)
+//	EncDict:  codes + dict (per-page dictionary, first-occurrence order)
+//	EncRLE:   runs (covering the view's rows in order)
 type ColView struct {
-	// Enc is the column's encoding tag (EncPlain, EncByte, EncRLE, EncDict).
-	Enc byte
-	// Plain holds the decoded values of an EncPlain view.
-	Plain []int32
-	// Codes holds the per-row codes of an EncByte or EncDict view.
-	Codes []uint8
-	// Dict maps an EncDict view's codes to values.
-	Dict []int32
-	// Runs holds the clipped runs of an EncRLE view.
-	Runs    []ColRun
+	enc     byte
+	codes   []uint8
+	dict    []int32
+	runs    []ColRun
 	n       int
-	flat    []int32 // cached Flat() result; nil until materialized
+	flat    []int32 // the decoded values; nil until Flat materializes them
 	flatBuf []int32 // reusable backing for flat
 }
 
-// Len returns the number of rows in the view.
-func (v *ColView) Len() int { return v.n }
+// PlainView returns a view of the decoded values vals.
+func PlainView(vals []int32) ColView {
+	return ColView{enc: EncPlain, flat: vals, n: len(vals)}
+}
+
+// Runs returns the view's runs when its column run-length encodes, and
+// nil otherwise.
+func (v *ColView) Runs() []ColRun {
+	if v.enc != EncRLE {
+		return nil
+	}
+	return v.runs
+}
 
 // Flat returns the view fully decoded as one value per row, materializing
-// and caching it on first use (EncPlain views return Plain directly).
+// and caching it on first use.
 func (v *ColView) Flat() []int32 {
-	if v.Enc == EncPlain {
-		return v.Plain
+	if v.flat == nil {
+		v.flatBuf = resize(v.flatBuf, v.n)
+		v.decodeInto(v.flatBuf, 1)
+		v.flat = v.flatBuf
 	}
-	if v.flat != nil {
-		return v.flat
-	}
-	v.flatBuf = resize(v.flatBuf, v.n)
-	v.decodeInto(v.flatBuf, 1)
-	v.flat = v.flatBuf
 	return v.flat
 }
 
 // decodeInto writes the view's values to dst[0], dst[stride], … — the one
 // expansion of an encoded view, shared by Flat and the row-major batch.
 func (v *ColView) decodeInto(dst []int32, stride int) {
-	switch v.Enc {
+	switch v.enc {
 	case EncPlain:
-		for r, x := range v.Plain {
+		for r, x := range v.flat {
 			dst[r*stride] = x
 		}
 	case EncByte:
-		for r, c := range v.Codes {
+		for r, c := range v.codes {
 			dst[r*stride] = int32(c)
 		}
 	case EncDict:
-		for r, c := range v.Codes {
-			dst[r*stride] = v.Dict[c]
+		for r, c := range v.codes {
+			dst[r*stride] = v.dict[c]
 		}
 	case EncRLE:
 		r := 0
-		for _, run := range v.Runs {
+		for _, run := range v.runs {
 			for j := 0; j < run.Len; j++ {
 				dst[r*stride] = run.Val
 				r++
@@ -91,10 +93,9 @@ func (v *ColView) decodeInto(dst []int32, stride int) {
 // capacity and invalidating the Flat cache.
 func (v *ColView) reset(n int) {
 	v.n = n
-	v.Plain = v.Plain[:0]
-	v.Codes = v.Codes[:0]
-	v.Dict = v.Dict[:0]
-	v.Runs = v.Runs[:0]
+	v.codes = v.codes[:0]
+	v.dict = v.dict[:0]
+	v.runs = v.runs[:0]
 	v.flat = nil
 }
 
@@ -102,9 +103,7 @@ func (v *ColView) reset(n int) {
 // the unit a ColBatchIterator yields. Cols holds one view per attribute;
 // Measures is always fully decoded (measures are never value-encoded).
 type ColBatch struct {
-	// Arity is the number of attribute columns.
-	Arity int
-	// Cols holds one encoded view per attribute column.
+	// Cols holds one view per attribute column.
 	Cols []ColView
 	// Measures holds one semiring measure per row.
 	Measures []float64
@@ -117,7 +116,6 @@ func (cb *ColBatch) Len() int { return len(cb.Measures) }
 // views resizes the batch to arity columns and returns them, each reset
 // for refilling with n rows.
 func (cb *ColBatch) views(arity, n int) []ColView {
-	cb.Arity = arity
 	cb.Cols = resize(cb.Cols, arity)
 	for c := range cb.Cols {
 		cb.Cols[c].reset(n)
@@ -173,8 +171,7 @@ func (it *ColBatchIterator) fill(buf []byte, n int) error {
 	it.cb.flat = resize(it.cb.flat, n*arity)
 	readRowMajor(buf, arity, n, it.cb.flat, n, 1, it.cb.Measures)
 	for c := range views {
-		views[c].Enc = EncPlain
-		views[c].Plain = it.cb.flat[c*n : (c+1)*n : (c+1)*n]
+		views[c].enc, views[c].flat = EncPlain, it.cb.flat[c*n:(c+1)*n:(c+1)*n]
 	}
 	return nil
 }
