@@ -128,22 +128,9 @@ type hashBuild struct {
 // rowSpan is a run of consecutive build rows [lo, hi).
 type rowSpan struct{ lo, hi int32 }
 
-func (s rowSpan) len() int { return int(s.hi - s.lo) }
-
 // row returns build row r's values.
 func (h *hashBuild) row(r int32) []int32 {
 	return h.vals[int(r)*h.arity : (int(r)+1)*h.arity]
-}
-
-// lookup returns the build rows matching key and their dense key-group
-// index (for callers that cache per-group facts — the fused kernel's
-// span-safety memo); the span is empty and gi is -1 on a miss.
-func (h *hashBuild) lookup(key []int32) (rows rowSpan, gi int) {
-	gi, ok := h.idx.get(key)
-	if !ok {
-		return rowSpan{}, -1
-	}
-	return h.span(int32(gi)), gi
 }
 
 // span returns the build rows of key group gi.
@@ -251,17 +238,6 @@ func newAttrKeyIndex(attrs []relation.Attr, hint int) *keyIndex {
 	return newKeyIndex(len(attrs), hint, doms[:n]...)
 }
 
-// group returns the position of key's group, appending the group — its
-// measure still to be set by the caller — when key is new.
-func (a *batchAgg) group(key []int32) (gi int32, added bool) {
-	pos, added := a.idx.put(key)
-	if added {
-		a.vals = append(a.vals, key...)
-		a.meas = append(a.meas, 0)
-	}
-	return int32(pos), added
-}
-
 // slotCol is the slot pass over single-column keys: out[j] becomes the
 // group of vals[j], groups new to a are created in row order and
 // flagged in first, and the result reports whether any was.
@@ -348,10 +324,6 @@ type foldScratch struct {
 	first [foldChunk]bool
 	a, b  [foldChunk]float64
 }
-
-// zeroSlots addresses one accumulator foldChunk times over: the batch
-// fold's slots when a run of measures folds into a single group.
-var zeroSlots [foldChunk]int32
 
 // firstIf returns first when some group was created in the chunk, nil
 // (no first contributions) otherwise.

@@ -7,12 +7,11 @@ package exec
 // hash-join probe run the staged resolve/slot/fold passes of DESIGN.md,
 // "Batch execution", selection is one compare per row, and the Grace
 // partition pass hashes every row. Selection and the in-memory join
-// probe run as pipeline stages (pipe.go). The one kernel that reads an
-// encoding is the fused join+aggregate probe, which folds a
-// run-length-encoded join key a span at a time (fusecol.go). Every
-// kernel emits rows in scan order and folds measures in row order, so
-// results are byte-identical across page layouts, float accumulation
-// order included.
+// probe run as pipeline stages (pipe.go), and the fused join+aggregate
+// probe takes the same passes (fusecol.go). No kernel reads a page
+// encoding. Every kernel emits rows in scan order and folds measures in
+// row order, so results are byte-identical across page layouts, float
+// accumulation order included.
 
 import (
 	"context"

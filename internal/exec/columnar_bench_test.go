@@ -168,9 +168,9 @@ func BenchmarkColumnarJoinMultiCol(b *testing.B) {
 }
 
 // BenchmarkColumnarFusedJoinGroupBy measures the fused join+aggregate
-// on a run-length-coded join key: on columnar pages it probes the build
-// once per run and folds measure spans (the one encoding-aware kernel),
-// and the join output is never materialized.
+// on a run-length-coded join key, resolved and folded through the staged
+// passes over its decoded values; the join output is never
+// materialized.
 func BenchmarkColumnarFusedJoinGroupBy(b *testing.B) {
 	l := benchColRel("l", 40000)
 	r := relation.MustNew("r", []relation.Attr{{Name: "Y", Domain: 16}, {Name: "W", Domain: 4}})

@@ -141,9 +141,9 @@ func TestColumnarGraceJoinMatchesRowMajor(t *testing.T) {
 }
 
 // TestColumnarMinProduct runs the pipeline under the min-product
-// semiring: the RLE run-aggregation fast path must fold measures with
-// Sr.Add row by row, which min exposes immediately if violated (min has
-// no additive shortcuts and a different zero).
+// semiring: every kernel must fold measures with Sr.Add row by row,
+// which min exposes immediately if violated (min has no additive
+// shortcuts and a different zero).
 func TestColumnarMinProduct(t *testing.T) {
 	a, b := smallDomainRels(61)
 	run := func(columnar bool) *relation.Relation {

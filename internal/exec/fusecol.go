@@ -23,99 +23,24 @@ package exec
 // join key or the group key, decoded (ColView.Flat), and never
 // materializes probe rows: a chunk of rows resolves to build key groups,
 // then the matches are slotted and folded (DESIGN.md, "Batch
-// execution"). The one exception is a single-column join key that
-// run-length encodes (ColView.Runs): it probes the build table once per
-// run, and within a run a maximal sub-span over which every probe-side
-// group column is constant contributes to each matching build row's
-// group with ONE key lookup, its measure vector folding through
-// absorbMulSpan (collapsing repeated measures in O(1) when the
-// semiring's RunFolder proves it exact). It is the only encoding-aware
-// kernel left; rleBatch gives the measurements it is kept on.
-//
-// Byte-identity across page layouts within a leaf: spans fold each build
-// row's contributions in probe-row order, and span folding is used only
-// when every matching build row lands in a DISTINCT aggregation group
-// (or there is just one match) — otherwise two build rows would
-// interleave into one accumulator, and the run's rows take the staged
-// slot and fold passes instead. Group creation therefore happens in
-// probe-row first-touch order and every accumulator sees the per-row
-// Add sequence, whatever the encoding, through the same batch fold.
+// execution"). Row-major and columnar pages take the same passes, so
+// within a leaf every accumulator sees the same Add sequence in probe-row
+// order and groups are created in first-touch order, whatever the page
+// layout.
 
 import (
 	"context"
-	"math"
-	"sync/atomic"
 
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
 	"mpf/internal/storage"
 )
 
-// absorbMulSpan folds a probe measure span into the group with the given
-// key: each row contributes Mul(build measure, row measure) (in the
-// join's left/right argument order) and spans of bit-identical measures
-// collapse through the RunFolder when exact. Products and element-wise
-// Adds go through the batch fold, as on every other path, so the Add
-// sequence and its bits equal per-row folding of this (group, span)
-// pair exactly. sc.a is scratch.
-func (a *batchAgg) absorbMulSpan(e *Engine, rf semiring.RunFolder, key []int32, bm float64, buildIsLeft bool, meas []float64, sc *foldScratch) {
-	bms := sc.a[:min(len(meas), foldChunk)]
-	for j := range bms {
-		bms[j] = bm
-	}
-	// mulAdd folds Mul(bm, m) for every m of ms into dst[0], storing the
-	// first product when first.
-	mulAdd := func(dst []float64, ms []float64, first bool) {
-		f := [1]bool{true}
-		for len(ms) > 0 {
-			n := min(len(ms), foldChunk)
-			var fs []bool
-			if first {
-				n, fs = 1, f[:]
-			}
-			l, r := bms[:n], ms[:n]
-			if !buildIsLeft {
-				l, r = r, l
-			}
-			semiring.MulAddAt(e.Sr, dst, zeroSlots[:n], l, r, fs)
-			ms, first = ms[n:], false
-		}
-	}
-	gi, added := a.group(key)
-	acc := [1]float64{a.meas[gi]}
-	i := 0
-	if added {
-		mulAdd(acc[:], meas[:1], true)
-		i = 1
-	}
-	for i < len(meas) {
-		j := len(meas)
-		if rf != nil {
-			mb := math.Float64bits(meas[i])
-			for j = i + 1; j < len(meas) && math.Float64bits(meas[j]) == mb; j++ {
-			}
-			if j-i > 1 {
-				var mm [1]float64
-				mulAdd(mm[:], meas[i:i+1], true)
-				if res, ok := rf.FoldAdd(acc[0], mm[0], j-i); ok {
-					acc[0], i = res, j
-					continue
-				}
-			}
-		}
-		mulAdd(acc[:], meas[i:j], false)
-		i = j
-	}
-	a.meas[gi] = acc[0]
-}
-
 // fusedProbe is the shared state of one fused join+aggregate probe:
-// the build table, where the group key's columns come from, and the
-// span-safety memo. Leaves share it; each folds through a fusedLeaf of
-// its own.
+// the build table and where the group key's columns come from. Leaves
+// share it read-only; each folds through a fusedLeaf of its own.
 type fusedProbe struct {
 	e           *Engine
-	rf          semiring.RunFolder
 	hb          *hashBuild
 	probeCols   []int // the join key's columns in the probe
 	buildIsLeft bool
@@ -123,13 +48,6 @@ type fusedProbe struct {
 	// group key, pgPos/bgPos their positions in it.
 	pgPos, pgCols, bgPos, bgCols []int
 	groupArity                   int
-	// safe caches, per build key group, whether span folding preserves
-	// the per-row accumulation order: it does when every matching
-	// build row lands in a distinct aggregation group (always true for
-	// single-row matches). 0 = unknown, 1 = span-safe, 2 = per-row.
-	// Leaves share the cache; the verdict is a function of the build
-	// table alone, so racing leaves store the same value.
-	safe []atomic.Int32
 	// need marks the probe columns the kernel reads: the join key and
 	// the probe side of the group key.
 	need []bool
@@ -160,35 +78,6 @@ func (p *fusedProbe) leaf(agg *batchAgg) *fusedLeaf {
 	return f
 }
 
-// spanSafe reports whether the build rows of key group gi may fold
-// span-at-a-time (see safe).
-func (p *fusedProbe) spanSafe(rows rowSpan, gi int) bool {
-	if rows.len() == 1 {
-		return true
-	}
-	if s := p.safe[gi].Load(); s != 0 {
-		return s == 1
-	}
-	hb := p.hb
-	for i := rows.lo + 1; i < rows.hi; i++ {
-		for j := rows.lo; j < i; j++ {
-			same := true
-			for _, c := range p.bgCols {
-				if hb.row(i)[c] != hb.row(j)[c] {
-					same = false
-					break
-				}
-			}
-			if same {
-				p.safe[gi].Store(2)
-				return false
-			}
-		}
-	}
-	p.safe[gi].Store(1)
-	return true
-}
-
 // groupFlats returns the batch's probe-side group columns, flattened on
 // first use within the batch.
 func (f *fusedLeaf) groupFlats(cb *storage.ColBatch) [][]int32 {
@@ -199,91 +88,18 @@ func (f *fusedLeaf) groupFlats(cb *storage.ColBatch) [][]int32 {
 	return f.pf
 }
 
-// setGroupKey fills the group key for probe row i and build row r.
-func (f *fusedLeaf) setGroupKey(pf [][]int32, i int, r int32) {
-	for k := range pf {
-		f.groupKey[f.pgPos[k]] = pf[k][i]
-	}
-	bv := f.hb.row(r)
-	for k, c := range f.bgCols {
-		f.groupKey[f.bgPos[k]] = bv[c]
-	}
-}
-
-// batch folds one probe batch into the leaf's aggregate. A
-// single-column RLE join key probes once per run and folds span-safe
-// runs span-at-a-time; every other key resolves a chunk of rows to
-// build key groups over the flattened key columns (probe rows are never
-// fully gathered), then slots and folds the chunk's matches.
+// batch folds one probe batch into the leaf's aggregate: it resolves a
+// chunk of rows to build key groups over the flattened key columns
+// (probe rows are never fully gathered), then slots and folds the
+// chunk's matches.
 func (f *fusedLeaf) batch(cb *storage.ColBatch) {
 	f.pfDone = false
-	if len(f.probeCols) == 1 {
-		if runs := cb.Cols[f.probeCols[0]].Runs(); runs != nil {
-			f.rleBatch(cb, runs)
-			return
-		}
-	}
 	f.kf = flatCols(cb, f.probeCols, f.kf)
 	n := cb.Len()
 	for i0 := 0; i0 < n; i0 += foldChunk {
 		at := f.sc.at[:min(foldChunk, n-i0)]
 		f.hb.idx.getRows(f.kf, i0, at, f.probeKey)
 		f.foldMatches(cb, i0, at)
-	}
-}
-
-// rleBatch is batch over a single-column run-length-encoded join key.
-// Within a key run, a maximal sub-span over which every probe-side
-// group column is constant contributes to each matching build row's
-// group with one key lookup, its measures folding through
-// absorbMulSpan — when the run's build rows are span-safe; otherwise the
-// run's rows take the staged slot and fold passes. It is kept on a
-// 4-pair ds_adhoc run (10 s runs, 2-CPU machine) in which routing these
-// batches through the staged passes instead cost 6.8 % of
-// queries_per_s, every pair lost. Later measurements read the other
-// way — a 10-pair ds_adhoc run +7.4 % queries_per_s (8 of 10 pairs won)
-// and BenchmarkColumnarFusedJoinGroupBy/columnar about 30 % faster
-// without it — so whether it stays is open (ROADMAP item 4(b″)).
-func (f *fusedLeaf) rleBatch(cb *storage.ColBatch, runs []storage.ColRun) {
-	i := 0
-	for _, run := range runs {
-		f.probeKey[0] = run.Val
-		rows, gi := f.hb.lookup(f.probeKey)
-		if rows.len() == 0 {
-			i += run.Len
-			continue
-		}
-		end := i + run.Len
-		if f.spanSafe(rows, gi) {
-			pf := f.groupFlats(cb)
-			for s := i; s < end; {
-				t := s + 1
-			extend:
-				for t < end {
-					for k := range pf {
-						if pf[k][t] != pf[k][s] {
-							break extend
-						}
-					}
-					t++
-				}
-				for r := rows.lo; r < rows.hi; r++ {
-					f.setGroupKey(pf, s, r)
-					f.agg.absorbMulSpan(f.e, f.rf, f.groupKey, f.hb.meas[r], f.buildIsLeft, cb.Measures[s:t], &f.sc)
-				}
-				s = t
-			}
-		} else {
-			// Every row of the run matches key group gi.
-			for i0 := i; i0 < end; i0 += foldChunk {
-				at := f.sc.at[:min(foldChunk, end-i0)]
-				for j := range at {
-					at[j] = int32(gi)
-				}
-				f.foldMatches(cb, i0, at)
-			}
-		}
-		i = end
 	}
 }
 
@@ -386,8 +202,7 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, s
 		return nil, err
 	}
 	nl := len(l.Attrs)
-	rf, _ := e.Sr.(semiring.RunFolder) // nil: spans fold row by row
-	p := &fusedProbe{e: e, rf: rf, hb: hb, probeCols: probeCols, buildIsLeft: buildIsLeft, groupArity: len(groupCols),
+	p := &fusedProbe{e: e, hb: hb, probeCols: probeCols, buildIsLeft: buildIsLeft, groupArity: len(groupCols),
 		need: make([]bool, len(probe.Attrs))}
 	// Split the group columns by source side. A join-output position
 	// g < nl reads the left relation's column g; g >= nl reads r's
@@ -408,9 +223,6 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, s
 	}
 	for _, c := range probeCols {
 		p.need[c] = true
-	}
-	if hb.off != nil { // unique build keys never consult it
-		p.safe = make([]atomic.Int32, hb.idx.len())
 	}
 
 	// probeLeaf folds one leaf of the probe — the batches of it, or of

@@ -11,11 +11,10 @@ import (
 
 // fuseRels builds the join inputs for the fused-columnar tests: a wide
 // small-domain fact a(Y,X,Z) whose LEADING attribute is the join key —
-// so probe pages run-length encode it and the kernel's per-run span path
-// runs — and a build side b(Y,W,V) that carries SEVERAL rows per join
-// key Y, some sharing the same W projection — so grouping on W drives
-// the kernel through its span-unsafe per-row path while grouping on V
-// stays span-safe.
+// so probe pages run-length encode it — and a build side b(Y,W,V) that
+// carries SEVERAL rows per join key Y, some sharing the same W
+// projection — so grouping on W folds two build rows of one key into
+// one group while grouping on V keeps them apart.
 func fuseRels(seed int64) (*relation.Relation, *relation.Relation) {
 	rng := rand.New(rand.NewSource(seed))
 	a, _ := relation.Random(rng, "a",
@@ -50,10 +49,9 @@ func fusedGroupPlan(t *testing.T, h *harness, first, second string, groupVars []
 
 // TestFusedColumnarMatchesRowFused is the fused kernel's layout
 // contract: over encoded pages the fused join+aggregate must be
-// BIT-identical (tol 0) to the same plan over row-major pages (the
-// kernel's plain branch, which absorbs row by row), for every split of
-// the group variables across the probe and build sides, in both join
-// orders, with and without span-safe folding.
+// BIT-identical (tol 0) to the same plan over row-major pages, for every
+// split of the group variables across the probe and build sides, in both
+// join orders, with build rows of one key in one group or in several.
 func TestFusedColumnarMatchesRowFused(t *testing.T) {
 	groupSets := [][]string{{"X"}, {"W"}, {"V"}, {"W", "V"}, {"X", "W", "V"}, {"X", "W"}, {"Y"}, {"X", "Y", "V"}, nil}
 	for seed := int64(41); seed <= 44; seed++ {
@@ -146,9 +144,9 @@ func TestFusedColumnarMatchesUnfused(t *testing.T) {
 }
 
 // TestFusedColumnarSemirings runs the fused columnar kernel under every
-// semiring, including ones with no RunFolder (logSumExp) and ones whose
-// folds collapse idempotently (min/max): all must stay bit-identical to
-// the row-major run.
+// semiring, including ones whose Add is inexact (sum-product over
+// fractions, logSumExp): all must stay bit-identical to the row-major
+// run.
 func TestFusedColumnarSemirings(t *testing.T) {
 	a, b := fuseRels(61)
 	for _, sr := range semiring.All() {
@@ -172,20 +170,18 @@ func TestFusedColumnarSemirings(t *testing.T) {
 	}
 }
 
-// TestFusedColumnarFunctionalBuild drives the per-code group-slot memo:
-// the build side is functional on the join key (exactly one row per Y),
-// the probe join column byte/dict-encodes, and the group key depends only
-// on the join key and the build row.
+// TestFusedColumnarFunctionalBuild runs the fused kernel over a build
+// side functional on the join key (exactly one row per Y), with the
+// probe join column byte-, run-length- or dictionary-encoded, and group
+// keys that depend only on the join key and the build row.
 func TestFusedColumnarFunctionalBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	// aByte's join column is NOT leading, so probe pages byte-encode it
 	// (dense codes); aRLE's is leading, so probe pages run-length encode
 	// it; aDict's join values are sparse multiples of 250, so probe pages
-	// dictionary-encode them (first-occurrence order — NOT value order).
-	// Between them they drive the per-code slot memo (byte and dict,
-	// including the dict→value mapping) and the per-run span path, all
-	// with single-row matches. Pages only encode when exactly full, so
-	// the facts carry several hundred rows.
+	// dictionary-encode them (first-occurrence order — NOT value order),
+	// all with single-row matches. Pages only encode when exactly full,
+	// so the facts carry several hundred rows.
 	aByte, _ := relation.Random(rng, "a",
 		[]relation.Attr{{Name: "X", Domain: 100}, {Name: "Y", Domain: 8}}, 0.9,
 		relation.UniformMeasure(0.1, 5))
@@ -232,13 +228,12 @@ func TestFusedColumnarFunctionalBuild(t *testing.T) {
 	}
 }
 
-// TestFusedColumnarRunFolding drives the O(1) measure-span folds: the
-// probe fact carries a CONSTANT integral measure, so every RLE key run
-// is one bit-identical measure span and the sum-product RunFolder's
-// exactness proof holds (integral terms well under 2^53). MaxProduct
-// folds the same spans idempotently. Both must stay bit-identical to
-// the row-major run, which folds row by row.
-func TestFusedColumnarRunFolding(t *testing.T) {
+// TestFusedColumnarConstantMeasures runs the fused kernel over a probe
+// fact with a CONSTANT integral measure and a run-length-encoded join
+// key, so every key run repeats one measure bit pattern, under
+// sum-product and max-product: columnar must stay bit-identical to
+// row-major.
+func TestFusedColumnarConstantMeasures(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	a, _ := relation.Random(rng, "a",
 		[]relation.Attr{{Name: "Y", Domain: 8}, {Name: "X", Domain: 100}}, 0.9,
@@ -262,7 +257,7 @@ func TestFusedColumnarRunFolding(t *testing.T) {
 			got := fusedGroupPlan(t, ch, "a", "dim", groupVars)
 
 			if !relation.Equal(want, got, sr.Zero(), 0) {
-				t.Fatalf("%s group %v: run-folded fused columnar differs", sr.Name(), groupVars)
+				t.Fatalf("%s group %v: constant-measure fused columnar differs", sr.Name(), groupVars)
 			}
 		}
 	}

@@ -282,12 +282,13 @@ func TestAggregationStateCountsAgainstBudget(t *testing.T) {
 // the group on first sight: one-row aggregation for tests that build
 // aggregates by hand.
 func (a *batchAgg) absorb(e *Engine, key []int32, m float64) {
-	gi, added := a.group(key)
+	gi, added := a.idx.put(key)
 	if added {
-		a.meas[gi] = m
-	} else {
-		a.meas[gi] = e.Sr.Add(a.meas[gi], m)
+		a.vals = append(a.vals, key...)
+		a.meas = append(a.meas, m)
+		return
 	}
+	a.meas[gi] = e.Sr.Add(a.meas[gi], m)
 }
 
 // TestLeafFoldWindow drives the pacing of leafFold directly: a leaf

@@ -117,8 +117,8 @@ func stagedRels(rows int) (p, b, c *relation.Relation) {
 // and for the hash join's probe. Every plan runs over row-major pages
 // (all-plain batches) and over kernelLayouts' columnar layout, where K
 // byte-encodes and G run-length encodes on every full page, so the one
-// decode path (ColView.Flat, cached per view) and the fused probe's RLE
-// span fold are pinned too. Both probes are one leaf, and every plan's
+// decode path (ColView.Flat, cached per view) is pinned on an encoded
+// fused join key too. Both probes are one leaf, and every plan's
 // output has the same size at both probe sizes. The ordered heap sink
 // runs only with workers over several leaves, so its run with two
 // workers over twice the leaves may allocate more per leaf — its morsel
@@ -192,14 +192,12 @@ func mustScan(pb *plan.Builder, name string) *plan.Node {
 // TestNaNPayloadsAcrossLayouts runs group-by and the fused
 // join+aggregate over measures carrying NaNs of several payloads, on
 // row-major pages and on columnar pages, and requires the same rows in
-// the same order with the same measure bits. Group-by takes the staged
-// passes over the decoded key on both layouts. The fused plans' sorted
-// join key run-length encodes on every full columnar page, so there
-// they take the RLE span fold (rleBatch, absorbMulSpan), whose measure
-// spans repeat in pairs for the RunFolder; a span fold that ignored
-// FoldAdd's refusal fails here. When two NaNs meet, which payload
-// survives depends on the compiled fold, so this holds only because
-// every path folds through the same batch functions.
+// the same order with the same measure bits. Group-by and the fused
+// probe take the staged passes over the decoded key on both layouts;
+// the fused plans' sorted join key run-length encodes on every full
+// columnar page, and its measures repeat in pairs. When two NaNs meet,
+// which payload survives depends on the compiled fold, so this holds
+// only because every path folds through the same batch functions.
 func TestNaNPayloadsAcrossLayouts(t *testing.T) {
 	vals := []float64{
 		math.Float64frombits(0x7ff8_0000_0000_0001), 1.5, math.Float64frombits(0xfff8_0000_0000_0bad),

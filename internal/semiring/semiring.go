@@ -56,49 +56,6 @@ type Divider interface {
 	Div(a, b float64) float64
 }
 
-// RunFolder is implemented by semirings whose Add can fold k identical
-// operands into an accumulator in O(1) with a result that is
-// BIT-IDENTICAL to the iterated left fold
-//
-//	acc = Add(Add(...Add(acc, v)..., v), v)   (k applications)
-//
-// The executor's run-level measure folding relies on that exactness to
-// keep columnar results byte-identical to row-at-a-time execution, so
-// FoldAdd must return ok = false whenever the closed form could differ
-// from the loop in even one bit (it then falls back to the loop).
-// Idempotent Adds (min, max, ∨) fold unconditionally; floating-point
-// sums fold only when every partial sum is provably exact.
-type RunFolder interface {
-	// FoldAdd returns the result of adding v into acc k times (k ≥ 1),
-	// or ok = false when that cannot be computed exactly in O(1).
-	FoldAdd(acc, v float64, k int) (res float64, ok bool)
-}
-
-// exactSumLimit bounds integer magnitudes whose float64 sums stay exact:
-// every integer of magnitude below 2^53 is exactly representable, and the
-// sum of two of them is exact whenever the result also stays below it.
-const exactSumLimit = float64(1 << 53)
-
-// foldExactSum is the shared FoldAdd for semirings whose Add is ordinary
-// float64 addition. Adding ±0 any number of times equals adding it once.
-// Otherwise the closed form acc + v·k is used only when acc and v are
-// integers and |acc| + |v|·k < 2^53: by induction every partial sum is
-// then an integer of exact magnitude, each iterated add is exact, and the
-// closed form computes the same exact integer — bit-identical results.
-// (NaN and ±Inf fail the integrality test and fall back to the loop.)
-func foldExactSum(acc, v float64, k int) (float64, bool) {
-	if v == 0 {
-		return acc + v, true
-	}
-	if acc != math.Trunc(acc) || v != math.Trunc(v) {
-		return 0, false
-	}
-	if math.Abs(acc)+math.Abs(v)*float64(k) >= exactSumLimit {
-		return 0, false
-	}
-	return acc + v*float64(k), true
-}
-
 // sumProduct is the ordinary (ℝ, +, ×) semiring used for probability
 // marginalization and for totals in decision-support queries.
 type sumProduct struct{}
@@ -120,9 +77,6 @@ func (sumProduct) Div(a, b float64) float64 {
 	return a / b
 }
 
-// FoldAdd implements RunFolder via the exact-integer-sum closed form.
-func (sumProduct) FoldAdd(acc, v float64, k int) (float64, bool) { return foldExactSum(acc, v, k) }
-
 // minProduct aggregates with min and combines with ×. It answers queries
 // such as "minimum total investment" where the investment is a product of
 // per-relation factors. Measures are assumed non-negative so that × is
@@ -135,10 +89,6 @@ func (minProduct) Zero() float64            { return math.Inf(1) }
 func (minProduct) One() float64             { return 1 }
 func (minProduct) Name() string             { return "min-product" }
 
-// FoldAdd implements RunFolder: min is idempotent, so k identical adds
-// equal one (math.Min's NaN and signed-zero handling included).
-func (s minProduct) FoldAdd(acc, v float64, k int) (float64, bool) { return s.Add(acc, v), true }
-
 // maxProduct aggregates with max and combines with ×; the Viterbi semiring
 // over non-negative measures (most-probable-explanation inference).
 type maxProduct struct{}
@@ -148,9 +98,6 @@ func (maxProduct) Mul(a, b float64) float64 { return a * b }
 func (maxProduct) Zero() float64            { return math.Inf(-1) }
 func (maxProduct) One() float64             { return 1 }
 func (maxProduct) Name() string             { return "max-product" }
-
-// FoldAdd implements RunFolder: max is idempotent.
-func (s maxProduct) FoldAdd(acc, v float64, k int) (float64, bool) { return s.Add(acc, v), true }
 
 // Div implements Divider for max-product (same caveats as sum-product).
 func (maxProduct) Div(a, b float64) float64 {
@@ -170,9 +117,6 @@ func (minSum) Zero() float64            { return math.Inf(1) }
 func (minSum) One() float64             { return 0 }
 func (minSum) Name() string             { return "min-sum" }
 
-// FoldAdd implements RunFolder: min is idempotent.
-func (s minSum) FoldAdd(acc, v float64, k int) (float64, bool) { return s.Add(acc, v), true }
-
 // Div implements Divider: the inverse of + is -.
 func (minSum) Div(a, b float64) float64 { return a - b }
 
@@ -184,9 +128,6 @@ func (maxSum) Mul(a, b float64) float64 { return a + b }
 func (maxSum) Zero() float64            { return math.Inf(-1) }
 func (maxSum) One() float64             { return 0 }
 func (maxSum) Name() string             { return "max-sum" }
-
-// FoldAdd implements RunFolder: max is idempotent.
-func (s maxSum) FoldAdd(acc, v float64, k int) (float64, bool) { return s.Add(acc, v), true }
 
 // Div implements Divider: the inverse of + is -.
 func (maxSum) Div(a, b float64) float64 { return a - b }
@@ -254,10 +195,8 @@ func (boolOrAnd) Mul(a, b float64) float64 {
 
 func (boolOrAnd) Zero() float64 { return 0 }
 
-// FoldAdd implements RunFolder: ∨ is idempotent.
-func (s boolOrAnd) FoldAdd(acc, v float64, k int) (float64, bool) { return s.Add(acc, v), true }
-func (boolOrAnd) One() float64                                    { return 1 }
-func (boolOrAnd) Name() string                                    { return "bool-or-and" }
+func (boolOrAnd) One() float64 { return 1 }
+func (boolOrAnd) Name() string { return "bool-or-and" }
 
 // Predefined semirings. They are stateless; the package-level variables may
 // be shared freely across goroutines.

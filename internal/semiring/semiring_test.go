@@ -183,72 +183,3 @@ func TestQuickDistributivitySumProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestFoldAddMatchesIteratedAdd is the property behind run-level measure
-// folding: whenever a semiring's FoldAdd reports ok, its closed form must
-// be BIT-identical to the k-fold left iteration of Add — the executor
-// substitutes one for the other inside byte-identity contracts, so
-// "close" is not close enough. Draws mix integral measures (where the
-// exact-sum shortcut engages) with arbitrary floats (where it must
-// decline or still match exactly).
-func TestFoldAddMatchesIteratedAdd(t *testing.T) {
-	for _, s := range All() {
-		rf, ok := s.(RunFolder)
-		if !ok {
-			continue
-		}
-		s := s
-		t.Run(s.Name(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(7))
-			folded := 0
-			for i := 0; i < 5000; i++ {
-				acc := sample(s, r)
-				v := sample(s, r)
-				if i%2 == 0 {
-					// Integral values exercise the exact-sum closed form.
-					acc = math.Trunc(acc * 10)
-					v = math.Trunc(v * 10)
-				}
-				k := 1 + r.Intn(64)
-				res, ok := rf.FoldAdd(acc, v, k)
-				if !ok {
-					continue
-				}
-				folded++
-				want := acc
-				for j := 0; j < k; j++ {
-					want = s.Add(want, v)
-				}
-				if math.Float64bits(res) != math.Float64bits(want) {
-					t.Fatalf("%s: FoldAdd(%v, %v, %d) = %v, iterated Add = %v (bits differ)",
-						s.Name(), acc, v, k, res, want)
-				}
-			}
-			if folded == 0 {
-				t.Fatalf("%s: FoldAdd never engaged across 5000 draws", s.Name())
-			}
-		})
-	}
-}
-
-// TestFoldAddDeclinesInexactSums pins the guard of the exact-sum closed
-// form: magnitudes near 2^53 and fractional values where k·v reassociates
-// differently from iterated addition must be declined (ok = false), never
-// silently approximated.
-func TestFoldAddDeclinesInexactSums(t *testing.T) {
-	rf := SumProduct.(RunFolder)
-	if _, ok := rf.FoldAdd(math.Ldexp(1, 53), 3, 4); ok {
-		t.Fatal("sum-product folded an accumulator past the exact-integer range")
-	}
-	if _, ok := rf.FoldAdd(0, math.Ldexp(1, 51), 8); ok {
-		t.Fatal("sum-product folded a span whose total leaves the exact-integer range")
-	}
-	// Fractional values may fold ONLY if multiplication reproduces the
-	// iterated sum bit for bit; 0.1 famously does not.
-	if res, ok := rf.FoldAdd(0, 0.1, 3); ok {
-		want := 0.1 + 0.1 + 0.1
-		if math.Float64bits(res) != math.Float64bits(want) {
-			t.Fatalf("sum-product folded 3×0.1 inexactly: %v vs %v", res, want)
-		}
-	}
-}

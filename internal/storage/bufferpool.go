@@ -318,9 +318,6 @@ func (p *Pool) diskAlloc(ctx context.Context, d Disk, h int64) (int64, error) {
 	return no, err
 }
 
-// Size returns the number of frames.
-func (p *Pool) Size() int { return len(p.frames) }
-
 // Pinned returns the total number of outstanding pins across all frames.
 // A quiescent pool — no query in flight — must report zero; a non-zero
 // value after a query returns (successfully or not) is a pin leak.

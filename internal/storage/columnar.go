@@ -5,11 +5,9 @@ package storage
 // page counts and the IO cost model are format-independent — but a full
 // page's payload is stored per attribute as column segments with per-page
 // dictionary and run-length encodings chosen column by column. Scans
-// hand the executor decoded columns (ColView.Flat); the one kernel that
-// reads an encoding is the fused join+aggregate probe, which folds a
-// run-length-encoded join key a span at a time (ColView.Runs). The
-// encodings buy CPU only: page counts, and so IO, are those of
-// row-major pages. The precise on-disk byte layout, with a worked
+// hand the executor decoded columns (ColView.Flat), so no kernel reads
+// an encoding. The encodings buy CPU only: page counts, and so IO, are
+// those of row-major pages. The precise on-disk byte layout, with a worked
 // example, is specified in docs/PAGE_FORMAT.md; this file is its
 // implementation and the two must change together.
 //
@@ -350,7 +348,7 @@ func parseSegment(buf []byte, arity, off, n int, v *ColView) error {
 				return fmt.Errorf("RLE runs cover more than %d rows", n)
 			}
 			if l > 0 {
-				v.runs = append(v.runs, ColRun{Len: l, Val: int32(binary.LittleEndian.Uint32(body[4+6*i:]))})
+				v.runs = append(v.runs, colRun{n: l, val: int32(binary.LittleEndian.Uint32(body[4+6*i:]))})
 				covered += l
 			}
 		}

@@ -152,7 +152,7 @@ func TestColumnarFallback(t *testing.T) {
 }
 
 // TestColumnarRLERunsCoverBatch checks the encoded view of an RLE page:
-// the runs it exposes sum to exactly the batch's row count and decode to
+// its runs sum to exactly the batch's row count and Flat decodes them to
 // the appended values.
 func TestColumnarRLERunsCoverBatch(t *testing.T) {
 	_, h := newColumnarHeap(t, 8, 1)
@@ -164,15 +164,20 @@ func TestColumnarRLERunsCoverBatch(t *testing.T) {
 	cit := h.ScanColBatches()
 	defer cit.Close()
 	cb, ok := cit.Next()
-	if !ok || cb.Cols[0].Runs() == nil {
+	if !ok || cb.Cols[0].enc != EncRLE {
 		t.Fatalf("want one RLE batch, got ok=%v err=%v", ok, cit.Err())
 	}
 	sum := 0
-	for _, r := range cb.Cols[0].Runs() {
-		sum += r.Len
+	for _, r := range cb.Cols[0].runs {
+		sum += r.n
 	}
 	if sum != cb.Len() || cb.Len() != per {
 		t.Fatalf("runs sum %d, batch len %d, page holds %d", sum, cb.Len(), per)
+	}
+	for r, v := range cb.Cols[0].Flat() {
+		if v != vals[r][0] {
+			t.Fatalf("Flat row %d = %d, appended %d", r, v, vals[r][0])
+		}
 	}
 }
 

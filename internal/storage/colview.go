@@ -4,20 +4,16 @@ package storage
 // column; each ColView holds its column in the page's segment encoding
 // (columnar.go) and hands the executor decoded values through Flat,
 // decoded once per view and cached. The encoding stays inside this
-// package, with one exception: Runs exposes a run-length-encoded
-// column's runs, which the fused join+aggregate probe folds a span at a
-// time. Row-major pages surface as plain views, so a scan over a
+// package. Row-major pages surface as plain views, so a scan over a
 // mixed-format heap hands every operator the same interface.
 
 import stdcontext "context"
 
-// ColRun is one run of a run-length-encoded column view: Len consecutive
-// rows with value Val.
-type ColRun struct {
-	// Len is the number of rows in the run.
-	Len int
-	// Val is the value repeated across the run.
-	Val int32
+// colRun is one run of a run-length-encoded column view: n consecutive
+// rows with value val.
+type colRun struct {
+	n   int
+	val int32
 }
 
 // ColView is one column of a ColBatch in its page encoding. Exactly the
@@ -31,7 +27,7 @@ type ColView struct {
 	enc     byte
 	codes   []uint8
 	dict    []int32
-	runs    []ColRun
+	runs    []colRun
 	n       int
 	flat    []int32 // the decoded values; nil until Flat materializes them
 	flatBuf []int32 // reusable backing for flat
@@ -40,15 +36,6 @@ type ColView struct {
 // PlainView returns a view of the decoded values vals.
 func PlainView(vals []int32) ColView {
 	return ColView{enc: EncPlain, flat: vals, n: len(vals)}
-}
-
-// Runs returns the view's runs when its column run-length encodes, and
-// nil otherwise.
-func (v *ColView) Runs() []ColRun {
-	if v.enc != EncRLE {
-		return nil
-	}
-	return v.runs
 }
 
 // Flat returns the view fully decoded as one value per row, materializing
@@ -81,8 +68,8 @@ func (v *ColView) decodeInto(dst []int32, stride int) {
 	case EncRLE:
 		r := 0
 		for _, run := range v.runs {
-			for j := 0; j < run.Len; j++ {
-				dst[r*stride] = run.Val
+			for j := 0; j < run.n; j++ {
+				dst[r*stride] = run.val
 				r++
 			}
 		}
