@@ -223,18 +223,42 @@ type batchAgg struct {
 
 // newBatchAgg returns an empty aggregation keyed on attrs, the group
 // key's attributes, expecting about hint input rows (0 when unknown).
+// Its arenas are sized for the smaller of hint and the key's domain
+// product (at most maxKeyIndexHint groups).
 func newBatchAgg(attrs []relation.Attr, hint int) *batchAgg {
-	return &batchAgg{idx: newAttrKeyIndex(attrs, hint), arity: len(attrs)}
+	a := newBatchArena(attrs, hint)
+	a.idx = newAttrKeyIndex(attrs, hint)
+	return a
+}
+
+// newBatchArena is newBatchAgg without the key index, for an aggregate
+// that is given one later (leafFold.ready).
+func newBatchArena(attrs []relation.Attr, hint int) *batchAgg {
+	a := &batchAgg{arity: len(attrs)}
+	hint = min(hint, maxKeyIndexHint)
+	doms, n := attrDomains(attrs)
+	if cells := domainCells(len(attrs), doms[:n]); cells > 0 {
+		hint = int(min(int64(hint), cells))
+	}
+	a.vals = make([]int32, 0, hint*a.arity)
+	a.meas = make([]float64, 0, hint)
+	return a
+}
+
+// attrDomains returns the declared domains of a key's attributes in
+// doms[:n], the first maxRadixCols of them.
+func attrDomains(attrs []relation.Attr) (doms [maxRadixCols]int32, n int) {
+	n = min(len(attrs), maxRadixCols)
+	for j, a := range attrs[:n] {
+		doms[j] = int32(min(a.Domain, math.MaxInt32))
+	}
+	return doms, n
 }
 
 // newAttrKeyIndex is newKeyIndex over a key of the attributes attrs,
 // passing their declared domains.
 func newAttrKeyIndex(attrs []relation.Attr, hint int) *keyIndex {
-	var doms [maxRadixCols]int32
-	n := min(len(attrs), maxRadixCols)
-	for j, a := range attrs[:n] {
-		doms[j] = int32(min(a.Domain, math.MaxInt32))
-	}
+	doms, n := attrDomains(attrs)
 	return newKeyIndex(len(attrs), hint, doms[:n]...)
 }
 
@@ -293,18 +317,66 @@ func (a *batchAgg) slotKeys(vals, out []int32, first []bool) (created bool) {
 	return true
 }
 
-// merge absorbs every group of b, in b's first-seen order: b's groups
-// new to a are appended after a's own, and a shared group's measure
-// becomes Add(a's, b's) — a chunk of groups at a time, slots first and
-// then one batch fold.
-func (a *batchAgg) merge(e *Engine, b *batchAgg) {
-	var sc foldScratch
-	for g0 := 0; g0 < len(b.meas); g0 += foldChunk {
-		g1 := min(g0+foldChunk, len(b.meas))
-		slots, first := sc.slots[:g1-g0], sc.first[:g1-g0]
-		created := a.slotKeys(b.vals[g0*a.arity:g1*a.arity], slots, first)
-		semiring.AddAt(e.Sr, a.meas, slots, b.meas[g0:g1], firstIf(created, first))
+// mergeGroups is the group count of one part of a merge (merge).
+const mergeGroups = 4096
+
+// merge absorbs every group of b, in b's first-seen order: a shared
+// group's measure becomes Add(a's, b's), and b's groups new to a are
+// appended after a's own. It runs in two passes. The first resolves b's
+// groups against a and folds the shared ones, in parts of mergeGroups
+// groups — a count that depends on b alone, never on Parallelism — one
+// morsel each under kind on st's scheduler: b holds each key once, so
+// no two parts touch one of a's groups, and a's index is only read. The
+// second slots the groups a lacks, in b's order, on the calling
+// goroutine. at is scratch of len(b.meas) resolved groups.
+func (a *batchAgg) merge(e *Engine, b *batchAgg, at []int32, st *RunStats, kind string) error {
+	n, w := len(b.meas), a.arity
+	resolve := func(p int) error {
+		var sc foldScratch
+		for g0 := p * mergeGroups; g0 < min((p+1)*mergeGroups, n); g0 += foldChunk {
+			g1 := min(g0+foldChunk, n, (p+1)*mergeGroups)
+			a.idx.getKeys(b.vals[g0*w:g1*w], at[g0:g1])
+			hits := 0
+			for g, pos := range at[g0:g1] {
+				if pos >= 0 {
+					sc.slots[hits], sc.a[hits] = pos, b.meas[g0+g]
+					hits++
+				}
+			}
+			semiring.AddAt(e.Sr, a.meas, sc.slots[:hits], sc.a[:hits], nil)
+		}
+		return nil
 	}
+	if parts := (n + mergeGroups - 1) / mergeGroups; parts > 1 {
+		if err := st.parallelFor(kind, parts, resolve); err != nil {
+			return err
+		}
+	} else {
+		resolve(0)
+	}
+	var sc foldScratch
+	keys := make([]int32, 0, foldChunk*w)
+	miss := 0
+	flush := func() {
+		slots, first := sc.slots[:miss], sc.first[:miss]
+		created := a.slotKeys(keys, slots, first)
+		semiring.AddAt(e.Sr, a.meas, slots, sc.a[:miss], firstIf(created, first))
+		keys, miss = keys[:0], 0
+	}
+	for g, pos := range at[:n] {
+		if pos >= 0 {
+			continue
+		}
+		keys = append(keys, b.vals[g*w:(g+1)*w]...)
+		sc.a[miss] = b.meas[g]
+		if miss++; miss == foldChunk {
+			flush()
+		}
+	}
+	if miss > 0 {
+		flush()
+	}
+	return nil
 }
 
 // foldChunk is the row count of one staged pass of the aggregating
@@ -336,7 +408,9 @@ func firstIf(created bool, first []bool) []bool {
 
 // reset empties a for reuse, keeping its allocations.
 func (a *batchAgg) reset() {
-	a.idx.reset()
+	if a.idx != nil {
+		a.idx.resetKeys(a.vals)
+	}
 	a.vals, a.meas = a.vals[:0], a.meas[:0]
 }
 

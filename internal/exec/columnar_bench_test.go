@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -261,5 +262,63 @@ func BenchmarkColumnarGroupBy(b *testing.B) {
 				return g
 			})
 		})
+	}
+}
+
+// BenchmarkHighCardinalityAggregation measures the aggregates whose
+// group count nears their input's row count, as the supply chain's
+// pushed-down marginalizations at scale 0.4 produce: γ_pid over a
+// 40 000-row table shaped like contracts (about 25 000 groups over three
+// leaves), and a fused probe of fan-out 5 into about 200 000 (tid, wid)
+// groups. Each runs serially and on two workers.
+func BenchmarkHighCardinalityAggregation(b *testing.B) {
+	rng := rand.New(rand.NewSource(46))
+	pid, sid := relation.Attr{Name: "pid", Domain: 40000}, relation.Attr{Name: "sid", Domain: 4000}
+	tid, wid := relation.Attr{Name: "tid", Domain: 200}, relation.Attr{Name: "wid", Domain: 2000}
+	contracts := relation.MustNew("contracts", []relation.Attr{pid, sid})
+	for i := 0; i < 40000; i++ {
+		contracts.MustAppend([]int32{rng.Int31n(40000), rng.Int31n(4000)}, 1+99*rng.Float64())
+	}
+	// The probe carries wid and an 8 000-value join key; the build gives
+	// every key five tids, so 55 000 probe rows make 275 000 pairs over
+	// the 400 000 (tid, wid) cells.
+	jid := relation.Attr{Name: "jid", Domain: 8000}
+	probe := relation.MustNew("probe", []relation.Attr{jid, wid})
+	for i := 0; i < 55000; i++ {
+		probe.MustAppend([]int32{rng.Int31n(8000), rng.Int31n(2000)}, 1+49*rng.Float64())
+	}
+	build := relation.MustNew("build", []relation.Attr{jid, tid})
+	for j := int32(0); j < 8000; j++ {
+		for _, t := range rng.Perm(200)[:5] {
+			build.MustAppend([]int32{j, int32(t)}, 0.5+rng.Float64())
+		}
+	}
+	shapes := []struct {
+		name string
+		plan func(pb *plan.Builder) (*plan.Node, error)
+	}{
+		{"groupby-pid", func(pb *plan.Builder) (*plan.Node, error) {
+			return pb.GroupBy(mustScan(pb, "contracts"), []string{"pid"})
+		}},
+		{"fused-tid-wid", func(pb *plan.Builder) (*plan.Node, error) {
+			return pb.GroupBy(pb.Join(mustScan(pb, "probe"), mustScan(pb, "build")), []string{"tid", "wid"})
+		}},
+	}
+	for _, shape := range shapes {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
+				h := columnarHarness(b, 8192, contracts, probe, build)
+				h.engine.FuseJoinGroupBy = true
+				h.engine.Parallelism = workers
+				pb := h.builder()
+				runPlanBench(b, h, func() *plan.Node {
+					g, err := shape.plan(pb)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return g
+				})
+			})
+		}
 	}
 }

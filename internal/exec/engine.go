@@ -194,11 +194,13 @@ func (e *Engine) RunCachedContext(ctx context.Context, p *plan.Node, resolve Res
 		finish()
 		return nil, *st, err
 	}
-	rel, err := readRelationContext(ctx, out)
-	if err != nil {
-		err = errors.Join(err, out.Drop())
-		finish()
-		return nil, *st, err
+	rel := out.rel
+	if rel == nil {
+		if rel, err = readRelationContext(ctx, out); err != nil {
+			err = errors.Join(err, out.Drop())
+			finish()
+			return nil, *st, err
+		}
 	}
 	if err := out.Drop(); err != nil {
 		finish()
@@ -286,7 +288,7 @@ func (e *Engine) exec(ctx context.Context, p *plan.Node, env *runEnv, depth int)
 	incl := time.Since(start)
 	inclIO := e.Pool.Stats().Sub(ioBefore)
 	if err == nil && out != nil {
-		env.addSpan(p, opDesc(p), depth, start, start.Add(incl), out.Heap.NumTuples(), incl-childWall, inclIO.Sub(childIO))
+		env.addSpan(p, opDesc(p), depth, start, start.Add(incl), out.rows(), incl-childWall, inclIO.Sub(childIO))
 		if cacheable && out.temp {
 			// Materialize-and-register: the output was produced anyway;
 			// adopting it into the cache costs no extra IO. The subtree's
@@ -390,6 +392,8 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 	bctx := ctx
 	if cacheable {
 		bctx = context.WithValue(ctx, cachedOutCtxKey{}, true)
+	} else if depth == 0 {
+		bctx = context.WithValue(ctx, answerCtxKey{}, true)
 	}
 	switch p.Op {
 	case plan.OpScan:
@@ -461,6 +465,13 @@ func (e *Engine) newTemp(ctx context.Context, name string, attrs []relation.Attr
 // created through newTemp) — is written once, read once and dropped, and
 // re-encoding it is pure overhead.
 type cachedOutCtxKey struct{}
+
+// answerCtxKey marks the operator-body context of a plan root whose
+// output the result cache does not keep: the run reads it back into its
+// answer and drops it. The fused join+aggregate hands its groups over
+// as the answer instead (adoptAgg); the other operators keep the
+// materializing IO the paper's cost model describes.
+type answerCtxKey struct{}
 
 // newOutTemp creates an operator's output temp, row-major unless
 // Engine.Columnar is set and ctx carries the cached-output marker.
@@ -592,6 +603,25 @@ func (e *Engine) hashGroupBy(ctx context.Context, in *Table, groupVars []string,
 		return nil, err
 	}
 	return e.emitAgg(ctx, agg, "γ("+in.Name+")", outAttrs, st)
+}
+
+// adoptAgg makes an aggregation's groups, in first-seen order, the
+// run's answer without a temp heap: the table holds the relation over
+// the aggregate's arenas. The groups are charged as temp tuples, as
+// emitAgg charges them.
+func (e *Engine) adoptAgg(ctx context.Context, agg *batchAgg, name string, attrs []relation.Attr, st *RunStats) (*Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	r, err := relation.FromFlat(name, attrs, agg.vals, agg.meas)
+	if err != nil {
+		return nil, err
+	}
+	st.addTempTuples(int64(len(agg.meas)))
+	if err := st.overTemp(); err != nil {
+		return nil, err
+	}
+	return &Table{Name: name, Attrs: attrs, rel: r}, nil
 }
 
 // emitAgg materializes an aggregation's groups as an operator output.

@@ -262,5 +262,9 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, s
 	if err != nil {
 		return nil, err
 	}
-	return e.emitAgg(ctx, agg, "γ⋈("+l.Name+","+r.Name+")", aggAttrs, st)
+	name := "γ⋈(" + l.Name + "," + r.Name + ")"
+	if ctx.Value(answerCtxKey{}) != nil {
+		return e.adoptAgg(ctx, agg, name, aggAttrs, st)
+	}
+	return e.emitAgg(ctx, agg, name, aggAttrs, st)
 }

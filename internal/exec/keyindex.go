@@ -15,15 +15,19 @@ package exec
 // their values there and are confirmed against a by-position copy of
 // the full key, so no lookup or insert allocates per key.
 //
-// Single-column keys start in a dense direct-address mode: positions
-// live in an array indexed by value − lo. The index keeps that mode
-// while the observed value range stays within denseSlack × the entry
-// count (or denseFloor, for small indexes) — supply-chain ids and
-// Bayesian-network domains are dense — and rehashes into the table the
-// moment a key falls outside it. Multi-column keys whose declared
-// domains multiply to within the same bound start in radix mode, the
-// same array addressed by the key's mixed-radix code (DESIGN.md, "Batch
-// execution"). Both switches are one-way.
+// A key whose declared domains (relation.Attr.Domain) multiply to at
+// most directCells cells is direct-addressed from the start: positions
+// live in an array indexed by the key's mixed-radix code over its
+// domains — for a single column, value − lo (dense mode); for several,
+// the code itself (radix mode; DESIGN.md, "Batch execution"). The array
+// is sized from the domains alone, never from a row count, so an
+// aggregate of a quarter million groups slots each key with one array
+// read wherever it runs. A key outside its declared domains rehashes
+// the index into the table. Single-column keys without a declared
+// domain start in dense mode over the observed value range, which is
+// kept while it stays within denseSlack × the entry count (or
+// denseFloor, for small indexes), and rehash into the table the moment
+// a key falls outside it. Both switches are one-way.
 type keyIndex struct {
 	ncols int
 	n     int // entries so far; the position the next new key gets
@@ -49,10 +53,13 @@ type keyIndex struct {
 }
 
 const (
-	// denseSlack and denseFloor bound the direct-address modes: the value
-	// range (dense) or domain product (radix) may span at most denseSlack
-	// slots per entry, or denseFloor slots (256 KiB of positions)
-	// whatever the entry count.
+	// directCells caps a direct-addressed key's domain product: its
+	// array of int32 positions takes at most 2 MiB.
+	directCells = 1 << 19
+	// denseSlack and denseFloor bound the dense mode of a key without a
+	// declared domain: its observed value range may span at most
+	// denseSlack slots per entry, or denseFloor slots (256 KiB of
+	// positions) whatever the entry count.
 	denseSlack = 4
 	denseFloor = 1 << 16
 	// maxRadixCols is the widest key radix mode addresses.
@@ -66,32 +73,38 @@ const (
 )
 
 // newKeyIndex returns an empty index over ncols-column keys expecting
-// about sizeHint entries (0 when unknown). domains, when given, are the
-// columns' declared domain sizes (relation.Attr.Domain; values in
-// [0, domain)): a multi-column key whose domain product fits the dense
-// bound for sizeHint entries starts in radix mode.
+// about sizeHint entries (0 when unknown), which sizes the first table.
+// domains, when given, are the columns' declared domain sizes
+// (relation.Attr.Domain; values in [0, domain)): a key whose domain
+// product is at most directCells starts direct-addressed over all of it.
 func newKeyIndex(ncols, sizeHint int, domains ...int32) *keyIndex {
 	if sizeHint > maxKeyIndexHint {
 		sizeHint = maxKeyIndexHint
 	}
 	k := &keyIndex{ncols: ncols, hint: sizeHint, isDense: ncols == 1}
-	if ncols < 2 || ncols > maxRadixCols || len(domains) != ncols {
-		return k
+	if cells := domainCells(ncols, domains); cells > 0 && cells <= directCells {
+		copy(k.doms[:], domains)
+		k.dense = make([]int32, cells)
+		k.isDense, k.isRadix = ncols == 1, ncols > 1
 	}
-	bound := int64(max(denseFloor, denseSlack*sizeHint))
+	return k
+}
+
+// domainCells returns the product of an ncols-column key's declared
+// domains, saturating past directCells, or 0 when they are not all
+// declared or the key is wider than radix mode addresses.
+func domainCells(ncols int, domains []int32) int64 {
+	if ncols < 1 || ncols > maxRadixCols || len(domains) != ncols {
+		return 0
+	}
 	cells := int64(1)
 	for _, d := range domains {
 		if d <= 0 {
-			return k
+			return 0
 		}
-		if cells *= int64(d); cells > bound {
-			return k
-		}
+		cells = min(cells*int64(d), directCells+1)
 	}
-	copy(k.doms[:], domains)
-	k.isRadix = true
-	k.dense = make([]int32, cells)
-	return k
+	return cells
 }
 
 // len returns the number of distinct keys put so far.
@@ -103,6 +116,23 @@ func (k *keyIndex) reset() {
 	k.wide = k.wide[:0]
 	clear(k.dense)
 	clear(k.pos)
+}
+
+// resetKeys is reset given every key put, row-major in vals: a direct
+// array that few keys occupy is cleared cell by cell rather than whole.
+func (k *keyIndex) resetKeys(vals []int32) {
+	if !(k.isDense || k.isRadix) || 8*k.n >= len(k.dense) {
+		k.reset()
+		return
+	}
+	for off := 0; off < len(vals); off += k.ncols {
+		if k.isDense {
+			k.dense[int64(vals[off])-k.lo] = 0
+		} else if c, ok := k.radixCode(vals[off : off+k.ncols]); ok {
+			k.dense[c] = 0
+		}
+	}
+	k.n = 0
 }
 
 // radixCode returns key's mixed-radix code over the declared domains,
@@ -415,6 +445,23 @@ func (k *keyIndex) getRows(cols [][]int32, lo int, out []int32, key []int32) {
 			key[m] = col[lo+j]
 		}
 		p, ok := k.get(key)
+		if !ok {
+			p = -1
+		}
+		out[j] = int32(p)
+	}
+}
+
+// getKeys is getRows over keys stored row-major in vals, ncols values
+// each.
+func (k *keyIndex) getKeys(vals []int32, out []int32) {
+	if k.ncols == 1 {
+		k.getCol(vals, out)
+		return
+	}
+	w := k.ncols
+	for j := range out {
+		p, ok := k.get(vals[j*w : (j+1)*w])
 		if !ok {
 			p = -1
 		}

@@ -157,15 +157,15 @@ func TestKeyIndex(t *testing.T) {
 		{"huge hint", 2, math.MaxInt, randKeys(100, 2, 50), false, nil, false},
 		{"huge hint one-col", 1, math.MaxInt, [][]int32{{5}, {1 << 29}, {5}}, false, nil, false},
 		// Declared domains: multi-column keys whose domain product fits
-		// max(denseFloor, denseSlack × hint) are radix addressed; a
+		// directCells are radix addressed, whatever the hint; a
 		// one-column key is dense whatever its domain.
 		{"one-col declared domain", 1, 0, inDomain(3000, 40000), true, []int32{40000}, false},
 		{"radix two-col", 2, 0, inDomain(5000, 50, 40), false, []int32{50, 40}, true},
 		{"radix three-col with a domain-1 column", 3, 0, inDomain(3000, 7, 1, 9), false, []int32{7, 1, 9}, true},
 		{"radix product exactly at the floor", 2, 0, inDomain(4000, 256, 256), false, []int32{256, 256}, true},
-		{"radix product one past the floor", 2, 0, inDomain(4000, 256, 257), false, []int32{256, 257}, false},
+		{"radix product exactly at the cap", 2, 0, inDomain(4000, 512, 1024), false, []int32{512, 1024}, true},
 		{"radix product within slack × hint", 2, 20000, inDomain(4000, 400, 200), false, []int32{400, 200}, true},
-		{"radix product one past slack × hint", 2, 20000, inDomain(4000, 400, 201), false, []int32{400, 201}, false},
+		{"radix product one past the cap", 2, 20000, inDomain(4000, 1, directCells+1), false, []int32{1, directCells + 1}, false},
 		{"radix five-col", 5, 0, inDomain(4000, 3, 4, 5, 6, 7), false, []int32{3, 4, 5, 6, 7}, true},
 		{"radix key outside its domain switches mode", 2, 0,
 			append(inDomain(500, 10, 10), []int32{10, 0}, []int32{-1, 3}, []int32{4, 4}), false, []int32{10, 10}, false},

@@ -11,11 +11,13 @@ package exec
 // immediately pick up an aggregation leaf of the same query.
 //
 // Every operator submits through parallelFor: a fixed index range
-// (partition pairs, leaves), submitted at once and waited on.
+// (partition pairs, leaves, the parts of a leaf merge), submitted at
+// once and waited on.
 //
 // The caller participates: while waiting it runs its own set's pending
-// morsels, which makes the scheduler deadlock-free at any worker count
-// (and with zero background workers degrades to serial execution).
+// morsels, and those of sets they submitted, which makes the scheduler
+// deadlock-free at any worker count (and with zero background workers
+// degrades to serial execution).
 //
 // The scheduler also fixes trace attribution: each morsel's runtime is
 // accumulated against the operator kind that submitted it (not the
@@ -99,7 +101,7 @@ func (m *morselSched) workerLoop() {
 		if m.closed {
 			return
 		}
-		s := m.pickLocked()
+		s := m.pickLocked(0)
 		if s == nil {
 			m.cond.Wait()
 			continue
@@ -108,11 +110,14 @@ func (m *morselSched) workerLoop() {
 	}
 }
 
-// pickLocked returns the first set with runnable work, FIFO across sets
-// so earlier operators drain first.
-func (m *morselSched) pickLocked() *morselSet {
-	for _, s := range m.sets {
-		if len(s.tasks) > 0 && s.err == nil {
+// pickLocked returns the newest set from index from on with runnable
+// work. Sets of one run are sequential except where a morsel submits a
+// set of its own (a leaf merge's parts, batchAgg.merge) and waits on it:
+// running the newest first lets idle workers finish that before they
+// take up more of the older set.
+func (m *morselSched) pickLocked(from int) *morselSet {
+	for j := len(m.sets) - 1; j >= from; j-- {
+		if s := m.sets[j]; len(s.tasks) > 0 && s.err == nil {
 			return s
 		}
 	}
@@ -146,13 +151,14 @@ func (m *morselSched) runOneLocked(s *morselSet) {
 	m.cond.Broadcast()
 }
 
-// waitLocked blocks until s finishes, running s's own pending tasks on
-// the calling goroutine while it waits (caller participation). Called
-// with m.mu held; returns with m.mu held.
+// waitLocked blocks until s finishes, running pending tasks of s, or of
+// a set one of them submitted, on the calling goroutine while it waits
+// (caller participation) — never of an older set, whose task may be
+// waiting on s. Called with m.mu held; returns with m.mu held.
 func (m *morselSched) waitLocked(s *morselSet) error {
 	for {
-		if len(s.tasks) > 0 && s.err == nil {
-			m.runOneLocked(s)
+		if t := m.pickLocked(slices.Index(m.sets, s)); t != nil {
+			m.runOneLocked(t)
 			continue
 		}
 		if s.finished() {

@@ -72,12 +72,16 @@ const (
 // layout-independent — across page layouts.
 //
 // Merging is pipelined (leafOrder): whichever worker completes the next
-// leaf in order merges it, and any successors already waiting, while the
-// others keep probing. The groups of all live aggregates count against
-// the query's temp-tuple budget at every batch boundary (leafBudget). On
-// an error the scheduler drops the pending leaves, in-flight ones stop
-// at their next batch boundary or finish, and every aggregate is
-// garbage.
+// leaf in order merges it, and any successors already waiting, while
+// the others keep probing. A leaf of many groups merges in parts
+// (batchAgg.merge), morsels that idle workers take before new leaves;
+// every part of one leaf is merged before the next leaf, so the Add
+// sequence of every group is the one above, and the groups new to the
+// result are appended in the leaf's order. The groups of all live
+// aggregates count against the query's temp-tuple budget at every batch
+// boundary (leafBudget). On an error the scheduler drops the pending
+// leaves, in-flight ones stop at their next batch boundary or finish,
+// and every aggregate is garbage.
 func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, attrs []relation.Attr, st *RunStats,
 	leaf func(it *storage.ColBatchIterator, agg *batchAgg, lb *leafBudget) error) (*batchAgg, error) {
 	pages := in.NumPages()
@@ -86,15 +90,27 @@ func (e *Engine) foldLeaves(ctx context.Context, kind string, in *storage.Heap, 
 		hint = int(in.NumTuples() * min(pages, leafPages) / pages)
 	}
 	f := newLeafFold(e, attrs, leafCount(pages), e.workers(), hint)
+	f.st, f.kind = st, kind
 	f.maxBacklog = leafBacklogGroups
-	err := f.run(ctx, st, kind, in, func(it *storage.ColBatchIterator, agg *batchAgg) error {
-		return leaf(it, agg, &leafBudget{st: st, live: &f.live})
+	// A leaf takes its key index when it starts (ready), so the fold
+	// holds one per running leaf beside out's, however many leaf states
+	// the pacing lets exist.
+	f.fresh = func(int) *batchAgg { return newBatchArena(attrs, hint) }
+	err := f.run(ctx, st, kind, in, func(i int, it *storage.ColBatchIterator, agg *batchAgg) error {
+		f.ready(agg)
+		if err := leaf(it, agg, &leafBudget{st: st, live: &f.live}); err != nil {
+			return err
+		}
+		if i > 0 {
+			f.release(agg)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	if f.out == nil {
-		f.out = newBatchAgg(attrs, 0)
+		return &batchAgg{arity: len(attrs)}, nil
 	}
 	return f.out, nil
 }
@@ -147,10 +163,11 @@ func (o *leafOrder[L]) init(n, window int) {
 }
 
 // run submits one morsel per leaf of in under kind: each takes a leaf
-// state (start), calls leaf with an iterator over its page range, and
-// hands the state in (finish). The first error fails the set.
+// state (start), calls leaf with the leaf's index and an iterator over
+// its page range, and hands the state in (finish). The first error
+// fails the set.
 func (o *leafOrder[L]) run(ctx context.Context, st *RunStats, kind string, in *storage.Heap,
-	leaf func(it *storage.ColBatchIterator, l *L) error) error {
+	leaf func(i int, it *storage.ColBatchIterator, l *L) error) error {
 	return st.parallelFor(kind, len(o.done), func(i int) error {
 		l := o.start(i)
 		if l == nil {
@@ -160,7 +177,7 @@ func (o *leafOrder[L]) run(ctx context.Context, st *RunStats, kind string, in *s
 		if err == nil {
 			it := in.ScanColBatchesContext(ctx)
 			it.SetPageRange(int64(i)*leafPages, int64(i+1)*leafPages)
-			if err = leaf(it, l); err == nil {
+			if err = leaf(i, it, l); err == nil {
 				err = it.Err()
 			}
 			it.Close()
@@ -247,22 +264,33 @@ func (o *leafOrder[L]) finish(i int, l *L) error {
 }
 
 // leafFold is the merge state of one foldLeaves call: the first leaf
-// aggregate in order becomes the result, and every later one is merged
-// into it and recycled.
+// aggregate in order (out) becomes the result, and every later one is
+// merged into it (batchAgg.merge, whose parts run as morsels) and
+// recycled.
 type leafFold struct {
 	leafOrder[batchAgg]
 	e     *Engine
 	attrs []relation.Attr
+	st    *RunStats
+	kind  string
+	hint  int
 	live  atomic.Int64 // groups held by leaf aggregates and out
-	// out and resized are owned by the worker absorbing.
-	out     *batchAgg
-	resized bool // out has been sized for every leaf's groups
+	// out and at, the merge's resolved groups, are owned by the worker
+	// absorbing.
+	out *batchAgg
+	at  []int32
+	// idle holds the key indexes of finished later leaves, which their
+	// merge does not read, for the next leaves to take (ready).
+	idleMu sync.Mutex
+	idle   []*keyIndex
 }
 
 // newLeafFold returns the fold of n leaves keyed on attrs, paced by
-// window, whose leaf aggregates expect about hint rows.
+// window, whose leaf aggregates expect about hint rows. The merge's
+// morsels run on the scheduler of st (set by foldLeaves; serially while
+// it is nil) under kind.
 func newLeafFold(e *Engine, attrs []relation.Attr, n, window, hint int) *leafFold {
-	f := &leafFold{e: e, attrs: attrs}
+	f := &leafFold{e: e, attrs: attrs, hint: hint}
 	f.init(n, window)
 	f.fresh = func(int) *batchAgg { return newBatchAgg(attrs, hint) }
 	f.size = func(a *batchAgg) int { return len(a.meas) }
@@ -270,26 +298,44 @@ func newLeafFold(e *Engine, attrs []relation.Attr, n, window, hint int) *leafFol
 	return f
 }
 
-// merge absorbs leaf aggregate a into the result. Before the first
-// merge the result — leaf 0's aggregate, its index sized for one leaf —
-// moves into an aggregate sized for leaf 0's groups times the leaf
-// count, when that lets a multi-column key's index direct-address its
-// domain product (radix mode, keyindex.go): a leaf group then slots
-// into the result with one array read.
+// ready gives leaf aggregate a a key index before its leaf runs.
+func (f *leafFold) ready(a *batchAgg) {
+	if a.idx != nil {
+		return
+	}
+	f.idleMu.Lock()
+	if k := len(f.idle); k > 0 {
+		a.idx = f.idle[k-1]
+		f.idle = f.idle[:k-1]
+	}
+	f.idleMu.Unlock()
+	if a.idx == nil {
+		a.idx = newAttrKeyIndex(f.attrs, f.hint)
+	}
+}
+
+// release empties the key index of a finished later leaf — one that
+// will not become out — and hands it to the next leaf: the merge reads
+// only the leaf's arenas, so a leaf waiting to be merged holds no index.
+func (f *leafFold) release(a *batchAgg) {
+	a.idx.resetKeys(a.vals)
+	f.idleMu.Lock()
+	f.idle = append(f.idle, a.idx)
+	f.idleMu.Unlock()
+	a.idx = nil
+}
+
+// merge absorbs leaf aggregate a into the result.
 func (f *leafFold) merge(a *batchAgg) (keep bool, err error) {
 	if f.out == nil {
 		f.out = a
 		return true, nil
 	}
-	if !f.resized {
-		f.resized = true
-		if res := newBatchAgg(f.attrs, len(f.out.meas)*len(f.done)); res.idx.isRadix && !f.out.idx.isRadix {
-			res.merge(f.e, f.out)
-			f.out = res
-		}
-	}
 	groups, before := len(a.meas), len(f.out.meas)
-	f.out.merge(f.e, a)
+	f.at = grow(f.at, groups)
+	if err := f.out.merge(f.e, a, f.at, f.st, f.kind); err != nil {
+		return false, err
+	}
 	f.live.Add(int64(len(f.out.meas) - before - groups))
 	a.reset()
 	return false, nil

@@ -325,7 +325,7 @@ func (e *Engine) runPipe(ctx context.Context, kind string, src *Table, s *pipeSt
 		st.addTempTuples(rows)
 		return false, st.overTemp()
 	}
-	return o.run(ctx, st, kind, src.Heap, func(it *storage.ColBatchIterator, l *sinkLeaf) error {
+	return o.run(ctx, st, kind, src.Heap, func(_ int, it *storage.ColBatchIterator, l *sinkLeaf) error {
 		lb := leafBudget{st: st, live: &live}
 		emit := func() error {
 			l.vals, l.meas = l.run.appendRows(l.vals, l.meas)

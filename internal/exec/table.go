@@ -25,8 +25,11 @@ type Table struct {
 	Name  string
 	Attrs []relation.Attr
 	Heap  *storage.Heap
-	temp  bool
-	mu    sync.Mutex // serializes shared batchWriter flushes of parallel producers
+	// rel, when set, holds a run's answer in memory instead of Heap (nil):
+	// the plan root's output, which nothing re-reads (adoptAgg).
+	rel  *relation.Relation
+	temp bool
+	mu   sync.Mutex // serializes shared batchWriter flushes of parallel producers
 	// onDrop, when set, runs exactly once on the first Drop, before any
 	// heap release. The result cache uses it to unpin a shared cache entry
 	// when the consuming operator is done with it: cached tables are
@@ -52,6 +55,14 @@ func (t *Table) ColIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// rows returns the table's row count.
+func (t *Table) rows() int64 {
+	if t.rel != nil {
+		return int64(t.rel.Len())
+	}
+	return t.Heap.NumTuples()
 }
 
 // Drop releases the table's storage if it is a temporary table; base
@@ -102,13 +113,13 @@ func ReadRelation(t *Table) (*relation.Relation, error) {
 }
 
 // readRelationContext scans the table back into an in-memory relation,
-// observing ctx on page misses: a page of rows at a time, each value
-// checked against its domain.
+// observing ctx on page misses: the rows are gathered into arrays sized
+// once from the heap's tuple count, then every value is checked against
+// its domain.
 func readRelationContext(ctx context.Context, t *Table) (*relation.Relation, error) {
-	r, err := relation.New(t.Name, t.Attrs)
-	if err != nil {
-		return nil, err
-	}
+	n := int(t.Heap.NumTuples())
+	vals := make([]int32, 0, n*len(t.Attrs))
+	meas := make([]float64, 0, n)
 	it := t.Heap.ScanBatchesContext(ctx)
 	defer it.Close()
 	for {
@@ -119,14 +130,13 @@ func readRelationContext(ctx context.Context, t *Table) (*relation.Relation, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := r.AppendRows(b.Vals, b.Measures); err != nil {
-			return nil, err
-		}
+		vals = append(vals, b.Vals...)
+		meas = append(meas, b.Measures...)
 	}
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return relation.FromFlat(t.Name, t.Attrs, vals, meas)
 }
 
 // Resolver maps a base-table name to its stored table.

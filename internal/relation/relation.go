@@ -158,25 +158,28 @@ func (r *Relation) Append(vals []int32, measure float64) error {
 	return nil
 }
 
-// AppendRows adds rows in bulk: vals holds them row-major, Arity values
-// each, and measures one measure per row. Every value is checked against
-// its attribute's domain, as Append checks it; on an error nothing is
-// appended.
-func (r *Relation) AppendRows(vals []int32, measures []float64) error {
+// FromFlat returns the relation over attrs whose rows are vals
+// (row-major, one value per attribute) with measures, one per row.
+// Every value is checked against its attribute's domain, as Append
+// checks it. The relation takes ownership of both slices.
+func FromFlat(name string, attrs []Attr, vals []int32, measures []float64) (*Relation, error) {
+	r, err := New(name, attrs)
+	if err != nil {
+		return nil, err
+	}
 	n := len(r.attrs)
 	if len(vals) != len(measures)*n {
-		return fmt.Errorf("relation %s: AppendRows got %d values for %d rows of %d", r.name, len(vals), len(measures), n)
+		return nil, fmt.Errorf("relation %s: FromFlat got %d values for %d rows of %d", name, len(vals), len(measures), n)
 	}
 	for off := 0; off < len(vals); off += n {
 		for c, v := range vals[off : off+n] {
 			if v < 0 || int(v) >= r.attrs[c].Domain {
-				return r.checkRow(vals[off : off+n])
+				return nil, r.checkRow(vals[off : off+n])
 			}
 		}
 	}
-	r.vals = append(r.vals, vals...)
-	r.measures = append(r.measures, measures...)
-	return nil
+	r.vals, r.measures = vals, measures
+	return r, nil
 }
 
 // checkRow checks a row's values against the schema, as Append does.
